@@ -27,11 +27,7 @@ from .fem import (
     AdvectionTensor,
     ControlField,
     FemOperators,
-    adjoint_matrix,
     assemble_operators,
-    contract_tensor,
-    contract_tensor_transposed,
-    gradient_contraction,
     state_matrix,
 )
 from .fields import DRIFT_PRESETS, gaussian_density, indicator_density, uniform_density

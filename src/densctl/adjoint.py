@@ -141,20 +141,19 @@ def solve_adjoint_dynamic(
         )
     w = trapezoid_weights(n_steps) if weights is None else np.asarray(weights, float)
     qref = _vals(q_ref)
-    Mmat = ops.mass_matrix(lumped)
+    mass = ops.mass_data(lumped) / dt
     f_total = float(ops.F.sum())
 
     values = np.zeros((n_steps + 1, ops.n))
     lam_next = np.zeros(ops.n)
     for i in range(n_steps, 0, -1):
-        L_i = state_matrix(ops, controls[i])
+        L_i = ops.state_data(controls[i])
         source = w[i] * dt * alpha * (ops.M @ (trajectory.states[i] - qref))
-        rhs = (Mmat / dt - (1.0 - theta) * L_i).T @ lam_next + source
+        rhs = ops.tensor.csr(mass - (1.0 - theta) * L_i).T @ lam_next + source
         if factors is not None:
             lam = factors[i].solve(rhs, trans="T")
         else:
-            implicit_T = (Mmat / dt + theta * L_i).T.tocsc()
-            lam = lu_factor(implicit_T).solve(rhs)
+            lam = lu_factor(ops.tensor.csr(mass + theta * L_i).T).solve(rhs)
         if not np.isfinite(lam).all():
             raise SolverError(f"dynamic adjoint solve failed at step {i}")
         lam = _project_zero_mean(lam, ops.F, f_total)

@@ -411,7 +411,7 @@ def cmd_particles(args) -> int:
     manifest = export.Manifest(out_dir)
     manifest.add("config.echo", "configuration")
 
-    checkpoints = sorted(set(max(1, n_steps // 5) * k for k in range(1, 6)) | {n_steps})
+    checkpoints = sorted({min(max(1, n_steps // 5) * k, n_steps) for k in range(1, 6)})
     rows = []
     step = 0
     for target_step in checkpoints:

@@ -30,10 +30,6 @@ __all__ = [
     "FemOperators",
     "assemble_operators",
     "state_matrix",
-    "adjoint_matrix",
-    "contract_tensor",
-    "contract_tensor_transposed",
-    "gradient_contraction",
     "write_matrix_coo",
 ]
 
@@ -79,30 +75,48 @@ class ControlField:
 class AdvectionTensor:
     """Sparse rank-3 tensors T_c with entries ∫ (∂phi_i/∂c) phi_j phi_k, c in {x, y}.
 
-    The (i, j) sparsity pattern (nodes sharing a triangle) is stored once;
-    per-component matrices map a control vector to the pattern data, so both
-    the contraction to an (n, n) advection matrix and the control-space
-    gradient contraction run in O(nnz).
+    The (i, j) sparsity pattern (nodes sharing a triangle) is stored once in
+    CSR order; per-component matrices map a control vector to the pattern
+    data, so both the contraction to an (n, n) advection matrix and the
+    control-space gradient contraction run in O(nnz).  A, M and B_drift live
+    on the same pattern, so every state-space operator is a data array on it.
     """
 
-    def __init__(self, n_state, n_ctrl, rows, cols, kx, ky):
+    def __init__(self, n_state, rows, cols, kx, ky):
         self.n_state = int(n_state)
-        self.n_ctrl = int(n_ctrl)
         self.pattern_rows = rows
         self.pattern_cols = cols
-        self.kx = kx  # (n_pattern, n_ctrl) CSR
+        self.kx = kx  # (n_pattern, n_state) CSR
         self.ky = ky
-        self._indptr = np.searchsorted(rows, np.arange(n_state + 1))
+        self._indptr = np.searchsorted(rows, np.arange(n_state + 1)).astype(np.int32)
         self._indices = cols.astype(np.int32)
+        # the pattern is symmetric: position of (j, i) for each (i, j)
+        self.transpose = np.searchsorted(rows * n_state + cols, cols * n_state + rows)
+
+    def contract_data(self, u: ControlField) -> np.ndarray:
+        """Pattern data of C(u) with C_ij = sum_k (Tx_ijk ux_k + Ty_ijk uy_k)."""
+        if u.n != self.n_state:
+            raise ValueError(f"control has {u.n} nodes, tensor expects {self.n_state}")
+        return self.kx @ u.ux + self.ky @ u.uy
 
     def contract(self, u: ControlField) -> sp.csr_matrix:
-        """Matrix C(u) with C_ij = sum_k (Tx_ijk ux_k + Ty_ijk uy_k)."""
-        if u.n != self.n_ctrl:
-            raise ValueError(f"control has {u.n} nodes, tensor expects {self.n_ctrl}")
-        data = self.kx @ u.ux + self.ky @ u.uy
-        return sp.csr_matrix(
-            (data, self._indices, self._indptr), shape=(self.n_state, self.n_state)
+        return self.csr(self.contract_data(u))
+
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with the given pattern data, in CSR form."""
+        n = self.n_state
+        return sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+
+    def csc(self, data: np.ndarray) -> sp.csc_matrix:
+        """The same matrix in CSC form (the CSR arrays of its transpose)."""
+        n = self.n_state
+        return sp.csc_matrix(
+            (data[self.transpose], self._indices, self._indptr), shape=(n, n)
         )
+
+    def on_pattern(self, mat) -> np.ndarray:
+        """Pattern data of a sparse matrix whose nonzeros lie on the pattern."""
+        return np.asarray(sp.csr_matrix(mat)[self.pattern_rows, self.pattern_cols]).ravel()
 
     def gradient_contraction(self, lam: np.ndarray, q: np.ndarray):
         """Vectors g_c with g_ck = sum_ij lam_i T_c,ijk q_j, for c in {x, y}."""
@@ -115,7 +129,7 @@ class AdvectionTensor:
 
     def dense(self):
         """Dense (n, n, n) arrays (Tx, Ty); only for small oracle meshes."""
-        tx = np.zeros((self.n_state, self.n_state, self.n_ctrl))
+        tx = np.zeros((self.n_state,) * 3)
         ty = np.zeros_like(tx)
         for mat, out in ((self.kx.tocoo(), tx), (self.ky.tocoo(), ty)):
             out[
@@ -132,6 +146,8 @@ class FemOperators:
     matrix, M_lumped its row-sum diagonal, and F = M 1 the nodal integrals of
     the basis functions (so F.q is the mass of a FEM function).  M_u and A_u
     act on each control component; the control space equals the state space.
+    L0_data, M_data and M_lumped_data are A - B_drift, M and M_lumped as data
+    on the tensor's pattern.
     """
 
     mesh: Mesh
@@ -144,13 +160,20 @@ class FemOperators:
     M_u: sp.csr_matrix
     A_u: sp.csr_matrix
     B_drift: sp.csr_matrix | None
+    L0_data: np.ndarray
+    M_data: np.ndarray
+    M_lumped_data: np.ndarray
 
     @property
     def n(self) -> int:
         return self.F.size
 
-    def mass_matrix(self, lumped: bool):
-        return self.M_lumped if lumped else self.M
+    def mass_data(self, lumped: bool) -> np.ndarray:
+        return self.M_lumped_data if lumped else self.M_data
+
+    def state_data(self, u: ControlField) -> np.ndarray:
+        """Pattern data of the state matrix L(u) = A - C(u) - B_drift."""
+        return self.L0_data - self.tensor.contract_data(u)
 
 
 def _triangle_geometry(mesh: Mesh):
@@ -225,6 +248,7 @@ def assemble_operators(mesh: Mesh, mu: float, drift=None) -> FemOperators:
 
     tensor = _assemble_tensor(mesh, areas, gx, gy)
     B_drift = _assemble_drift(mesh, areas, gx, gy, drift) if drift is not None else None
+    L0 = A if B_drift is None else A - B_drift
 
     return FemOperators(
         mesh=mesh,
@@ -237,6 +261,9 @@ def assemble_operators(mesh: Mesh, mu: float, drift=None) -> FemOperators:
         M_u=M,
         A_u=K,
         B_drift=B_drift,
+        L0_data=tensor.on_pattern(L0),
+        M_data=tensor.on_pattern(M),
+        M_lumped_data=tensor.on_pattern(M_lumped),
     )
 
 
@@ -269,7 +296,7 @@ def _assemble_tensor(mesh: Mesh, areas, gx, gy) -> AdvectionTensor:
     kx = sp.coo_matrix((vx, (pair_id, tk)), shape=(npat, n)).tocsr()
     ky = sp.coo_matrix((vy, (pair_id, tk)), shape=(npat, n)).tocsr()
     # np.unique sorts keys, so (rows, cols) are already in CSR order
-    return AdvectionTensor(n, n, rows, cols, kx, ky)
+    return AdvectionTensor(n, rows, cols, kx, ky)
 
 
 def _assemble_drift(mesh: Mesh, areas, gx, gy, drift) -> sp.csr_matrix:
@@ -307,27 +334,7 @@ def state_matrix(ops: FemOperators, u: ControlField) -> sp.csr_matrix:
     Columns of L(u) sum to zero (1^T L = 0), so F.q is invariant under the
     dynamics M dq/dt = -L(u) q, and the equilibrium spans its 1-D kernel.
     """
-    L = ops.A - ops.tensor.contract(u)
-    if ops.B_drift is not None:
-        L = L - ops.B_drift
-    return L.tocsr()
-
-
-def adjoint_matrix(ops: FemOperators, u: ControlField) -> sp.csr_matrix:
-    """Exact transpose of the state matrix; has the constant vector in its kernel."""
-    return state_matrix(ops, u).T.tocsr()
-
-
-def contract_tensor(tensor: AdvectionTensor, u: ControlField) -> sp.csr_matrix:
-    return tensor.contract(u)
-
-
-def contract_tensor_transposed(tensor: AdvectionTensor, u: ControlField) -> sp.csr_matrix:
-    return tensor.contract(u).T.tocsr()
-
-
-def gradient_contraction(tensor: AdvectionTensor, lam: np.ndarray, q: np.ndarray):
-    return tensor.gradient_contraction(lam, q)
+    return ops.tensor.csr(ops.state_data(u))
 
 
 def write_matrix_coo(mat, path) -> None:

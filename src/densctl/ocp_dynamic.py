@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint_dynamic, trapezoid_weights
-from .fem import ControlField, FemOperators, state_matrix
-from .linalg import SolverError, lu_factor
+from .fem import ControlField, FemOperators
+from .linalg import lu_factor
 from .ocp_static import (
     IterationRecord,
     LineSearchError,
@@ -26,7 +26,7 @@ from .ocp_static import (
     StaticSolution,
     armijo_backtracking,
 )
-from .state import DensityField, Trajectory
+from .state import DensityField, Trajectory, theta_sweep
 
 __all__ = [
     "TimeVaryingControl",
@@ -124,40 +124,6 @@ def project_to_magnitude_ball(U: np.ndarray, n: int, radius: float) -> np.ndarra
     return out
 
 
-def _forward(ops, q0, U, dt, theta, lumped):
-    """Theta-scheme sweep; returns the trajectory and the LU factors per step."""
-    n_steps = U.shape[0] - 1
-    Mmat = ops.mass_matrix(lumped)
-    states = np.empty((n_steps + 1, ops.n))
-    states[0] = q0
-    factors = [None] * (n_steps + 1)
-    for i in range(n_steps):
-        L_new = state_matrix(ops, ControlField.from_stacked(U[i + 1]))
-        implicit = (Mmat / dt + theta * L_new).tocsc()
-        lu = lu_factor(implicit)
-        factors[i + 1] = lu
-        if theta < 1.0:
-            L_old = state_matrix(ops, ControlField.from_stacked(U[i]))
-            rhs = (Mmat / dt - (1.0 - theta) * L_old) @ states[i]
-        else:
-            rhs = (Mmat / dt) @ states[i]
-        qn = lu.solve(rhs)
-        states[i + 1] = qn + lu.solve(rhs - implicit @ qn)
-    if not np.isfinite(states).all():
-        raise SolverError("forward sweep produced non-finite states")
-    times = np.arange(n_steps + 1) * dt
-    traj = Trajectory(
-        times=times,
-        states=states,
-        masses=states @ ops.F,
-        min_values=states.min(axis=1),
-        dt=float(dt),
-        theta=float(theta),
-        lumped=bool(lumped),
-    )
-    return traj, factors
-
-
 def _dynamic_gradient(ops, traj, lams, U, static_solution, config):
     """Stacked gradient (n_nodes_t, 2n) of the discrete cost w.r.t. the control."""
     n = ops.n
@@ -192,10 +158,11 @@ def solve_dynamic_ocp(
 ) -> DynamicSolution:
     """Optimize a time-varying control, warm-started from the static optimum.
 
-    Per iteration: forward theta sweep, backward discrete-adjoint sweep,
-    gradient assembly, quasi-Newton direction, Armijo search over projected
-    trial controls, then the projected update.  Terminates when the gradient
-    norm falls below config.tol or after max_iter iterations.
+    Per iteration: backward discrete-adjoint sweep, gradient assembly,
+    quasi-Newton direction and Armijo search over projected trial controls.
+    The accepted trial, with its forward sweep, factors and cost, is the next
+    iterate.  Terminates when the gradient norm falls below config.tol or
+    after max_iter iterations.
     """
     n = ops.n
     dt, T, theta, lumped = config.dt, config.T, config.theta, config.lumped
@@ -209,18 +176,24 @@ def solve_dynamic_ocp(
     H = (config.beta * ops.M_u + config.beta_g * ops.A_u).tocsc()
     H_lu = lu_factor(H)
 
-    U = np.tile(static_solution.u_star.stacked(), (n_steps + 1, 1))
+    def sweep(U):
+        traj, factors = theta_sweep(ops, q0v, U, dt, theta, lumped)
+        return U, traj, factors, evaluate_dynamic_cost(ops, traj, U, static_solution, config)
+
+    # Armijo returns on the first trial it accepts, so the last trial swept
+    # is the next iterate: its sweep is kept instead of being repeated.
+    trial = []
 
     def j_of_flat(u_flat):
+        trial.clear()
         U_trial = project_to_magnitude_ball(u_flat.reshape(n_steps + 1, 2 * n), n, radius)
-        traj_trial, _ = _forward(ops, q0v, U_trial, dt, theta, lumped)
-        return evaluate_dynamic_cost(ops, traj_trial, U_trial, static_solution, config)
+        trial.extend(sweep(U_trial))
+        return trial[-1]
 
+    U, traj, factors, J = sweep(np.tile(static_solution.u_star.stacked(), (n_steps + 1, 1)))
     history: list[IterationRecord] = []
     converged = False
-    traj = lams = None
     for it in range(max_iter + 1):
-        traj, factors = _forward(ops, q0v, U, dt, theta, lumped)
         controls = [ControlField.from_stacked(row) for row in U]
         lams = solve_adjoint_dynamic(
             ops,
@@ -233,8 +206,8 @@ def solve_dynamic_ocp(
             lumped,
             factors=factors,
         )
+        factors = None  # only the adjoint needs them; free before the trials
         G = _dynamic_gradient(ops, traj, lams, U, static_solution, config)
-        J = evaluate_dynamic_cost(ops, traj, U, static_solution, config)
         gnorm = float(np.linalg.norm(G))
         if gnorm < config.tol:
             history.append(IterationRecord(it, J, gnorm, 0.0))
@@ -243,10 +216,9 @@ def solve_dynamic_ocp(
         if it == max_iter:
             history.append(IterationRecord(it, J, gnorm, 0.0))
             break
-        D = np.empty_like(G)
-        for j in range(n_steps + 1):
-            D[j, :n] = -H_lu.solve(G[j, :n])
-            D[j, n:] = -H_lu.solve(G[j, n:])
+        # one multi-RHS solve: the rows of G.reshape(-1, n) are the x and y
+        # halves of each time node's gradient
+        D = -H_lu.solve(G.reshape(-1, n).T).T.reshape(G.shape)
         try:
             tau, _ = armijo_backtracking(
                 j_of_flat, U.ravel(), D.ravel(), G.ravel(), config.armijo, f0=J
@@ -255,7 +227,7 @@ def solve_dynamic_ocp(
             history.append(IterationRecord(it, J, gnorm, 0.0))
             break
         history.append(IterationRecord(it, J, gnorm, tau))
-        U = project_to_magnitude_ball(U + tau * D, n, radius)
+        U, traj, factors, J = trial
 
     qs = static_solution.q_star.values
     us = static_solution.u_star.stacked()

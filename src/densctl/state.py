@@ -6,12 +6,13 @@ F.q = 1 and are computed through a bordered system that exploits the 1-D
 kernel.  Transients use the one-parameter theta scheme; theta = 1 with the
 lumped mass matrix preserves nonnegativity on strict-Delaunay meshes, while
 theta = 1/2 (Crank-Nicolson) with the consistent mass is second order.
+Single steps, simulations and optimizer sweeps all run :func:`theta_sweep`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "density_from_values",
     "normalized_density",
     "solve_equilibrium",
+    "theta_sweep",
     "step_theta",
     "simulate",
 ]
@@ -126,11 +128,72 @@ def solve_equilibrium(ops: FemOperators, u: ControlField):
     return DensityField(values=q, mass=1.0), raw
 
 
-def _step_operators(ops, u_old, u_new, dt, theta, lumped):
-    Mmat = ops.mass_matrix(lumped)
-    implicit = (Mmat / dt + theta * state_matrix(ops, u_new)).tocsc()
-    explicit = (Mmat / dt - (1.0 - theta) * state_matrix(ops, u_old)).tocsr()
-    return implicit, explicit
+def theta_sweep(
+    ops: FemOperators,
+    q0: np.ndarray | DensityField,
+    controls,
+    dt: float,
+    theta: float = 1.0,
+    lumped: bool = True,
+    keep_factors: bool = True,
+):
+    """Theta-method sweep of M dq/dt + L(u) q = 0 on a uniform time grid.
+
+    ``controls`` holds one entry per time node, each a ControlField or a
+    stacked (ux, uy) vector.  Step i solves
+    (M/dt + theta L_{i+1}) q_{i+1} = (M/dt - (1-theta) L_i) q_i with one step
+    of iterative refinement.  The operators are data arrays on the tensor's
+    sparsity pattern, and each node's L data serves as the implicit part of
+    the step into it and the explicit part of the step out of it.  A control
+    given as the same object at every node is factorized once.  Returns
+    (trajectory, factors) where ``factors[i]`` is the LU of the step into
+    node i (``factors[0]`` is None, and so is every entry when
+    ``keep_factors`` is false, which bounds the memory of long sweeps).
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    controls = list(controls)
+    n_steps = len(controls) - 1
+    constant = all(c is controls[0] for c in controls)
+    tensor = ops.tensor
+    mass = ops.mass_data(lumped) / dt
+
+    def state_data(c):
+        return ops.state_data(c if isinstance(c, ControlField) else ControlField.from_stacked(c))
+
+    states = np.empty((n_steps + 1, ops.n))
+    states[0] = q0.values if isinstance(q0, DensityField) else q0
+    factors = [None] * (n_steps + 1)
+    L = state_data(controls[0])
+    for i in range(n_steps):
+        if i == 0 or not constant:
+            explicit = tensor.csr(mass - (1.0 - theta) * L)
+            if not constant:
+                L = state_data(controls[i + 1])
+            implicit = tensor.csc(mass + theta * L)
+            lu = lu_factor(implicit)
+        if keep_factors:
+            factors[i + 1] = lu
+        rhs = explicit @ states[i]
+        qn = lu.solve(rhs)
+        states[i + 1] = qn + lu.solve(rhs - implicit @ qn)
+    if not np.isfinite(states).all():
+        raise SolverError(
+            "theta sweep produced non-finite states; the implicit matrix is "
+            "numerically singular (dt may be too large)"
+        )
+    traj = Trajectory(
+        times=np.arange(n_steps + 1) * dt,
+        states=states,
+        masses=states @ ops.F,
+        min_values=states.min(axis=1),
+        dt=float(dt),
+        theta=float(theta),
+        lumped=bool(lumped),
+    )
+    return traj, factors
 
 
 def step_theta(
@@ -146,23 +209,8 @@ def step_theta(
 
     Solves (M/dt + theta L(u_new)) q1 = (M/dt - (1-theta) L(u_old)) q0.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    q0 = q.values if isinstance(q, DensityField) else np.asarray(q, dtype=float)
-    implicit, explicit = _step_operators(ops, u_old, u_new, dt, theta, lumped)
-    lu = lu_factor(implicit)
-    rhs = explicit @ q0
-    q1 = lu.solve(rhs)
-    r = rhs - implicit @ q1
-    q1 = q1 + lu.solve(r)
-    if not np.isfinite(q1).all():
-        raise SolverError(
-            "theta step produced non-finite values; the implicit matrix is "
-            "numerically singular (dt may be too large)"
-        )
-    return density_from_values(ops, q1)
+    traj, _ = theta_sweep(ops, q, [u_old, u_new], dt, theta, lumped)
+    return density_from_values(ops, traj.states[1])
 
 
 def _controls_for_grid(control, n_steps):
@@ -189,49 +237,14 @@ def simulate(
 ) -> Trajectory:
     """Integrate the density dynamics over [0, T] with uniform steps.
 
-    ``control`` is either a single ControlField (held constant) or a
-    sequence of ControlField with one entry per time node.  The implicit
-    factorization is reused across steps whenever the control is constant.
+    ``control`` is either a single ControlField (held constant, so factorized
+    once) or a sequence of ControlField with one entry per time node.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
-
-    q = q0.values if isinstance(q0, DensityField) else np.asarray(q0, dtype=float)
     controls = _controls_for_grid(control, n_steps)
-    static = all(c is controls[0] for c in controls)
-
-    states = np.empty((n_steps + 1, ops.n))
-    states[0] = q
-
-    if static:
-        implicit, explicit = _step_operators(
-            ops, controls[0], controls[0], dt, theta, lumped
-        )
-        lu = lu_factor(implicit)
-        for i in range(n_steps):
-            rhs = explicit @ states[i]
-            qn = lu.solve(rhs)
-            qn = qn + lu.solve(rhs - implicit @ qn)
-            states[i + 1] = qn
-    else:
-        for i in range(n_steps):
-            states[i + 1] = step_theta(
-                ops, states[i], controls[i], controls[i + 1], dt, theta, lumped
-            ).values
-
-    if not np.isfinite(states).all():
-        raise SolverError("simulation produced non-finite states")
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(
-        times=times,
-        states=states,
-        masses=states @ ops.F,
-        min_values=states.min(axis=1),
-        dt=float(dt),
-        theta=float(theta),
-        lumped=bool(lumped),
-        control=control,
-    )
+    traj, _ = theta_sweep(ops, q0, controls, dt, theta, lumped, keep_factors=False)
+    return replace(traj, control=control)

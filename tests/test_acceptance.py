@@ -15,11 +15,11 @@ from densctl.adjoint import solve_adjoint_dynamic
 from densctl.analysis import certify_kernel, l2_distance, lyapunov_values
 from densctl.ocp_dynamic import (
     _dynamic_gradient,
-    _forward,
     evaluate_dynamic_cost,
     solve_dynamic_ocp,
 )
 from densctl.ocp_static import OcpConfig, evaluate_cost, reduced_gradient, solve_static_ocp
+from densctl.state import theta_sweep
 from densctl.particles import (
     MeshDomain,
     empirical_density,
@@ -184,10 +184,10 @@ def test_criterion_04_gradient_exactness():
 
     def jt(u_flat):
         Um = u_flat.reshape(6, 2 * n)
-        traj, _ = _forward(opst, q0.values, Um, dcfg.dt, dcfg.theta, dcfg.lumped)
+        traj, _ = theta_sweep(opst, q0.values, Um, dcfg.dt, dcfg.theta, dcfg.lumped)
         return evaluate_dynamic_cost(opst, traj, Um, static, dcfg)
 
-    traj, factors = _forward(opst, q0.values, U, dcfg.dt, dcfg.theta, dcfg.lumped)
+    traj, factors = theta_sweep(opst, q0.values, U, dcfg.dt, dcfg.theta, dcfg.lumped)
     lams = solve_adjoint_dynamic(
         opst, traj, [dc.ControlField.from_stacked(r) for r in U], static.q_star,
         dcfg.alpha, dcfg.dt, dcfg.theta, dcfg.lumped, factors=factors,

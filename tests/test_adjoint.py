@@ -10,7 +10,7 @@ from densctl.adjoint import (
     trapezoid_weights,
 )
 from densctl.linalg import SolverError
-from densctl.ocp_dynamic import _forward
+from densctl.state import theta_sweep
 
 from conftest import random_control
 
@@ -109,7 +109,7 @@ def test_dynamic_adjoint_dense_spacetime_oracle(tiny_ops, rng, theta, lumped):
     U = 0.4 * rng.standard_normal((n_steps + 1, 2 * n))
     q0 = dc.normalized_density(tiny_ops, rng.random(n) + 0.3)
     qref = dc.normalized_density(tiny_ops, rng.random(n) + 0.3)
-    traj, _ = _forward(tiny_ops, q0.values, U, dt, theta, lumped)
+    traj, _ = theta_sweep(tiny_ops, q0.values, U, dt, theta, lumped)
     controls = [dc.ControlField.from_stacked(r) for r in U]
     lams = solve_adjoint_dynamic(
         tiny_ops, traj, controls, qref, alpha=1.7, dt=dt, theta=theta, lumped=lumped

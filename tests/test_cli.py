@@ -101,6 +101,19 @@ def test_particles_command(run_cfg, tmp_path):
     assert len(comparison) >= 5
 
 
+@pytest.mark.parametrize("t_final,steps", [("0.15", [1, 2, 3]), ("0.5", [2, 4, 6, 8, 10])])
+def test_particles_checkpoints_stay_in_the_run(run_cfg, tmp_path, t_final, steps):
+    path, cfg = run_cfg
+    out = str(tmp_path / "part")
+    assert main([
+        "particles", "--config", str(path), "--out", out, "--control", "zero",
+        "--n", "500", "--substeps", "1", "--t-final", t_final,
+    ]) == 0
+    rows = open(os.path.join(out, "particles", "comparison.csv")).read().splitlines()[1:]
+    times = [float(r.split(",")[0]) for r in rows]
+    assert times == pytest.approx([s * cfg["ocp"]["dt"] for s in steps])
+
+
 def test_reproducible_outputs(run_cfg, tmp_path):
     path, _ = run_cfg
     out_a = str(tmp_path / "A")

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import densctl as dc
-from densctl.fem import contract_tensor, contract_tensor_transposed, gradient_contraction
 
 from conftest import random_control
 
@@ -100,13 +99,11 @@ def test_tensor_quadrature_oracle(tiny_ops):
 
 
 def test_contract_zero_and_linearity(tiny_ops, rng):
-    zero = contract_tensor(tiny_ops.tensor, dc.ControlField.zeros(tiny_ops.n))
+    zero = tiny_ops.tensor.contract(dc.ControlField.zeros(tiny_ops.n))
     assert np.abs(zero.toarray()).max() == 0.0
     u = random_control(tiny_ops, rng)
-    one = contract_tensor(tiny_ops.tensor, u).toarray()
-    two = contract_tensor(
-        tiny_ops.tensor, dc.ControlField(2 * u.ux, 2 * u.uy)
-    ).toarray()
+    one = tiny_ops.tensor.contract(u).toarray()
+    two = tiny_ops.tensor.contract(dc.ControlField(2 * u.ux, 2 * u.uy)).toarray()
     assert_allclose(two, 2.0 * one, rtol=0, atol=1e-15)
 
 
@@ -114,15 +111,17 @@ def test_contract_matches_dense_oracle(tiny_ops, rng):
     u = random_control(tiny_ops, rng)
     tx, ty = tiny_ops.tensor.dense()
     expected = dense_contract(tx, ty, u)
-    got = contract_tensor(tiny_ops.tensor, u).toarray()
+    tensor = tiny_ops.tensor
+    got = tensor.contract(u).toarray()
     assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
-    gt = contract_tensor_transposed(tiny_ops.tensor, u).toarray()
+    # the pattern is symmetric, so permuting the data transposes the matrix
+    gt = tensor.csr(tensor.contract_data(u)[tensor.transpose]).toarray()
     assert_allclose(gt, got.T, rtol=0, atol=0)
 
 
 def test_contract_dimension_mismatch(tiny_ops):
     with pytest.raises(ValueError):
-        contract_tensor(tiny_ops.tensor, dc.ControlField.zeros(tiny_ops.n + 1))
+        tiny_ops.tensor.contract(dc.ControlField.zeros(tiny_ops.n + 1))
 
 
 def test_gradient_contraction_oracle(tiny_ops, rng):
@@ -132,7 +131,7 @@ def test_gradient_contraction_oracle(tiny_ops, rng):
     tx, ty = tiny_ops.tensor.dense()
     ref_x = np.einsum("i,ijk,j->k", lam, tx, q)
     ref_y = np.einsum("i,ijk,j->k", lam, ty, q)
-    gx, gy = gradient_contraction(tiny_ops.tensor, lam, q)
+    gx, gy = tiny_ops.tensor.gradient_contraction(lam, q)
     assert_allclose(gx, ref_x, rtol=1e-13, atol=1e-15)
     assert_allclose(gy, ref_y, rtol=1e-13, atol=1e-15)
 
@@ -140,11 +139,11 @@ def test_gradient_contraction_oracle(tiny_ops, rng):
 def test_gradient_contraction_kernel_cases(tiny_ops, rng):
     n = tiny_ops.n
     q = rng.standard_normal(n)
-    gx, gy = gradient_contraction(tiny_ops.tensor, np.zeros(n), q)
+    gx, gy = tiny_ops.tensor.gradient_contraction(np.zeros(n), q)
     assert np.abs(gx).max() == 0.0 and np.abs(gy).max() == 0.0
     # constants lie in the kernel of the transposed state operator, so a
     # constant multiplier contributes nothing
-    gx, gy = gradient_contraction(tiny_ops.tensor, np.ones(n), q)
+    gx, gy = tiny_ops.tensor.gradient_contraction(np.ones(n), q)
     assert np.abs(gx).max() < 1e-14
     assert np.abs(gy).max() < 1e-14
 
@@ -160,9 +159,14 @@ def test_state_matrix_left_kernel(holed_ops, rng):
 
 def test_adjoint_is_exact_transpose(holed_ops, rng):
     u = random_control(holed_ops, rng)
+    tensor = holed_ops.tensor
     L = dc.state_matrix(holed_ops, u)
-    D = dc.adjoint_matrix(holed_ops, u)
+    data = holed_ops.state_data(u)
+    # the transposed and the CSC operators the theta sweeps build from data
+    D = tensor.csr(data[tensor.transpose])
     assert (L.T - D).nnz == 0
+    assert (tensor.csc(data) - L).nnz == 0
+    assert (tensor.csr(data).T.tocsr() - D).nnz == 0
 
 
 def test_drift_zero_field_gives_zero_matrix(small_mesh):

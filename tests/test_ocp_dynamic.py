@@ -7,12 +7,12 @@ from densctl.adjoint import solve_adjoint_dynamic
 from densctl.ocp_dynamic import (
     TimeVaryingControl,
     _dynamic_gradient,
-    _forward,
     evaluate_dynamic_cost,
     project_to_magnitude_ball,
     solve_dynamic_ocp,
 )
 from densctl.ocp_static import OcpConfig, solve_static_ocp
+from densctl.state import theta_sweep
 
 from conftest import random_control
 
@@ -114,10 +114,10 @@ def test_dynamic_gradient_matches_finite_differences(
 
     def jt(u_flat):
         Um = u_flat.reshape(n_steps + 1, 2 * n)
-        traj, _ = _forward(tiny_ops, q0.values, Um, cfg.dt, theta, lumped)
+        traj, _ = theta_sweep(tiny_ops, q0.values, Um, cfg.dt, theta, lumped)
         return evaluate_dynamic_cost(tiny_ops, traj, Um, static, cfg)
 
-    traj, factors = _forward(tiny_ops, q0.values, U, cfg.dt, theta, lumped)
+    traj, factors = theta_sweep(tiny_ops, q0.values, U, cfg.dt, theta, lumped)
     lams = solve_adjoint_dynamic(
         tiny_ops, traj, [dc.ControlField.from_stacked(r) for r in U],
         static.q_star, cfg.alpha, cfg.dt, theta, lumped, factors=factors,
