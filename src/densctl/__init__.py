@@ -31,7 +31,7 @@ from .fem import (
     state_matrix,
 )
 from .fields import DRIFT_PRESETS, gaussian_density, indicator_density, uniform_density
-from .linalg import SolverError, bordered_solve
+from .linalg import SolverError, bordered_lu, bordered_solve
 from .mesh import (
     Circle,
     GeometryError,

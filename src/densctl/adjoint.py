@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ControlField, FemOperators, state_matrix
-from .linalg import SolverError, bordered_solve, lu_factor
+from .linalg import SolverError, bordered_lu, bordered_solve, lu_factor
 from .state import DensityField, Trajectory
 
 __all__ = [
@@ -75,23 +75,26 @@ def compute_lambda_m(v, ops: FemOperators, q, z, alpha: float) -> float:
 
 
 def solve_adjoint_static(
-    ops: FemOperators, u: ControlField, q, z, alpha: float
+    ops: FemOperators, u: ControlField, q, z, alpha: float, factor=None
 ) -> AdjointField:
     """Zero-mean solution of the transposed state system.
 
     ``q`` must be the equilibrium for ``u`` so that the compatibility
-    condition holds after the lam_m correction.  Returns the adjoint values,
-    lam_m, and the bordered multiplier nu (which must be ~0).
+    condition holds after the lam_m correction.  The adjoint's bordered
+    matrix is the transpose of the equilibrium's, so ``factor`` may hold the
+    equilibrium's (``solve_equilibrium(..., return_factor=True)``); without
+    it that factor is computed.  Returns the adjoint values, lam_m, and the
+    bordered multiplier nu (which must be ~0).
     """
     qv = _vals(q)
     zv = _vals(z)
     lam_m = compute_lambda_m(qv, ops, qv, zv, alpha)
     rhs = alpha * (ops.M @ (qv - zv)) + lam_m * ops.F
-    LT = state_matrix(ops, u).T.tocsc()
-    lam, nu, _ = bordered_solve(LT, ops.F, rhs, 0.0)
+    L = state_matrix(ops, u)
+    lam, nu, _ = bordered_solve(factor or bordered_lu(L, ops.F), rhs, 0.0, trans="T")
 
-    residual = np.abs(LT @ lam - rhs).max()
-    scale = np.abs(LT).max() * max(np.abs(lam).max(), 1e-300) + np.abs(rhs).max()
+    residual = np.abs(L.T @ lam - rhs).max()
+    scale = np.abs(L).max() * max(np.abs(lam).max(), 1e-300) + np.abs(rhs).max()
     if residual > 1e-10 * max(scale, 1e-300):
         raise SolverError(
             f"static adjoint residual {residual:.3e} exceeds tolerance; "

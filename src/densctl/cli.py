@@ -298,8 +298,8 @@ def cmd_static(args) -> int:
     manifest.write()
     last = sol.history[-1]
     print(
-        f"static OCP: {'converged' if sol.converged else 'max_iter reached'} "
-        f"after {last.iteration} iterations, J={float(last.J)!r}, |grad|={float(last.grad_norm)!r}"
+        f"static OCP: stopped ({sol.reason}) after {last.iteration} iterations, "
+        f"J={float(last.J)!r}, |grad|={float(last.grad_norm)!r}"
     )
     return 0
 
@@ -380,7 +380,8 @@ def cmd_dynamic(args) -> int:
     manifest.write()
     last = dyn.history[-1]
     print(
-        f"dynamic OCP: {len(dyn.history)} iterations, J_t={float(last.J)!r}, "
+        f"dynamic OCP: stopped ({dyn.reason}) after {len(dyn.history)} iterations, "
+        f"J_t={float(last.J)!r}, "
         f"final control distance {float(dyn.control_distances[-1])!r}"
     )
     return 0
@@ -511,8 +512,7 @@ def cmd_testcase(args) -> int:
     static = solve_static_ocp(ops, z, ocp_cfg)
     _write_static_solution(out_dir, mesh, ops, z, static, manifest)
     print(
-        f"[testcase {number}] static OCP "
-        f"{'converged' if static.converged else 'stopped'} at "
+        f"[testcase {number}] static OCP stopped ({static.reason}) at "
         f"|grad|={float(static.history[-1].grad_norm)!r}"
     )
 

@@ -39,12 +39,17 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
+def _write_nodal_csv(path, mesh: Mesh, name: str, values) -> None:
+    """Rows (node_index, x, y, value), byte for byte what ``write_csv`` and
+    ``fmt`` give for float values, formatted from Python floats in one join."""
+    columns = np.column_stack([mesh.vertices, np.asarray(values, dtype=float)]).tolist()
+    body = "".join(f"{i},{x!r},{y!r},{v!r}\n" for i, (x, y, v) in enumerate(columns))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"node_index,x,y,{name}\n" + body)
+
+
 def write_density_csv(path, mesh: Mesh, values) -> None:
-    rows = (
-        (i, mesh.vertices[i, 0], mesh.vertices[i, 1], values[i])
-        for i in range(mesh.n_vertices)
-    )
-    write_csv(path, ["node_index", "x", "y", "q"], rows)
+    _write_nodal_csv(path, mesh, "q", values)
 
 
 def read_vector_csv(path, n: int) -> np.ndarray:
@@ -61,15 +66,7 @@ def read_vector_csv(path, n: int) -> np.ndarray:
 
 def write_control_csvs(out_dir, mesh: Mesh, control: ControlField, suffix="") -> None:
     for name, comp in (("u_x", control.ux), ("u_y", control.uy)):
-        rows = (
-            (i, mesh.vertices[i, 0], mesh.vertices[i, 1], comp[i])
-            for i in range(mesh.n_vertices)
-        )
-        write_csv(
-            os.path.join(out_dir, f"{name}{suffix}.csv"),
-            ["node_index", "x", "y", "u"],
-            rows,
-        )
+        _write_nodal_csv(os.path.join(out_dir, f"{name}{suffix}.csv"), mesh, "u", comp)
 
 
 def write_history_csv(path, history) -> None:

@@ -72,7 +72,11 @@ class DynamicSolution:
     history: list[IterationRecord]
     control_distances: np.ndarray  # per-node ||u(t) - u_static||_{M_u}
     state_distances: np.ndarray  # per-node ||q(t) - q_static||_M
-    converged: bool
+    reason: str  # why the iteration stopped: "tol", "max_iter" or "line_search"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "tol"
 
 
 def _control_norm_sq(ops: FemOperators, du_x, du_y, beta, beta_g):
@@ -161,8 +165,9 @@ def solve_dynamic_ocp(
     Per iteration: backward discrete-adjoint sweep, gradient assembly,
     quasi-Newton direction and Armijo search over projected trial controls.
     The accepted trial, with its forward sweep, factors and cost, is the next
-    iterate.  Terminates when the gradient norm falls below config.tol or
-    after max_iter iterations.
+    iterate.  Terminates when the gradient norm falls below config.tol,
+    after max_iter iterations, or when the line search fails; ``reason``
+    says which.
     """
     n = ops.n
     dt, T, theta, lumped = config.dt, config.T, config.theta, config.lumped
@@ -176,8 +181,8 @@ def solve_dynamic_ocp(
     H = (config.beta * ops.M_u + config.beta_g * ops.A_u).tocsc()
     H_lu = lu_factor(H)
 
-    def sweep(U):
-        traj, factors = theta_sweep(ops, q0v, U, dt, theta, lumped)
+    def sweep(U, controls):
+        traj, factors = theta_sweep(ops, q0v, controls, dt, theta, lumped)
         return U, traj, factors, evaluate_dynamic_cost(ops, traj, U, static_solution, config)
 
     # Armijo returns on the first trial it accepts, so the last trial swept
@@ -187,12 +192,13 @@ def solve_dynamic_ocp(
     def j_of_flat(u_flat):
         trial.clear()
         U_trial = project_to_magnitude_ball(u_flat.reshape(n_steps + 1, 2 * n), n, radius)
-        trial.extend(sweep(U_trial))
+        trial.extend(sweep(U_trial, U_trial))
         return trial[-1]
 
-    U, traj, factors, J = sweep(np.tile(static_solution.u_star.stacked(), (n_steps + 1, 1)))
+    # the warm start is one control object at every node: factorized once
+    us = static_solution.u_star.stacked()
+    U, traj, factors, J = sweep(np.tile(us, (n_steps + 1, 1)), [us] * (n_steps + 1))
     history: list[IterationRecord] = []
-    converged = False
     for it in range(max_iter + 1):
         controls = [ControlField.from_stacked(row) for row in U]
         lams = solve_adjoint_dynamic(
@@ -209,11 +215,8 @@ def solve_dynamic_ocp(
         factors = None  # only the adjoint needs them; free before the trials
         G = _dynamic_gradient(ops, traj, lams, U, static_solution, config)
         gnorm = float(np.linalg.norm(G))
-        if gnorm < config.tol:
-            history.append(IterationRecord(it, J, gnorm, 0.0))
-            converged = True
-            break
-        if it == max_iter:
+        if gnorm < config.tol or it == max_iter:
+            reason = "tol" if gnorm < config.tol else "max_iter"
             history.append(IterationRecord(it, J, gnorm, 0.0))
             break
         # one multi-RHS solve: the rows of G.reshape(-1, n) are the x and y
@@ -224,13 +227,13 @@ def solve_dynamic_ocp(
                 j_of_flat, U.ravel(), D.ravel(), G.ravel(), config.armijo, f0=J
             )
         except LineSearchError:
+            reason = "line_search"
             history.append(IterationRecord(it, J, gnorm, 0.0))
             break
         history.append(IterationRecord(it, J, gnorm, tau))
         U, traj, factors, J = trial
 
     qs = static_solution.q_star.values
-    us = static_solution.u_star.stacked()
     u_dist = np.empty(n_steps + 1)
     q_dist = np.empty(n_steps + 1)
     for j in range(n_steps + 1):
@@ -250,5 +253,5 @@ def solve_dynamic_ocp(
         history=history,
         control_distances=u_dist,
         state_distances=q_dist,
-        converged=converged,
+        reason=reason,
     )

@@ -1,4 +1,4 @@
-"""Static velocity-field optimization by a preconditioned quasi-Newton method.
+"""Static velocity-field optimization by L-BFGS on the reduced cost.
 
 The reduced cost of a control u is
 
@@ -8,12 +8,16 @@ The reduced cost of a control u is
 
 where q(u) is the unit-mass equilibrium.  Its gradient is assembled from the
 static adjoint and the advection-tensor contraction; descent directions come
-from the constant surrogate Hessian H = beta M_u + beta_g A_u (factorized
-once) and steps are safeguarded by Armijo backtracking.
+from L-BFGS whose initial inverse Hessian is gamma H^-1, with the constant
+SPD surrogate H = beta M_u + beta_g A_u factorized once, and steps are
+safeguarded by Armijo backtracking.  Each trial factorizes one bordered
+equilibrium matrix; the accepted trial's factor also serves its adjoint
+(transposed), so a gradient costs no further factorization.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,7 +102,11 @@ class StaticSolution:
     u_star: ControlField
     adjoint: AdjointField
     history: list[IterationRecord]
-    converged: bool
+    reason: str  # why the iteration stopped: "tol", "max_iter" or "line_search"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "tol"
 
     @property
     def lambda_m(self) -> float:
@@ -123,15 +131,22 @@ def evaluate_cost(ops: FemOperators, q, z, u: ControlField, config: OcpConfig) -
     return J
 
 
-def reduced_gradient(ops: FemOperators, u: ControlField, z, config: OcpConfig):
+def reduced_gradient(
+    ops: FemOperators, u: ControlField, z, config: OcpConfig, equilibrium=None
+):
     """Gradient of the reduced cost at u.
 
     Returns (grad, J, q, adjoint) with grad stacked as [gx, gy].  The
     gradient of each component c is beta M_u u_c + beta_g A_u u_c plus the
-    tensor contraction of the adjoint with the equilibrium.
+    tensor contraction of the adjoint with the equilibrium.  ``equilibrium``
+    may hold the (q, bordered factor) pair of an earlier solve at u; the
+    adjoint then reuses that factor.
     """
-    q, _ = solve_equilibrium(ops, u)
-    adj = solve_adjoint_static(ops, u, q, z, config.alpha)
+    if equilibrium is None:
+        q, _, factor = solve_equilibrium(ops, u, return_factor=True)
+    else:
+        q, factor = equilibrium
+    adj = solve_adjoint_static(ops, u, q, z, config.alpha, factor=factor)
     gx_t, gy_t = ops.tensor.gradient_contraction(adj.values, q.values)
     gx = config.beta * (ops.M_u @ u.ux) + gx_t
     gy = config.beta * (ops.M_u @ u.uy) + gy_t
@@ -165,15 +180,40 @@ def armijo_backtracking(j_fun, u, d, grad, params: ArmijoParams, f0=None):
     )
 
 
+# Number of (s, y) pairs kept by the L-BFGS memory.
+LBFGS_MEMORY = 10
+
+
+def _lbfgs_direction(grad, memory, h_inv):
+    """Inverse-Hessian estimate times grad by the two-loop recursion
+    (Nocedal & Wright, Algorithm 7.4) over the (s, y) pairs in ``memory``,
+    oldest first, with the initial operator gamma h_inv and gamma =
+    s^T y / (y^T h_inv y) from the newest pair."""
+    r = grad.copy()
+    alphas = []
+    for s, y in reversed(memory):
+        alphas.append((s @ r) / (s @ y))
+        r -= alphas[-1] * y
+    r = h_inv(r)
+    if memory:
+        s, y = memory[-1]
+        r *= (s @ y) / (y @ h_inv(y))
+    for (s, y), a in zip(memory, reversed(alphas)):
+        r += (a - (y @ r) / (s @ y)) * s
+    return r
+
+
 def solve_static_ocp(
     ops: FemOperators, z, config: OcpConfig, u0: ControlField | None = None
 ) -> StaticSolution:
-    """Quasi-Newton iteration on the reduced cost.
+    """L-BFGS iteration on the reduced cost.
 
-    H d = -grad with the constant SPD surrogate H = beta M_u + beta_g A_u;
-    accepted iterates have nonincreasing cost.  Stops when the Euclidean norm
-    of the stacked gradient drops below config.tol or max_iter is reached
-    (flagged through ``converged``).
+    Pairs with s^T y <= 0 are skipped; a direction that is not a descent
+    direction clears the memory and falls back to -H^-1 grad.  The accepted
+    Armijo trial, with its equilibrium and bordered factor, is the next
+    iterate, so accepted costs are nonincreasing.  Stops when the Euclidean
+    norm of the stacked gradient drops below config.tol, after max_iter
+    iterations, or when the line search fails; ``reason`` says which.
     """
     n = ops.n
     zv = _vals(z)
@@ -181,38 +221,50 @@ def solve_static_ocp(
     H = (config.beta * ops.M_u + config.beta_g * ops.A_u).tocsc()
     H_lu = lu_factor(H)
 
+    def h_inv(v):  # both halves in one multi-RHS solve
+        return H_lu.solve(v.reshape(2, n).T).T.ravel()
+
+    # Armijo returns on the first trial it accepts, so the last trial
+    # evaluated is the next iterate.
+    trial = []
+
     def j_of(u_vec):
         cf = ControlField.from_stacked(u_vec)
-        q, _ = solve_equilibrium(ops, cf)
+        q, _, factor = solve_equilibrium(ops, cf, return_factor=True)
+        trial[:] = [u_vec, (q, factor)]
         return evaluate_cost(ops, q, zv, cf, config)
 
     history: list[IterationRecord] = []
-    converged = False
-    q = adj = None
+    memory = deque(maxlen=LBFGS_MEMORY)
+    equilibrium = step = grad_old = None
     for it in range(config.max_iter + 1):
         cf = ControlField.from_stacked(u)
-        grad, J, q, adj = reduced_gradient(ops, cf, zv, config)
+        grad, J, q, adj = reduced_gradient(ops, cf, zv, config, equilibrium)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < config.tol:
-            history.append(IterationRecord(it, J, gnorm, 0.0))
-            converged = True
-            break
-        if it == config.max_iter:
+        if gnorm < config.tol or it == config.max_iter:
+            reason = "tol" if gnorm < config.tol else "max_iter"
             history.append(IterationRecord(it, J, gnorm, 0.0))
             break
-        d = -np.concatenate([H_lu.solve(grad[:n]), H_lu.solve(grad[n:])])
+        if step is not None and step @ (grad - grad_old) > 0:
+            memory.append((step, grad - grad_old))
+        d = -_lbfgs_direction(grad, memory, h_inv)
+        if not grad @ d < 0:
+            memory.clear()
+            d = -h_inv(grad)
         try:
             tau, _ = armijo_backtracking(j_of, u, d, grad, config.armijo, f0=J)
         except LineSearchError:
+            reason = "line_search"
             history.append(IterationRecord(it, J, gnorm, 0.0))
             break
         history.append(IterationRecord(it, J, gnorm, tau))
-        u = u + tau * d
+        u_new, equilibrium = trial
+        step, grad_old, u = u_new - u, grad, u_new
 
     return StaticSolution(
         q_star=q,
         u_star=ControlField.from_stacked(u),
         adjoint=adj,
         history=history,
-        converged=converged,
+        reason=reason,
     )

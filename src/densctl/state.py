@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fem import ControlField, FemOperators, state_matrix
-from .linalg import SolverError, bordered_solve, lu_factor
+from .linalg import SolverError, bordered_lu, bordered_solve, lu_factor
 
 __all__ = [
     "DensityField",
@@ -91,17 +91,20 @@ class Trajectory:
         return np.abs(self.masses - self.masses[0])
 
 
-def solve_equilibrium(ops: FemOperators, u: ControlField):
+def solve_equilibrium(ops: FemOperators, u: ControlField, return_factor: bool = False):
     """Unit-mass equilibrium density of L(u) q = 0.
 
     Solves the bordered system [[L, F], [F^T, 0]] [q; s] = [0; 1].  Because
     the columns of L sum to zero and 1^T F = |Omega| != 0, the auxiliary
     scalar s must vanish; |s| > 1e-8 signals inconsistent assembly.  Returns
     (density, kernel_vector) where the kernel vector is the raw solve result
-    before the explicit renormalization to F.q = 1.
+    before the explicit renormalization to F.q = 1.  With ``return_factor``
+    the bordered factor of :func:`linalg.bordered_lu` comes third; its
+    transposed solves are the static adjoint's.
     """
     L = state_matrix(ops, u)
-    raw, s, _ = bordered_solve(L, ops.F, np.zeros(ops.n), 1.0)
+    factor = bordered_lu(L, ops.F)
+    raw, s, _ = bordered_solve(factor, np.zeros(ops.n), 1.0)
     if abs(s) > 1e-8:
         raise SolverError(
             f"bordered equilibrium solve returned s={s:.3e}; "
@@ -125,7 +128,8 @@ def solve_equilibrium(ops: FemOperators, u: ControlField):
             "equilibrium density has negative nodal entries beyond round-off",
             NegativeDensityWarning,
         )
-    return DensityField(values=q, mass=1.0), raw
+    density = DensityField(values=q, mass=1.0)
+    return (density, raw, factor) if return_factor else (density, raw)
 
 
 def theta_sweep(

@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 import densctl as dc
+from densctl import linalg
+from densctl.fem import AdvectionTensor
 from densctl.ocp_static import OcpConfig
 
 
@@ -73,3 +77,25 @@ def random_control(ops, rng, scale=1.0):
     return dc.ControlField(
         scale * rng.standard_normal(ops.n), scale * rng.standard_normal(ops.n)
     )
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """Calls of lu_factor, through every binding, and of the tensor contraction."""
+    calls = {"lu_factor": 0, "contract": 0}
+    lu_factor = linalg.lu_factor
+    contract_data = AdvectionTensor.contract_data
+
+    def counted_lu(matrix):
+        calls["lu_factor"] += 1
+        return lu_factor(matrix)
+
+    def counted_contract(self, u):
+        calls["contract"] += 1
+        return contract_data(self, u)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "densctl" and getattr(mod, "lu_factor", None) is lu_factor:
+            monkeypatch.setattr(mod, "lu_factor", counted_lu)
+    monkeypatch.setattr(AdvectionTensor, "contract_data", counted_contract)
+    return calls

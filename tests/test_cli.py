@@ -76,6 +76,16 @@ def test_static_then_simulate_and_certify(run_cfg, tmp_path):
     assert os.path.exists(os.path.join(cert_out, "certificate.txt"))
 
 
+@pytest.mark.parametrize("max_iter, reason", [(60, "tol"), (2, "max_iter")])
+def test_static_prints_why_it_stopped(run_cfg, tmp_path, capsys, max_iter, reason):
+    _, cfg = run_cfg
+    cfg["ocp"]["max_iter"] = max_iter
+    path = tmp_path / "cfg_iter.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["static", "--config", str(path)]) == 0
+    assert f"static OCP: stopped ({reason}) after" in capsys.readouterr().out
+
+
 def test_dynamic_outputs(run_cfg, tmp_path):
     path, _ = run_cfg
     out = str(tmp_path / "dyn")

@@ -21,6 +21,19 @@ def test_density_csv_roundtrip(tmp_path, small_mesh, small_ops, rng):
     assert np.array_equal(back, values)
 
 
+def test_nodal_csvs_match_per_cell_fmt(tmp_path, small_mesh, small_ops, rng):
+    values = rng.standard_normal(small_ops.n)
+    values[:5] = [0.0, -0.0, 1e300, -1e-300, 1.0 / 3.0]
+    cf = dc.ControlField(values, -values)
+    export.write_density_csv(tmp_path / "q.csv", small_mesh, values)
+    export.write_control_csvs(tmp_path, small_mesh, cf, suffix="_t")
+    expected = (("q.csv", "q", values), ("u_x_t.csv", "u", cf.ux), ("u_y_t.csv", "u", cf.uy))
+    for name, column, vec in expected:
+        rows = ((i, *small_mesh.vertices[i], vec[i]) for i in range(small_ops.n))
+        export.write_csv(tmp_path / "expected.csv", ["node_index", "x", "y", column], rows)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_control_csvs(tmp_path, small_mesh, small_ops, rng):
     cf = dc.ControlField(rng.random(small_ops.n), rng.random(small_ops.n))
     export.write_control_csvs(tmp_path, small_mesh, cf)

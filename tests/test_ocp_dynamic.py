@@ -11,7 +11,7 @@ from densctl.ocp_dynamic import (
     project_to_magnitude_ball,
     solve_dynamic_ocp,
 )
-from densctl.ocp_static import OcpConfig, solve_static_ocp
+from densctl.ocp_static import ArmijoParams, OcpConfig, solve_static_ocp
 from densctl.state import theta_sweep
 
 from conftest import random_control
@@ -183,3 +183,20 @@ def test_dynamic_solution_mass_conserved(small_ops, static_solution):
     q0 = dc.gaussian_density(small_ops, (0.3, 0.6), 0.2)
     dyn = solve_dynamic_ocp(small_ops, q0, static_solution, cfg)
     assert dyn.trajectory.mass_errors().max() < 1e-11
+
+
+def test_dynamic_stop_reasons(small_ops, static_solution):
+    q0 = dc.gaussian_density(small_ops, (0.25, 0.25), 0.15)
+    grid = dict(alpha=1.0, beta=1e-3, beta_g=1e-5, theta=0.5, lumped=False, dt=0.05, T=0.25)
+    runs = {
+        "tol": (static_solution.q_star, OcpConfig(tol=1e-6, **grid)),
+        "max_iter": (q0, OcpConfig(tol=1e-12, max_iter=2, **grid)),
+        # no convex cost decreases by the full first-order prediction
+        "line_search": (q0, OcpConfig(
+            tol=1e-12, armijo=ArmijoParams(c1=1.0 - 1e-9, max_backtracks=1), **grid
+        )),
+    }
+    for reason, (start, cfg) in runs.items():
+        dyn = solve_dynamic_ocp(small_ops, start, static_solution, cfg)
+        assert dyn.reason == reason
+        assert dyn.converged == (reason == "tol")

@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import densctl as dc
+from densctl import cli, ocp_static, presets
+from densctl.adjoint import solve_adjoint_static
 from densctl.ocp_static import (
     ArmijoParams,
     LineSearchError,
@@ -176,3 +178,77 @@ def test_boundary_tangency_diagnostic(small_ops):
     ratio, umax = dc.analysis.tangency_report(small_ops.mesh, sol.u_star)
     assert umax > 0
     assert np.isfinite(ratio)
+
+
+def test_static_ocp_factorization_count(small_ops, monkeypatch, counts):
+    # H once, the equilibrium at u0 once, then one bordered factorization per
+    # Armijo trial; the accepted trial's factor serves the next gradient
+    trials = []
+    armijo = ocp_static.armijo_backtracking
+
+    def counted_armijo(j_fun, *args, **kwargs):
+        return armijo(lambda v: trials.append(1) or j_fun(v), *args, **kwargs)
+
+    monkeypatch.setattr(ocp_static, "armijo_backtracking", counted_armijo)
+    z = dc.gaussian_density(small_ops, (0.7, 0.3), 0.15)
+    cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-5, max_iter=150)
+    sol = solve_static_ocp(small_ops, z, cfg)
+    assert sol.reason == "tol"
+    assert (len(sol.history) - 1, len(trials)) == (28, 37)
+    assert counts["lu_factor"] == 1 + 1 + len(trials) == 39
+
+    q, _, factor = dc.solve_equilibrium(small_ops, sol.u_star, return_factor=True)
+    before = counts["lu_factor"]
+    reduced_gradient(small_ops, sol.u_star, z, cfg, equilibrium=(q, factor))
+    assert counts["lu_factor"] == before
+
+
+@pytest.mark.parametrize("with_drift", [False, True])
+def test_adjoint_on_the_equilibrium_factor(small_mesh, with_drift, rng):
+    drift = dc.DRIFT_PRESETS["swirl"] if with_drift else None
+    ops = dc.assemble_operators(small_mesh, mu=1.0, drift=drift)
+    u = random_control(ops, rng, scale=0.5)
+    z = dc.gaussian_density(ops, (0.3, 0.6), 0.2)
+    q, _, factor = dc.solve_equilibrium(ops, u, return_factor=True)
+    shared = solve_adjoint_static(ops, u, q, z, 1.0, factor=factor)
+    alone = solve_adjoint_static(ops, u, q, z, 1.0)
+    # reference: factorize the bordered matrix of L^T itself
+    rhs = ops.M @ (q.values - z.values) + alone.lambda_m * ops.F
+    lam, nu, _ = dc.bordered_solve(dc.bordered_lu(dc.state_matrix(ops, u).T, ops.F), rhs, 0.0)
+    scale = np.abs(lam).max()
+    for adj in (shared, alone):
+        assert np.abs(adj.values - lam).max() <= 1e-12 * scale
+        assert abs(adj.lagrange_nu - nu) <= 1e-12 * scale
+    assert shared.lambda_m == alone.lambda_m
+
+
+# Factorizations and final J of the desk-scale static solves before L-BFGS,
+# when every direction was -H^-1 grad.
+SURROGATE_STEP = {1: (3262, 0.17727092868), 2: (6429, 0.32969851305), 3: (7104, 0.24847997050)}
+
+
+@pytest.mark.parametrize("number", [1, 2, 3])
+def test_preset_static_solve_budget(number, counts):
+    cfg = presets.testcase_config(number)
+    _, ops, z, _ = cli.build_problem(cfg)
+    counts["lu_factor"] = 0
+    sol = solve_static_ocp(ops, z, cli._ocp_config(cfg["ocp"]))
+    factorizations, J = SURROGATE_STEP[number]
+    assert sol.converged
+    assert counts["lu_factor"] <= factorizations / 5
+    assert sol.history[-1].J <= J * (1 + 1e-6)
+
+
+def test_static_stop_reasons(small_ops):
+    z = dc.gaussian_density(small_ops, (0.7, 0.3), 0.15)
+    runs = {
+        "tol": OcpConfig(tol=1e-5, max_iter=150),
+        "max_iter": OcpConfig(tol=1e-12, max_iter=3),
+        # the first direction is -H^-1 grad, far too long for a unit step
+        "line_search": OcpConfig(tol=1e-12, armijo=ArmijoParams(max_backtracks=2)),
+    }
+    for reason, cfg in runs.items():
+        sol = solve_static_ocp(small_ops, z, cfg)
+        assert sol.reason == reason
+        assert sol.converged == (reason == "tol")
+    assert len(sol.history) == 1 and sol.history[0].step_size == 0.0
