@@ -61,7 +61,6 @@ from .particles import (
     ParticleEnsemble,
     TriangleLocator,
     empirical_density,
-    p1_velocity,
     sample_initial,
     step_particles,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fem import ControlField, FemOperators, state_matrix
 from .linalg import SolverError, bordered_lu, bordered_solve, lu_factor
-from .state import DensityField, Trajectory
+from .state import Trajectory, _vals
 
 __all__ = [
     "AdjointField",
@@ -51,10 +51,6 @@ class AdjointTrajectory:
 
     times: np.ndarray
     values: np.ndarray  # (n_steps + 1, n_nodes)
-
-
-def _vals(x):
-    return x.values if isinstance(x, DensityField) else np.asarray(x, dtype=float)
 
 
 def compute_lambda_m(v, ops: FemOperators, q, z, alpha: float) -> float:
@@ -127,7 +123,8 @@ def solve_adjoint_dynamic(
 ) -> AdjointTrajectory:
     """Discrete adjoint of the theta scheme for the tracking cost.
 
-    The source at node i is w_i * dt * alpha * M (q_i - q_ref) with
+    ``controls`` holds one ControlField or stacked [ux, uy] row per time
+    node.  The source at node i is w_i * dt * alpha * M (q_i - q_ref) with
     trapezoidal weights by default.  ``factors`` may hold precomputed LU
     factorizations of the implicit step matrices (index i for the step into
     node i), which are then reused in transposed solves.
@@ -136,8 +133,6 @@ def solve_adjoint_dynamic(
     if abs(trajectory.dt - dt) > 1e-12 * max(1.0, dt):
         raise ValueError(f"trajectory dt {trajectory.dt} does not match dt {dt}")
     controls = list(getattr(controls, "controls", controls))
-    if isinstance(controls[0], float):
-        raise TypeError("controls must be ControlField instances")
     if len(controls) != n_steps + 1:
         raise ValueError(
             f"control grid has {len(controls)} nodes, trajectory has {n_steps + 1}"

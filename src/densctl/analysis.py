@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import ControlField, FemOperators, state_matrix
-from .mesh import Mesh
-from .state import DensityField, Trajectory
+from .mesh import Mesh, boundary_edge_normals
+from .state import Trajectory, _vals
 
 __all__ = [
     "KernelCertificate",
@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2000
-
-
-def _vals(x):
-    return x.values if isinstance(x, DensityField) else np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -200,26 +196,12 @@ def boundary_node_normals(mesh: Mesh):
 
     Returns (node_indices, normals).
     """
-    verts = mesh.vertices
-    tris = mesh.triangles
-    edge_to_tri = {}
-    for t, (a, b, c) in enumerate(tris):
-        for i, j in ((a, b), (b, c), (c, a)):
-            edge_to_tri[(min(i, j), max(i, j))] = t
-
-    acc = {}
-    for a, b in mesh.boundary_edges:
-        a, b = int(a), int(b)
-        t = edge_to_tri[(min(a, b), max(a, b))]
-        opposite = [v for v in tris[t] if v not in (a, b)][0]
-        e = verts[b] - verts[a]
-        nrm = np.array([e[1], -e[0]])
-        if nrm @ (verts[opposite] - 0.5 * (verts[a] + verts[b])) > 0:
-            nrm = -nrm
-        for v in (a, b):
-            acc[v] = acc.get(v, 0.0) + 0.5 * nrm
-    nodes = np.array(sorted(acc), dtype=np.int64)
-    normals = np.stack([acc[v] / np.linalg.norm(acc[v]) for v in nodes])
+    half = 0.5 * boundary_edge_normals(mesh)
+    acc = np.zeros((mesh.n_vertices, 2))
+    for ends in mesh.boundary_edges.T:
+        np.add.at(acc, ends, half)
+    nodes = np.unique(mesh.boundary_edges).astype(np.int64)
+    normals = acc[nodes] / np.linalg.norm(acc[nodes], axis=1, keepdims=True)
     return nodes, normals
 
 

@@ -33,8 +33,8 @@ from .ocp_dynamic import solve_dynamic_ocp
 from .ocp_static import ArmijoParams, OcpConfig, solve_static_ocp
 from .particles import (
     MeshDomain,
+    NodalVelocity,
     empirical_density,
-    p1_velocity,
     sample_initial,
     step_particles,
 )
@@ -402,7 +402,7 @@ def cmd_particles(args) -> int:
 
     domain = MeshDomain(mesh)
     drift = fields.DRIFT_PRESETS[cfg["drift"]] if cfg.get("drift") else None
-    vel = p1_velocity(domain.locator, control.ux, control.uy, drift=drift)
+    vel = NodalVelocity(domain.locator, control.ux, control.uy, drift=drift)
     traj = simulate(ops, q0, control, T=T, dt=dt, theta=ocp["theta"], lumped=ocp["lumped"])
 
     rng = np.random.default_rng(cfg["seed"])
@@ -424,10 +424,8 @@ def cmd_particles(args) -> int:
         dist = analysis.l2_distance(rho, density_from_values(ops, traj.states[step]), ops.M)
         floor = float(np.sqrt(np.clip(traj.states[step], 0.0, None).sum() / ens.n))
         rows.append((step * dt, dist, floor, dist / floor))
-        export.write_csv(
-            os.path.join(pdir, f"ensemble_{step:05d}.csv"),
-            ["id", "x", "y"],
-            ((i, p[0], p[1]) for i, p in enumerate(ens.positions)),
+        export.write_indexed_csv(
+            os.path.join(pdir, f"ensemble_{step:05d}.csv"), ["id", "x", "y"], ens.positions
         )
         export.write_density_csv(
             os.path.join(pdir, f"empirical_{step:05d}.csv"), mesh, rho.values

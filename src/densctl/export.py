@@ -12,6 +12,7 @@ import numpy as np
 
 from .fem import ControlField
 from .mesh import Mesh
+from .state import _vals
 
 __all__ = [
     "fmt",
@@ -39,13 +40,23 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
-def _write_nodal_csv(path, mesh: Mesh, name: str, values) -> None:
-    """Rows (node_index, x, y, value), byte for byte what ``write_csv`` and
-    ``fmt`` give for float values, formatted from Python floats in one join."""
-    columns = np.column_stack([mesh.vertices, np.asarray(values, dtype=float)]).tolist()
-    body = "".join(f"{i},{x!r},{y!r},{v!r}\n" for i, (x, y, v) in enumerate(columns))
+def write_indexed_csv(path, header, table) -> None:
+    """Rows (row index, *row of the 2-D float ``table``), byte for byte what
+    ``write_csv`` and ``fmt`` give, formatted from Python floats block by
+    block, so no Python copy of the whole table is held."""
+    table = np.asarray(table, dtype=float)
+    line = "{}" + ",{!r}" * table.shape[1] + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"node_index,x,y,{name}\n" + body)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), 4096):
+            block = table[start : start + 4096]
+            rows = range(start, start + len(block))
+            fh.writelines(map(line.format, rows, *block.T.tolist()))
+
+
+def _write_nodal_csv(path, mesh: Mesh, name: str, values) -> None:
+    columns = np.column_stack([mesh.vertices, values])
+    write_indexed_csv(path, ["node_index", "x", "y", name], columns)
 
 
 def write_density_csv(path, mesh: Mesh, values) -> None:
@@ -82,9 +93,7 @@ def write_trajectory(
 ) -> None:
     """Snapshot CSVs plus a manifest (step,time,mass,min_q,l2_dist_to_target)."""
     os.makedirs(out_dir, exist_ok=True)
-    ref = None if reference is None else np.asarray(
-        getattr(reference, "values", reference), dtype=float
-    )
+    ref = None if reference is None else _vals(reference)
     rows = []
     for i in range(trajectory.n_steps + 1):
         dist = ""

@@ -2,9 +2,9 @@
 
 Assembles the diffusion-scaled stiffness matrix A, the consistent and lumped
 mass matrices, the nodal integral vector F (row sums of M), the sparse rank-3
-advection coupling tensors, the control-space matrices M_u / A_u (the control
-shares the state space), and optionally the transport matrix of an analytic
-drift field.
+advection coupling tensors, the unscaled stiffness A_u of the control's H1
+cost (the control shares the state space, so M also serves it), and
+optionally the transport matrix of an analytic drift field.
 
 Sign and index conventions are pinned by two properties that the assembled
 system must satisfy for every control u (both are enforced by tests):
@@ -138,16 +138,17 @@ class AdvectionTensor:
         return tx, ty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FemOperators:
     """All assembled operators for one mesh and diffusion coefficient.
 
     A is the mu-scaled pure-Neumann stiffness matrix, M the consistent mass
     matrix, M_lumped its row-sum diagonal, and F = M 1 the nodal integrals of
-    the basis functions (so F.q is the mass of a FEM function).  M_u and A_u
-    act on each control component; the control space equals the state space.
+    the basis functions (so F.q is the mass of a FEM function).  M and the
+    unscaled stiffness A_u act on each control component; the control space
+    equals the state space.
     L0_data, M_data and M_lumped_data are A - B_drift, M and M_lumped as data
-    on the tensor's pattern.
+    on the tensor's pattern.  Compared and hashed by identity.
     """
 
     mesh: Mesh
@@ -157,7 +158,6 @@ class FemOperators:
     M_lumped: sp.dia_matrix
     F: np.ndarray
     tensor: AdvectionTensor
-    M_u: sp.csr_matrix
     A_u: sp.csr_matrix
     B_drift: sp.csr_matrix | None
     L0_data: np.ndarray
@@ -171,8 +171,11 @@ class FemOperators:
     def mass_data(self, lumped: bool) -> np.ndarray:
         return self.M_lumped_data if lumped else self.M_data
 
-    def state_data(self, u: ControlField) -> np.ndarray:
-        """Pattern data of the state matrix L(u) = A - C(u) - B_drift."""
+    def state_data(self, u) -> np.ndarray:
+        """Pattern data of the state matrix L(u) = A - C(u) - B_drift, for a
+        ControlField or a stacked [ux, uy] vector."""
+        if not isinstance(u, ControlField):
+            u = ControlField.from_stacked(u)
         return self.L0_data - self.tensor.contract_data(u)
 
 
@@ -258,7 +261,6 @@ def assemble_operators(mesh: Mesh, mu: float, drift=None) -> FemOperators:
         M_lumped=M_lumped,
         F=F,
         tensor=tensor,
-        M_u=M,
         A_u=K,
         B_drift=B_drift,
         L0_data=tensor.on_pattern(L0),

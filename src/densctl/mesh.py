@@ -198,6 +198,26 @@ def _edge_incidence(triangles):
     return edges, counts, inverse
 
 
+def boundary_edge_normals(mesh: Mesh) -> np.ndarray:
+    """Outward normals of the boundary edges, in ``boundary_edges`` order and
+    as long as their edges: each points away from the vertex opposite it in
+    the one triangle that owns it."""
+    tris, verts, be = mesh.triangles, mesh.vertices, mesh.boundary_edges
+    nt, nv = tris.shape[0], mesh.n_vertices
+    edges, _, inverse = _edge_incidence(tris)
+    # slot s = e * nt + t is local edge e of triangle t, opposite its vertex (e + 2) % 3
+    owner = np.empty(len(edges), dtype=np.int64)
+    owner[inverse.ravel()] = np.arange(3 * nt)
+    keys = edges[:, 0] * nv + edges[:, 1]
+    slot = owner[np.searchsorted(keys, be.min(axis=1) * nv + be.max(axis=1))]
+    opposite = tris[slot % nt, (slot // nt + 2) % 3]
+    a, b = verts[be[:, 0]], verts[be[:, 1]]
+    nrm = np.stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]], axis=1)
+    inward = (nrm * (verts[opposite] - 0.5 * (a + b))).sum(axis=1) > 0
+    nrm[inward] *= -1.0
+    return nrm
+
+
 def validate_mesh(mesh: Mesh) -> None:
     """Raise MeshTopologyError unless all structural invariants hold."""
     nv = mesh.n_vertices

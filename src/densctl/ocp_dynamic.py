@@ -1,13 +1,15 @@
 """Time-varying control optimization that tracks the static optimum.
 
 The cost integrates (trapezoidal in time) the M-weighted distance of the
-state to the static equilibrium and the M_u / A_u weighted distance of the
-control to the static control, so the optimal time-varying control converges
-to the static one instead of developing a terminal transient.  Iterations
-run forward/backward sweeps of the theta scheme and its exact discrete
-adjoint, take preconditioned quasi-Newton steps, and keep every time node
-inside the pointwise magnitude ball of the static control (trial points are
-projected before they are evaluated, so accepted costs are nonincreasing).
+state to the static equilibrium and the distance of the control to the
+static control in the static OCP's control metric H = beta M + beta_g A_u,
+so the optimal time-varying control converges to the static one instead of
+developing a terminal transient.  Controls are (n_t, 2n) stacks of [ux, uy]
+rows.  Iterations run forward/backward sweeps of the theta scheme and its
+exact discrete adjoint, take steps preconditioned by H^-1, and keep every
+time node inside the pointwise magnitude ball of the static control (trial
+points are projected before they are evaluated, so accepted costs are
+nonincreasing).
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from .ocp_static import (
     OcpConfig,
     StaticSolution,
     armijo_backtracking,
+    control_metric,
+    per_component,
 )
-from .state import DensityField, Trajectory, theta_sweep
+from .state import Trajectory, _vals, theta_sweep
 
 __all__ = [
     "TimeVaryingControl",
@@ -59,10 +63,6 @@ class TimeVaryingControl:
     def stacked(self) -> np.ndarray:
         return np.stack([c.stacked() for c in self.controls])
 
-    @classmethod
-    def from_stacked(cls, arr: np.ndarray, dt: float, T: float) -> "TimeVaryingControl":
-        return cls([ControlField.from_stacked(row) for row in arr], dt=dt, T=T)
-
 
 @dataclass(frozen=True)
 class DynamicSolution:
@@ -70,7 +70,7 @@ class DynamicSolution:
     trajectory: Trajectory
     adjoint: AdjointTrajectory
     history: list[IterationRecord]
-    control_distances: np.ndarray  # per-node ||u(t) - u_static||_{M_u}
+    control_distances: np.ndarray  # per-node M-norm of u(t) - u_static, both components
     state_distances: np.ndarray  # per-node ||q(t) - q_static||_M
     reason: str  # why the iteration stopped: "tol", "max_iter" or "line_search"
 
@@ -79,11 +79,9 @@ class DynamicSolution:
         return self.reason == "tol"
 
 
-def _control_norm_sq(ops: FemOperators, du_x, du_y, beta, beta_g):
-    val = beta * (du_x @ (ops.M_u @ du_x) + du_y @ (ops.M_u @ du_y))
-    if beta_g:
-        val += beta_g * (du_x @ (ops.A_u @ du_x) + du_y @ (ops.A_u @ du_y))
-    return val
+def _sq_norms(H, X: np.ndarray) -> np.ndarray:
+    """Per time node, the squared H-norm of row X[i], summed over its blocks."""
+    return np.einsum("ij,ij->i", X, per_component(H, X))
 
 
 def evaluate_dynamic_cost(
@@ -100,19 +98,10 @@ def evaluate_dynamic_cost(
         raise ValueError(
             f"control grid has {U.shape[0]} nodes, trajectory has {n_steps + 1}"
         )
-    n = ops.n
-    qs = static_solution.q_star.values
-    us = static_solution.u_star.stacked()
-    w = trapezoid_weights(n_steps)
-
-    J = 0.0
-    for i in range(n_steps + 1):
-        dq = trajectory.states[i] - qs
-        du = U[i] - us
-        term = config.alpha * float(dq @ (ops.M @ dq))
-        term += _control_norm_sq(ops, du[:n], du[n:], config.beta, config.beta_g)
-        J += 0.5 * w[i] * trajectory.dt * term
-    return J
+    dQ = trajectory.states - static_solution.q_star.values
+    dU = U - static_solution.u_star.stacked()
+    terms = config.alpha * _sq_norms(ops.M, dQ) + _sq_norms(control_metric(ops, config), dU)
+    return 0.5 * trajectory.dt * float(trapezoid_weights(n_steps) @ terms)
 
 
 def project_to_magnitude_ball(U: np.ndarray, n: int, radius: float) -> np.ndarray:
@@ -130,26 +119,17 @@ def project_to_magnitude_ball(U: np.ndarray, n: int, radius: float) -> np.ndarra
 
 def _dynamic_gradient(ops, traj, lams, U, static_solution, config):
     """Stacked gradient (n_nodes_t, 2n) of the discrete cost w.r.t. the control."""
-    n = ops.n
-    n_steps = traj.n_steps
-    us = static_solution.u_star.stacked()
-    w = trapezoid_weights(n_steps)
-    G = np.empty_like(U)
-    for j in range(n_steps + 1):
-        du = U[j] - us
-        gx = config.beta * (ops.M_u @ du[:n])
-        gy = config.beta * (ops.M_u @ du[n:])
-        if config.beta_g:
-            gx = gx + config.beta_g * (ops.A_u @ du[:n])
-            gy = gy + config.beta_g * (ops.A_u @ du[n:])
-        combo = np.zeros(n)
-        if j >= 1:
-            combo = combo + config.theta * lams.values[j - 1]
-        if j <= n_steps - 1 and config.theta < 1.0:
-            combo = combo + (1.0 - config.theta) * lams.values[j]
-        tx, ty = ops.tensor.gradient_contraction(combo, traj.states[j])
-        G[j, :n] = w[j] * traj.dt * gx + tx
-        G[j, n:] = w[j] * traj.dt * gy + ty
+    w_dt = trapezoid_weights(traj.n_steps) * traj.dt
+    G = w_dt[:, None] * per_component(
+        control_metric(ops, config), U - static_solution.u_star.stacked()
+    )
+    # node j's control enters the steps into node j (implicitly, multiplier
+    # lam_{j-1}) and out of it (explicitly, lam_j); the terminal lam is zero
+    lam, theta = lams.values, config.theta
+    combo = (1.0 - theta) * lam
+    combo[1:] += theta * lam[:-1]
+    for g, c, q in zip(G, combo, traj.states):
+        g += np.concatenate(ops.tensor.gradient_contraction(c, q))
     return G
 
 
@@ -174,12 +154,11 @@ def solve_dynamic_ocp(
     n_steps = round(T / dt)
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
-    q0v = q0.values if isinstance(q0, DensityField) else np.asarray(q0, dtype=float)
+    q0v = _vals(q0)
     radius = static_solution.control_magnitude_bound()
     max_iter = config.max_iter if max_iter is None else max_iter
 
-    H = (config.beta * ops.M_u + config.beta_g * ops.A_u).tocsc()
-    H_lu = lu_factor(H)
+    H_lu = lu_factor(control_metric(ops, config))
 
     def sweep(U, controls):
         traj, factors = theta_sweep(ops, q0v, controls, dt, theta, lumped)
@@ -200,11 +179,10 @@ def solve_dynamic_ocp(
     U, traj, factors, J = sweep(np.tile(us, (n_steps + 1, 1)), [us] * (n_steps + 1))
     history: list[IterationRecord] = []
     for it in range(max_iter + 1):
-        controls = [ControlField.from_stacked(row) for row in U]
         lams = solve_adjoint_dynamic(
             ops,
             traj,
-            controls,
+            U,
             static_solution.q_star,
             config.alpha,
             dt,
@@ -233,17 +211,6 @@ def solve_dynamic_ocp(
         history.append(IterationRecord(it, J, gnorm, tau))
         U, traj, factors, J = trial
 
-    qs = static_solution.q_star.values
-    u_dist = np.empty(n_steps + 1)
-    q_dist = np.empty(n_steps + 1)
-    for j in range(n_steps + 1):
-        du = U[j] - us
-        u_dist[j] = np.sqrt(
-            du[:n] @ (ops.M_u @ du[:n]) + du[n:] @ (ops.M_u @ du[n:])
-        )
-        dq = traj.states[j] - qs
-        q_dist[j] = np.sqrt(dq @ (ops.M @ dq))
-
     return DynamicSolution(
         control=TimeVaryingControl(
             [ControlField.from_stacked(row) for row in U], dt=dt, T=T
@@ -251,7 +218,9 @@ def solve_dynamic_ocp(
         trajectory=traj,
         adjoint=lams,
         history=history,
-        control_distances=u_dist,
-        state_distances=q_dist,
+        control_distances=np.sqrt(_sq_norms(ops.M, U - us)),
+        state_distances=np.sqrt(
+            _sq_norms(ops.M, traj.states - static_solution.q_star.values)
+        ),
         reason=reason,
     )

@@ -2,30 +2,30 @@
 
 The reduced cost of a control u is
 
-    J(u) = alpha/2 (q(u) - z)^T M (q(u) - z)
-         + beta/2 (ux^T M_u ux + uy^T M_u uy)
-         + beta_g/2 (ux^T A_u ux + uy^T A_u uy)
+    J(u) = alpha/2 (q(u) - z)^T M (q(u) - z) + 1/2 (ux^T H ux + uy^T H uy)
 
-where q(u) is the unit-mass equilibrium.  Its gradient is assembled from the
-static adjoint and the advection-tensor contraction; descent directions come
-from L-BFGS whose initial inverse Hessian is gamma H^-1, with the constant
-SPD surrogate H = beta M_u + beta_g A_u factorized once, and steps are
-safeguarded by Armijo backtracking.  Each trial factorizes one bordered
-equilibrium matrix; the accepted trial's factor also serves its adjoint
-(transposed), so a gradient costs no further factorization.
+where q(u) is the unit-mass equilibrium and H = beta M + beta_g A_u is the
+control metric (L2 plus H1 per velocity component) that the dynamic OCP
+shares.  The gradient is H u per component plus the tensor contraction of
+the static adjoint with q.  L-BFGS directions start from gamma H^-1, with H
+factorized once, and Armijo backtracking safeguards the steps.  Each trial
+factorizes one bordered equilibrium matrix; the accepted trial's factor also
+serves its adjoint (transposed), so a gradient costs no further
+factorization.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .adjoint import AdjointField, solve_adjoint_static
 from .fem import ControlField, FemOperators
 from .linalg import SolverError, lu_factor
-from .state import DensityField, solve_equilibrium
+from .state import DensityField, _vals, solve_equilibrium
 
 __all__ = [
     "ArmijoParams",
@@ -116,19 +116,23 @@ class StaticSolution:
         return float(self.u_star.magnitudes().max())
 
 
-def _vals(x):
-    return x.values if isinstance(x, DensityField) else np.asarray(x, dtype=float)
+@lru_cache(maxsize=1)  # cached: the sparse sum costs more than a cost evaluation
+def control_metric(ops: FemOperators, config: OcpConfig):
+    """H = beta M + beta_g A_u, the cost metric of each velocity component."""
+    return config.beta * ops.M + config.beta_g * ops.A_u
+
+
+def per_component(H, U: np.ndarray) -> np.ndarray:
+    """H applied to every length-n block of U, a stacked [ux, uy] vector or an
+    (n_t, 2n) stack of them, in one sparse matmat."""
+    return (H @ U.reshape(-1, H.shape[0]).T).T.reshape(U.shape)
 
 
 def evaluate_cost(ops: FemOperators, q, z, u: ControlField, config: OcpConfig) -> float:
     dq = _vals(q) - _vals(z)
-    J = 0.5 * config.alpha * float(dq @ (ops.M @ dq))
-    J += 0.5 * config.beta * float(u.ux @ (ops.M_u @ u.ux) + u.uy @ (ops.M_u @ u.uy))
-    if config.beta_g:
-        J += 0.5 * config.beta_g * float(
-            u.ux @ (ops.A_u @ u.ux) + u.uy @ (ops.A_u @ u.uy)
-        )
-    return J
+    us = u.stacked()
+    H = control_metric(ops, config)
+    return 0.5 * (config.alpha * float(dq @ (ops.M @ dq)) + float(us @ per_component(H, us)))
 
 
 def reduced_gradient(
@@ -137,24 +141,19 @@ def reduced_gradient(
     """Gradient of the reduced cost at u.
 
     Returns (grad, J, q, adjoint) with grad stacked as [gx, gy].  The
-    gradient of each component c is beta M_u u_c + beta_g A_u u_c plus the
-    tensor contraction of the adjoint with the equilibrium.  ``equilibrium``
-    may hold the (q, bordered factor) pair of an earlier solve at u; the
-    adjoint then reuses that factor.
+    gradient of each component c is H u_c plus the tensor contraction of the
+    adjoint with the equilibrium.  ``equilibrium`` may hold the (q, bordered
+    factor) pair of an earlier solve at u; the adjoint then reuses that
+    factor.
     """
     if equilibrium is None:
         q, _, factor = solve_equilibrium(ops, u, return_factor=True)
     else:
         q, factor = equilibrium
     adj = solve_adjoint_static(ops, u, q, z, config.alpha, factor=factor)
-    gx_t, gy_t = ops.tensor.gradient_contraction(adj.values, q.values)
-    gx = config.beta * (ops.M_u @ u.ux) + gx_t
-    gy = config.beta * (ops.M_u @ u.uy) + gy_t
-    if config.beta_g:
-        gx = gx + config.beta_g * (ops.A_u @ u.ux)
-        gy = gy + config.beta_g * (ops.A_u @ u.uy)
-    J = evaluate_cost(ops, q, z, u, config)
-    return np.concatenate([gx, gy]), J, q, adj
+    grad = per_component(control_metric(ops, config), u.stacked())
+    grad += np.concatenate(ops.tensor.gradient_contraction(adj.values, q.values))
+    return grad, evaluate_cost(ops, q, z, u, config), q, adj
 
 
 def armijo_backtracking(j_fun, u, d, grad, params: ArmijoParams, f0=None):
@@ -218,8 +217,7 @@ def solve_static_ocp(
     n = ops.n
     zv = _vals(z)
     u = u0.stacked() if u0 is not None else np.zeros(2 * n)
-    H = (config.beta * ops.M_u + config.beta_g * ops.A_u).tocsc()
-    H_lu = lu_factor(H)
+    H_lu = lu_factor(control_metric(ops, config))
 
     def h_inv(v):  # both halves in one multi-RHS solve
         return H_lu.solve(v.reshape(2, n).T).T.ravel()

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
-from .state import DensityField
+from .mesh import Mesh, boundary_edge_normals
+from .state import DensityField, _vals
 
 __all__ = [
     "ParticleEnsemble",
     "TriangleLocator",
     "MeshDomain",
     "NodalVelocity",
-    "p1_velocity",
     "sample_initial",
     "step_particles",
     "empirical_density",
@@ -122,22 +121,7 @@ class MeshDomain:
         self._eb = verts[be[:, 1]]
         self._ed = self._eb - self._ea
         lengths = np.hypot(self._ed[:, 0], self._ed[:, 1])
-        normals = np.stack(
-            [self._ed[:, 1] / lengths, -self._ed[:, 0] / lengths], axis=1
-        )
-        # orient normals into the domain using the adjacent triangle
-        edge_owner = {}
-        for t, tri in enumerate(mesh.triangles):
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                a, b = tri[i], tri[j]
-                edge_owner[(min(a, b), max(a, b))] = t
-        mids = 0.5 * (self._ea + self._eb)
-        for k, (a, b) in enumerate(be):
-            tri = mesh.triangles[edge_owner[(min(a, b), max(a, b))]]
-            opposite = [v for v in tri if v != a and v != b][0]
-            if normals[k] @ (verts[opposite] - mids[k]) < 0:
-                normals[k] = -normals[k]
-        self._normals = normals
+        self._normals = -boundary_edge_normals(mesh) / lengths[:, None]  # unit, inward
         self._nudge = 1e-9 * float(lengths.mean())
 
     def contains(self, points):
@@ -244,10 +228,6 @@ class NodalVelocity:
         return self.at(points)
 
 
-def p1_velocity(locator: TriangleLocator, nodal_x, nodal_y, drift=None) -> NodalVelocity:
-    return NodalVelocity(locator, nodal_x, nodal_y, drift)
-
-
 def sample_initial(density, mesh: Mesh, n: int, seed: int) -> ParticleEnsemble:
     """Draw n positions from a nodal P1 density (rejection inside triangles).
 
@@ -255,7 +235,7 @@ def sample_initial(density, mesh: Mesh, n: int, seed: int) -> ParticleEnsemble:
     density; within a triangle, uniform barycentric proposals are accepted
     against the linear density.  Fully reproducible for a fixed seed.
     """
-    q = density.values if isinstance(density, DensityField) else np.asarray(density, float)
+    q = _vals(density)
     rng = np.random.default_rng(seed)
     tris = mesh.triangles
     corners = mesh.vertices[tris]

@@ -53,6 +53,11 @@ class DensityField:
         return float(self.values.min())
 
 
+def _vals(x) -> np.ndarray:
+    """Nodal values of a DensityField or of a plain array."""
+    return x.values if isinstance(x, DensityField) else np.asarray(x, dtype=float)
+
+
 def density_from_values(ops: FemOperators, values) -> DensityField:
     values = np.asarray(values, dtype=float)
     return DensityField(values=values, mass=float(ops.F @ values))
@@ -164,18 +169,15 @@ def theta_sweep(
     tensor = ops.tensor
     mass = ops.mass_data(lumped) / dt
 
-    def state_data(c):
-        return ops.state_data(c if isinstance(c, ControlField) else ControlField.from_stacked(c))
-
     states = np.empty((n_steps + 1, ops.n))
-    states[0] = q0.values if isinstance(q0, DensityField) else q0
+    states[0] = _vals(q0)
     factors = [None] * (n_steps + 1)
-    L = state_data(controls[0])
+    L = ops.state_data(controls[0])
     for i in range(n_steps):
         if i == 0 or not constant:
             explicit = tensor.csr(mass - (1.0 - theta) * L)
             if not constant:
-                L = state_data(controls[i + 1])
+                L = ops.state_data(controls[i + 1])
             implicit = tensor.csc(mass + theta * L)
             lu = lu_factor(implicit)
         if keep_factors:

@@ -22,8 +22,8 @@ from densctl.ocp_static import OcpConfig, evaluate_cost, reduced_gradient, solve
 from densctl.state import theta_sweep
 from densctl.particles import (
     MeshDomain,
+    NodalVelocity,
     empirical_density,
-    p1_velocity,
     sample_initial,
     step_particles,
 )
@@ -400,7 +400,7 @@ def test_criterion_10_particle_pde_consistency():
     traj = dc.simulate(ops, q0, sol.u_star, T=3.0, dt=dt, theta=0.5, lumped=False)
 
     domain = MeshDomain(mesh)
-    vel = p1_velocity(domain.locator, sol.u_star.ux, sol.u_star.uy)
+    vel = NodalVelocity(domain.locator, sol.u_star.ux, sol.u_star.uy)
     rng = np.random.default_rng(42)
     ens = sample_initial(q0, mesh, 100_000, seed=42)
     rows = []

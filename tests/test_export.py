@@ -32,6 +32,12 @@ def test_nodal_csvs_match_per_cell_fmt(tmp_path, small_mesh, small_ops, rng):
         rows = ((i, *small_mesh.vertices[i], vec[i]) for i in range(small_ops.n))
         export.write_csv(tmp_path / "expected.csv", ["node_index", "x", "y", column], rows)
         assert (tmp_path / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    # particle ensembles: an id column and two float columns
+    positions = np.column_stack([values, values[::-1]])
+    export.write_indexed_csv(tmp_path / "ensemble.csv", ["id", "x", "y"], positions)
+    rows = ((i, p[0], p[1]) for i, p in enumerate(positions))
+    export.write_csv(tmp_path / "expected.csv", ["id", "x", "y"], rows)
+    assert (tmp_path / "ensemble.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_control_csvs(tmp_path, small_mesh, small_ops, rng):

@@ -61,7 +61,7 @@ def test_dynamic_cost_trapezoid_oracle(small_ops, static_solution, rng):
 
     n = small_ops.n
     qs, us = static_solution.q_star.values, static_solution.u_star.stacked()
-    Md, Mu, Au = small_ops.M.toarray(), small_ops.M_u.toarray(), small_ops.A_u.toarray()
+    Md, Mu, Au = small_ops.M.toarray(), small_ops.M.toarray(), small_ops.A_u.toarray()
     expected = 0.0
     for i, w in enumerate([0.5, 1.0, 1.0, 0.5]):
         dq = traj.states[i] - qs

@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 import densctl as dc
 from densctl.particles import (
     MeshDomain,
+    NodalVelocity,
     ParticleEnsemble,
     TriangleLocator,
     empirical_density,
-    p1_velocity,
     sample_initial,
     step_particles,
 )
@@ -197,7 +197,7 @@ def test_empirical_density_rejects_outside(holed_mesh):
 def test_velocity_interpolation(domain, holed_ops, holed_mesh):
     # interpolating a linear nodal field reproduces it exactly at P1 level
     verts = holed_mesh.vertices
-    vel = p1_velocity(domain.locator, 2.0 * verts[:, 0], -verts[:, 1])
+    vel = NodalVelocity(domain.locator, 2.0 * verts[:, 0], -verts[:, 1])
     pts = np.array([[0.5, 0.5], [-0.3, 0.8], [0.7, -0.2]])
     out = vel(pts)
     assert_allclose(out[:, 0], 2.0 * pts[:, 0], atol=1e-12)

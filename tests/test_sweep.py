@@ -1,5 +1,9 @@
 """The theta-sweep kernel: exact factorization and contraction counts, and
-property tests of the pattern-built operators on generated meshes."""
+property tests on generated meshes of the pattern-built operators, of the
+whole-stack dynamic gradient and of the mesh file round trip."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import densctl as dc
-from densctl.ocp_dynamic import solve_dynamic_ocp
-from densctl.ocp_static import OcpConfig, solve_static_ocp
+from densctl.adjoint import solve_adjoint_dynamic
+from densctl.ocp_dynamic import _dynamic_gradient, evaluate_dynamic_cost, solve_dynamic_ocp
+from densctl.ocp_static import OcpConfig, StaticSolution, solve_static_ocp
 from densctl.state import theta_sweep
 
 from conftest import random_control
@@ -100,3 +105,65 @@ def test_pattern_operators_on_random_meshes(mesh, drift, seed, scale, theta, lum
     bare, none = theta_sweep(ops, q0, [u_old, u_new], 0.01, theta, lumped, keep_factors=False)
     assert none == [None, None]
     assert np.array_equal(bare.states, traj.states)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=_meshes(),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.sampled_from([0.5, 1.0]),
+    lumped=st.booleans(),
+)
+def test_dynamic_gradient_on_random_meshes(mesh, drift, seed, theta, lumped):
+    ops = dc.assemble_operators(
+        mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None
+    )
+    rng = np.random.default_rng(seed)
+    n, n_steps = ops.n, 3
+    cfg = OcpConfig(
+        alpha=1.0, beta=1e-2, beta_g=1e-3, dt=0.05, T=0.15, theta=theta, lumped=lumped
+    )
+    # the gradient is exact for any reference pair, optimal or not
+    static = StaticSolution(
+        q_star=dc.normalized_density(ops, rng.random(n) + 0.1),
+        u_star=random_control(ops, rng, 0.5),
+        adjoint=None,
+        history=[],
+        reason="tol",
+    )
+    q0 = dc.normalized_density(ops, rng.random(n) + 0.1)
+    U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
+
+    def cost(Um):
+        traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
+        return evaluate_dynamic_cost(ops, traj, Um, static, cfg)
+
+    traj, factors = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
+    lams = solve_adjoint_dynamic(
+        ops, traj, U, static.q_star, cfg.alpha, cfg.dt, theta, lumped, factors=factors
+    )
+    G = _dynamic_gradient(ops, traj, lams, U, static, cfg)
+    D = rng.standard_normal(U.shape)
+    D /= np.linalg.norm(D)
+    slope = float((G * D).sum())
+    err = min(
+        abs((cost(U + h * D) - cost(U - h * D)) / (2 * h) - slope)
+        for h in (1e-3, 1e-4, 1e-5)
+    )
+    assert err <= 1e-8 * np.linalg.norm(G)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mesh=_meshes())
+def test_mesh_file_round_trip_on_random_meshes(mesh):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
+        dc.write_mesh(mesh, first)
+        again = dc.load_mesh(first)
+        dc.write_mesh(again, second)
+        with open(first) as fa, open(second) as fb:
+            assert fa.read() == fb.read()
+    for name in ("vertices", "triangles", "boundary_edges", "boundary_markers"):
+        assert np.array_equal(getattr(again, name), getattr(mesh, name)), name
+    assert again.domain_area == mesh.domain_area
