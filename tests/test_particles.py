@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import densctl as dc
@@ -12,6 +16,8 @@ from densctl.particles import (
     sample_initial,
     step_particles,
 )
+
+from test_sweep import _meshes
 
 
 @pytest.fixture(scope="module")
@@ -202,3 +208,111 @@ def test_velocity_interpolation(domain, holed_ops, holed_mesh):
     out = vel(pts)
     assert_allclose(out[:, 0], 2.0 * pts[:, 0], atol=1e-12)
     assert_allclose(out[:, 1], -pts[:, 1], atol=1e-12)
+
+
+def _locate_reference(mesh, points, tol=1e-12):
+    """Every triangle in index order, with locate's formulas; the lowest-index
+    hit wins."""
+    tri = np.full(len(points), -1)
+    bary = np.zeros((len(points), 3))
+    for t, (i, j, k) in enumerate(mesh.triangles):
+        p1 = mesh.vertices[i]
+        e2 = mesh.vertices[j] - p1
+        e3 = mesh.vertices[k] - p1
+        det = e2[0] * e3[1] - e2[1] * e3[0]
+        d = points - p1
+        l2 = (d[:, 0] * e3[1] - d[:, 1] * e3[0]) / det
+        l3 = (e2[0] * d[:, 1] - e2[1] * d[:, 0]) / det
+        l1 = 1.0 - l2 - l3
+        new = (tri < 0) & (l1 >= -tol) & (l2 >= -tol) & (l3 >= -tol)
+        tri[new] = t
+        bary[new] = np.stack([l1, l2, l3], axis=1)[new]
+    found = tri >= 0
+    lam = np.clip(bary[found], 0.0, None)
+    bary[found] = lam / lam.sum(axis=1, keepdims=True)
+    return tri, bary
+
+
+def _first_crossing_reference(domain, p, q):
+    """Every segment against every boundary edge, in (m, n_edges) arrays."""
+    d1 = q - p
+    a = domain._ea[None, :, :] - p[:, None, :]
+    d2 = domain._ed[None, :, :]
+    denom = d1[:, None, 0] * d2[..., 1] - d1[:, None, 1] * d2[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (a[..., 0] * d2[..., 1] - a[..., 1] * d2[..., 0]) / denom
+        s = (a[..., 0] * d1[:, None, 1] - a[..., 1] * d1[:, None, 0]) / denom
+    valid = (
+        (np.abs(denom) > 1e-300)
+        & (t > 0.0)
+        & (t <= 1.0 + 1e-12)
+        & (s >= -1e-9)
+        & (s <= 1.0 + 1e-9)
+    )
+    t = np.where(valid, t, np.inf)
+    e_hit = np.argmin(t, axis=1)
+    return t[np.arange(len(p)), e_hit], e_hit
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mesh=_meshes(), seed=st.integers(0, 2**32 - 1))
+def test_locate_matches_brute_force_on_random_meshes(mesh, seed):
+    rng = np.random.default_rng(seed)
+    verts, tris = mesh.vertices, mesh.triangles
+    lam = rng.dirichlet([1.0, 1.0, 1.0], size=300)
+    inside = np.einsum("pk,pkd->pd", lam, verts[tris[rng.integers(0, len(tris), 300)]])
+    points = np.vstack([
+        inside,
+        rng.uniform(-1.5, 1.5, size=(300, 2)),  # holes and beyond the bounding box
+        verts,
+        0.5 * (verts[tris[:, 0]] + verts[tris[:, 1]]),
+    ])
+    tri, bary = TriangleLocator(mesh).locate(points)
+    ref_tri, ref_bary = _locate_reference(mesh, points)
+    assert np.array_equal(tri, ref_tri)
+    assert np.array_equal(bary, ref_bary)
+    assert (tri[:300] >= 0).all() and (tri[-len(verts) - len(tris):] >= 0).all()
+
+
+def test_locate_empty_input(holed_mesh):
+    tri, bary = TriangleLocator(holed_mesh).locate(np.empty((0, 2)))
+    assert tri.shape == (0,) and bary.shape == (0, 3)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mesh=_meshes(), seed=st.integers(0, 2**32 - 1))
+def test_first_crossing_matches_all_edges_on_random_meshes(mesh, seed):
+    rng = np.random.default_rng(seed)
+    domain = MeshDomain(mesh)
+    p = rng.uniform(-1.0, 1.0, size=(900, 2))
+    corner = mesh.vertices[rng.choice(mesh.boundary_edges[:, 0], 300)]
+    q = np.vstack([
+        p[:300] + rng.normal(scale=0.1, size=(300, 2)),  # short, near one cell
+        rng.uniform(-1.6, 1.6, size=(300, 2)),  # across many cells, some leave the box
+        2.0 * corner - p[600:],  # through a boundary vertex: two edges can tie
+    ])
+    t_hit, e_hit = domain._first_crossing(p, q)
+    ref_t, ref_e = _first_crossing_reference(domain, p, q)
+    assert np.array_equal(t_hit, ref_t)
+    assert np.array_equal(e_hit, ref_e)
+    assert np.isfinite(t_hit[300:600]).sum() > 100  # the long segments do cross
+
+
+def test_first_crossing_memory_is_bounded():
+    # the all-edges test would hold (m, n_edges) float arrays: m * ne * 8 bytes each
+    mesh = dc.generate_rect_mesh((-1.0, -1.0, 1.0, 1.0), 0.02)
+    domain = MeshDomain(mesh)
+    ne = len(mesh.boundary_edges)
+    assert ne >= 400
+    rng = np.random.default_rng(0)
+    m = 20_000
+    p = rng.uniform(-1.0, 1.0, size=(m, 2))
+    q = p + rng.normal(scale=0.02, size=(m, 2))
+    tracemalloc.start()
+    try:
+        t_hit, _ = domain._first_crossing(p, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(t_hit).any()
+    assert peak < m * ne * 8 / 5
