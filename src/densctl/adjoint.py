@@ -20,7 +20,7 @@ import numpy as np
 
 from .fem import ControlField, FemOperators, state_matrix
 from .linalg import SolverError, bordered_lu, bordered_solve, lu_factor
-from .state import Trajectory, _vals
+from .state import Trajectory, _controls_for_grid, _vals
 
 __all__ = [
     "AdjointField",
@@ -132,11 +132,7 @@ def solve_adjoint_dynamic(
     n_steps = trajectory.n_steps
     if abs(trajectory.dt - dt) > 1e-12 * max(1.0, dt):
         raise ValueError(f"trajectory dt {trajectory.dt} does not match dt {dt}")
-    controls = list(getattr(controls, "controls", controls))
-    if len(controls) != n_steps + 1:
-        raise ValueError(
-            f"control grid has {len(controls)} nodes, trajectory has {n_steps + 1}"
-        )
+    controls = _controls_for_grid(controls, n_steps)
     w = trapezoid_weights(n_steps) if weights is None else np.asarray(weights, float)
     qref = _vals(q_ref)
     mass = ops.mass_data(lumped) / dt

@@ -5,11 +5,10 @@ state to the static equilibrium and the distance of the control to the
 static control in the static OCP's control metric H = beta M + beta_g A_u,
 so the optimal time-varying control converges to the static one instead of
 developing a terminal transient.  Controls are (n_t, 2n) stacks of [ux, uy]
-rows.  Iterations run forward/backward sweeps of the theta scheme and its
-exact discrete adjoint, take steps preconditioned by H^-1, and keep every
-time node inside the pointwise magnitude ball of the static control (trial
-points are projected before they are evaluated, so accepted costs are
-nonincreasing).
+rows.  The optimizer is :func:`ocp_static.descend` on forward sweeps of
+the theta scheme and backward sweeps of its exact discrete adjoint, with
+steps -H^-1 G; every trial control is projected onto the pointwise
+magnitude ball of the static control before it is evaluated.
 """
 
 from __future__ import annotations
@@ -20,17 +19,17 @@ import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint_dynamic, trapezoid_weights
 from .fem import ControlField, FemOperators
-from .linalg import lu_factor
 from .ocp_static import (
     IterationRecord,
-    LineSearchError,
     OcpConfig,
     StaticSolution,
     armijo_backtracking,
     control_metric,
+    descend,
+    h_inv_of,
     per_component,
 )
-from .state import Trajectory, _vals, theta_sweep
+from .state import Trajectory, _n_steps, _vals, theta_sweep
 
 __all__ = [
     "TimeVaryingControl",
@@ -50,7 +49,7 @@ class TimeVaryingControl:
     T: float
 
     def __post_init__(self):
-        n_steps = round(self.T / self.dt)
+        n_steps = _n_steps(self.T, self.dt)
         if len(self.controls) != n_steps + 1:
             raise ValueError(
                 f"{len(self.controls)} control nodes for T/dt = {n_steps} steps"
@@ -87,12 +86,12 @@ def _sq_norms(H, X: np.ndarray) -> np.ndarray:
 def evaluate_dynamic_cost(
     ops: FemOperators,
     trajectory: Trajectory,
-    control: TimeVaryingControl | np.ndarray,
+    control: np.ndarray,
     static_solution: StaticSolution,
     config: OcpConfig,
 ) -> float:
-    """Trapezoidal time quadrature of the tracking cost."""
-    U = control.stacked() if isinstance(control, TimeVaryingControl) else np.asarray(control)
+    """Trapezoidal time quadrature of the tracking cost of an (n_t, 2n) stack."""
+    U = np.asarray(control)
     n_steps = trajectory.n_steps
     if U.shape[0] != n_steps + 1:
         raise ValueError(
@@ -142,79 +141,47 @@ def solve_dynamic_ocp(
 ) -> DynamicSolution:
     """Optimize a time-varying control, warm-started from the static optimum.
 
-    Per iteration: backward discrete-adjoint sweep, gradient assembly,
-    quasi-Newton direction and Armijo search over projected trial controls.
-    The accepted trial, with its forward sweep, factors and cost, is the next
-    iterate.  Terminates when the gradient norm falls below config.tol,
-    after max_iter iterations, or when the line search fails; ``reason``
-    says which.
+    :func:`ocp_static.descend` with no L-BFGS memory: every direction is
+    -H^-1 G, steepest descent in the control metric.  Each Armijo trial is
+    one forward sweep of a projected control; a gradient is one adjoint
+    sweep on the factors of the accepted trial's.  ``reason`` says why the
+    iteration stopped.
     """
     n = ops.n
-    dt, T, theta, lumped = config.dt, config.T, config.theta, config.lumped
-    n_steps = round(T / dt)
-    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
+    dt, theta, lumped = config.dt, config.theta, config.lumped
+    n_nodes = _n_steps(config.T, dt) + 1
     q0v = _vals(q0)
     radius = static_solution.control_magnitude_bound()
-    max_iter = config.max_iter if max_iter is None else max_iter
-
-    H_lu = lu_factor(control_metric(ops, config))
 
     def sweep(U, controls):
         traj, factors = theta_sweep(ops, q0v, controls, dt, theta, lumped)
-        return U, traj, factors, evaluate_dynamic_cost(ops, traj, U, static_solution, config)
+        J = evaluate_dynamic_cost(ops, traj, U, static_solution, config)
+        return U.ravel(), J, (traj, factors)
 
-    # Armijo returns on the first trial it accepts, so the last trial swept
-    # is the next iterate: its sweep is kept instead of being repeated.
-    trial = []
+    def evaluate(u):
+        U = project_to_magnitude_ball(u.reshape(n_nodes, 2 * n), n, radius)
+        return sweep(U, U)
 
-    def j_of_flat(u_flat):
-        trial.clear()
-        U_trial = project_to_magnitude_ball(u_flat.reshape(n_steps + 1, 2 * n), n, radius)
-        trial.extend(sweep(U_trial, U_trial))
-        return trial[-1]
+    def gradient(u, state):
+        traj, factors = state
+        U = u.reshape(n_nodes, 2 * n)
+        lams = solve_adjoint_dynamic(
+            ops, traj, U, static_solution.q_star, config.alpha, dt, theta, lumped,
+            factors=factors,
+        )
+        G = _dynamic_gradient(ops, traj, lams, U, static_solution, config)
+        return G.ravel(), (traj, lams)
 
     # the warm start is one control object at every node: factorized once
     us = static_solution.u_star.stacked()
-    U, traj, factors, J = sweep(np.tile(us, (n_steps + 1, 1)), [us] * (n_steps + 1))
-    history: list[IterationRecord] = []
-    for it in range(max_iter + 1):
-        lams = solve_adjoint_dynamic(
-            ops,
-            traj,
-            U,
-            static_solution.q_star,
-            config.alpha,
-            dt,
-            theta,
-            lumped,
-            factors=factors,
-        )
-        factors = None  # only the adjoint needs them; free before the trials
-        G = _dynamic_gradient(ops, traj, lams, U, static_solution, config)
-        gnorm = float(np.linalg.norm(G))
-        if gnorm < config.tol or it == max_iter:
-            reason = "tol" if gnorm < config.tol else "max_iter"
-            history.append(IterationRecord(it, J, gnorm, 0.0))
-            break
-        # one multi-RHS solve: the rows of G.reshape(-1, n) are the x and y
-        # halves of each time node's gradient
-        D = -H_lu.solve(G.reshape(-1, n).T).T.reshape(G.shape)
-        try:
-            tau, _ = armijo_backtracking(
-                j_of_flat, U.ravel(), D.ravel(), G.ravel(), config.armijo, f0=J
-            )
-        except LineSearchError:
-            reason = "line_search"
-            history.append(IterationRecord(it, J, gnorm, 0.0))
-            break
-        history.append(IterationRecord(it, J, gnorm, tau))
-        U, traj, factors, J = trial
-
+    u, (traj, lams), history, reason = descend(
+        evaluate, gradient, sweep(np.tile(us, (n_nodes, 1)), [us] * n_nodes),
+        h_inv_of(ops, config), config, config.max_iter if max_iter is None else max_iter,
+        armijo_backtracking, 0,
+    )
+    U = u.reshape(n_nodes, 2 * n)
     return DynamicSolution(
-        control=TimeVaryingControl(
-            [ControlField.from_stacked(row) for row in U], dt=dt, T=T
-        ),
+        control=TimeVaryingControl([ControlField.from_stacked(r) for r in U], dt=dt, T=config.T),
         trajectory=traj,
         adjoint=lams,
         history=history,

@@ -7,11 +7,12 @@ The reduced cost of a control u is
 where q(u) is the unit-mass equilibrium and H = beta M + beta_g A_u is the
 control metric (L2 plus H1 per velocity component) that the dynamic OCP
 shares.  The gradient is H u per component plus the tensor contraction of
-the static adjoint with q.  L-BFGS directions start from gamma H^-1, with H
-factorized once, and Armijo backtracking safeguards the steps.  Each trial
-factorizes one bordered equilibrium matrix; the accepted trial's factor also
-serves its adjoint (transposed), so a gradient costs no further
-factorization.
+the static adjoint with q.  Both OCPs run one loop, :func:`descend`:
+gradient, stop test, L-BFGS direction from gamma H^-1 (H factorized once),
+Armijo backtracking, and the accepted trial, with its cost and state, as
+the next iterate.  A static trial factorizes one bordered equilibrium
+matrix; the accepted trial's factor also serves its adjoint (transposed),
+so a gradient costs no further factorization.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .adjoint import AdjointField, solve_adjoint_static
 from .fem import ControlField, FemOperators
 from .linalg import SolverError, lu_factor
-from .state import DensityField, _vals, solve_equilibrium
+from .state import DensityField, _n_steps, _vals, solve_equilibrium
 
 __all__ = [
     "ArmijoParams",
@@ -86,6 +87,9 @@ class OcpConfig:
             )
         if self.tol <= 0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter at least 1")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+        _n_steps(self.T, self.dt)
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ def reduced_gradient(
 ):
     """Gradient of the reduced cost at u.
 
-    Returns (grad, J, q, adjoint) with grad stacked as [gx, gy].  The
+    Returns (grad, q, adjoint) with grad stacked as [gx, gy].  The
     gradient of each component c is H u_c plus the tensor contraction of the
     adjoint with the equilibrium.  ``equilibrium`` may hold the (q, bordered
     factor) pair of an earlier solve at u; the adjoint then reuses that
@@ -153,7 +157,7 @@ def reduced_gradient(
     adj = solve_adjoint_static(ops, u, q, z, config.alpha, factor=factor)
     grad = per_component(control_metric(ops, config), u.stacked())
     grad += np.concatenate(ops.tensor.gradient_contraction(adj.values, q.values))
-    return grad, evaluate_cost(ops, q, z, u, config), q, adj
+    return grad, q, adj
 
 
 def armijo_backtracking(j_fun, u, d, grad, params: ArmijoParams, f0=None):
@@ -202,63 +206,91 @@ def _lbfgs_direction(grad, memory, h_inv):
     return r
 
 
+def h_inv_of(ops: FemOperators, config: OcpConfig):
+    """H^-1 on every length-n block of a vector: H is factorized once, and
+    each call is one multi-RHS solve."""
+    n, H_lu = ops.n, lu_factor(control_metric(ops, config))
+    return lambda v: H_lu.solve(v.reshape(-1, n).T).T.ravel()
+
+
+def descend(evaluate, gradient, start, h_inv, config, max_iter, line_search, memory):
+    """Armijo-safeguarded L-BFGS descent, shared by the static and dynamic OCPs.
+
+    ``evaluate(u)`` returns (u', J, state) for the point u' it evaluated (u
+    or its projection), ``gradient(u, state)`` returns (grad, result), and
+    ``start`` is an evaluated triple, passed inline so that only this call
+    holds it.  Directions are :func:`_lbfgs_direction` over at most
+    ``memory`` (s, y) pairs (-h_inv(grad) when the memory is empty, or when
+    they do not descend).  The last trial that ``line_search`` evaluates is
+    the one it accepts: it is the next iterate, with its J and state.  An
+    iterate's state is dropped once its gradient is taken, and no trial is
+    held while the next is evaluated.  Stops with ``reason`` "tol" once
+    |grad| < config.tol, "max_iter" or "line_search", and returns (u,
+    result, history, reason) at the last iterate.
+    """
+    u, J, state = start
+    del start
+    trial = []
+
+    def j_of(v):
+        trial.clear()
+        trial.extend(evaluate(v))
+        return trial[1]
+
+    history: list[IterationRecord] = []
+    pairs = deque(maxlen=memory)
+    step = grad_old = None
+    for it in range(max_iter + 1):
+        grad, result = gradient(u, state)
+        state = None
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < config.tol or it == max_iter:
+            reason = "tol" if gnorm < config.tol else "max_iter"
+            break
+        if step is not None and step @ (grad - grad_old) > 0:
+            pairs.append((step, grad - grad_old))
+        d = -_lbfgs_direction(grad, pairs, h_inv)
+        if not grad @ d < 0:
+            pairs.clear()
+            d = -h_inv(grad)
+        try:
+            tau, _ = line_search(j_of, u, d, grad, config.armijo, f0=J)
+        except LineSearchError:
+            reason = "line_search"
+            break
+        history.append(IterationRecord(it, J, gnorm, tau))
+        u_new, J, state = trial
+        step, grad_old, u = u_new - u, grad, u_new
+    history.append(IterationRecord(it, J, gnorm, 0.0))
+    return u, result, history, reason
+
+
 def solve_static_ocp(
     ops: FemOperators, z, config: OcpConfig, u0: ControlField | None = None
 ) -> StaticSolution:
-    """L-BFGS iteration on the reduced cost.
+    """L-BFGS iteration on the reduced cost, by :func:`descend`.
 
-    Pairs with s^T y <= 0 are skipped; a direction that is not a descent
-    direction clears the memory and falls back to -H^-1 grad.  The accepted
-    Armijo trial, with its equilibrium and bordered factor, is the next
-    iterate, so accepted costs are nonincreasing.  Stops when the Euclidean
-    norm of the stacked gradient drops below config.tol, after max_iter
-    iterations, or when the line search fails; ``reason`` says which.
+    Each trial solves one bordered equilibrium; the accepted trial's
+    equilibrium, factor and cost serve the next gradient, so accepted costs
+    are nonincreasing.  ``reason`` says why the iteration stopped.
     """
-    n = ops.n
     zv = _vals(z)
-    u = u0.stacked() if u0 is not None else np.zeros(2 * n)
-    H_lu = lu_factor(control_metric(ops, config))
 
-    def h_inv(v):  # both halves in one multi-RHS solve
-        return H_lu.solve(v.reshape(2, n).T).T.ravel()
-
-    # Armijo returns on the first trial it accepts, so the last trial
-    # evaluated is the next iterate.
-    trial = []
-
-    def j_of(u_vec):
-        cf = ControlField.from_stacked(u_vec)
-        q, _, factor = solve_equilibrium(ops, cf, return_factor=True)
-        trial[:] = [u_vec, (q, factor)]
-        return evaluate_cost(ops, q, zv, cf, config)
-
-    history: list[IterationRecord] = []
-    memory = deque(maxlen=LBFGS_MEMORY)
-    equilibrium = step = grad_old = None
-    for it in range(config.max_iter + 1):
+    def evaluate(u):
         cf = ControlField.from_stacked(u)
-        grad, J, q, adj = reduced_gradient(ops, cf, zv, config, equilibrium)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < config.tol or it == config.max_iter:
-            reason = "tol" if gnorm < config.tol else "max_iter"
-            history.append(IterationRecord(it, J, gnorm, 0.0))
-            break
-        if step is not None and step @ (grad - grad_old) > 0:
-            memory.append((step, grad - grad_old))
-        d = -_lbfgs_direction(grad, memory, h_inv)
-        if not grad @ d < 0:
-            memory.clear()
-            d = -h_inv(grad)
-        try:
-            tau, _ = armijo_backtracking(j_of, u, d, grad, config.armijo, f0=J)
-        except LineSearchError:
-            reason = "line_search"
-            history.append(IterationRecord(it, J, gnorm, 0.0))
-            break
-        history.append(IterationRecord(it, J, gnorm, tau))
-        u_new, equilibrium = trial
-        step, grad_old, u = u_new - u, grad, u_new
+        q, _, factor = solve_equilibrium(ops, cf, return_factor=True)
+        return u, evaluate_cost(ops, q, zv, cf, config), (q, factor)
 
+    def gradient(u, equilibrium):
+        cf = ControlField.from_stacked(u)
+        grad, q, adj = reduced_gradient(ops, cf, zv, config, equilibrium)
+        return grad, (q, adj)
+
+    u = u0.stacked() if u0 is not None else np.zeros(2 * ops.n)
+    u, (q, adj), history, reason = descend(
+        evaluate, gradient, evaluate(u), h_inv_of(ops, config), config, config.max_iter,
+        armijo_backtracking, LBFGS_MEMORY,
+    )
     return StaticSolution(
         q_star=q,
         u_star=ControlField.from_stacked(u),

@@ -179,22 +179,19 @@ class MeshDomain:
             np.minimum(self._ea, self._eb) - pad, np.maximum(self._ea, self._eb) + pad
         )
 
-    def contains(self, points):
-        tri, _ = self.locator.locate(points)
-        return tri >= 0
-
-    def reflect(self, start, end, outside=None):
+    def reflect(self, start, end, located=None):
         """Specularly fold the segments start->end back into the domain.
 
-        ``start`` must be inside.  Applies up to _MAX_REFLECTIONS bounces per
-        particle; anything still outside afterwards is returned to its start
-        point (counted and logged).
+        ``start`` must be inside; ``located`` may hold the (tri, bary) of
+        ``end`` from :meth:`TriangleLocator.locate`.  Applies up to
+        _MAX_REFLECTIONS bounces per particle; anything still outside
+        afterwards is returned to its start point (counted and logged).
+        Returns (end, tri, bary): the folded points and their location, found
+        by the locate that tests each bounce.
         """
         end = end.copy()
-        if outside is None:
-            outside = ~self.contains(end)
-        else:
-            outside = outside.copy()
+        tri, bary = self.locator.locate(end) if located is None else map(np.copy, located)
+        outside = tri < 0
         stuck = np.zeros(len(end), dtype=bool)
         p = start.copy()
         for _ in range(_MAX_REFLECTIONS):
@@ -217,7 +214,8 @@ class MeshDomain:
                 # restart strictly inside so the sweep cannot re-cross the
                 # same edge at t = 0 and wedge the particle on the boundary
                 p[gi] = hit + self._nudge * nrm
-                outside[gi] = ~self.contains(end[gi])
+                tri[gi], bary[gi] = self.locator.locate(end[gi])
+                outside[gi] = tri[gi] < 0
         still = outside | stuck
         if still.any():
             logger.warning(
@@ -225,7 +223,8 @@ class MeshDomain:
                 int(still.sum()),
             )
             end[still] = start[still]
-        return end
+            tri[still], bary[still] = self.locator.locate(end[still])
+        return end, tri, bary
 
     def _first_crossing(self, p, q):
         """Earliest boundary-edge crossing of each segment p->q.
@@ -387,9 +386,9 @@ def step_particles(
     outside = tri < 0
     if outside.any():
         idx = np.flatnonzero(outside)
-        fixed = domain.reflect(X[idx], proposal[idx], outside=np.ones(len(idx), bool))
-        proposal[idx] = fixed
-        tri[idx], bary[idx] = domain.locator.locate(fixed)
+        proposal[idx], tri[idx], bary[idx] = domain.reflect(
+            X[idx], proposal[idx], (tri[idx], bary[idx])
+        )
     return ParticleEnsemble(
         positions=proposal,
         rng_seed=ensemble.rng_seed,

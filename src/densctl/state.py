@@ -219,6 +219,17 @@ def step_theta(
     return density_from_values(ops, traj.states[1])
 
 
+def _n_steps(T: float, dt: float) -> int:
+    """Number of uniform steps of size dt in [0, T]; raises ValueError unless
+    dt > 0 and T is a positive integer multiple of dt."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n_steps = round(T / dt) if np.isfinite(T / dt) else 0
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError(f"T={T} is not a positive integer multiple of dt={dt}")
+    return n_steps
+
+
 def _controls_for_grid(control, n_steps):
     """Normalize a control argument to a per-node list of length n_steps + 1."""
     if isinstance(control, ControlField):
@@ -246,11 +257,6 @@ def simulate(
     ``control`` is either a single ControlField (held constant, so factorized
     once) or a sequence of ControlField with one entry per time node.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = round(T / dt)
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
-    controls = _controls_for_grid(control, n_steps)
+    controls = _controls_for_grid(control, _n_steps(T, dt))
     traj, _ = theta_sweep(ops, q0, controls, dt, theta, lumped, keep_factors=False)
     return replace(traj, control=control)

@@ -155,7 +155,7 @@ def test_criterion_04_gradient_exactness():
             q, _ = dc.solve_equilibrium(ops, cf)
             return evaluate_cost(ops, q, z, cf, cfg)
 
-        grad, _, _, _ = reduced_gradient(ops, dc.ControlField.from_stacked(u0), z, cfg)
+        grad, _, _ = reduced_gradient(ops, dc.ControlField.from_stacked(u0), z, cfg)
         for _ in range(10):
             d = rng.standard_normal(2 * ops.n)
             d /= np.linalg.norm(d)

@@ -151,6 +151,16 @@ def test_config_validation_lists_all_problems(tmp_path, capsys):
     assert err.count("error: config:") >= 4
 
 
+@pytest.mark.parametrize("dt, T", [(0.0, 0.25), (-0.05, 0.25), (0.05, 0.0)])
+def test_bad_time_grid_is_a_config_problem(run_cfg, tmp_path, capsys, dt, T):
+    _, cfg = run_cfg
+    cfg["ocp"].update(dt=dt, T=T)
+    path = tmp_path / "cfg_grid.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["dynamic", "--config", str(path)]) == 2
+    assert "error: config: ocp: " in capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert main(["static", "--config", "/nonexistent/cfg.json"]) == 2
     assert "not found" in capsys.readouterr().err

@@ -24,6 +24,9 @@ def test_config_validation():
         OcpConfig(alpha=0.0)
     with pytest.raises(ValueError):
         OcpConfig(beta=-1.0)
+    for theta in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="theta"):
+            OcpConfig(theta=theta)
     with pytest.raises(ValueError):
         ArmijoParams(c1=1.5)
     with pytest.raises(ValueError):
@@ -71,7 +74,7 @@ def test_gradient_matches_finite_differences(small_mesh, base_config, with_drift
         q, _ = dc.solve_equilibrium(ops, cf)
         return evaluate_cost(ops, q, z, cf, cfg)
 
-    grad, J, _, _ = reduced_gradient(ops, dc.ControlField.from_stacked(u0), z, cfg)
+    grad, _, _ = reduced_gradient(ops, dc.ControlField.from_stacked(u0), z, cfg)
     for _ in range(10):
         d = rng.standard_normal(2 * ops.n)
         d /= np.linalg.norm(d)
@@ -88,7 +91,7 @@ def test_gradient_contraction_term_only(small_ops, rng):
     cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=0.0)
     z = dc.gaussian_density(small_ops, (0.3, 0.7), 0.2)
     u = dc.ControlField.zeros(small_ops.n)
-    grad, _, q, adj = reduced_gradient(small_ops, u, z, cfg)
+    grad, q, adj = reduced_gradient(small_ops, u, z, cfg)
     gx, gy = small_ops.tensor.gradient_contraction(adj.values, q.values)
     assert_allclose(grad, np.concatenate([gx, gy]), rtol=0, atol=1e-15)
 
@@ -252,3 +255,105 @@ def test_static_stop_reasons(small_ops):
         assert sol.reason == reason
         assert sol.converged == (reason == "tol")
     assert len(sol.history) == 1 and sol.history[0].step_size == 0.0
+
+
+# A convex quadratic J(u) = 1/2 u^T A u - b^T u with a Jacobi h_inv, for descend.
+QUAD_A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.8], [0.5, -0.8, 2.0]])
+QUAD_B = np.array([1.0, -2.0, 3.0])
+
+
+def _quad_cost(u):
+    return float(0.5 * u @ (QUAD_A @ u) - QUAD_B @ u)
+
+
+def _quad_gradient(u, state):
+    return QUAD_A @ u - QUAD_B, None
+
+
+def _jacobi(scale=1.0):
+    return lambda v: scale * v / np.diag(QUAD_A)
+
+
+def test_descend_without_memory_is_preconditioned_steepest_descent():
+    cfg = OcpConfig(tol=1e-300, max_iter=12)
+    iterates = []
+
+    def gradient(u, state):
+        iterates.append(u.copy())
+        return _quad_gradient(u, state)
+
+    def evaluate(u):
+        return u, _quad_cost(u), None
+
+    u0 = np.array([3.0, 2.0, -1.0])
+    u, _, history, reason = ocp_static.descend(
+        evaluate, gradient, evaluate(u0), _jacobi(4.0), cfg, cfg.max_iter,
+        armijo_backtracking, 0,
+    )
+    assert reason == "max_iter"
+    # the same iteration written out: d = -h_inv(grad), then Armijo
+    ref = [u0]
+    for _ in range(cfg.max_iter):
+        v = ref[-1]
+        g, _ = _quad_gradient(v, None)
+        d = -_jacobi(4.0)(g)
+        tau, _ = armijo_backtracking(_quad_cost, v, d, g, cfg.armijo, f0=_quad_cost(v))
+        ref.append(v + tau * d)
+    assert len(iterates) == len(ref) == len(history)
+    for got, want, rec in zip(iterates, ref, history):
+        assert np.array_equal(got, want)
+        assert rec.J == _quad_cost(want)
+    assert np.array_equal(u, ref[-1])
+
+
+def test_descend_accepts_the_projected_trial():
+    # the unconstrained minimizer lies outside the box |u_i| <= 0.3
+    cfg = OcpConfig(tol=1e-10, max_iter=40)
+    iterates = []
+
+    def evaluate(u):
+        p = np.clip(u, -0.3, 0.3)
+        return p, _quad_cost(p), None
+
+    def gradient(u, state):
+        iterates.append(u.copy())
+        return _quad_gradient(u, state)
+
+    u, _, history, _ = ocp_static.descend(
+        evaluate, gradient, evaluate(np.zeros(3)), _jacobi(), cfg, cfg.max_iter,
+        armijo_backtracking, 0,
+    )
+    assert len(history) > 2
+    for v, rec in zip(iterates, history):
+        assert np.array_equal(v, np.clip(v, -0.3, 0.3))
+        assert rec.J == _quad_cost(v)  # the accepted trial's J, not a recomputation
+    costs = [rec.J for rec in history]
+    assert all(b <= a for a, b in zip(costs, costs[1:]))
+    assert np.array_equal(u, iterates[-1])
+
+
+@pytest.mark.parametrize("memory", [0, ocp_static.LBFGS_MEMORY])
+def test_descend_holds_no_state_while_it_evaluates(memory):
+    # each state stands for an iterate's or a trial's factors: none may be
+    # alive while the next trial is evaluated
+    import weakref
+
+    class State:
+        pass
+
+    cfg = OcpConfig(tol=1e-10, max_iter=30)
+    made, alive_at_evaluation = [], []
+
+    def evaluate(u):
+        alive_at_evaluation.append(sum(r() is not None for r in made))
+        state = State()
+        made.append(weakref.ref(state))
+        return u, _quad_cost(u), state
+
+    # an overlong first direction makes the line searches backtrack
+    _, _, history, _ = ocp_static.descend(
+        evaluate, _quad_gradient, evaluate(np.array([3.0, 2.0, -1.0])), _jacobi(8.0), cfg,
+        cfg.max_iter, armijo_backtracking, memory,
+    )
+    assert len(made) > len(history) + 1  # some trials were rejected
+    assert alive_at_evaluation == [0] * len(made)

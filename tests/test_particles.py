@@ -134,7 +134,7 @@ def test_containment_many_steps(domain, holed_ops, holed_mesh):
     rng = np.random.default_rng(2)
     for _ in range(30):
         ens = step_particles(ens, domain, None, mu=1.0, dt=0.03, rng=rng)
-        assert domain.contains(ens.positions).all()
+        assert (domain.locator.locate(ens.positions)[0] >= 0).all()
 
 
 def test_pure_diffusion_preserves_uniform(domain, holed_ops, holed_mesh):
@@ -156,8 +156,12 @@ def test_reflection_simple_wall():
     dom = MeshDomain(mesh)
     start = np.array([[0.9, 0.5]])
     end = np.array([[1.06, 0.5]])
-    out = dom.reflect(start, end)
+    out, tri, bary = dom.reflect(start, end)
     assert_allclose(out, [[0.94, 0.5]], atol=1e-12)
+    # the location comes with the folded point
+    want_tri, want_bary = dom.locator.locate(out)
+    assert tri.tolist() == want_tri.tolist() and (tri >= 0).all()
+    assert_allclose(bary, want_bary, rtol=0, atol=0)
 
 
 def test_empirical_density_unit_mass(domain, holed_ops, holed_mesh):

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 import densctl as dc
 
-from densctl.state import NegativeDensityWarning, step_theta
+from densctl.ocp_dynamic import TimeVaryingControl
+from densctl.ocp_static import OcpConfig
+from densctl.state import NegativeDensityWarning, _n_steps, step_theta
 
 from conftest import random_control
 
@@ -105,6 +107,29 @@ def test_simulate_bad_grid(small_ops):
     q0 = dc.uniform_density(small_ops)
     with pytest.raises(ValueError):
         dc.simulate(small_ops, q0, dc.ControlField.zeros(small_ops.n), T=1.0, dt=0.3)
+
+
+# dt = 0, dt < 0, T = 0, and a T that is no multiple of dt
+BAD_GRIDS = [(1.0, 0.0), (1.0, -0.1), (0.0, 0.1), (1.0, 0.3)]
+
+
+@pytest.mark.parametrize("T, dt", BAD_GRIDS)
+def test_every_time_grid_goes_through_one_check(small_ops, T, dt):
+    u = dc.ControlField.zeros(small_ops.n)
+    for make in (
+        lambda: _n_steps(T, dt),
+        lambda: dc.simulate(small_ops, dc.uniform_density(small_ops), u, T=T, dt=dt),
+        lambda: OcpConfig(T=T, dt=dt),
+        lambda: TimeVaryingControl([u] * 11, dt=dt, T=T),
+    ):
+        with pytest.raises(ValueError, match="dt"):
+            make()
+
+
+def test_time_grid_step_count():
+    assert _n_steps(1.0, 0.1) == 10
+    assert _n_steps(3.0, 0.03) == 100
+    assert OcpConfig(T=0.25, dt=0.05).T == 0.25
 
 
 def test_positivity_lumped_implicit_euler(small_mesh):
