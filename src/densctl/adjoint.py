@@ -10,6 +10,7 @@ scheme, marched backward from a zero terminal multiplier; this makes the
 assembled control gradient exact for the fully discrete cost.  Each time
 slice is gauge-fixed to zero mean (shifts along the constant vector are in
 the kernel of the transposed operator and do not change the gradient).
+The optimizer's adjoint sweeps run GMRES against its forward sweeps' LU.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import ControlField, FemOperators, state_matrix
-from .linalg import SolverError, bordered_lu, bordered_solve, lu_factor
+from .linalg import SolverError, bordered_lu, bordered_solve, gmres_solve, lu_factor
 from .state import Trajectory, _controls_for_grid, _vals
 
 __all__ = [
@@ -51,6 +52,7 @@ class AdjointTrajectory:
 
     times: np.ndarray
     values: np.ndarray  # (n_steps + 1, n_nodes)
+    fallbacks: int = 0  # steps that GMRES missed, solved directly
 
 
 def compute_lambda_m(v, ops: FemOperators, q, z, alpha: float) -> float:
@@ -105,10 +107,6 @@ def trapezoid_weights(n_steps: int) -> np.ndarray:
     return w
 
 
-def _project_zero_mean(lam, F, f_total):
-    return lam - (float(F @ lam) / f_total)
-
-
 def solve_adjoint_dynamic(
     ops: FemOperators,
     trajectory: Trajectory,
@@ -119,15 +117,16 @@ def solve_adjoint_dynamic(
     theta: float,
     lumped: bool = True,
     weights=None,
-    factors=None,
+    precond=None,
 ) -> AdjointTrajectory:
     """Discrete adjoint of the theta scheme for the tracking cost.
 
     ``controls`` holds one ControlField or stacked [ux, uy] row per time
     node.  The source at node i is w_i * dt * alpha * M (q_i - q_ref) with
-    trapezoidal weights by default.  ``factors`` may hold precomputed LU
-    factorizations of the implicit step matrices (index i for the step into
-    node i), which are then reused in transposed solves.
+    trapezoidal weights by default.  Each transposed step is factorized, or,
+    given ``precond`` (the LU of a nearby step matrix), solved by
+    :func:`linalg.gmres_solve` from the next step's multiplier, with its
+    misses counted in ``fallbacks``.
     """
     n_steps = trajectory.n_steps
     if abs(trajectory.dt - dt) > 1e-12 * max(1.0, dt):
@@ -140,17 +139,18 @@ def solve_adjoint_dynamic(
 
     values = np.zeros((n_steps + 1, ops.n))
     lam_next = np.zeros(ops.n)
+    fallbacks = 0
     for i in range(n_steps, 0, -1):
         L_i = ops.state_data(controls[i])
         source = w[i] * dt * alpha * (ops.M @ (trajectory.states[i] - qref))
         rhs = ops.tensor.csr(mass - (1.0 - theta) * L_i).T @ lam_next + source
-        if factors is not None:
-            lam = factors[i].solve(rhs, trans="T")
+        if precond is not None:  # A_i^T as CSR: the CSC arrays of A_i
+            A_T = ops.tensor.csc(mass + theta * L_i).T
+            lam, missed = gmres_solve(A_T, rhs, precond, lam_next, trans="T")
+            fallbacks += missed
         else:
             lam = lu_factor(ops.tensor.csr(mass + theta * L_i).T).solve(rhs)
         if not np.isfinite(lam).all():
             raise SolverError(f"dynamic adjoint solve failed at step {i}")
-        lam = _project_zero_mean(lam, ops.F, f_total)
-        values[i - 1] = lam
-        lam_next = lam
-    return AdjointTrajectory(times=trajectory.times.copy(), values=values)
+        values[i - 1] = lam_next = lam - float(ops.F @ lam) / f_total
+    return AdjointTrajectory(trajectory.times.copy(), values, fallbacks)

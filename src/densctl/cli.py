@@ -142,10 +142,12 @@ def validate_config(cfg) -> None:
         elif kind == "nodal" and not os.path.exists(spec.get("file", "")):
             problems.append(f"{name}.file does not exist: {spec.get('file')}")
     ocp = cfg.get("ocp", {})
-    try:
-        _ocp_config(ocp)
-    except (ValueError, TypeError) as exc:
-        problems.append(f"ocp: {exc}")
+    for name, section in (("ocp", ocp), ("dynamic", _merge(ocp, cfg.get("dynamic", {})))):
+        try:
+            _ocp_config(section)
+        except (ValueError, TypeError) as exc:
+            problems.append(f"{name}: {exc}")
+            break  # the merged dynamic section inherits every ocp problem
     if problems:
         raise ConfigError(problems)
 
@@ -381,7 +383,7 @@ def cmd_dynamic(args) -> int:
     last = dyn.history[-1]
     print(
         f"dynamic OCP: stopped ({dyn.reason}) after {len(dyn.history)} iterations, "
-        f"J_t={float(last.J)!r}, "
+        f"J_t={float(last.J)!r}, {dyn.fallbacks} GMRES fallbacks, "
         f"final control distance {float(dyn.control_distances[-1])!r}"
     )
     return 0

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-__all__ = ["SolverError", "lu_factor", "bordered_lu", "bordered_solve"]
+__all__ = ["SolverError", "lu_factor", "bordered_lu", "bordered_solve", "gmres_solve"]
 
 
 class SolverError(Exception):
@@ -52,3 +52,41 @@ def bordered_solve(factor, rhs, rhs_scalar, trans="N"):
     if not np.isfinite(x).all():
         raise SolverError("bordered solve produced non-finite values")
     return x[:-1], float(x[-1]), float(np.abs(r).max() / scale)
+
+
+def gmres_solve(A, b, lu, x0, trans="N"):
+    """Solve A x = b by one GMRES cycle from x0, preconditioned on the right
+    by ``lu.solve(., trans)``; returns (x, missed).  Arnoldi (Gram-Schmidt
+    done twice) stops at a residual estimate of 1e-14 |b| or after 60 steps.
+    GMRES has missed unless |b - A x| <= 1e-13 |b|; then A is factorized
+    and solved directly, with one step of refinement.
+    """
+    m = 60  # Arnoldi steps of the one cycle: no restart
+    bnorm, r = np.linalg.norm(b), b - A @ x0
+    V, Z = np.empty((m + 1, len(b))), np.empty((m, len(b)))
+    R, g, rotations = np.zeros((m, m)), [np.linalg.norm(r)], []
+    V[0] = r / max(g[0], 1e-300)
+    for k in range(m):
+        if abs(g[k]) <= 1e-14 * bnorm:
+            break
+        Z[k] = lu.solve(V[k], trans=trans)
+        w = A @ Z[k]
+        h = V[: k + 1] @ w
+        w -= h @ V[: k + 1]
+        dh = V[: k + 1] @ w  # Gram-Schmidt again, for orthogonality
+        w -= dh @ V[: k + 1]
+        col, beta = (h + dh).tolist(), np.linalg.norm(w)
+        V[k + 1] = w / max(beta, 1e-300)
+        for i, (c, s) in enumerate(rotations):  # the earlier Givens rotations
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = max(np.hypot(col[k], beta), 1e-300)
+        rotations.append((col[k] / rho, beta / rho))
+        R[: k + 1, k] = col[:k] + [rho]
+        g[k:] = [col[k] / rho * g[k], -beta / rho * g[k]]
+    k = len(rotations)
+    x = x0 + np.linalg.solve(R[:k, :k], g[:k]) @ Z[:k]
+    if np.isfinite(x).all() and np.linalg.norm(b - A @ x) <= 1e-13 * bnorm:
+        return x, False
+    direct = lu_factor(A)
+    x = direct.solve(b)
+    return x + direct.solve(b - A @ x), True

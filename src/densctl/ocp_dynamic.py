@@ -8,7 +8,8 @@ developing a terminal transient.  Controls are (n_t, 2n) stacks of [ux, uy]
 rows.  The optimizer is :func:`ocp_static.descend` on forward sweeps of
 the theta scheme and backward sweeps of its exact discrete adjoint, with
 steps -H^-1 G; every trial control is projected onto the pointwise
-magnitude ball of the static control before it is evaluated.
+magnitude ball of the static control before it is evaluated.  Sweeps run
+GMRES against the warm start's one LU and keep no per-step factors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ocp_static import (
     h_inv_of,
     per_component,
 )
-from .state import Trajectory, _n_steps, _vals, theta_sweep
+from .state import Trajectory, _controls_for_grid, _n_steps, _vals, theta_sweep
 
 __all__ = [
     "TimeVaryingControl",
@@ -49,11 +50,7 @@ class TimeVaryingControl:
     T: float
 
     def __post_init__(self):
-        n_steps = _n_steps(self.T, self.dt)
-        if len(self.controls) != n_steps + 1:
-            raise ValueError(
-                f"{len(self.controls)} control nodes for T/dt = {n_steps} steps"
-            )
+        _controls_for_grid(self.controls, _n_steps(self.T, self.dt))
 
     @property
     def n_steps(self) -> int:
@@ -72,6 +69,7 @@ class DynamicSolution:
     control_distances: np.ndarray  # per-node M-norm of u(t) - u_static, both components
     state_distances: np.ndarray  # per-node ||q(t) - q_static||_M
     reason: str  # why the iteration stopped: "tol", "max_iter" or "line_search"
+    fallbacks: int = 0  # sweep steps GMRES missed, over the accepted sweeps
 
     @property
     def converged(self) -> bool:
@@ -144,38 +142,39 @@ def solve_dynamic_ocp(
     :func:`ocp_static.descend` with no L-BFGS memory: every direction is
     -H^-1 G, steepest descent in the control metric.  Each Armijo trial is
     one forward sweep of a projected control; a gradient is one adjoint
-    sweep on the factors of the accepted trial's.  ``reason`` says why the
-    iteration stopped.
+    sweep.  Both run GMRES against the warm start's LU (``fallbacks``
+    counts their missed steps).  ``reason`` says why the iteration stopped.
     """
     n = ops.n
     dt, theta, lumped = config.dt, config.theta, config.lumped
     n_nodes = _n_steps(config.T, dt) + 1
     q0v = _vals(q0)
     radius = static_solution.control_magnitude_bound()
+    # the warm start's one LU (a constant control) preconditions every sweep
+    us = static_solution.u_star.stacked()
+    traj, precond = theta_sweep(ops, q0v, [us] * n_nodes, dt, theta, lumped)
+    fallbacks = []
 
-    def sweep(U, controls):
-        traj, factors = theta_sweep(ops, q0v, controls, dt, theta, lumped)
+    def evaluated(U, traj):
         J = evaluate_dynamic_cost(ops, traj, U, static_solution, config)
-        return U.ravel(), J, (traj, factors)
+        return U.ravel(), J, traj
 
     def evaluate(u):
         U = project_to_magnitude_ball(u.reshape(n_nodes, 2 * n), n, radius)
-        return sweep(U, U)
+        return evaluated(U, theta_sweep(ops, q0v, U, dt, theta, lumped, precond)[0])
 
-    def gradient(u, state):
-        traj, factors = state
+    def gradient(u, traj):
         U = u.reshape(n_nodes, 2 * n)
         lams = solve_adjoint_dynamic(
             ops, traj, U, static_solution.q_star, config.alpha, dt, theta, lumped,
-            factors=factors,
+            precond=precond,
         )
+        fallbacks.append(traj.fallbacks + lams.fallbacks)
         G = _dynamic_gradient(ops, traj, lams, U, static_solution, config)
         return G.ravel(), (traj, lams)
 
-    # the warm start is one control object at every node: factorized once
-    us = static_solution.u_star.stacked()
     u, (traj, lams), history, reason = descend(
-        evaluate, gradient, sweep(np.tile(us, (n_nodes, 1)), [us] * n_nodes),
+        evaluate, gradient, evaluated(np.tile(us, (n_nodes, 1)), traj),
         h_inv_of(ops, config), config, config.max_iter if max_iter is None else max_iter,
         armijo_backtracking, 0,
     )
@@ -190,4 +189,5 @@ def solve_dynamic_ocp(
             _sq_norms(ops.M, traj.states - static_solution.q_star.values)
         ),
         reason=reason,
+        fallbacks=sum(fallbacks),
     )

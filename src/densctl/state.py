@@ -6,18 +6,19 @@ F.q = 1 and are computed through a bordered system that exploits the 1-D
 kernel.  Transients use the one-parameter theta scheme; theta = 1 with the
 lumped mass matrix preserves nonnegativity on strict-Delaunay meshes, while
 theta = 1/2 (Crank-Nicolson) with the consistent mass is second order.
-Single steps, simulations and optimizer sweeps all run :func:`theta_sweep`.
+Single steps, simulations and optimizer sweeps all run :func:`theta_sweep`,
+the optimizer's by GMRES against one frozen LU, keeping no step factors.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import ControlField, FemOperators, state_matrix
-from .linalg import SolverError, bordered_lu, bordered_solve, lu_factor
+from .linalg import SolverError, bordered_lu, bordered_solve, gmres_solve, lu_factor
 
 __all__ = [
     "DensityField",
@@ -83,14 +84,11 @@ class Trajectory:
     dt: float
     theta: float
     lumped: bool
-    control: object = field(repr=False, default=None)
+    fallbacks: int = 0  # time-varying steps that GMRES missed, solved directly
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
-
-    def state(self, i: int) -> np.ndarray:
-        return self.states[i]
 
     def mass_errors(self) -> np.ndarray:
         return np.abs(self.masses - self.masses[0])
@@ -144,20 +142,19 @@ def theta_sweep(
     dt: float,
     theta: float = 1.0,
     lumped: bool = True,
-    keep_factors: bool = True,
+    precond=None,
 ):
     """Theta-method sweep of M dq/dt + L(u) q = 0 on a uniform time grid.
 
     ``controls`` holds one entry per time node, each a ControlField or a
     stacked (ux, uy) vector.  Step i solves
-    (M/dt + theta L_{i+1}) q_{i+1} = (M/dt - (1-theta) L_i) q_i with one step
-    of iterative refinement.  The operators are data arrays on the tensor's
-    sparsity pattern, and each node's L data serves as the implicit part of
-    the step into it and the explicit part of the step out of it.  A control
-    given as the same object at every node is factorized once.  Returns
-    (trajectory, factors) where ``factors[i]`` is the LU of the step into
-    node i (``factors[0]`` is None, and so is every entry when
-    ``keep_factors`` is false, which bounds the memory of long sweeps).
+    (M/dt + theta L_{i+1}) q_{i+1} = (M/dt - (1-theta) L_i) q_i by LU with one
+    step of iterative refinement, or, for a time-varying control given a
+    ``precond`` (a nearby step matrix's LU), by :func:`linalg.gmres_solve`.
+    The operators are data arrays on the tensor's sparsity pattern, and each
+    node's L data is the implicit part of the step into it and the explicit
+    part of the step out of it.  A control given as the same object at every
+    node is factorized once.  Returns (trajectory, that LU or else None).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -166,12 +163,13 @@ def theta_sweep(
     controls = list(controls)
     n_steps = len(controls) - 1
     constant = all(c is controls[0] for c in controls)
+    krylov = precond is not None and not constant
     tensor = ops.tensor
     mass = ops.mass_data(lumped) / dt
 
     states = np.empty((n_steps + 1, ops.n))
     states[0] = _vals(q0)
-    factors = [None] * (n_steps + 1)
+    fallbacks, lu = 0, None
     L = ops.state_data(controls[0])
     for i in range(n_steps):
         if i == 0 or not constant:
@@ -179,12 +177,14 @@ def theta_sweep(
             if not constant:
                 L = ops.state_data(controls[i + 1])
             implicit = tensor.csc(mass + theta * L)
-            lu = lu_factor(implicit)
-        if keep_factors:
-            factors[i + 1] = lu
+            lu = None if krylov else lu_factor(implicit)
         rhs = explicit @ states[i]
-        qn = lu.solve(rhs)
-        states[i + 1] = qn + lu.solve(rhs - implicit @ qn)
+        if krylov:
+            states[i + 1], missed = gmres_solve(implicit, rhs, precond, states[i])
+            fallbacks += missed
+        else:
+            qn = lu.solve(rhs)
+            states[i + 1] = qn + lu.solve(rhs - implicit @ qn)
     if not np.isfinite(states).all():
         raise SolverError(
             "theta sweep produced non-finite states; the implicit matrix is "
@@ -198,8 +198,9 @@ def theta_sweep(
         dt=float(dt),
         theta=float(theta),
         lumped=bool(lumped),
+        fallbacks=fallbacks,
     )
-    return traj, factors
+    return traj, lu if constant else None
 
 
 def step_theta(
@@ -258,5 +259,4 @@ def simulate(
     once) or a sequence of ControlField with one entry per time node.
     """
     controls = _controls_for_grid(control, _n_steps(T, dt))
-    traj, _ = theta_sweep(ops, q0, controls, dt, theta, lumped, keep_factors=False)
-    return replace(traj, control=control)
+    return theta_sweep(ops, q0, controls, dt, theta, lumped)[0]

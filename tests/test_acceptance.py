@@ -187,10 +187,10 @@ def test_criterion_04_gradient_exactness():
         traj, _ = theta_sweep(opst, q0.values, Um, dcfg.dt, dcfg.theta, dcfg.lumped)
         return evaluate_dynamic_cost(opst, traj, Um, static, dcfg)
 
-    traj, factors = theta_sweep(opst, q0.values, U, dcfg.dt, dcfg.theta, dcfg.lumped)
+    traj, _ = theta_sweep(opst, q0.values, U, dcfg.dt, dcfg.theta, dcfg.lumped)
     lams = solve_adjoint_dynamic(
         opst, traj, [dc.ControlField.from_stacked(r) for r in U], static.q_star,
-        dcfg.alpha, dcfg.dt, dcfg.theta, dcfg.lumped, factors=factors,
+        dcfg.alpha, dcfg.dt, dcfg.theta, dcfg.lumped,
     )
     G = _dynamic_gradient(opst, traj, lams, U, static, dcfg)
     worst_dyn = 0.0

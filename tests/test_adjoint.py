@@ -99,8 +99,16 @@ def test_dynamic_adjoint_zero_cases(small_ops, rng):
     assert np.abs(lams2.values).max() == 0.0
 
 
-@pytest.mark.parametrize("theta,lumped", [(1.0, True), (0.5, False)])
-def test_dynamic_adjoint_dense_spacetime_oracle(tiny_ops, rng, theta, lumped):
+@pytest.mark.parametrize(
+    "theta,lumped,krylov",
+    [
+        pytest.param(1.0, True, False, id="1.0-True"),
+        pytest.param(0.5, False, False, id="0.5-False"),
+        pytest.param(1.0, True, True, id="1.0-True-krylov"),
+        pytest.param(0.5, False, True, id="0.5-False-krylov"),
+    ],
+)
+def test_dynamic_adjoint_dense_spacetime_oracle(tiny_ops, rng, theta, lumped, krylov):
     # assemble the full discrete forward map densely, transpose it, and
     # compare the block solution (after the zero-mean gauge shift)
     n = tiny_ops.n
@@ -109,11 +117,17 @@ def test_dynamic_adjoint_dense_spacetime_oracle(tiny_ops, rng, theta, lumped):
     U = 0.4 * rng.standard_normal((n_steps + 1, 2 * n))
     q0 = dc.normalized_density(tiny_ops, rng.random(n) + 0.3)
     qref = dc.normalized_density(tiny_ops, rng.random(n) + 0.3)
-    traj, _ = theta_sweep(tiny_ops, q0.values, U, dt, theta, lumped)
+    # the Krylov sweeps are preconditioned by another control's step matrix,
+    # so GMRES needs several iterations per step
+    other = random_control(tiny_ops, rng, 0.4)
+    precond = theta_sweep(tiny_ops, q0, [other] * 2, dt, theta, lumped)[1] if krylov else None
+    traj, _ = theta_sweep(tiny_ops, q0.values, U, dt, theta, lumped, precond)
     controls = [dc.ControlField.from_stacked(r) for r in U]
     lams = solve_adjoint_dynamic(
-        tiny_ops, traj, controls, qref, alpha=1.7, dt=dt, theta=theta, lumped=lumped
+        tiny_ops, traj, controls, qref, alpha=1.7, dt=dt, theta=theta, lumped=lumped,
+        precond=precond,
     )
+    assert traj.fallbacks == lams.fallbacks == 0
 
     Ms = (tiny_ops.M_lumped if lumped else tiny_ops.M).toarray()
     Ls = [dc.state_matrix(tiny_ops, c).toarray() for c in controls]

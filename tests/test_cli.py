@@ -161,6 +161,23 @@ def test_bad_time_grid_is_a_config_problem(run_cfg, tmp_path, capsys, dt, T):
     assert "error: config: ocp: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dynamic", [{"dt": 0.0}, {"T": 0.27}])
+def test_bad_dynamic_section_is_a_config_problem(run_cfg, tmp_path, capsys, dynamic):
+    _, cfg = run_cfg
+    cfg["dynamic"].update(dynamic)
+    path = tmp_path / "cfg_dynamic.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["dynamic", "--config", str(path)]) == 2
+    assert "error: config: dynamic: " in capsys.readouterr().err
+    assert not os.path.exists(cfg["out_dir"])  # rejected before any solve
+
+
+def test_dynamic_summary_counts_gmres_fallbacks(run_cfg, tmp_path, capsys):
+    path, _ = run_cfg
+    assert main(["dynamic", "--config", str(path), "--out", str(tmp_path / "d")]) == 0
+    assert ", 0 GMRES fallbacks, " in capsys.readouterr().out
+
+
 def test_missing_config_file(capsys):
     assert main(["static", "--config", "/nonexistent/cfg.json"]) == 2
     assert "not found" in capsys.readouterr().err

@@ -117,10 +117,10 @@ def test_dynamic_gradient_matches_finite_differences(
         traj, _ = theta_sweep(tiny_ops, q0.values, Um, cfg.dt, theta, lumped)
         return evaluate_dynamic_cost(tiny_ops, traj, Um, static, cfg)
 
-    traj, factors = theta_sweep(tiny_ops, q0.values, U, cfg.dt, theta, lumped)
+    traj, _ = theta_sweep(tiny_ops, q0.values, U, cfg.dt, theta, lumped)
     lams = solve_adjoint_dynamic(
         tiny_ops, traj, [dc.ControlField.from_stacked(r) for r in U],
-        static.q_star, cfg.alpha, cfg.dt, theta, lumped, factors=factors,
+        static.q_star, cfg.alpha, cfg.dt, theta, lumped,
     )
     G = _dynamic_gradient(tiny_ops, traj, lams, U, static, cfg)
     for _ in range(10):

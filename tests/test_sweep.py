@@ -7,11 +7,13 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import densctl as dc
 from densctl.adjoint import solve_adjoint_dynamic
+from densctl.linalg import lu_factor
 from densctl.ocp_dynamic import _dynamic_gradient, evaluate_dynamic_cost, solve_dynamic_ocp
 from densctl.ocp_static import OcpConfig, StaticSolution, solve_static_ocp
 from densctl.state import theta_sweep
@@ -54,12 +56,12 @@ def test_dynamic_ocp_reuses_the_accepted_trial(small_ops, monkeypatch, counts):
     )
     counts["lu_factor"] = 0
     dyn = solve_dynamic_ocp(small_ops, q0, static, cfg)
-    n_steps = 10
     trials = len(evaluations) - 1  # the first sweep is the warm start's
     assert len(dyn.history) == 4 and trials == 5  # 3 line searches, 2 backtracks
-    # H once, one factorization for the warm start's constant control, then
-    # one per step of each trial; no iteration sweeps its accepted trial again
-    assert counts["lu_factor"] == 1 + 1 + n_steps * trials == 52
+    # H once and the warm start's constant control once; every trial and
+    # adjoint step is a GMRES solve preconditioned by the warm start's LU,
+    # and no iteration sweeps its accepted trial again
+    assert counts["lu_factor"] == 1 + 1 + dyn.fallbacks == 2
 
 
 @st.composite
@@ -99,12 +101,9 @@ def test_pattern_operators_on_random_meshes(mesh, drift, seed, scale, theta, lum
     assert np.abs(col_sums).max() <= 1e-12 * size
 
     q0 = dc.normalized_density(ops, rng.random(ops.n) + 0.1)
-    traj, factors = theta_sweep(ops, q0, [u_old, u_new], 0.01, theta, lumped)
-    assert factors[0] is None and len(factors) == 2
+    traj, lu = theta_sweep(ops, q0, [u_old, u_new], 0.01, theta, lumped)
+    assert lu is None  # only a constant control's LU is returned
     assert abs(ops.F @ traj.states[1] - 1.0) <= 1e-12
-    bare, none = theta_sweep(ops, q0, [u_old, u_new], 0.01, theta, lumped, keep_factors=False)
-    assert none == [None, None]
-    assert np.array_equal(bare.states, traj.states)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -139,9 +138,9 @@ def test_dynamic_gradient_on_random_meshes(mesh, drift, seed, theta, lumped):
         traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
         return evaluate_dynamic_cost(ops, traj, Um, static, cfg)
 
-    traj, factors = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
+    traj, _ = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
     lams = solve_adjoint_dynamic(
-        ops, traj, U, static.q_star, cfg.alpha, cfg.dt, theta, lumped, factors=factors
+        ops, traj, U, static.q_star, cfg.alpha, cfg.dt, theta, lumped
     )
     G = _dynamic_gradient(ops, traj, lams, U, static, cfg)
     D = rng.standard_normal(U.shape)
@@ -152,6 +151,77 @@ def test_dynamic_gradient_on_random_meshes(mesh, drift, seed, theta, lumped):
         for h in (1e-3, 1e-4, 1e-5)
     )
     assert err <= 1e-8 * np.linalg.norm(G)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=_meshes(),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.sampled_from([0.5, 1.0]),
+    lumped=st.booleans(),
+)
+def test_krylov_sweeps_on_random_meshes(mesh, drift, seed, theta, lumped):
+    ops = dc.assemble_operators(
+        mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None
+    )
+    rng = np.random.default_rng(seed)
+    n, n_steps = ops.n, 3
+    cfg = OcpConfig(
+        alpha=1.0, beta=1e-2, beta_g=1e-3, dt=0.05, T=0.15, theta=theta, lumped=lumped
+    )
+    static = StaticSolution(
+        q_star=dc.normalized_density(ops, rng.random(n) + 0.1),
+        u_star=random_control(ops, rng, 0.5),
+        adjoint=None,
+        history=[],
+        reason="tol",
+    )
+    q0 = dc.normalized_density(ops, rng.random(n) + 0.1)
+    U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
+    # preconditioned by the reference control's step LU, as in the OCP
+    precond = theta_sweep(ops, q0, [static.u_star] * 2, cfg.dt, theta, lumped)[1]
+
+    def cost(Um):
+        traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
+        return evaluate_dynamic_cost(ops, traj, Um, static, cfg)
+
+    direct, _ = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
+    traj, lu = theta_sweep(ops, q0, U, cfg.dt, theta, lumped, precond)
+    assert lu is None and traj.fallbacks == 0
+    assert np.abs(traj.states - direct.states).max() <= 1e-12 * np.abs(direct.states).max()
+    lams = solve_adjoint_dynamic(
+        ops, traj, U, static.q_star, cfg.alpha, cfg.dt, theta, lumped, precond=precond
+    )
+    assert lams.fallbacks == 0
+    G = _dynamic_gradient(ops, traj, lams, U, static, cfg)
+    D = rng.standard_normal(U.shape)
+    D /= np.linalg.norm(D)
+    slope = float((G * D).sum())
+    err = min(
+        abs((cost(U + h * D) - cost(U - h * D)) / (2 * h) - slope)
+        for h in (1e-3, 1e-4, 1e-5)
+    )
+    assert err <= 1e-8 * np.linalg.norm(G)
+
+
+def test_krylov_miss_falls_back_to_the_direct_step(holed_ops, rng):
+    ops, n_steps, dt = holed_ops, 3, 0.05
+    assert ops.n > 60  # more unknowns than one GMRES cycle has iterations
+    U = 0.5 * rng.standard_normal((n_steps + 1, 2 * ops.n))
+    q0 = dc.gaussian_density(ops, (-0.5, -0.5), 0.3)
+    qref = dc.uniform_density(ops)
+    # a random diagonal is no preconditioner: GMRES misses every step
+    poor = lu_factor(sp.diags(rng.uniform(1e-3, 1e3, ops.n), format="csc"))
+    direct, _ = theta_sweep(ops, q0, U, dt, 0.5, False)
+    traj, _ = theta_sweep(ops, q0, U, dt, 0.5, False, precond=poor)
+    assert traj.fallbacks == n_steps
+    assert np.array_equal(traj.states, direct.states)
+    ref = solve_adjoint_dynamic(ops, direct, U, qref, 1.0, dt, 0.5, False)
+    lams = solve_adjoint_dynamic(ops, traj, U, qref, 1.0, dt, 0.5, False, precond=poor)
+    assert lams.fallbacks == n_steps and ref.fallbacks == 0
+    # the fallback refines its direct solve once; the reference does not
+    assert np.abs(lams.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
