@@ -1,10 +1,16 @@
 """Command-line interface.
 
 Verbs: mesh gen | mesh check, static, simulate, dynamic, particles, certify,
-and testcase {1,2,3}.  Runs are configured by a JSON file (--config) with
-flag overrides; every run echoes its effective configuration to
-<out>/config.echo and indexes its outputs in <out>/manifest.csv, so a run is
-reproducible byte-for-byte from its own output directory.
+and testcase {1,2,3}.  A run's configuration is DEFAULT_CONFIG (for
+testcase, the built-in scenario) merged with a JSON file (--config), then
+with the overrides --out, --seed and --t-final (ocp.T), all applied in
+`load_config`.  Every verb but mesh starts in `_start`: the configuration is
+validated, echoed to <out>/config.echo and listed first in
+<out>/manifest.csv, the index of the run's outputs; then the problem is
+built.  A problem in the configuration, an unknown ocp or armijo key
+included, exits 2 before any output is written.  A run is reproducible
+byte-for-byte from its own output directory: config.echo replays it as a
+new --config.
 """
 
 from __future__ import annotations
@@ -87,8 +93,9 @@ def _merge(base, override):
     return out
 
 
-def load_config(args) -> dict:
-    cfg = DEFAULT_CONFIG
+def load_config(args, base=DEFAULT_CONFIG) -> dict:
+    """``base`` merged with --config, then with the flag overrides; validated."""
+    cfg = base
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -101,6 +108,8 @@ def load_config(args) -> dict:
         cfg = _merge(cfg, {"out_dir": args.out})
     if getattr(args, "seed", None) is not None:
         cfg = _merge(cfg, {"seed": args.seed})
+    if getattr(args, "t_final", None) is not None:
+        cfg = _merge(cfg, {"ocp": {"T": args.t_final}})
     validate_config(cfg)
     return cfg
 
@@ -153,24 +162,8 @@ def validate_config(cfg) -> None:
 
 
 def _ocp_config(ocp: dict) -> OcpConfig:
-    armijo = ocp.get("armijo", {})
-    return OcpConfig(
-        alpha=ocp["alpha"],
-        beta=ocp["beta"],
-        beta_g=ocp["beta_g"],
-        tol=ocp["tol"],
-        max_iter=ocp["max_iter"],
-        armijo=ArmijoParams(
-            c1=armijo.get("c1", 1e-4),
-            shrink=armijo.get("shrink", 0.5),
-            max_backtracks=armijo.get("max_backtracks", 30),
-        ),
-        theta=ocp.get("theta", 1.0),
-        lumped=ocp.get("lumped", True),
-        dt=ocp["dt"],
-        T=ocp["T"],
-        mu=ocp.get("mu", 1.0),
-    )
+    """OcpConfig of a config section; an unknown key raises TypeError."""
+    return OcpConfig(**dict(ocp, armijo=ArmijoParams(**ocp.get("armijo", {}))))
 
 
 def _holes(specs):
@@ -220,6 +213,16 @@ def _echo_config(cfg, out_dir):
     with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _start(args, base=DEFAULT_CONFIG):
+    """(cfg, manifest, mesh, ops, z, q0): the validated config, echoed to
+    config.echo and listed in the run's manifest, and its problem."""
+    cfg = load_config(args, base)
+    _echo_config(cfg, cfg["out_dir"])
+    manifest = export.Manifest(cfg["out_dir"])
+    manifest.add("config.echo", "configuration")
+    return (cfg, manifest, *build_problem(cfg))
 
 
 def load_control(ops, source):
@@ -276,8 +279,8 @@ def cmd_mesh(args) -> int:
     return 0
 
 
-def _write_static_solution(out_dir, mesh, ops, z, sol, manifest):
-    sdir = os.path.join(out_dir, "static_solution")
+def _write_static_solution(manifest, mesh, z, sol):
+    sdir = os.path.join(manifest.out_dir, "static_solution")
     os.makedirs(sdir, exist_ok=True)
     export.write_control_csvs(sdir, mesh, sol.u_star)
     export.write_density_csv(os.path.join(sdir, "q_star.csv"), mesh, sol.q_star.values)
@@ -289,14 +292,9 @@ def _write_static_solution(out_dir, mesh, ops, z, sol, manifest):
 
 
 def cmd_static(args) -> int:
-    cfg = load_config(args)
-    out_dir = cfg["out_dir"]
-    _echo_config(cfg, out_dir)
-    mesh, ops, z, _ = build_problem(cfg)
+    cfg, manifest, mesh, ops, z, _ = _start(args)
     sol = solve_static_ocp(ops, z, _ocp_config(cfg["ocp"]))
-    manifest = export.Manifest(out_dir)
-    manifest.add("config.echo", "configuration")
-    _write_static_solution(out_dir, mesh, ops, z, sol, manifest)
+    _write_static_solution(manifest, mesh, z, sol)
     manifest.write()
     last = sol.history[-1]
     print(
@@ -306,30 +304,22 @@ def cmd_static(args) -> int:
     return 0
 
 
+def _simulate(ops, q0, control, ocp: OcpConfig, T=None):
+    """simulate on the config's time grid and scheme, to T (default ocp.T)."""
+    T = ocp.T if T is None else T
+    return simulate(ops, q0, control, T=T, dt=ocp.dt, theta=ocp.theta, lumped=ocp.lumped)
+
+
 def cmd_simulate(args) -> int:
-    cfg = load_config(args)
-    out_dir = cfg["out_dir"]
-    _echo_config(cfg, out_dir)
-    mesh, ops, z, q0 = build_problem(cfg)
+    cfg, manifest, mesh, ops, z, q0 = _start(args)
     control = load_control(ops, args.control)
-    ocp = cfg["ocp"]
-    T = args.t_final if args.t_final is not None else ocp["T"]
-    traj = simulate(
-        ops, q0, control, T=T, dt=ocp["dt"], theta=ocp["theta"], lumped=ocp["lumped"]
-    )
+    traj = _simulate(ops, q0, control, _ocp_config(cfg["ocp"]))
     reference = (
         solve_equilibrium(ops, control)[0] if isinstance(control, ControlField) else z
     )
-    manifest = export.Manifest(out_dir)
-    manifest.add("config.echo", "configuration")
     export.write_trajectory(
-        os.path.join(out_dir, "trajectory"),
-        mesh,
-        traj,
-        reference=reference,
-        M=ops.M,
-        every=args.every,
-        vtk=cfg.get("vtk", False),
+        os.path.join(cfg["out_dir"], "trajectory"), mesh, traj,
+        reference=reference, M=ops.M, every=args.every, vtk=cfg.get("vtk", False),
     )
     manifest.add("trajectory/manifest.csv", "trajectory index")
     manifest.write()
@@ -340,8 +330,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_dynamic_solution(out_dir, mesh, dyn, manifest):
-    ddir = os.path.join(out_dir, "dynamic_solution")
+def _write_dynamic_solution(manifest, mesh, dyn):
+    ddir = os.path.join(manifest.out_dir, "dynamic_solution")
     cdir = os.path.join(ddir, "controls")
     os.makedirs(cdir, exist_ok=True)
     for i, cf in enumerate(dyn.control.controls):
@@ -358,25 +348,15 @@ def _write_dynamic_solution(out_dir, mesh, dyn, manifest):
 
 
 def cmd_dynamic(args) -> int:
-    cfg = load_config(args)
-    out_dir = cfg["out_dir"]
-    _echo_config(cfg, out_dir)
-    mesh, ops, z, q0 = build_problem(cfg)
+    cfg, manifest, mesh, ops, z, q0 = _start(args)
     static = solve_static_ocp(ops, z, _ocp_config(cfg["ocp"]))
     dyn_cfg = _ocp_config(_merge(cfg["ocp"], cfg.get("dynamic", {})))
     dyn = solve_dynamic_ocp(ops, q0, static, dyn_cfg)
-    manifest = export.Manifest(out_dir)
-    manifest.add("config.echo", "configuration")
-    _write_static_solution(out_dir, mesh, ops, z, static, manifest)
-    _write_dynamic_solution(out_dir, mesh, dyn, manifest)
+    _write_static_solution(manifest, mesh, z, static)
+    _write_dynamic_solution(manifest, mesh, dyn)
     export.write_trajectory(
-        os.path.join(out_dir, "dynamic_solution", "trajectory"),
-        mesh,
-        dyn.trajectory,
-        reference=static.q_star,
-        M=ops.M,
-        every=args.every,
-        vtk=cfg.get("vtk", False),
+        os.path.join(cfg["out_dir"], "dynamic_solution", "trajectory"), mesh, dyn.trajectory,
+        reference=static.q_star, M=ops.M, every=args.every, vtk=cfg.get("vtk", False),
     )
     manifest.add("dynamic_solution/trajectory/manifest.csv", "optimized trajectory")
     manifest.write()
@@ -390,29 +370,23 @@ def cmd_dynamic(args) -> int:
 
 
 def cmd_particles(args) -> int:
-    cfg = load_config(args)
-    out_dir = cfg["out_dir"]
-    _echo_config(cfg, out_dir)
-    mesh, ops, z, q0 = build_problem(cfg)
+    cfg, manifest, mesh, ops, z, q0 = _start(args)
     control = load_control(ops, args.control)
     if not isinstance(control, ControlField):
         raise ConfigError(["particles require a static control (zero or static dir)"])
-    ocp = cfg["ocp"]
-    dt, T = ocp["dt"], args.t_final if args.t_final is not None else ocp["T"]
-    n_steps = round(T / dt)
-    sub = max(1, args.substeps)
+    ocp = _ocp_config(cfg["ocp"])
+    dt, sub = ocp.dt, args.substeps
 
     domain = MeshDomain(mesh)
     drift = fields.DRIFT_PRESETS[cfg["drift"]] if cfg.get("drift") else None
     vel = NodalVelocity(domain.locator, control.ux, control.uy, drift=drift)
-    traj = simulate(ops, q0, control, T=T, dt=dt, theta=ocp["theta"], lumped=ocp["lumped"])
+    traj = _simulate(ops, q0, control, ocp)
+    n_steps = traj.n_steps
 
     rng = np.random.default_rng(cfg["seed"])
     ens = sample_initial(q0, mesh, args.n, seed=cfg["seed"])
-    pdir = os.path.join(out_dir, "particles")
+    pdir = os.path.join(cfg["out_dir"], "particles")
     os.makedirs(pdir, exist_ok=True)
-    manifest = export.Manifest(out_dir)
-    manifest.add("config.echo", "configuration")
 
     checkpoints = sorted({min(max(1, n_steps // 5) * k, n_steps) for k in range(1, 6)})
     rows = []
@@ -445,18 +419,13 @@ def cmd_particles(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cfg = load_config(args)
-    out_dir = cfg["out_dir"]
-    _echo_config(cfg, out_dir)
-    mesh, ops, z, q0 = build_problem(cfg)
+    cfg, manifest, mesh, ops, z, q0 = _start(args)
     control = load_control(ops, args.control)
     if not isinstance(control, ControlField):
         raise ConfigError(["certify requires a static control (zero or static dir)"])
     ocp = cfg["ocp"]
     qeq, _ = solve_equilibrium(ops, control)
-    traj = simulate(
-        ops, q0, control, T=ocp["T"], dt=ocp["dt"], theta=1.0, lumped=True
-    )
+    traj = simulate(ops, q0, control, T=ocp["T"], dt=ocp["dt"], theta=1.0, lumped=True)
     report = analysis.certify(ops, control, trajectory=traj, reference=qeq)
     rows = [
         ("kernel_dim_state", report.kernel_dim_state, "1", ""),
@@ -468,17 +437,15 @@ def cmd_certify(args) -> int:
         ("final_l2_distance", report.details.get("final_l2_distance"), "", ""),
     ]
     export.write_csv(
-        os.path.join(out_dir, "certificate.csv"),
+        os.path.join(cfg["out_dir"], "certificate.csv"),
         ["check", "value", "expectation", "note"],
         [(a, "" if b is None else b, c, d) for a, b, c, d in rows],
     )
-    with open(os.path.join(out_dir, "certificate.txt"), "w", encoding="ascii") as fh:
+    with open(os.path.join(cfg["out_dir"], "certificate.txt"), "w", encoding="ascii") as fh:
         fh.write("structural certificates\n")
         fh.write("=======================\n")
         for name, value, expect, _ in rows:
             fh.write(f"{name:28s} {value!r:>24}   (expected {expect})\n")
-    manifest = export.Manifest(out_dir)
-    manifest.add("config.echo", "configuration")
     manifest.add("certificate.csv", "certificate table")
     manifest.add("certificate.txt", "certificate summary")
     manifest.write()
@@ -492,92 +459,68 @@ def cmd_certify(args) -> int:
 
 def cmd_testcase(args) -> int:
     number = args.number
-    cfg = presets.testcase_config(number, paper_scale=args.paper_scale)
-    if getattr(args, "out", None):
-        cfg["out_dir"] = args.out
-    else:
-        cfg.setdefault("out_dir", f"testcase{number}")
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+    base = presets.testcase_config(number, paper_scale=args.paper_scale)
+    base.setdefault("out_dir", f"testcase{number}")
+    cfg, manifest, mesh, ops, z, q0 = _start(args, base)
     out_dir = cfg["out_dir"]
-    _echo_config(cfg, out_dir)
-    manifest = export.Manifest(out_dir)
-    manifest.add("config.echo", "configuration")
-
-    mesh, ops, z, q0 = build_problem(cfg)
     write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
     manifest.add("mesh.txt", "mesh")
 
-    ocp_cfg = _ocp_config(cfg["ocp"])
-    static = solve_static_ocp(ops, z, ocp_cfg)
-    _write_static_solution(out_dir, mesh, ops, z, static, manifest)
+    ocp = _ocp_config(cfg["ocp"])
+    static = solve_static_ocp(ops, z, ocp)
+    _write_static_solution(manifest, mesh, z, static)
     print(
         f"[testcase {number}] static OCP stopped ({static.reason}) at "
         f"|grad|={float(static.history[-1].grad_norm)!r}"
     )
 
-    # stabilization from the preset initial conditions under the static field
-    series_T = cfg.get("series_T", ocp_cfg.T)
-    initials = [cfg["initial"]] + cfg.get("extra_initials", [])
-    sdir = os.path.join(out_dir, "stabilization")
-    os.makedirs(sdir, exist_ok=True)
-    for k, spec in enumerate(initials, start=1):
-        qk = _density_from_spec(ops, spec)
-        traj = simulate(
-            ops, qk, static.u_star, T=series_T, dt=ocp_cfg.dt,
-            theta=ocp_cfg.theta, lumped=ocp_cfg.lumped,
+    def series(rel, kind, q_start, control, T, thin=False):
+        """Convergence series to q* written to <out>/rel; (rows, monotone, final)."""
+        rows, monotone, final = analysis.convergence_report(
+            _simulate(ops, q_start, control, ocp, T), static.q_star, ops
         )
-        rows, monotone, final = analysis.convergence_report(traj, static.q_star, ops)
+        stride = max(1, len(rows) // 2000) if thin else 1
         export.write_csv(
-            os.path.join(sdir, f"ic_{k}.csv"),
-            ["step", "time", "l2_dist", "lyapunov"],
-            rows,
+            os.path.join(out_dir, rel), ["step", "time", "l2_dist", "lyapunov"], rows[::stride]
         )
-        manifest.add(f"stabilization/ic_{k}.csv", "convergence series")
+        manifest.add(rel, kind)
+        return rows, monotone, final
+
+    # stabilization from the preset initial conditions under the static field
+    series_T = cfg.get("series_T", ocp.T)
+    initials = [cfg["initial"]] + cfg.get("extra_initials", [])
+    os.makedirs(os.path.join(out_dir, "stabilization"), exist_ok=True)
+    for k, spec in enumerate(initials, start=1):
+        rows, monotone, final = series(
+            f"stabilization/ic_{k}.csv", "convergence series",
+            _density_from_spec(ops, spec), static.u_star, series_T,
+        )
         print(
             f"[testcase {number}] ic {k}: final/initial distance "
             f"{float(final / rows[0][2])!r}, lyapunov monotone {monotone}"
         )
 
     if cfg.get("long_T"):
-        traj = simulate(
-            ops, q0, static.u_star, T=cfg["long_T"], dt=ocp_cfg.dt,
-            theta=ocp_cfg.theta, lumped=ocp_cfg.lumped,
+        _, _, final = series(
+            "static_long_run.csv", "long-horizon static-control series",
+            q0, static.u_star, cfg["long_T"], thin=True,
         )
-        rows, _, final = analysis.convergence_report(traj, static.q_star, ops)
-        export.write_csv(
-            os.path.join(out_dir, "static_long_run.csv"),
-            ["step", "time", "l2_dist", "lyapunov"],
-            rows[:: max(1, len(rows) // 2000)],
-        )
-        manifest.add("static_long_run.csv", "long-horizon static-control series")
         print(f"[testcase {number}] long static run final distance {float(final)!r}")
 
     # uncontrolled comparison series when a drift field is present
     if cfg.get("drift"):
-        zero = ControlField.zeros(ops.n)
-        traj_un = simulate(
-            ops, q0, zero, T=series_T, dt=ocp_cfg.dt,
-            theta=ocp_cfg.theta, lumped=ocp_cfg.lumped,
+        _, _, final = series(
+            "uncontrolled.csv", "uncontrolled (drift only) series",
+            q0, ControlField.zeros(ops.n), series_T,
         )
-        rows, _, final = analysis.convergence_report(traj_un, static.q_star, ops)
-        export.write_csv(
-            os.path.join(out_dir, "uncontrolled.csv"),
-            ["step", "time", "l2_dist", "lyapunov"],
-            rows,
-        )
-        manifest.add("uncontrolled.csv", "uncontrolled (drift only) series")
         print(f"[testcase {number}] uncontrolled final distance to q* {float(final)!r}")
 
     # dynamic speedup
     dyn_cfg = _ocp_config(_merge(cfg["ocp"], cfg.get("dynamic", {})))
     dyn = solve_dynamic_ocp(ops, q0, static, dyn_cfg)
-    _write_dynamic_solution(out_dir, mesh, dyn, manifest)
+    _write_dynamic_solution(manifest, mesh, dyn)
 
-    traj_static = simulate(
-        ops, q0, static.u_star, T=dyn_cfg.T, dt=dyn_cfg.dt,
-        theta=dyn_cfg.theta, lumped=dyn_cfg.lumped,
-    )
+    traj_static = _simulate(ops, q0, static.u_star, dyn_cfg)
     d_static = [
         analysis.l2_distance(traj_static.states[i], static.q_star.values, ops.M)
         for i in range(traj_static.n_steps + 1)
@@ -594,6 +537,14 @@ def cmd_testcase(args) -> int:
         f"dynamic {float(dyn.state_distances[-1])!r}"
     )
     return 0
+
+
+def _count(text) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,21 +576,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate the density dynamics")
     common(p_sim)
     p_sim.add_argument("--control", default="zero", help="zero | solution directory")
-    p_sim.add_argument("--t-final", type=float, default=None)
-    p_sim.add_argument("--every", type=int, default=10, help="snapshot stride")
+    p_sim.add_argument("--t-final", type=float, help="final time (overrides ocp.T)")
+    p_sim.add_argument("--every", type=_count, default=10, help="snapshot stride")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_dyn = sub.add_parser("dynamic", help="solve the time-varying control problem")
     common(p_dyn)
-    p_dyn.add_argument("--every", type=int, default=10)
+    p_dyn.add_argument("--every", type=_count, default=10)
     p_dyn.set_defaults(func=cmd_dynamic)
 
     p_part = sub.add_parser("particles", help="agent simulation vs the PDE")
     common(p_part)
     p_part.add_argument("--control", default="zero")
-    p_part.add_argument("--n", type=int, default=100000)
-    p_part.add_argument("--t-final", type=float, default=None)
-    p_part.add_argument("--substeps", type=int, default=10,
+    p_part.add_argument("--n", type=_count, default=100000)
+    p_part.add_argument("--t-final", type=float, help="final time (overrides ocp.T)")
+    p_part.add_argument("--substeps", type=_count, default=10,
                         help="particle substeps per PDE step")
     p_part.set_defaults(func=cmd_particles)
 

@@ -30,7 +30,6 @@ __all__ = [
     "FemOperators",
     "assemble_operators",
     "state_matrix",
-    "write_matrix_coo",
 ]
 
 
@@ -152,7 +151,6 @@ class FemOperators:
     """
 
     mesh: Mesh
-    mu: float
     A: sp.csr_matrix
     M: sp.csr_matrix
     M_lumped: sp.dia_matrix
@@ -255,7 +253,6 @@ def assemble_operators(mesh: Mesh, mu: float, drift=None) -> FemOperators:
 
     return FemOperators(
         mesh=mesh,
-        mu=float(mu),
         A=A,
         M=M,
         M_lumped=M_lumped,
@@ -337,12 +334,3 @@ def state_matrix(ops: FemOperators, u: ControlField) -> sp.csr_matrix:
     dynamics M dq/dt = -L(u) q, and the equilibrium spans its 1-D kernel.
     """
     return ops.tensor.csr(ops.state_data(u))
-
-
-def write_matrix_coo(mat, path) -> None:
-    """Write a sparse matrix as '<row> <col> <value>' lines, 0-based."""
-    coo = sp.coo_matrix(mat)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

@@ -76,7 +76,6 @@ class OcpConfig:
     theta: float = 1.0
     dt: float = 0.03
     T: float = 3.0
-    mu: float = 1.0
     lumped: bool = True
 
     def __post_init__(self):

@@ -37,6 +37,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MAX_REFLECTIONS = 10
+# locator grid cell side, as a fraction of the largest triangle bounding box
+_CELL_SCALE = 0.5
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class TriangleLocator:
     as the boundary edges of ``MeshDomain``.
     """
 
-    def __init__(self, mesh: Mesh, cell_scale: float = 0.5):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
         verts = mesh.vertices
         tris = mesh.triangles
@@ -86,7 +88,7 @@ class TriangleLocator:
         xmax, ymax = verts.max(axis=0)
         corners = verts[tris]
         sizes = corners.max(axis=1) - corners.min(axis=1)
-        self.cell = max(sizes.max() * cell_scale, 1e-12)
+        self.cell = max(sizes.max() * _CELL_SCALE, 1e-12)
         self.nx = max(1, int(np.ceil((xmax - self.xmin) / self.cell)))
         self.ny = max(1, int(np.ceil((ymax - self.ymin) / self.cell)))
         self.ptr, self.tris = self.bin_boxes(corners.min(axis=1), corners.max(axis=1))

@@ -192,3 +192,60 @@ def test_infeasible_geometry_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["mesh", "gen", "--config", str(path), "--mesh-out", str(tmp_path / "m.txt")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "particles"])
+def test_bad_t_final_is_a_config_problem(run_cfg, capsys, verb):
+    path, cfg = run_cfg
+    assert main([verb, "--config", str(path), "--t-final", "0.12"]) == 2
+    assert "error: config: ocp: T=0.12 is not" in capsys.readouterr().err
+    assert not os.path.exists(cfg["out_dir"])  # rejected before any output
+
+
+def test_t_final_run_replays_from_its_echo(run_cfg, tmp_path):
+    path, _ = run_cfg
+    out_a, out_b = str(tmp_path / "A"), str(tmp_path / "B")
+    run = ["particles", "--control", "zero", "--n", "300", "--substeps", "1"]
+    assert main(run + ["--config", str(path), "--out", out_a, "--t-final", "0.15"]) == 0
+    echo = os.path.join(out_a, "config.echo")
+    assert json.load(open(echo))["ocp"]["T"] == 0.15
+    assert main(run + ["--config", echo, "--out", out_b]) == 0
+    files = sorted(os.path.relpath(os.path.join(d, f), out_a)
+                   for d, _, fs in os.walk(out_a) for f in fs)
+    assert files == sorted(os.path.relpath(os.path.join(d, f), out_b)
+                           for d, _, fs in os.walk(out_b) for f in fs)
+    for rel in files:
+        a = open(os.path.join(out_a, rel), "rb").read()
+        b = open(os.path.join(out_b, rel), "rb").read()
+        if rel == "config.echo":
+            a, b = (dict(json.loads(x), out_dir=None) for x in (a, b))
+        assert a == b, rel
+
+
+@pytest.mark.parametrize("verb, flag", [
+    ("simulate", "--every"), ("dynamic", "--every"),
+    ("particles", "--n"), ("particles", "--substeps"),
+])
+def test_counts_below_one_are_rejected_before_any_work(run_cfg, capsys, verb, flag):
+    path, cfg = run_cfg
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", str(path), flag, "0"])
+    assert exc.value.code == 2
+    assert "must be at least 1, got 0" in capsys.readouterr().err
+    assert not os.path.exists(cfg["out_dir"])
+
+
+@pytest.mark.parametrize("section, update, key", [
+    ("ocp", {"lumpd": False}, "lumpd"),
+    ("ocp", {"armijo": {"shrnk": 0.5}}, "shrnk"),
+    ("dynamic", {"lumpd": False}, "lumpd"),
+])
+def test_unknown_ocp_keys_are_config_problems(run_cfg, tmp_path, capsys, section, update, key):
+    _, cfg = run_cfg
+    cfg[section].update(update)
+    path = tmp_path / "cfg_keys.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["static", "--config", str(path)]) == 2
+    problems = [line for line in capsys.readouterr().err.splitlines() if key in line]
+    assert len(problems) == 1 and problems[0].startswith(f"error: config: {section}: ")
+    assert not os.path.exists(cfg["out_dir"])

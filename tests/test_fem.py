@@ -203,12 +203,3 @@ def test_nonfinite_drift_rejected(small_mesh):
     with pytest.raises(ValueError, match="not finite"):
         dc.assemble_operators(small_mesh, mu=1.0, drift=bad)
 
-
-def test_matrix_coo_export(tmp_path, tiny_ops):
-    path = tmp_path / "m.txt"
-    dc.fem.write_matrix_coo(tiny_ops.M, path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split()
-    assert header[1] == str(tiny_ops.n)
-    r, c, v = lines[1].split()
-    assert float(v) == tiny_ops.M.toarray()[int(r), int(c)]

@@ -58,3 +58,14 @@ def test_testcase_pipeline_smoke(tmp_path, monkeypatch):
     comparison = open(os.path.join(out, "comparison.csv")).read().splitlines()
     assert comparison[0] == "time,static_control_dist,dynamic_control_dist"
     assert len(comparison) == 7  # header + 6 nodes
+
+
+def test_testcase_config_is_validated(tmp_path, monkeypatch, capsys):
+    bad = presets.testcase_config(1)
+    bad["ocp"].update(dt=0.0)
+    monkeypatch.setattr(presets, "testcase_config", lambda n, paper_scale=False: dict(bad))
+
+    out = str(tmp_path / "tc")
+    assert main(["testcase", "1", "--out", out]) == 2
+    assert "error: config: ocp: dt must be positive" in capsys.readouterr().err
+    assert not os.path.exists(out)  # rejected before any output
