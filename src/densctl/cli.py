@@ -5,12 +5,12 @@ and testcase {1,2,3}.  A run's configuration is DEFAULT_CONFIG (for
 testcase, the built-in scenario) merged with a JSON file (--config), then
 with the overrides --out, --seed and --t-final (ocp.T), all applied in
 `load_config`.  Every verb but mesh starts in `_start`: the configuration is
-validated, echoed to <out>/config.echo and listed first in
-<out>/manifest.csv, the index of the run's outputs; then the problem is
-built.  A problem in the configuration, an unknown ocp or armijo key
-included, exits 2 before any output is written.  A run is reproducible
-byte-for-byte from its own output directory: config.echo replays it as a
-new --config.
+validated, the problem built and the --control loaded; then the configuration
+is echoed to <out>/config.echo and listed first in <out>/manifest.csv, the
+index of the run's outputs.  A problem in the configuration (an unknown ocp
+or armijo key included) or in --control exits 2 before any output is
+written.  A run is reproducible byte-for-byte from its own output directory:
+config.echo replays it as a new --config.
 """
 
 from __future__ import annotations
@@ -215,14 +215,20 @@ def _echo_config(cfg, out_dir):
         fh.write("\n")
 
 
-def _start(args, base=DEFAULT_CONFIG):
-    """(cfg, manifest, mesh, ops, z, q0): the validated config, echoed to
-    config.echo and listed in the run's manifest, and its problem."""
+def _start(args, base=DEFAULT_CONFIG, static_control=False):
+    """(cfg, manifest, mesh, ops, z, q0, control): the validated config, its
+    problem and the control of --control (None for a verb without one), all
+    built before the config is echoed to config.echo and listed in the run's
+    manifest.  static_control rejects a time-varying control."""
     cfg = load_config(args, base)
+    mesh, ops, z, q0 = build_problem(cfg)
+    control = load_control(ops, args.control) if "control" in args else None
+    if static_control and not isinstance(control, ControlField):
+        raise ConfigError([f"{args.command} requires a static control (zero or static dir)"])
     _echo_config(cfg, cfg["out_dir"])
     manifest = export.Manifest(cfg["out_dir"])
     manifest.add("config.echo", "configuration")
-    return (cfg, manifest, *build_problem(cfg))
+    return cfg, manifest, mesh, ops, z, q0, control
 
 
 def load_control(ops, source):
@@ -292,7 +298,7 @@ def _write_static_solution(manifest, mesh, z, sol):
 
 
 def cmd_static(args) -> int:
-    cfg, manifest, mesh, ops, z, _ = _start(args)
+    cfg, manifest, mesh, ops, z, _, _ = _start(args)
     sol = solve_static_ocp(ops, z, _ocp_config(cfg["ocp"]))
     _write_static_solution(manifest, mesh, z, sol)
     manifest.write()
@@ -311,8 +317,7 @@ def _simulate(ops, q0, control, ocp: OcpConfig, T=None):
 
 
 def cmd_simulate(args) -> int:
-    cfg, manifest, mesh, ops, z, q0 = _start(args)
-    control = load_control(ops, args.control)
+    cfg, manifest, mesh, ops, z, q0, control = _start(args)
     traj = _simulate(ops, q0, control, _ocp_config(cfg["ocp"]))
     reference = (
         solve_equilibrium(ops, control)[0] if isinstance(control, ControlField) else z
@@ -348,7 +353,7 @@ def _write_dynamic_solution(manifest, mesh, dyn):
 
 
 def cmd_dynamic(args) -> int:
-    cfg, manifest, mesh, ops, z, q0 = _start(args)
+    cfg, manifest, mesh, ops, z, q0, _ = _start(args)
     static = solve_static_ocp(ops, z, _ocp_config(cfg["ocp"]))
     dyn_cfg = _ocp_config(_merge(cfg["ocp"], cfg.get("dynamic", {})))
     dyn = solve_dynamic_ocp(ops, q0, static, dyn_cfg)
@@ -370,10 +375,7 @@ def cmd_dynamic(args) -> int:
 
 
 def cmd_particles(args) -> int:
-    cfg, manifest, mesh, ops, z, q0 = _start(args)
-    control = load_control(ops, args.control)
-    if not isinstance(control, ControlField):
-        raise ConfigError(["particles require a static control (zero or static dir)"])
+    cfg, manifest, mesh, ops, z, q0, control = _start(args, static_control=True)
     ocp = _ocp_config(cfg["ocp"])
     dt, sub = ocp.dt, args.substeps
 
@@ -419,10 +421,7 @@ def cmd_particles(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cfg, manifest, mesh, ops, z, q0 = _start(args)
-    control = load_control(ops, args.control)
-    if not isinstance(control, ControlField):
-        raise ConfigError(["certify requires a static control (zero or static dir)"])
+    cfg, manifest, mesh, ops, z, q0, control = _start(args, static_control=True)
     ocp = cfg["ocp"]
     qeq, _ = solve_equilibrium(ops, control)
     traj = simulate(ops, q0, control, T=ocp["T"], dt=ocp["dt"], theta=1.0, lumped=True)
@@ -461,7 +460,7 @@ def cmd_testcase(args) -> int:
     number = args.number
     base = presets.testcase_config(number, paper_scale=args.paper_scale)
     base.setdefault("out_dir", f"testcase{number}")
-    cfg, manifest, mesh, ops, z, q0 = _start(args, base)
+    cfg, manifest, mesh, ops, z, q0, _ = _start(args, base)
     out_dir = cfg["out_dir"]
     write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
     manifest.add("mesh.txt", "mesh")

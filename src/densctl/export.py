@@ -64,14 +64,25 @@ def write_density_csv(path, mesh: Mesh, values) -> None:
 
 
 def read_vector_csv(path, n: int) -> np.ndarray:
-    """Read the last column of a nodal CSV back into an array of length n."""
+    """Read the last column of a nodal CSV, one row per node indexed by its
+    first column, back into an array of length n; every node needs a row."""
     out = np.zeros(n)
+    seen = np.zeros(n, dtype=bool)
     with open(path, "r", encoding="ascii") as fh:
         fh.readline()
         for line in fh:
             parts = line.strip().split(",")
-            if parts and parts != [""]:
-                out[int(parts[0])] = float(parts[-1])
+            if parts != [""]:
+                node = int(parts[0])
+                if not 0 <= node < n:
+                    raise ValueError(f"{path}: node {node} is out of range for {n} nodes")
+                out[node] = float(parts[-1])
+                seen[node] = True
+    if not seen.all():
+        missing = np.flatnonzero(~seen)
+        raise ValueError(
+            f"{path}: no value for {missing.size} of {n} nodes, first {missing[:5].tolist()}"
+        )
     return out
 
 

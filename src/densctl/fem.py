@@ -1,10 +1,12 @@
 """P1 finite-element operators on triangular meshes.
 
-Assembles the diffusion-scaled stiffness matrix A, the consistent and lumped
-mass matrices, the nodal integral vector F (row sums of M), the sparse rank-3
-advection coupling tensors, the unscaled stiffness A_u of the control's H1
-cost (the control shares the state space, so M also serves it), and
-optionally the transport matrix of an analytic drift field.
+Assembles, once each and straight onto the triangle-adjacency pattern (pairs
+of nodes that share a triangle): the consistent mass matrix M, its lumped
+diagonal, the nodal integral vector F (row sums of M), the unscaled stiffness
+A_u of the control's H1 cost (the control shares the state space, so M also
+serves it), the drift-free state operator mu A_u - B of an optional analytic
+drift field's transport matrix B, and the sparse rank-3 advection coupling
+tensors.
 
 Sign and index conventions are pinned by two properties that the assembled
 system must satisfy for every control u (both are enforced by tests):
@@ -74,22 +76,23 @@ class ControlField:
 class AdvectionTensor:
     """Sparse rank-3 tensors T_c with entries ∫ (∂phi_i/∂c) phi_j phi_k, c in {x, y}.
 
-    The (i, j) sparsity pattern (nodes sharing a triangle) is stored once in
-    CSR order; per-component matrices map a control vector to the pattern
-    data, so both the contraction to an (n, n) advection matrix and the
-    control-space gradient contraction run in O(nnz).  A, M and B_drift live
-    on the same pattern, so every state-space operator is a data array on it.
+    The (i, j) sparsity pattern (nodes sharing a triangle) is stored once as
+    the CSR arrays (indptr, indices); per-component matrices map a control
+    vector to the pattern data, so both the contraction to an (n, n)
+    advection matrix and the control-space gradient contraction run in
+    O(nnz).  Every state-space operator is a data array on this pattern.
     """
 
-    def __init__(self, n_state, rows, cols, kx, ky):
+    def __init__(self, n_state, indptr, indices, kx, ky):
         self.n_state = int(n_state)
-        self.pattern_rows = rows
-        self.pattern_cols = cols
+        self._indptr = indptr
+        self._indices = indices
+        self.pattern_rows = np.repeat(np.arange(self.n_state), np.diff(indptr))
+        self.pattern_cols = indices.astype(np.int64)
         self.kx = kx  # (n_pattern, n_state) CSR
         self.ky = ky
-        self._indptr = np.searchsorted(rows, np.arange(n_state + 1)).astype(np.int32)
-        self._indices = cols.astype(np.int32)
         # the pattern is symmetric: position of (j, i) for each (i, j)
+        rows, cols = self.pattern_rows, self.pattern_cols
         self.transpose = np.searchsorted(rows * n_state + cols, cols * n_state + rows)
 
     def contract_data(self, u: ControlField) -> np.ndarray:
@@ -113,10 +116,6 @@ class AdvectionTensor:
             (data[self.transpose], self._indices, self._indptr), shape=(n, n)
         )
 
-    def on_pattern(self, mat) -> np.ndarray:
-        """Pattern data of a sparse matrix whose nonzeros lie on the pattern."""
-        return np.asarray(sp.csr_matrix(mat)[self.pattern_rows, self.pattern_cols]).ravel()
-
     def gradient_contraction(self, lam: np.ndarray, q: np.ndarray):
         """Vectors g_c with g_ck = sum_ij lam_i T_c,ijk q_j, for c in {x, y}."""
         lam = np.asarray(lam, dtype=float)
@@ -139,27 +138,24 @@ class AdvectionTensor:
 
 @dataclass(frozen=True, eq=False)
 class FemOperators:
-    """All assembled operators for one mesh and diffusion coefficient.
+    """All assembled operators for one mesh and diffusion coefficient, one
+    copy each, on the tensor's pattern.
 
-    A is the mu-scaled pure-Neumann stiffness matrix, M the consistent mass
-    matrix, M_lumped its row-sum diagonal, and F = M 1 the nodal integrals of
-    the basis functions (so F.q is the mass of a FEM function).  M and the
-    unscaled stiffness A_u act on each control component; the control space
-    equals the state space.
-    L0_data, M_data and M_lumped_data are A - B_drift, M and M_lumped as data
-    on the tensor's pattern.  Compared and hashed by identity.
+    M is the consistent mass matrix and A_u the unscaled pure-Neumann
+    stiffness matrix; both are CSR matrices whose data is pattern data, and
+    both act on each control component (the control space equals the state
+    space).  L0_data = mu A_u - B (B the transport matrix of the drift, if
+    any) and M_lumped_data (the row sums of M on the diagonal) are pattern
+    data only.  F = M 1 holds the nodal integrals of the basis functions, so
+    F.q is the mass of a FEM function.  Compared and hashed by identity.
     """
 
     mesh: Mesh
-    A: sp.csr_matrix
     M: sp.csr_matrix
-    M_lumped: sp.dia_matrix
     F: np.ndarray
     tensor: AdvectionTensor
     A_u: sp.csr_matrix
-    B_drift: sp.csr_matrix | None
     L0_data: np.ndarray
-    M_data: np.ndarray
     M_lumped_data: np.ndarray
 
     @property
@@ -167,10 +163,10 @@ class FemOperators:
         return self.F.size
 
     def mass_data(self, lumped: bool) -> np.ndarray:
-        return self.M_lumped_data if lumped else self.M_data
+        return self.M_lumped_data if lumped else self.M.data
 
     def state_data(self, u) -> np.ndarray:
-        """Pattern data of the state matrix L(u) = A - C(u) - B_drift, for a
+        """Pattern data of the state matrix L(u) = mu A_u - C(u) - B, for a
         ControlField or a stacked [ux, uy] vector."""
         if not isinstance(u, ControlField):
             u = ControlField.from_stacked(u)
@@ -178,19 +174,14 @@ class FemOperators:
 
 
 def _triangle_geometry(mesh: Mesh):
-    verts = mesh.vertices
-    tris = mesh.triangles
-    p1, p2, p3 = (verts[tris[:, a]] for a in range(3))
-    area2 = (p2[:, 0] - p1[:, 0]) * (p3[:, 1] - p1[:, 1]) - (p2[:, 1] - p1[:, 1]) * (
-        p3[:, 0] - p1[:, 0]
-    )
-    gx = np.stack(
-        [p2[:, 1] - p3[:, 1], p3[:, 1] - p1[:, 1], p1[:, 1] - p2[:, 1]], axis=1
-    ) / area2[:, None]
-    gy = np.stack(
-        [p3[:, 0] - p2[:, 0], p1[:, 0] - p3[:, 0], p2[:, 0] - p1[:, 0]], axis=1
-    ) / area2[:, None]
-    return 0.5 * area2, gx, gy
+    """Areas and the constant basis gradients (gx, gy), each (nt, 3)."""
+    areas = mesh.triangle_areas()
+    x, y = (mesh.vertices[mesh.triangles, d] for d in range(2))
+    area2 = (2.0 * areas)[:, None]
+    # grad phi_a = (y_{a+1} - y_{a+2}, x_{a+2} - x_{a+1}) / (2 area), indices mod 3
+    gx = (np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)) / area2
+    gy = (np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)) / area2
+    return areas, gx, gy
 
 
 # 7-point degree-5 quadrature rule in barycentric coordinates
@@ -213,6 +204,9 @@ _Q7_WEIGHTS = np.array(
     + [(155.0 + np.sqrt(15.0)) / 1200.0] * 3
 )
 
+# local index pairs (a, b), a-major: the rows of every (9, nt) element-entry array
+_A, _B = np.divmod(np.arange(9), 3)
+
 
 def assemble_operators(mesh: Mesh, mu: float, drift=None) -> FemOperators:
     """Assemble every discrete operator for the given mesh.
@@ -220,7 +214,7 @@ def assemble_operators(mesh: Mesh, mu: float, drift=None) -> FemOperators:
     Parameters
     ----------
     mesh : validated Mesh
-    mu : diffusion coefficient (> 0), folded into A
+    mu : diffusion coefficient (> 0), folded into L0_data
     drift : optional callable (x, y) -> (bx, by), evaluated with a 7-point
         degree-5 rule to build the transport matrix B with
         B_ij = ∫ (b . grad phi_i) phi_j
@@ -230,78 +224,55 @@ def assemble_operators(mesh: Mesh, mu: float, drift=None) -> FemOperators:
     n = mesh.n_vertices
     tris = mesh.triangles
     areas, gx, gy = _triangle_geometry(mesh)
+    rows, cols = tris[:, _A].T.ravel(), tris[:, _B].T.ravel()
 
-    rows, cols, m_data, k_data = [], [], [], []
-    for a in range(3):
-        for b in range(3):
-            rows.append(tris[:, a])
-            cols.append(tris[:, b])
-            m_data.append(areas / 12.0 * (2.0 if a == b else 1.0))
-            k_data.append(areas * (gx[:, a] * gx[:, b] + gy[:, a] * gy[:, b]))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    M = sp.coo_matrix((np.concatenate(m_data), (rows, cols)), shape=(n, n)).tocsr()
-    K = sp.coo_matrix((np.concatenate(k_data), (rows, cols)), shape=(n, n)).tocsr()
+    def on_pattern(local):
+        # summing element entries from COO keeps explicit zeros, so every
+        # operator comes out on exactly the same pattern
+        return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
+    M = on_pattern(areas / 12.0 * np.where(_A == _B, 2.0, 1.0)[:, None])
+    K = on_pattern(areas * (gx[:, _A] * gx[:, _B] + gy[:, _A] * gy[:, _B]).T)
     F = np.asarray(M.sum(axis=1)).ravel()
-    M_lumped = sp.diags(F).todia()
-    A = (mu * K).tocsr()
+    L0_data = mu * K.data
+    if drift is not None:
+        L0_data = L0_data - on_pattern(_drift_entries(mesh, areas, gx, gy, drift)).data
 
-    tensor = _assemble_tensor(mesh, areas, gx, gy)
-    B_drift = _assemble_drift(mesh, areas, gx, gy, drift) if drift is not None else None
-    L0 = A if B_drift is None else A - B_drift
-
+    tensor = _assemble_tensor(mesh, areas, gx, gy, M.indptr, M.indices)
+    diagonal = tensor.pattern_rows == tensor.pattern_cols
     return FemOperators(
         mesh=mesh,
-        A=A,
-        M=M,
-        M_lumped=M_lumped,
+        M=tensor.csr(M.data),
         F=F,
         tensor=tensor,
-        A_u=K,
-        B_drift=B_drift,
-        L0_data=tensor.on_pattern(L0),
-        M_data=tensor.on_pattern(M),
-        M_lumped_data=tensor.on_pattern(M_lumped),
+        A_u=tensor.csr(K.data),
+        L0_data=L0_data,
+        M_lumped_data=np.where(diagonal, F[tensor.pattern_rows], 0.0),
     )
 
 
-def _assemble_tensor(mesh: Mesh, areas, gx, gy) -> AdvectionTensor:
+def _assemble_tensor(mesh: Mesh, areas, gx, gy, indptr, indices) -> AdvectionTensor:
     # entry (i, j, k): the basis gradient is constant per triangle, so
     # ∫ (d phi_a / dc) phi_b phi_c = g_ac * area/12 * (1 + delta_bc), exact
     tris = mesh.triangles
     n = mesh.n_vertices
-    ti, tj, tk, vx, vy = [], [], [], [], []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                w = areas / 12.0 * (2.0 if b == c else 1.0)
-                ti.append(tris[:, a])
-                tj.append(tris[:, b])
-                tk.append(tris[:, c])
-                vx.append(gx[:, a] * w)
-                vy.append(gy[:, a] * w)
-    ti = np.concatenate(ti)
-    tj = np.concatenate(tj)
-    tk = np.concatenate(tk)
-    vx = np.concatenate(vx)
-    vy = np.concatenate(vy)
-
-    pair_key = ti * n + tj
-    uniq, pair_id = np.unique(pair_key, return_inverse=True)
-    rows = (uniq // n).astype(np.int64)
-    cols = (uniq % n).astype(np.int64)
-    npat = uniq.size
-    kx = sp.coo_matrix((vx, (pair_id, tk)), shape=(npat, n)).tocsr()
-    ky = sp.coo_matrix((vy, (pair_id, tk)), shape=(npat, n)).tocsr()
-    # np.unique sorts keys, so (rows, cols) are already in CSR order
-    return AdvectionTensor(n, rows, cols, kx, ky)
+    # CSR order sorts the pattern's keys i n + j, so a search locates each (i, j);
+    # the 27 rows of the element entries run over (a, b, c), a-major
+    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    pos = np.repeat(np.searchsorted(keys, (tris[:, _A] * n + tris[:, _B]).T), 3, axis=0)
+    a, b, c = np.repeat(_A, 3), np.repeat(_B, 3), np.tile(np.arange(3), 9)
+    w = areas / 12.0 * np.where(b == c, 2.0, 1.0)[:, None]
+    index = (pos.ravel(), tris[:, c].T.ravel())
+    kx, ky = (
+        sp.coo_matrix(((g[:, a].T * w).ravel(), index), shape=(keys.size, n)).tocsr()
+        for g in (gx, gy)
+    )
+    return AdvectionTensor(n, indptr, indices, kx, ky)
 
 
-def _assemble_drift(mesh: Mesh, areas, gx, gy, drift) -> sp.csr_matrix:
-    tris = mesh.triangles
-    n = mesh.n_vertices
-    corners = mesh.vertices[tris]  # (nt, 3, 2)
+def _drift_entries(mesh: Mesh, areas, gx, gy, drift) -> np.ndarray:
+    """(9, nt) element entries of B, rows in the order of (_A, _B)."""
+    corners = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     pts = np.einsum("qa,tad->tqd", _Q7_POINTS, corners)  # (nt, 7, 2)
     bx, by = drift(pts[..., 0], pts[..., 1])
     bx = np.broadcast_to(np.asarray(bx, dtype=float), pts[..., 0].shape)
@@ -310,25 +281,13 @@ def _assemble_drift(mesh: Mesh, areas, gx, gy, drift) -> sp.csr_matrix:
         bad = np.argwhere(~(np.isfinite(bx) & np.isfinite(by)))[0]
         x, y = pts[bad[0], bad[1]]
         raise ValueError(f"drift field is not finite at quadrature point ({x:g}, {y:g})")
-
-    rows, cols, data = [], [], []
-    for a in range(3):
-        # b . grad phi_a at each quadrature point of each triangle
-        flux = bx * gx[:, a, None] + by * gy[:, a, None]
-        for b in range(3):
-            w = (_Q7_WEIGHTS[None, :] * flux * _Q7_POINTS[None, :, b]).sum(axis=1)
-            rows.append(tris[:, a])
-            cols.append(tris[:, b])
-            data.append(areas * w)
-    B = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    B.eliminate_zeros()
-    return B
+    # b . grad phi_a at each quadrature point of each triangle, (3, nt, 7)
+    flux = bx * gx.T[:, :, None] + by * gy.T[:, :, None]
+    return areas * (_Q7_WEIGHTS * flux[_A] * _Q7_POINTS.T[_B, None, :]).sum(axis=2)
 
 
 def state_matrix(ops: FemOperators, u: ControlField) -> sp.csr_matrix:
-    """State operator L(u) = A - C(u) - B_drift.
+    """State operator L(u) = mu A_u - C(u) - B.
 
     Columns of L(u) sum to zero (1^T L = 0), so F.q is invariant under the
     dynamics M dq/dt = -L(u) q, and the equilibrium spans its 1-D kernel.

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .export import read_vector_csv
 from .fem import FemOperators
 from .mesh import Circle, Rect
 from .state import DensityField, normalized_density
@@ -53,22 +54,10 @@ def indicator_density(ops: FemOperators, regions) -> DensityField:
 
 def density_from_file(ops: FemOperators, path) -> DensityField:
     """Load nodal values from a density CSV (node_index,x,y,q) and normalize."""
-    values = np.zeros(ops.n)
-    seen = np.zeros(ops.n, dtype=bool)
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header.startswith("node_index"):
+        if not fh.readline().startswith("node_index"):
             raise ValueError(f"{path}: expected a density CSV header")
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            idx = int(parts[0])
-            values[idx] = float(parts[3])
-            seen[idx] = True
-    if not seen.all():
-        raise ValueError(f"{path}: nodal values missing for {int((~seen).sum())} nodes")
-    return normalized_density(ops, values)
+    return normalized_density(ops, read_vector_csv(path, ops.n))
 
 
 def _swirl(x, y):

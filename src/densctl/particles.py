@@ -308,15 +308,8 @@ def sample_initial(density, mesh: Mesh, n: int, seed: int) -> ParticleEnsemble:
     rng = np.random.default_rng(seed)
     tris = mesh.triangles
     corners = mesh.vertices[tris]
-    areas = np.abs(
-        0.5
-        * (
-            (corners[:, 1, 0] - corners[:, 0, 0]) * (corners[:, 2, 1] - corners[:, 0, 1])
-            - (corners[:, 1, 1] - corners[:, 0, 1]) * (corners[:, 2, 0] - corners[:, 0, 0])
-        )
-    )
     nodal = np.clip(q[tris], 0.0, None)  # (nt, 3)
-    tri_mass = areas * nodal.mean(axis=1)
+    tri_mass = mesh.triangle_areas() * nodal.mean(axis=1)
     total = tri_mass.sum()
     if not total > 0:
         raise ValueError("density has no positive mass to sample from")
@@ -422,11 +415,8 @@ def empirical_density(
             f"{int((tri < 0).sum())} particle(s) lie outside the mesh"
         )
     tris = mesh.triangles
-    e2 = mesh.vertices[tris[:, 1]] - mesh.vertices[tris[:, 0]]
-    e3 = mesh.vertices[tris[:, 2]] - mesh.vertices[tris[:, 0]]
-    areas = 0.5 * np.abs(e2[:, 0] * e3[:, 1] - e2[:, 1] * e3[:, 0])
     nv = mesh.n_vertices
-    lumped = np.bincount(tris.ravel(), np.repeat(areas / 3.0, 3), minlength=nv)
+    lumped = np.bincount(tris.ravel(), np.repeat(mesh.triangle_areas() / 3.0, 3), minlength=nv)
     dep = np.bincount(tris[tri].ravel(), (bary / ensemble.n).ravel(), minlength=nv)
     values = dep / lumped
     return DensityField(values=values, mass=float(lumped @ values))

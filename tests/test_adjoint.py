@@ -69,7 +69,8 @@ def test_adjoint_static_symmetric_case_pinv_oracle(tiny_ops, rng):
     adj = solve_adjoint_static(tiny_ops, u, q, z, alpha=1.0)
     lam_m = compute_lambda_m(q.values, tiny_ops, q, z, 1.0)
     rhs = tiny_ops.M @ (q.values - z.values) + lam_m * tiny_ops.F
-    lam_pinv = np.linalg.pinv(tiny_ops.A.toarray()) @ rhs
+    A = tiny_ops.tensor.csr(tiny_ops.L0_data)  # the stiffness matrix: no drift, mu = 1
+    lam_pinv = np.linalg.pinv(A.toarray()) @ rhs
     lam_pinv -= (tiny_ops.F @ lam_pinv) / tiny_ops.F.sum()
     assert_allclose(adj.values, lam_pinv, rtol=0, atol=1e-10)
 
@@ -129,7 +130,7 @@ def test_dynamic_adjoint_dense_spacetime_oracle(tiny_ops, rng, theta, lumped, kr
     )
     assert traj.fallbacks == lams.fallbacks == 0
 
-    Ms = (tiny_ops.M_lumped if lumped else tiny_ops.M).toarray()
+    Ms = tiny_ops.tensor.csr(tiny_ops.mass_data(lumped)).toarray()
     Ls = [dc.state_matrix(tiny_ops, c).toarray() for c in controls]
     A_big = np.zeros((n_steps * n, n_steps * n))
     for s in range(1, n_steps + 1):

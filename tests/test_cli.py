@@ -249,3 +249,20 @@ def test_unknown_ocp_keys_are_config_problems(run_cfg, tmp_path, capsys, section
     problems = [line for line in capsys.readouterr().err.splitlines() if key in line]
     assert len(problems) == 1 and problems[0].startswith(f"error: config: {section}: ")
     assert not os.path.exists(cfg["out_dir"])
+
+
+@pytest.mark.parametrize("verb, source", [
+    ("simulate", "nowhere"),
+    ("particles", "dynamic_solution"),
+])
+def test_unusable_control_is_rejected_before_any_output(run_cfg, tmp_path, capsys, verb, source):
+    path, cfg = run_cfg
+    if source == "dynamic_solution":
+        dyn = str(tmp_path / "dyn")
+        assert main(["dynamic", "--config", str(path), "--out", dyn]) == 0
+        source = os.path.join(dyn, source)
+    else:
+        source = str(tmp_path / source)
+    assert main([verb, "--config", str(path), "--control", source]) == 2
+    assert "error: config: " in capsys.readouterr().err
+    assert not os.path.exists(cfg["out_dir"])

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import densctl as dc
 from densctl import export
@@ -38,6 +39,23 @@ def test_nodal_csvs_match_per_cell_fmt(tmp_path, small_mesh, small_ops, rng):
     rows = ((i, p[0], p[1]) for i, p in enumerate(positions))
     export.write_csv(tmp_path / "expected.csv", ["id", "x", "y"], rows)
     assert (tmp_path / "ensemble.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+@pytest.mark.parametrize("keep, problem", [
+    (slice(0, 2), "no value for"),
+    (slice(None), "out of range"),
+])
+def test_read_vector_csv_rejects_incomplete_files(tmp_path, small_mesh, small_ops, keep, problem):
+    path = tmp_path / "u_x.csv"
+    export.write_density_csv(path, small_mesh, np.ones(small_ops.n))
+    lines = path.read_text().splitlines(keepends=True)
+    rows = lines[1:][keep]
+    if problem == "out of range":
+        rows.append(f"{small_ops.n},0.0,0.0,1.0\n")
+    path.write_text(lines[0] + "".join(rows))
+    with pytest.raises(ValueError, match=problem) as exc:
+        export.read_vector_csv(path, small_ops.n)
+    assert str(path) in str(exc.value)
 
 
 def test_control_csvs(tmp_path, small_mesh, small_ops, rng):

@@ -26,7 +26,8 @@ def test_mass_matrix_single_reference_triangle(tmp_path):
 
 def test_unit_square_partition_of_unity(unit_square_mesh):
     ops = dc.assemble_operators(unit_square_mesh, mu=1.0)
-    assert np.abs(ops.A @ np.ones(4)).max() < 1e-14
+    A = ops.tensor.csr(ops.L0_data)  # the stiffness matrix: no drift, mu = 1
+    assert np.abs(A @ np.ones(4)).max() < 1e-14
     assert ops.F.sum() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -38,15 +39,18 @@ def test_operator_invariants(holed_ops):
     rngv = np.random.default_rng(0).standard_normal(n)
     assert rngv @ (ops.M @ rngv) > 0
     # A symmetric PSD with zero row sums
-    assert np.abs((ops.A - ops.A.T).data).max() if (ops.A - ops.A.T).nnz else 0 < 1e-12
-    assert np.abs(ops.A @ np.ones(n)).max() < 1e-12
-    assert rngv @ (ops.A @ rngv) >= -1e-12
+    A = ops.tensor.csr(ops.L0_data)  # no drift
+    assert abs(A - A.T).max() < 1e-12
+    assert np.abs(A @ np.ones(n)).max() < 1e-12
+    assert rngv @ (A @ rngv) >= -1e-12
     # F = M 1 componentwise, positive, sums to the domain area
     assert_allclose(ops.F, np.asarray(ops.M.sum(axis=1)).ravel(), rtol=0, atol=0)
     assert (ops.F > 0).all()
     assert ops.F.sum() == pytest.approx(ops.mesh.domain_area, rel=1e-12)
     # lumped mass: diagonal, positive, same row sums as M
-    lump = ops.M_lumped.diagonal()
+    lumped = ops.tensor.csr(ops.M_lumped_data)
+    lump = lumped.diagonal()
+    assert lumped.count_nonzero() == ops.n  # nothing off the diagonal
     assert (lump > 0).all()
     assert_allclose(lump, ops.F, rtol=0, atol=0)
 
@@ -54,8 +58,17 @@ def test_operator_invariants(holed_ops):
 def test_mu_scaling(small_mesh):
     ops1 = dc.assemble_operators(small_mesh, mu=1.0)
     ops3 = dc.assemble_operators(small_mesh, mu=3.0)
-    assert_allclose(ops3.A.toarray(), 3.0 * ops1.A.toarray(), rtol=1e-14)
+    A1, A3 = (ops.tensor.csr(ops.L0_data).toarray() for ops in (ops1, ops3))
+    assert_allclose(A3, 3.0 * A1, rtol=1e-14)
     assert_allclose(ops3.A_u.toarray(), ops1.A_u.toarray(), rtol=0, atol=0)
+
+
+def test_operators_are_data_on_the_tensor_pattern(holed_ops):
+    tensor = holed_ops.tensor
+    for mat in (holed_ops.M, holed_ops.A_u):
+        assert np.array_equal(mat.indptr, tensor._indptr)
+        assert np.array_equal(mat.indices, tensor._indices)
+    assert holed_ops.mass_data(False) is holed_ops.M.data
 
 
 def test_bad_mu_rejected(small_mesh):
@@ -169,23 +182,26 @@ def test_adjoint_is_exact_transpose(holed_ops, rng):
     assert (tensor.csr(data).T.tocsr() - D).nnz == 0
 
 
+def drift_data(mesh, drift):
+    """Pattern data of the transport matrix B of a drift field: L0 is A - B."""
+    free = dc.assemble_operators(mesh, mu=1.0)
+    return free.L0_data - dc.assemble_operators(mesh, mu=1.0, drift=drift).L0_data
+
+
 def test_drift_zero_field_gives_zero_matrix(small_mesh):
-    ops = dc.assemble_operators(
-        small_mesh, mu=1.0, drift=lambda x, y: (np.zeros_like(x), np.zeros_like(y))
-    )
-    assert ops.B_drift.nnz == 0
+    B = drift_data(small_mesh, lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
+    assert np.count_nonzero(B) == 0
 
 
 def test_drift_constant_field_oracle(tiny_mesh):
     # B_ij = ∫ (b . grad phi_i) phi_j with b = (1, 2): exact linear algebra
-    ops = dc.assemble_operators(
-        tiny_mesh, mu=1.0, drift=lambda x, y: (np.ones_like(x), 2.0 * np.ones_like(y))
-    )
+    ops = dc.assemble_operators(tiny_mesh, mu=1.0)
+    B = drift_data(tiny_mesh, lambda x, y: (np.ones_like(x), 2.0 * np.ones_like(y)))
     tx, ty = ops.tensor.dense()
     # sum_k T_ijk = ∫ (d phi_i/dc) phi_j, so the constant-drift matrix is the
     # tensor contracted with the all-ones control scaled per component
     expected = tx.sum(axis=2) * 1.0 + ty.sum(axis=2) * 2.0
-    assert_allclose(ops.B_drift.toarray(), expected, rtol=0, atol=1e-14)
+    assert_allclose(ops.tensor.csr(B).toarray(), expected, rtol=0, atol=1e-14)
 
 
 def test_drift_left_kernel(holed_mesh, rng):
