@@ -126,7 +126,8 @@ def solve_adjoint_dynamic(
     trapezoidal weights by default.  Each transposed step is factorized, or,
     given ``precond`` (the LU of a nearby step matrix), solved by
     :func:`linalg.gmres_solve` from the next step's multiplier, with its
-    misses counted in ``fallbacks``.
+    misses counted in ``fallbacks``.  The transposed explicit and implicit
+    step matrices are built once per sweep; each step overwrites their data.
     """
     n_steps = trajectory.n_steps
     if abs(trajectory.dt - dt) > 1e-12 * max(1.0, dt):
@@ -140,13 +141,16 @@ def solve_adjoint_dynamic(
     values = np.zeros((n_steps + 1, ops.n))
     lam_next = np.zeros(ops.n)
     fallbacks = 0
+    explicit_T = ops.tensor.csr(np.empty_like(mass)).T
+    implicit_T = ops.tensor.csc(np.empty_like(mass)).T  # A^T as CSR: A's CSC arrays
     for i in range(n_steps, 0, -1):
         L_i = ops.state_data(controls[i])
         source = w[i] * dt * alpha * (ops.M @ (trajectory.states[i] - qref))
-        rhs = ops.tensor.csr(mass - (1.0 - theta) * L_i).T @ lam_next + source
-        if precond is not None:  # A_i^T as CSR: the CSC arrays of A_i
-            A_T = ops.tensor.csc(mass + theta * L_i).T
-            lam, missed = gmres_solve(A_T, rhs, precond, lam_next, trans="T")
+        explicit_T.data[:] = mass - (1.0 - theta) * L_i
+        rhs = explicit_T @ lam_next + source
+        if precond is not None:
+            implicit_T.data[:] = (mass + theta * L_i)[ops.tensor.transpose]
+            lam, missed = gmres_solve(implicit_T, rhs, precond, lam_next, trans="T")
             fallbacks += missed
         else:
             lam = lu_factor(ops.tensor.csr(mass + theta * L_i).T).solve(rhs)

@@ -44,7 +44,7 @@ from .particles import (
     sample_initial,
     step_particles,
 )
-from .state import density_from_values, simulate, solve_equilibrium
+from .state import _controls_for_grid, _n_steps, density_from_values, simulate, solve_equilibrium
 
 DEFAULT_CONFIG = {
     "mesh": {
@@ -225,6 +225,12 @@ def _start(args, base=DEFAULT_CONFIG, static_control=False):
     control = load_control(ops, args.control) if "control" in args else None
     if static_control and not isinstance(control, ControlField):
         raise ConfigError([f"{args.command} requires a static control (zero or static dir)"])
+    if isinstance(control, list):
+        ocp = _ocp_config(cfg["ocp"])
+        try:
+            _controls_for_grid(control, _n_steps(ocp.T, ocp.dt))
+        except ValueError as exc:
+            raise ConfigError([f"control {args.control!r}: {exc}"]) from None
     _echo_config(cfg, cfg["out_dir"])
     manifest = export.Manifest(cfg["out_dir"])
     manifest.add("config.echo", "configuration")
@@ -235,22 +241,20 @@ def load_control(ops, source):
     """Control from 'zero', a static_solution directory, or a dynamic one."""
     if source == "zero":
         return ControlField.zeros(ops.n)
-    ux_path = os.path.join(source, "u_x.csv")
-    if os.path.exists(ux_path):
-        ux = export.read_vector_csv(ux_path, ops.n)
-        uy = export.read_vector_csv(os.path.join(source, "u_y.csv"), ops.n)
-        return ControlField(ux, uy)
+
+    def read(directory, fx):
+        paths = (os.path.join(directory, f) for f in (fx, fx.replace("u_x", "u_y", 1)))
+        try:
+            return ControlField(*(export.read_vector_csv(p, ops.n) for p in paths))
+        except (OSError, ValueError) as exc:  # a missing, unreadable or incomplete file
+            raise ConfigError([f"cannot read control: {exc}"]) from None
+
+    if os.path.exists(os.path.join(source, "u_x.csv")):
+        return read(source, "u_x.csv")
     ctrl_dir = os.path.join(source, "controls")
     if os.path.isdir(ctrl_dir):
         files = sorted(f for f in os.listdir(ctrl_dir) if f.startswith("u_x_"))
-        controls = []
-        for fx in files:
-            ux = export.read_vector_csv(os.path.join(ctrl_dir, fx), ops.n)
-            uy = export.read_vector_csv(
-                os.path.join(ctrl_dir, fx.replace("u_x_", "u_y_")), ops.n
-            )
-            controls.append(ControlField(ux, uy))
-        return controls
+        return [read(ctrl_dir, fx) for fx in files]
     raise ConfigError([f"no control found at {source!r} (expected u_x.csv or controls/)"])
 
 

@@ -1,7 +1,9 @@
 """CSV / VTK writers for densities, controls, trajectories, and reports.
 
 Floats are written with Python's shortest round-trip repr so that identical
-runs produce bitwise-identical files.
+runs produce bitwise-identical files.  A nodal CSV's ``node_index,x,y,`` row
+prefixes are formatted once per mesh and cached on it, so each file formats
+only its value column.
 """
 
 from __future__ import annotations
@@ -55,8 +57,12 @@ def write_indexed_csv(path, header, table) -> None:
 
 
 def _write_nodal_csv(path, mesh: Mesh, name: str, values) -> None:
-    columns = np.column_stack([mesh.vertices, values])
-    write_indexed_csv(path, ["node_index", "x", "y", name], columns)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.n_vertices,):
+        raise ValueError(f"{path}: {values.shape} values for {mesh.n_vertices} nodes")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(f"node_index,x,y,{name}\n")
+        fh.writelines(map("{}{!r}\n".format, mesh._csv_prefixes, values.tolist()))
 
 
 def write_density_csv(path, mesh: Mesh, values) -> None:

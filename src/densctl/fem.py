@@ -91,6 +91,7 @@ class AdvectionTensor:
         self.pattern_cols = indices.astype(np.int64)
         self.kx = kx  # (n_pattern, n_state) CSR
         self.ky = ky
+        self._kx_T, self._ky_T = kx.T.tocsr(), ky.T.tocsr()  # for the gradient
         # the pattern is symmetric: position of (j, i) for each (i, j)
         rows, cols = self.pattern_rows, self.pattern_cols
         self.transpose = np.searchsorted(rows * n_state + cols, cols * n_state + rows)
@@ -123,7 +124,7 @@ class AdvectionTensor:
         if lam.shape != (self.n_state,) or q.shape != (self.n_state,):
             raise ValueError("lambda and q must be state-space vectors")
         w = lam[self.pattern_rows] * q[self.pattern_cols]
-        return self.kx.T @ w, self.ky.T @ w
+        return self._kx_T @ w, self._ky_T @ w
 
     def dense(self):
         """Dense (n, n, n) arrays (Tx, Ty); only for small oracle meshes."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,12 @@ class Mesh:
 
     def triangle_areas(self) -> np.ndarray:
         return _signed_areas(self.vertices, self.triangles)
+
+    @cached_property
+    def _csv_prefixes(self) -> list[str]:
+        """The ``node_index,x,y,`` prefix of each row of a nodal CSV."""
+        xy = np.asarray(self.vertices, dtype=float).tolist()
+        return [f"{i},{x!r},{y!r}," for i, (x, y) in enumerate(xy)]
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,10 @@ def theta_sweep(
     ``precond`` (a nearby step matrix's LU), by :func:`linalg.gmres_solve`.
     The operators are data arrays on the tensor's sparsity pattern, and each
     node's L data is the implicit part of the step into it and the explicit
-    part of the step out of it.  A control given as the same object at every
-    node is factorized once.  Returns (trajectory, that LU or else None).
+    part of the step out of it.  The two step matrices are built once per
+    sweep, and each step overwrites their data.  A control given as the same
+    object at every node is factorized once.  Returns (trajectory, that LU or
+    else None).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -166,6 +168,7 @@ def theta_sweep(
     krylov = precond is not None and not constant
     tensor = ops.tensor
     mass = ops.mass_data(lumped) / dt
+    explicit, implicit = tensor.csr(np.empty_like(mass)), tensor.csc(np.empty_like(mass))
 
     states = np.empty((n_steps + 1, ops.n))
     states[0] = _vals(q0)
@@ -173,10 +176,10 @@ def theta_sweep(
     L = ops.state_data(controls[0])
     for i in range(n_steps):
         if i == 0 or not constant:
-            explicit = tensor.csr(mass - (1.0 - theta) * L)
+            explicit.data[:] = mass - (1.0 - theta) * L
             if not constant:
                 L = ops.state_data(controls[i + 1])
-            implicit = tensor.csc(mass + theta * L)
+            implicit.data[:] = (mass + theta * L)[tensor.transpose]
             lu = None if krylov else lu_factor(implicit)
         rhs = explicit @ states[i]
         if krylov:

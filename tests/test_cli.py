@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -266,3 +267,35 @@ def test_unusable_control_is_rejected_before_any_output(run_cfg, tmp_path, capsy
     assert main([verb, "--config", str(path), "--control", source]) == 2
     assert "error: config: " in capsys.readouterr().err
     assert not os.path.exists(cfg["out_dir"])
+
+
+def test_unreadable_or_misfit_controls_are_config_problems(run_cfg, tmp_path, capsys):
+    path, cfg = run_cfg
+    dyn = str(tmp_path / "dyn")
+    assert main(["dynamic", "--config", str(path), "--out", dyn]) == 0
+    capsys.readouterr()
+    controls = os.path.join(dyn, "dynamic_solution", "controls")
+    half = tmp_path / "half"  # a static control without its u_y.csv
+    half.mkdir()
+    shutil.copy(os.path.join(controls, "u_x_00000.csv"), half / "u_x.csv")
+    gap = tmp_path / "gap"  # a time-varying control missing one u_y_*.csv
+    shutil.copytree(os.path.join(dyn, "dynamic_solution"), gap / "dynamic_solution")
+    os.remove(gap / "dynamic_solution" / "controls" / "u_y_00003.csv")
+    short = tmp_path / "short"  # a static control whose u_y.csv lacks a row
+    shutil.copytree(half, short)
+    rows = (short / "u_x.csv").read_text().splitlines(keepends=True)
+    (short / "u_y.csv").write_text("".join(rows[:-1]))
+    empty = tmp_path / "empty"
+    (empty / "controls").mkdir(parents=True)
+    cases = [
+        (half, [], "No such file or directory"),
+        (short, [], "no value for 1 of"),
+        (gap / "dynamic_solution", [], "u_y_00003.csv"),
+        (os.path.join(dyn, "dynamic_solution"), ["--t-final", "0.5"], "has 6 nodes, grid needs 11"),
+        (empty, [], "has 0 nodes, grid needs 6"),
+    ]
+    for source, extra, problem in cases:
+        assert main(["simulate", "--config", str(path), "--control", str(source), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and problem in err, err
+        assert not os.path.exists(cfg["out_dir"])

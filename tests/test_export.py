@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,35 @@ def test_nodal_csvs_match_per_cell_fmt(tmp_path, small_mesh, small_ops, rng):
     rows = ((i, p[0], p[1]) for i, p in enumerate(positions))
     export.write_csv(tmp_path / "expected.csv", ["id", "x", "y"], rows)
     assert (tmp_path / "ensemble.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_nodal_csv_prefixes_follow_their_mesh(tmp_path, rng):
+    """Each mesh formats its own row prefixes: meshes written alternately, and
+    meshes of the same size built after another is dropped, get their own."""
+
+    def check(mesh, name):
+        values = rng.standard_normal(mesh.n_vertices)
+        export.write_density_csv(tmp_path / name, mesh, values)
+        columns = np.column_stack([mesh.vertices, values])
+        export.write_indexed_csv(tmp_path / "expected.csv", ["node_index", "x", "y", "q"], columns)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        back = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 1:3], mesh.vertices)
+
+    meshes = [dc.generate_rect_mesh((0.0, 0.0, 1.0, 1.0), h) for h in (0.3, 0.2)]
+    for k in range(3):
+        for j, mesh in enumerate(meshes):
+            check(mesh, f"q_{k}_{j}.csv")
+    first = meshes.pop(0)
+    fields = {k: getattr(first, k) for k in ("triangles", "boundary_edges",
+                                             "boundary_markers", "domain_area")}
+    vertices = first.vertices
+    del first
+    gc.collect()
+    # shifted copies, each built after the last is dropped: CPython reuses ids
+    for k in range(1, 4):
+        check(dc.Mesh(vertices=vertices + 0.5 * k, **fields), f"shifted_{k}.csv")
+    check(meshes[0], "again.csv")
 
 
 @pytest.mark.parametrize("keep, problem", [

@@ -12,9 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import densctl as dc
-from densctl.adjoint import solve_adjoint_dynamic
+from densctl.adjoint import solve_adjoint_dynamic, trapezoid_weights
 from densctl.fem import _Q7_POINTS, _Q7_WEIGHTS
-from densctl.linalg import lu_factor
+from densctl.linalg import gmres_solve, lu_factor
 from densctl.ocp_dynamic import _dynamic_gradient, evaluate_dynamic_cost, solve_dynamic_ocp
 from densctl.ocp_static import OcpConfig, StaticSolution, solve_static_ocp
 from densctl.state import theta_sweep
@@ -221,6 +221,76 @@ def test_krylov_sweeps_on_random_meshes(mesh, drift, seed, theta, lumped):
         for h in (1e-3, 1e-4, 1e-5)
     )
     assert err <= 1e-8 * np.linalg.norm(G)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=_meshes(),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.sampled_from([0.5, 1.0]),
+    lumped=st.booleans(),
+    krylov=st.booleans(),
+)
+def test_sweeps_match_fresh_step_matrices_bitwise(mesh, drift, seed, theta, lumped, krylov):
+    """The sweeps overwrite step matrices built once per sweep; a loop that
+    builds them afresh at every step gives the same bits."""
+    ops = dc.assemble_operators(
+        mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None
+    )
+    rng = np.random.default_rng(seed)
+    n, n_steps, dt, alpha = ops.n, 3, 0.05, 1.0
+    q0, qref = (dc.normalized_density(ops, rng.random(n) + 0.1).values for _ in range(2))
+    U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
+    u_ref = random_control(ops, rng, 0.5)
+    precond = theta_sweep(ops, q0, [u_ref] * 2, dt, theta, lumped)[1] if krylov else None
+    tensor, mass = ops.tensor, ops.mass_data(lumped) / dt
+    L = [ops.state_data(u) for u in U]
+
+    states = [q0]
+    for i in range(n_steps):
+        rhs = tensor.csr(mass - (1.0 - theta) * L[i]) @ states[i]
+        A = tensor.csc(mass + theta * L[i + 1])
+        if krylov:
+            states.append(gmres_solve(A, rhs, precond, states[i])[0])
+        else:
+            lu = lu_factor(A)
+            q = lu.solve(rhs)
+            states.append(q + lu.solve(rhs - A @ q))
+    traj, _ = theta_sweep(ops, q0, U, dt, theta, lumped, precond)
+    assert _same_bits(traj.states, states)
+
+    w, lams = trapezoid_weights(n_steps), [np.zeros(n)]
+    for i in range(n_steps, 0, -1):
+        source = w[i] * dt * alpha * (ops.M @ (traj.states[i] - qref))
+        rhs = tensor.csr(mass - (1.0 - theta) * L[i]).T @ lams[-1] + source
+        if krylov:
+            A_T = tensor.csc(mass + theta * L[i]).T
+            lam = gmres_solve(A_T, rhs, precond, lams[-1], trans="T")[0]
+        else:
+            lam = lu_factor(tensor.csr(mass + theta * L[i]).T).solve(rhs)
+        lams.append(lam - float(ops.F @ lam) / float(ops.F.sum()))
+    adj = solve_adjoint_dynamic(ops, traj, U, qref, alpha, dt, theta, lumped, precond=precond)
+    assert _same_bits(adj.values, lams[::-1])
+    assert traj.fallbacks == adj.fallbacks == 0
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mesh=_meshes(), drift=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gradient_contraction_matches_transposed_products_bitwise(mesh, drift, seed):
+    ops = dc.assemble_operators(
+        mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None
+    )
+    tensor, rng = ops.tensor, np.random.default_rng(seed)
+    lam, q = rng.standard_normal((2, ops.n))
+    w = lam[tensor.pattern_rows] * q[tensor.pattern_cols]
+    gx, gy = tensor.gradient_contraction(lam, q)
+    assert _same_bits(gx, tensor.kx.T @ w) and _same_bits(gy, tensor.ky.T @ w)
 
 
 def test_krylov_miss_falls_back_to_the_direct_step(holed_ops, rng):
