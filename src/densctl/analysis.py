@@ -4,7 +4,11 @@ Checks, with explicit margins: the 1-D kernel of the state matrix and the
 constant left kernel of its transpose, positivity of the kernel vector,
 spectral positivity of the symmetric part on the zero-mean subspace, and
 monotone decay of the quadratic Lyapunov function along trajectories.
-Everything here reports computed numbers; nothing is assumed.
+One sparse path serves every mesh size: solves go through the bordered LU
+of :mod:`linalg`, and extreme eigenvalues come from ARPACK's Lanczos
+iteration (``eigsh``) started from a fixed vector, so repeated runs give
+the same bits.  Everything here reports computed numbers; nothing is
+assumed.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .fem import ControlField, FemOperators, state_matrix
-from .mesh import Mesh, boundary_edge_normals
+from .linalg import bordered_lu, bordered_solve
 from .state import Trajectory, _vals
 
 __all__ = [
@@ -22,48 +28,54 @@ __all__ = [
     "CertificateReport",
     "certify_kernel",
     "certify_spectral_positivity",
-    "zero_mean_basis",
     "l2_distance",
     "lyapunov_values",
     "convergence_report",
     "certify",
-    "boundary_node_normals",
-    "tangency_report",
 ]
-
-DENSE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
 class KernelCertificate:
-    dim: int | None  # numerical kernel dimension (dense path only)
-    kernel_vector: np.ndarray | None
+    dim: int | None  # numerical kernel dimension; None when the gap is ambiguous
+    kernel_vector: np.ndarray  # unit 2-norm, sign-normalized
     left_kernel_residual: float  # ||1^T L||_inf / ||L||_inf
     adjoint_kernel_residual: float  # ||L^T 1||_inf / ||L||_inf
-    gap_ratio: float | None  # sigma_{n-2} / sigma_{n-1}
-    kernel_min_entry: float | None  # after sign normalization
-    dense_path: bool
+    gap_ratio: float  # sigma_{n-2} / ||L v||_2 <= sigma_{n-2} / sigma_{n-1}
+    kernel_min_entry: float  # after sign normalization
 
 
 @dataclass(frozen=True)
 class CertificateReport:
     kernel_dim_state: int | None
     left_kernel_residual: float
-    min_symmetric_eigenvalue_on_M0: float | None
+    min_symmetric_eigenvalue_on_M0: float
     lyapunov_monotone: bool | None
     details: dict = field(default_factory=dict)
 
 
-def certify_kernel(
-    ops: FemOperators, u: ControlField, dense_limit: int = DENSE_LIMIT
-) -> KernelCertificate:
+def _extreme_eigenvalue(apply, n, project, which, tol=0.0) -> float:
+    """One eigenvalue of the symmetric n x n operator ``apply`` by ARPACK.
+
+    The start vector is fixed, a seeded Gaussian vector passed through
+    ``project``, so the result repeats bit for bit.
+    """
+    op = LinearOperator((n, n), matvec=apply, dtype=float)
+    v0 = project(np.random.default_rng(0).standard_normal(n))
+    return float(eigsh(op, k=1, which=which, tol=tol, v0=v0, return_eigenvectors=False)[0])
+
+
+def certify_kernel(ops: FemOperators, u: ControlField) -> KernelCertificate:
     """Kernel structure of the state matrix for one control.
 
-    Always verifies the algebraic left/right kernel residuals of L(u) and
-    L(u)^T against the constant vector.  On meshes up to ``dense_limit``
-    nodes it additionally runs a dense SVD to certify that the numerical
-    rank is n-1 (singular-value gap ratio) and that the kernel vector is
-    strictly one-signed.
+    Verifies the algebraic left/right kernel residuals of L(u) and L(u)^T
+    against the constant vector.  The kernel vector v is the bordered
+    equilibrium solve, unit-normalized and sign-fixed.  The smallest nonzero
+    singular value sigma_{n-2} = 1/||L^+|| comes from the top eigenvalue of
+    L^+^T L^+, where L^+ b solves L x = P_1 b through the same bordered LU
+    and is then projected off v (and L^T^+ y solves L^T z = P_v y, projected
+    off 1).  The rank is n-1 when sigma_{n-2} / ||L v|| exceeds 1e3, which
+    in exact arithmetic bounds sigma_{n-2} / sigma_{n-1} from below.
     """
     L = state_matrix(ops, u)
     norm = np.abs(L).max() if L.nnz else 1.0
@@ -71,63 +83,64 @@ def certify_kernel(
     left_res = float(np.abs(ones @ L).max() / norm)
     adj_res = float(np.abs(L.T @ ones).max() / norm)
 
-    if ops.n > dense_limit:
-        return KernelCertificate(
-            dim=None,
-            kernel_vector=None,
-            left_kernel_residual=left_res,
-            adjoint_kernel_residual=adj_res,
-            gap_ratio=None,
-            kernel_min_entry=None,
-            dense_path=False,
-        )
+    factor = bordered_lu(L, ops.F)
+    v = bordered_solve(factor, np.zeros(ops.n), 1.0)[0]
+    v = v / np.linalg.norm(v)
+    v = v * np.sign(v[np.argmax(np.abs(v))])
 
-    dense = L.toarray()
-    _, svals, vt = np.linalg.svd(dense)
-    tiny = np.finfo(float).tiny
-    gap = float(svals[-2] / max(svals[-1], tiny))
+    def pinv(b):
+        x = bordered_solve(factor, b - b.mean(), 0.0)[0]
+        return x - v * (v @ x)
+
+    def pinv_transpose(y):
+        z = bordered_solve(factor, y - v * (v @ y), 0.0, trans="T")[0]
+        return z - z.mean()
+
+    top = _extreme_eigenvalue(
+        lambda b: pinv_transpose(pinv(b)), ops.n, lambda w: w - w.mean(), "LA"
+    )
+    gap = float(1.0 / np.sqrt(top) / max(np.linalg.norm(L @ v), np.finfo(float).tiny))
     # rank n-1 is certified by one singular value separated from the rest;
     # an ambiguous gap is reported as dim=None, never silently passed
-    dim = 1 if gap > 1e3 else None
-    v = vt[-1]
-    v = v * np.sign(v[np.argmax(np.abs(v))])
     return KernelCertificate(
-        dim=dim,
+        dim=1 if gap > 1e3 else None,
         kernel_vector=v,
         left_kernel_residual=left_res,
         adjoint_kernel_residual=adj_res,
         gap_ratio=gap,
         kernel_min_entry=float(v.min()),
-        dense_path=True,
     )
 
 
-def zero_mean_basis(F: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {w : F.w = 0} from the spanning set e_1 - (F_1/F_k) e_k."""
-    n = F.size
-    raw = np.zeros((n, n - 1))
-    raw[0, :] = 1.0
-    for k in range(1, n):
-        raw[k, k - 1] = -F[0] / F[k]
-    Q, _ = np.linalg.qr(raw)
-    return Q
+def certify_spectral_positivity(ops: FemOperators, u: ControlField) -> float:
+    """Smallest eigenvalue of S = sym(L(u)) on the zero-mean subspace F^perp.
 
-
-def certify_spectral_positivity(
-    ops: FemOperators, u: ControlField, dense_limit: int = DENSE_LIMIT
-) -> float:
-    """Smallest eigenvalue of sym(B^T L(u) B) on the zero-mean subspace.
-
+    A Lanczos estimate (tol 1e-6) on P S P + c f f^T, with P the orthogonal
+    projector onto F^perp, f = F/|F| and c >= ||S||_2 lifting the exact zero
+    that P S P has at f, is refined by shift-invert just below it: the
+    bordered LU of (S - sigma I, F) is the inverse of S - sigma I on F^perp.
     A positive value certifies exponential decay of the quadratic Lyapunov
     function; a negative value is reported as-is (trajectory monotonicity is
     the sharper check in that case).
     """
-    if ops.n > dense_limit:
-        raise ValueError(f"dense spectral certificate limited to {dense_limit} nodes")
-    B = zero_mean_basis(ops.F)
-    reduced = B.T @ (state_matrix(ops, u).toarray() @ B)
-    sym = 0.5 * (reduced + reduced.T)
-    return float(np.linalg.eigvalsh(sym)[0])
+    L = state_matrix(ops, u)
+    S = 0.5 * (L + L.T)
+    f = ops.F / np.linalg.norm(ops.F)
+    c = float(np.abs(S).sum(axis=0).max())  # largest column abs-sum >= ||S||_2
+
+    def project(w):
+        return w - f * (f @ w)
+
+    def lifted(w):
+        return project(S @ project(w)) + c * f * (f @ w)
+
+    est = _extreme_eigenvalue(lifted, ops.n, project, "SA", tol=1e-6)
+    shift = est - 1e-3 * max(abs(est), 1e-8 * c)
+    factor = bordered_lu(S - shift * sp.identity(ops.n), ops.F)
+    top = _extreme_eigenvalue(
+        lambda w: bordered_solve(factor, project(w), 0.0)[0], ops.n, project, "LM"
+    )
+    return float(shift + 1.0 / top)
 
 
 def l2_distance(a, b, M) -> float:
@@ -165,19 +178,14 @@ def certify(
     u: ControlField,
     trajectory: Trajectory | None = None,
     reference=None,
-    dense_limit: int = DENSE_LIMIT,
 ) -> CertificateReport:
     """Aggregate certificate used by the command-line runner."""
-    kc = certify_kernel(ops, u, dense_limit)
+    kc = certify_kernel(ops, u)
     details = {
         "adjoint_kernel_residual": kc.adjoint_kernel_residual,
         "gap_ratio": kc.gap_ratio,
         "kernel_min_entry": kc.kernel_min_entry,
-        "dense_path": kc.dense_path,
     }
-    min_eig = None
-    if ops.n <= dense_limit:
-        min_eig = certify_spectral_positivity(ops, u, dense_limit)
     monotone = None
     if trajectory is not None and reference is not None:
         _, monotone, final = convergence_report(trajectory, reference, ops)
@@ -185,31 +193,7 @@ def certify(
     return CertificateReport(
         kernel_dim_state=kc.dim,
         left_kernel_residual=kc.left_kernel_residual,
-        min_symmetric_eigenvalue_on_M0=min_eig,
+        min_symmetric_eigenvalue_on_M0=certify_spectral_positivity(ops, u),
         lyapunov_monotone=monotone,
         details=details,
     )
-
-
-def boundary_node_normals(mesh: Mesh):
-    """Outward unit normals at boundary vertices (length-weighted edge average).
-
-    Returns (node_indices, normals).
-    """
-    half = 0.5 * boundary_edge_normals(mesh)
-    acc = np.zeros((mesh.n_vertices, 2))
-    for ends in mesh.boundary_edges.T:
-        np.add.at(acc, ends, half)
-    nodes = np.unique(mesh.boundary_edges).astype(np.int64)
-    normals = acc[nodes] / np.linalg.norm(acc[nodes], axis=1, keepdims=True)
-    return nodes, normals
-
-
-def tangency_report(mesh: Mesh, u: ControlField):
-    """max |u.n| / max |u| over boundary nodes (control tangency diagnostic)."""
-    nodes, normals = boundary_node_normals(mesh)
-    un = u.ux[nodes] * normals[:, 0] + u.uy[nodes] * normals[:, 1]
-    umax = float(u.magnitudes().max())
-    if umax == 0.0:
-        return 0.0, umax
-    return float(np.abs(un).max() / umax), umax

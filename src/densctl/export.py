@@ -143,7 +143,7 @@ def write_trajectory(
     )
 
 
-def write_vtk(path, mesh: Mesh, point_scalars=None, point_vectors=None) -> None:
+def write_vtk(path, mesh: Mesh, point_scalars=None) -> None:
     """Legacy ASCII unstructured-grid file with point data."""
     nv, nt = mesh.n_vertices, mesh.n_triangles
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -159,17 +159,13 @@ def write_vtk(path, mesh: Mesh, point_scalars=None, point_vectors=None) -> None:
             fh.write(f"3 {i} {j} {k}\n")
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
-        if point_scalars or point_vectors:
+        if point_scalars:
             fh.write(f"POINT_DATA {nv}\n")
         for name, values in (point_scalars or {}).items():
             fh.write(f"SCALARS {name} double\n")
             fh.write("LOOKUP_TABLE default\n")
             for v in values:
                 fh.write(f"{float(v)!r}\n")
-        for name, (vx, vy) in (point_vectors or {}).items():
-            fh.write(f"VECTORS {name} double\n")
-            for a, b in zip(vx, vy):
-                fh.write(f"{float(a)!r} {float(b)!r} 0.0\n")
 
 
 class Manifest:

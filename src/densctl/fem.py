@@ -102,9 +102,6 @@ class AdvectionTensor:
             raise ValueError(f"control has {u.n} nodes, tensor expects {self.n_state}")
         return self.kx @ u.ux + self.ky @ u.uy
 
-    def contract(self, u: ControlField) -> sp.csr_matrix:
-        return self.csr(self.contract_data(u))
-
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with the given pattern data, in CSR form."""
         n = self.n_state

@@ -451,6 +451,7 @@ def test_criterion_11_determinism(tmp_path):
         (["dynamic"], []),
         (["particles"], ["--control", str(tmp_path / "s0" / "static_solution"),
                          "--n", "4000", "--substeps", "2"]),
+        (["certify"], ["--control", str(tmp_path / "s0" / "static_solution")]),
     ):
         outs = []
         for tag in ("0", "1"):

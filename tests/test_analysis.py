@@ -1,20 +1,60 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import densctl as dc
+from densctl import cli, presets
 from densctl.analysis import (
-    boundary_node_normals,
     certify,
     certify_kernel,
     certify_spectral_positivity,
     convergence_report,
     l2_distance,
     lyapunov_values,
-    zero_mean_basis,
 )
+from densctl.fem import state_matrix
+from densctl.mesh import boundary_edge_normals
 
 from conftest import random_control
+from test_sweep import _meshes
+
+
+def zero_mean_basis(F: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {w : F.w = 0} from the spanning set e_1 - (F_1/F_k) e_k."""
+    n = F.size
+    raw = np.zeros((n, n - 1))
+    raw[0, :] = 1.0
+    for k in range(1, n):
+        raw[k, k - 1] = -F[0] / F[k]
+    Q, _ = np.linalg.qr(raw)
+    return Q
+
+
+def dense_certificates(ops, u):
+    """The dense oracle: (dim, sigma_{n-2}, kernel_min_entry, lambda_min) from
+    the full SVD of L(u) and eigvalsh of its symmetric part on F^perp."""
+    L = state_matrix(ops, u).toarray()
+    _, svals, vt = np.linalg.svd(L)
+    gap = svals[-2] / max(svals[-1], np.finfo(float).tiny)
+    v = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])
+    B = zero_mean_basis(ops.F)
+    reduced = B.T @ L @ B
+    lam = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))[0]
+    return (1 if gap > 1e3 else None), svals[-2], v.min(), lam
+
+
+def assert_matches_dense_oracle(ops, u):
+    cert = certify_kernel(ops, u)
+    lam = certify_spectral_positivity(ops, u)
+    dim, sigma, min_entry, dense_lam = dense_certificates(ops, u)
+    # gap_ratio = sigma_{n-2} / ||L v||, so sigma_{n-2} is recovered exactly
+    residual = np.linalg.norm(state_matrix(ops, u) @ cert.kernel_vector)
+    assert cert.dim == dim
+    assert abs(cert.gap_ratio * residual - sigma) <= 1e-10 * sigma
+    assert abs(cert.kernel_min_entry - min_entry) <= 1e-10 * abs(min_entry)
+    assert abs(lam - dense_lam) <= 1e-10 * abs(dense_lam)
 
 
 def test_kernel_zero_control(small_ops):
@@ -36,14 +76,6 @@ def test_kernel_random_controls(small_ops, rng):
         assert cert.gap_ratio > 1e6
         assert cert.left_kernel_residual < 1e-12
         assert cert.kernel_min_entry > 0  # equilibrium is one-signed
-
-
-def test_kernel_residual_only_path(small_ops, rng):
-    u = random_control(small_ops, rng)
-    cert = certify_kernel(small_ops, u, dense_limit=10)
-    assert not cert.dense_path
-    assert cert.dim is None
-    assert cert.left_kernel_residual < 1e-12
 
 
 def test_zero_mean_basis(small_ops):
@@ -105,11 +137,13 @@ def test_certify_aggregate(small_ops, rng):
 
 
 def test_boundary_normals_outward(small_mesh):
-    nodes, normals = boundary_node_normals(small_mesh)
-    assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+    normals = boundary_edge_normals(small_mesh)
+    ends = small_mesh.vertices[small_mesh.boundary_edges]
+    lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    assert_allclose(np.linalg.norm(normals, axis=1), lengths, rtol=1e-12)
     # on the unit square, outward normals point away from the centroid
     center = np.array([0.5, 0.5])
-    outward = ((small_mesh.vertices[nodes] - center) * normals).sum(axis=1)
+    outward = ((ends.mean(axis=1) - center) * normals).sum(axis=1)
     assert (outward > 0).all()
 
 
@@ -120,3 +154,23 @@ def test_kernel_residual_scale_independent(small_mesh, rng):
         ops = dc.assemble_operators(small_mesh, mu=mu)
         cert = certify_kernel(ops, random_control(ops, rng))
         assert cert.left_kernel_residual < 1e-12
+
+
+@pytest.mark.parametrize("number", [1, 2, 3])
+def test_certificates_match_dense_oracle_on_presets(number, rng):
+    _, ops, _, _ = cli.build_problem(presets.testcase_config(number))
+    assert_matches_dense_oracle(ops, random_control(ops, rng))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=_meshes(),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 10.0),
+)
+def test_certificates_match_dense_oracle_on_random_meshes(mesh, drift, seed, scale):
+    field = dc.DRIFT_PRESETS["swirl"] if drift else None
+    ops = dc.assemble_operators(mesh, mu=1.0, drift=field)
+    assert_matches_dense_oracle(ops, random_control(ops, np.random.default_rng(seed), scale))
+

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from densctl.cli import main
+from densctl.cli import build_mesh, main
 
 
 @pytest.fixture()
@@ -75,6 +75,23 @@ def test_static_then_simulate_and_certify(run_cfg, tmp_path):
     ]) == 0
     assert os.path.exists(os.path.join(cert_out, "certificate.csv"))
     assert os.path.exists(os.path.join(cert_out, "certificate.txt"))
+
+
+
+def test_certify_fills_every_row_above_two_thousand_nodes(run_cfg, tmp_path, capsys):
+    _, cfg = run_cfg
+    cfg["mesh"]["generate"]["target_h"] = 0.022
+    cfg["drift"] = "swirl"
+    cfg["ocp"].update(T=0.1, dt=0.05)
+    assert build_mesh(cfg).n_vertices > 2000
+    path = tmp_path / "cfg_fine.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "cert"
+    assert main(["certify", "--config", str(path), "--out", str(out)]) == 0
+    assert "certificate: kernel dim 1," in capsys.readouterr().out
+    rows = (out / "certificate.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7
+    assert all(row.split(",")[1] for row in rows), rows
 
 
 @pytest.mark.parametrize("max_iter, reason", [(60, "tol"), (2, "max_iter")])

@@ -124,19 +124,13 @@ def test_trajectory_export(tmp_path, small_ops, small_mesh):
 def test_vtk_writer(tmp_path, small_mesh, small_ops, rng):
     values = rng.random(small_ops.n)
     path = tmp_path / "o.vtk"
-    export.write_vtk(
-        path,
-        small_mesh,
-        point_scalars={"q": values},
-        point_vectors={"u": (values, -values)},
-    )
+    export.write_vtk(path, small_mesh, point_scalars={"q": values})
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert "DATASET UNSTRUCTURED_GRID" in text
     assert f"POINTS {small_mesh.n_vertices} double" in text
     assert f"CELL_TYPES {small_mesh.n_triangles}" in text
     assert "SCALARS q double" in text
-    assert "VECTORS u double" in text
     # all cells are linear triangles
     start = text.index(f"CELL_TYPES {small_mesh.n_triangles}") + 1
     assert all(t == "5" for t in text[start : start + small_mesh.n_triangles])

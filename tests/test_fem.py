@@ -112,11 +112,12 @@ def test_tensor_quadrature_oracle(tiny_ops):
 
 
 def test_contract_zero_and_linearity(tiny_ops, rng):
-    zero = tiny_ops.tensor.contract(dc.ControlField.zeros(tiny_ops.n))
+    tensor = tiny_ops.tensor
+    zero = tensor.csr(tensor.contract_data(dc.ControlField.zeros(tiny_ops.n)))
     assert np.abs(zero.toarray()).max() == 0.0
     u = random_control(tiny_ops, rng)
-    one = tiny_ops.tensor.contract(u).toarray()
-    two = tiny_ops.tensor.contract(dc.ControlField(2 * u.ux, 2 * u.uy)).toarray()
+    one = tensor.csr(tensor.contract_data(u)).toarray()
+    two = tensor.csr(tensor.contract_data(dc.ControlField(2 * u.ux, 2 * u.uy))).toarray()
     assert_allclose(two, 2.0 * one, rtol=0, atol=1e-15)
 
 
@@ -125,7 +126,7 @@ def test_contract_matches_dense_oracle(tiny_ops, rng):
     tx, ty = tiny_ops.tensor.dense()
     expected = dense_contract(tx, ty, u)
     tensor = tiny_ops.tensor
-    got = tensor.contract(u).toarray()
+    got = tensor.csr(tensor.contract_data(u)).toarray()
     assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
     # the pattern is symmetric, so permuting the data transposes the matrix
     gt = tensor.csr(tensor.contract_data(u)[tensor.transpose]).toarray()
@@ -134,7 +135,7 @@ def test_contract_matches_dense_oracle(tiny_ops, rng):
 
 def test_contract_dimension_mismatch(tiny_ops):
     with pytest.raises(ValueError):
-        tiny_ops.tensor.contract(dc.ControlField.zeros(tiny_ops.n + 1))
+        tiny_ops.tensor.contract_data(dc.ControlField.zeros(tiny_ops.n + 1))
 
 
 def test_gradient_contraction_oracle(tiny_ops, rng):

@@ -172,17 +172,6 @@ def test_static_ocp_warm_start(small_ops):
     assert len(again.history) == 1
 
 
-def test_boundary_tangency_diagnostic(small_ops):
-    # with beta_g = 0 the optimal control is approximately tangent to the
-    # boundary; reported as a diagnostic ratio relative to max |u|
-    z = dc.gaussian_density(small_ops, (0.6, 0.6), 0.2)
-    cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=0.0, tol=1e-8, max_iter=200)
-    sol = solve_static_ocp(small_ops, z, cfg)
-    ratio, umax = dc.analysis.tangency_report(small_ops.mesh, sol.u_star)
-    assert umax > 0
-    assert np.isfinite(ratio)
-
-
 def test_static_ocp_factorization_count(small_ops, monkeypatch, counts):
     # H once, the equilibrium at u0 once, then one bordered factorization per
     # Armijo trial; the accepted trial's factor serves the next gradient

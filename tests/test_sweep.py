@@ -112,7 +112,7 @@ def test_pattern_operators_on_random_meshes(mesh, drift, seed, scale, theta, lum
     tensor = ops.tensor
 
     data = ops.state_data(u_new)
-    ref = _reference_operator(mesh, field) - tensor.contract(u_new)
+    ref = _reference_operator(mesh, field) - tensor.csr(tensor.contract_data(u_new))
     size = np.abs(data).max()
     assert np.abs(tensor.csr(data) - ref).max() <= 1e-14 * size
     col_sums = np.bincount(tensor.pattern_cols, weights=data, minlength=ops.n)
