@@ -71,7 +71,6 @@ from .state import (
     normalized_density,
     simulate,
     solve_equilibrium,
-    step_theta,
 )
 
 __version__ = "0.1.0"

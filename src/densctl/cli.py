@@ -435,8 +435,9 @@ def cmd_certify(args) -> int:
         ("left_kernel_residual", report.left_kernel_residual, "1e-12", ""),
         ("adjoint_kernel_residual", report.details["adjoint_kernel_residual"], "1e-12", ""),
         ("gap_ratio", report.details["gap_ratio"], ">1e6", ""),
+        ("kernel_min_entry", report.details["kernel_min_entry"], ">0", ""),
         ("min_sym_eigenvalue_M0", report.min_symmetric_eigenvalue_on_M0, ">0", ""),
-        ("lyapunov_monotone", report.lyapunov_monotone, "true", ""),
+        ("lyapunov_monotone", str(report.lyapunov_monotone).lower(), "true", ""),
         ("final_l2_distance", report.details.get("final_l2_distance"), "", ""),
     ]
     export.write_csv(
@@ -448,7 +449,7 @@ def cmd_certify(args) -> int:
         fh.write("structural certificates\n")
         fh.write("=======================\n")
         for name, value, expect, _ in rows:
-            fh.write(f"{name:28s} {value!r:>24}   (expected {expect})\n")
+            fh.write(f"{name:28s} {value!s:>24}   (expected {expect})\n")
     manifest.add("certificate.csv", "certificate table")
     manifest.add("certificate.txt", "certificate summary")
     manifest.write()

@@ -6,12 +6,14 @@ onto the mesh (mass-lumped P1 deposition) so empirical densities can be
 compared against PDE trajectories.
 
 Each substep runs two kernels on one uniform background grid.  Point
-location tests a cell's candidate triangles progressively: round k tests
-only the points still unlocated against their cell's k-th candidate, in
-ascending triangle index, so every point gets the lowest-index triangle that
-contains it.  Reflection tests a segment only against the boundary edges
-binned, once per domain, into the cells its bounding box covers, so its
-memory grows with the segments, not with segments times boundary edges.
+location reads most points' triangles from a table of fine cells that lie
+well inside one triangle, and tests the rest against their cell's candidate
+triangles progressively: round k tests only the points still unlocated
+against their cell's k-th candidate, in ascending triangle index, so every
+point gets the lowest-index triangle that contains it.  Reflection tests a
+segment only against the boundary edges binned, once per domain, into the
+cells its bounding box covers, so its memory grows with the segments, not
+with segments times boundary edges.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ logger = logging.getLogger(__name__)
 _MAX_REFLECTIONS = 10
 # locator grid cell side, as a fraction of the largest triangle bounding box
 _CELL_SCALE = 0.5
+# covered-cell table: fine cells per grid cell side, and triangles per chunk
+# of its build, which bounds the build's transient memory
+_FINE_SPLIT = 8
+_BUILD_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -65,12 +71,13 @@ class TriangleLocator:
     """Uniform background grid for point-in-triangle queries.
 
     Each cell lists, as CSR arrays (``ptr``, ``tris``), the triangles whose
-    bounding box meets it, in ascending triangle index.  ``locate`` tests
-    candidates progressively: round k tests the points still unlocated
-    against the k-th candidate of their cell, so a point stops at its first
-    hit: about 3.4 tests per point on a 0.07-h mesh whose cells hold up to
-    8 candidates.  The same binning (``bin_boxes``) serves any boxes, such
-    as the boundary edges of ``MeshDomain``.
+    bounding box meets it, in ascending triangle index.  ``table`` maps each
+    cell of a grid ``_FINE_SPLIT`` times finer to the triangle that covers
+    it, or -1.  ``locate`` reads the table, then tests the other points
+    progressively: round k tests the points still unlocated against the
+    k-th candidate of their cell, so a point stops at its first hit.  The
+    same binning (``bin_boxes``) serves any boxes, such as the boundary
+    edges of ``MeshDomain``.
     """
 
     def __init__(self, mesh: Mesh):
@@ -87,11 +94,16 @@ class TriangleLocator:
         self.xmin, self.ymin = verts.min(axis=0)
         xmax, ymax = verts.max(axis=0)
         corners = verts[tris]
-        sizes = corners.max(axis=1) - corners.min(axis=1)
-        self.cell = max(sizes.max() * _CELL_SCALE, 1e-12)
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        self.cell = max((hi - lo).max() * _CELL_SCALE, 1e-12)
         self.nx = max(1, int(np.ceil((xmax - self.xmin) / self.cell)))
         self.ny = max(1, int(np.ceil((ymax - self.ymin) / self.cell)))
-        self.ptr, self.tris = self.bin_boxes(corners.min(axis=1), corners.max(axis=1))
+        # padded, so every triangle whose -1e-12 test a point passes is its candidate
+        pad = 1e-6 * self.cell
+        self.ptr, self.tris = self.bin_boxes(lo - pad, hi + pad)
+        self.fine = self.cell / _FINE_SPLIT
+        self.fine_shape = np.array([self.nx, self.ny]) * _FINE_SPLIT
+        self.table = self._covered_cells(lo, hi)
 
     def cells(self, points):
         """(column, row) of the grid cell of each point, clamped to the grid."""
@@ -115,34 +127,72 @@ class TriangleLocator:
         np.cumsum(np.bincount(cell, minlength=n_cells), out=ptr[1:])
         return ptr, box[np.argsort(cell, kind="stable")]
 
-    def locate(self, points, tol: float = 1e-12):
+    def _covered_cells(self, lo, hi):
+        """Flat int32 table of the triangle covering each fine cell, or -1.
+
+        T covers a fine cell, padded by 1e-6 of its side, when T's three
+        barycentrics are >= 1e-9 at the padded cell's corners and every other
+        triangle whose box lo..hi meets it has one below -1e-9 at all four.
+        Barycentrics are linear, so then, wherever rounding puts a point of
+        the cell, the scan's -1e-12 test passes T and fails every other
+        candidate: the table gives the scan's answer.
+        """
+        side, pad, (nx, ny) = self.fine, 1e-6 * self.fine, self.fine_shape
+        a, b = (np.clip(np.floor((v - [self.xmin, self.ymin]) / side), 0, [nx - 1, ny - 1])
+                .astype(np.int64) for v in (lo - pad, hi + pad))
+        w = b - a + 1
+        count = w.prod(axis=1)
+        owner = np.full(nx * ny, -1, dtype=np.int32)
+        near = np.zeros(nx * ny, dtype=np.int64)  # triangles not surely outside
+        for s in range(0, len(lo), _BUILD_CHUNK):
+            chunk = count[s : s + _BUILD_CHUNK]
+            t, k = _ranges(np.zeros_like(chunk), chunk)
+            t += s
+            col, row = a[t, 0] + k % w[t, 0], a[t, 1] + k // w[t, 0]
+            x, y = self.xmin + col * side, self.ymin + row * side
+            lam = np.array([self._bary(x + ox, y + oy, t)
+                            for ox in (-pad, side + pad) for oy in (-pad, side + pad)])
+            cell = row * nx + col
+            inside = lam.min(axis=(0, 1)) >= 1e-9
+            owner[cell[inside]] = t[inside]
+            near += np.bincount(cell[(lam.max(axis=0) >= -1e-9).all(axis=0)], minlength=nx * ny)
+        owner[near != 1] = -1
+        return owner
+
+    def locate(self, points):
         """Containing triangle and barycentric coordinates per point.
 
         Returns (tri, bary): the first triangle of the point's cell, in
-        ascending index, whose barycentrics are all >= -tol, and those
+        ascending index, whose barycentrics are all >= -1e-12 (read from
+        ``table`` where the point's fine cell is covered), and those
         barycentrics clipped at 0 and renormalized.  Points outside the mesh
         get tri = -1 and bary = 0.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         x, y = points[:, 0], points[:, 1]
-        c = self.cells(points)
-        cell = c[:, 1] * self.nx + c[:, 0]
-        start = self.ptr[cell]
-        count = self.ptr[cell + 1] - start
         tri = np.full(len(points), -1, dtype=np.int64)
-        todo = np.flatnonzero(count)
-        k = 0
-        while len(todo):
-            cand = self.tris[start[todo] + k]
+        # fine index unclamped: a point off the fine grid never reads the table
+        fx, fy = np.floor((points - [self.xmin, self.ymin]) / self.fine).T
+        nx, ny = self.fine_shape
+        on = np.flatnonzero((fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny))
+        tri[on] = self.table[(fy * nx + fx)[on].astype(np.int64)]
+        todo = np.flatnonzero(tri < 0)
+        c = self.cells(points[todo])
+        cell = c[:, 1] * self.nx + c[:, 0]
+        pos, end = self.ptr[cell], self.ptr[cell + 1]
+        live = pos < end
+        while live.any():
+            todo, pos, end = todo[live], pos[live], end[live]
+            cand = self.tris[pos]
             l1, l2, l3 = self._bary(x[todo], y[todo], cand)
-            ok = np.minimum(np.minimum(l1, l2), l3) >= -tol
+            ok = np.minimum(np.minimum(l1, l2), l3) >= -1e-12
             tri[todo[ok]] = cand[ok]
-            k += 1
-            todo = todo[~ok & (count[todo] > k)]
+            pos += 1
+            live = ~ok & (pos < end)
         found = np.flatnonzero(tri >= 0)
-        lam = np.clip(np.stack(self._bary(x[found], y[found], tri[found]), axis=1), 0.0, None)
+        lam = np.clip(np.stack(self._bary(x[found], y[found], tri[found])), 0.0, None)
         bary = np.zeros((len(points), 3))
-        bary[found] = lam / lam.sum(axis=1, keepdims=True)
+        bary[found] = (lam / (lam[0] + lam[1] + lam[2])).T
         return tri, bary
 
     def _bary(self, x, y, t):
@@ -273,22 +323,19 @@ class NodalVelocity:
 
     def __init__(self, locator: TriangleLocator, nodal_x, nodal_y, drift=None):
         self.locator = locator
-        self.nodal_x = np.asarray(nodal_x, dtype=float)
-        self.nodal_y = np.asarray(nodal_y, dtype=float)
         self.drift = drift
+        # per triangle: u_x, then u_y, at its three vertices; one gather per point
+        tris = locator.mesh.triangles
+        self._corners = np.hstack([np.asarray(v, dtype=float)[tris] for v in (nodal_x, nodal_y)])
 
     def at(self, points, tri=None, bary=None):
         if tri is None or bary is None:
             tri, bary = self.locator.locate(points)
-        inside = tri >= 0
-        vtx = self.locator.mesh.triangles[np.maximum(tri, 0)]
-        vx = np.where(inside, (bary * self.nodal_x[vtx]).sum(axis=1), 0.0)
-        vy = np.where(inside, (bary * self.nodal_y[vtx]).sum(axis=1), 0.0)
+        terms = self._corners[np.maximum(tri, 0)].reshape(-1, 2, 3) * bary[:, None, :]
+        out = terms[..., 0] + terms[..., 1] + terms[..., 2]
+        out[tri < 0] = 0.0
         if self.drift is not None:
-            bx, by = self.drift(points[:, 0], points[:, 1])
-            vx = vx + bx
-            vy = vy + by
-        out = np.stack([vx, vy], axis=1)
+            out += np.stack(self.drift(points[:, 0], points[:, 1]), axis=1)
         if not np.isfinite(out).all():
             raise ValueError("velocity evaluation produced non-finite values")
         return out

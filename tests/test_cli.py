@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -73,8 +74,12 @@ def test_static_then_simulate_and_certify(run_cfg, tmp_path):
         "certify", "--config", str(path), "--out", cert_out,
         "--control", os.path.join(out, "static_solution"),
     ]) == 0
-    assert os.path.exists(os.path.join(cert_out, "certificate.csv"))
     assert os.path.exists(os.path.join(cert_out, "certificate.txt"))
+    with open(os.path.join(cert_out, "certificate.csv")) as fh:
+        cert = {row[0]: row[1:] for row in csv.reader(fh)}
+    # a boolean check is spelled like its expectation
+    assert cert["lyapunov_monotone"] == ["true", "true", ""]
+    assert cert["kernel_min_entry"][1] == ">0" and float(cert["kernel_min_entry"][0]) > 0
 
 
 
@@ -90,7 +95,7 @@ def test_certify_fills_every_row_above_two_thousand_nodes(run_cfg, tmp_path, cap
     assert main(["certify", "--config", str(path), "--out", str(out)]) == 0
     assert "certificate: kernel dim 1," in capsys.readouterr().out
     rows = (out / "certificate.csv").read_text().splitlines()[1:]
-    assert len(rows) == 7
+    assert len(rows) == 8
     assert all(row.split(",")[1] for row in rows), rows
 
 

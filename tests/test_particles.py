@@ -5,8 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import Delaunay
 
 import densctl as dc
+from densctl.mesh import Mesh, boundary_edge_normals, validate_mesh
 from densctl.particles import (
     MeshDomain,
     NodalVelocity,
@@ -18,6 +20,39 @@ from densctl.particles import (
 )
 
 from test_sweep import _meshes
+
+
+@st.composite
+def _delaunay_meshes(draw):
+    """Delaunay triangulation of a jittered ring of boundary points around a
+    disc of uniform interior points: unstructured meshes, unlike the aligned
+    ones of ``generate_rect_mesh``.  Triangles are counterclockwise and the
+    ring is one boundary loop with marker 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ring, n_in = draw(st.integers(8, 40)), draw(st.integers(0, 150))
+    phi = 2.0 * np.pi * (np.arange(n_ring) + rng.uniform(-0.3, 0.3, n_ring)) / n_ring
+    # interior points stay inside the ring polygon, whose widest gap sets its inradius
+    inner = 0.95 * np.cos(0.5 * np.diff(phi, append=phi[0] + 2.0 * np.pi).max())
+    r = inner * np.sqrt(rng.uniform(size=n_in))
+    psi = rng.uniform(0.0, 2.0 * np.pi, n_in)
+    verts = np.vstack([
+        np.stack([np.cos(phi), np.sin(phi)], axis=1),
+        np.stack([r * np.cos(psi), r * np.sin(psi)], axis=1),
+    ])
+    tris = Delaunay(verts).simplices.astype(np.int64)
+    p1, p2, p3 = (verts[tris[:, k]] for k in range(3))
+    area = 0.5 * ((p2 - p1)[:, 0] * (p3 - p1)[:, 1] - (p2 - p1)[:, 1] * (p3 - p1)[:, 0])
+    tris[area < 0] = tris[area < 0][:, [0, 2, 1]]
+    ring = np.arange(n_ring)
+    mesh = Mesh(
+        vertices=verts,
+        triangles=tris,
+        boundary_edges=np.stack([ring, (ring + 1) % n_ring], axis=1),
+        boundary_markers=np.ones(n_ring, dtype=np.int64),
+        domain_area=float(np.abs(area).sum()),
+    )
+    validate_mesh(mesh)
+    return mesh
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +249,22 @@ def test_velocity_interpolation(domain, holed_ops, holed_mesh):
     assert_allclose(out[:, 1], -pts[:, 1], atol=1e-12)
 
 
+def test_velocity_is_bitwise_the_per_vertex_sum(domain, holed_mesh, rng):
+    # the per-triangle table must add each point's three vertex terms in
+    # vertex order, as a sum over the gathered nodal values does
+    ux, uy = rng.standard_normal((2, holed_mesh.n_vertices))
+    pts = rng.uniform(-1.1, 1.1, size=(5000, 2))  # some in the hole and outside
+    tri, bary = domain.locator.locate(pts)
+    vtx = holed_mesh.triangles[np.maximum(tri, 0)]
+    for drift in (None, dc.DRIFT_PRESETS["swirl"]):
+        want = np.stack([(bary * u[vtx]).sum(axis=1) for u in (ux, uy)], axis=1)
+        want[tri < 0] = 0.0
+        if drift is not None:
+            want += np.stack(drift(pts[:, 0], pts[:, 1]), axis=1)
+        got = NodalVelocity(domain.locator, ux, uy, drift).at(pts, tri, bary)
+        assert np.array_equal(got, want)
+
+
 def _locate_reference(mesh, points, tol=1e-12):
     """Every triangle in index order, with locate's formulas; the lowest-index
     hit wins."""
@@ -258,24 +309,92 @@ def _first_crossing_reference(domain, p, q):
     return t[np.arange(len(p)), e_hit], e_hit
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(mesh=_meshes(), seed=st.integers(0, 2**32 - 1))
+def _grid_points(loc, rng, m):
+    """Points the covered-cell table must get right: corners and edges of the
+    fine grid, lines of the coarse grid, points just off the bounding box and
+    off the fine grid, and points just across the mesh boundary."""
+    nx, ny = loc.fine_shape
+    gx = loc.xmin + rng.integers(0, nx + 1, m) * loc.fine
+    gy = loc.ymin + rng.integers(0, ny + 1, m) * loc.fine
+    cx = loc.xmin + rng.integers(0, loc.nx + 1, m) * loc.cell
+    cy = loc.ymin + rng.integers(0, loc.ny + 1, m) * loc.cell
+    xmax, ymax = loc.xmin + nx * loc.fine, loc.ymin + ny * loc.fine
+    ux, uy = rng.uniform(loc.xmin, xmax, m), rng.uniform(loc.ymin, ymax, m)
+    vmax = loc.mesh.vertices.max(axis=0)
+    off_x = [np.nextafter(loc.xmin, -np.inf), np.nextafter(vmax[0], np.inf), vmax[0], xmax]
+    off_y = [np.nextafter(loc.ymin, -np.inf), np.nextafter(vmax[1], np.inf), vmax[1], ymax]
+    # 1e-9 to 1e-3 of a fine cell out of the mesh, across a boundary edge
+    edge = rng.integers(0, len(loc.mesh.boundary_edges), m)
+    a, b = loc.mesh.vertices[loc.mesh.boundary_edges[edge]].transpose(1, 0, 2)
+    normal = boundary_edge_normals(loc.mesh)[edge]
+    step = 10.0 ** rng.uniform(-9, -3, m) * loc.fine / np.hypot(*normal.T)
+    across = a + rng.uniform(size=(m, 1)) * (b - a) + step[:, None] * normal
+    return np.vstack([
+        np.stack([gx, gy], axis=1),
+        np.stack([gx, uy], axis=1),
+        np.stack([ux, gy], axis=1),
+        np.stack([cx, uy], axis=1),
+        np.stack([ux, cy], axis=1),
+        np.stack([cx, cy], axis=1),
+        np.stack([rng.choice(off_x, m), uy], axis=1),
+        np.stack([ux, rng.choice(off_y, m)], axis=1),
+        across,
+    ])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mesh=st.one_of(_meshes(), _delaunay_meshes()), seed=st.integers(0, 2**32 - 1))
 def test_locate_matches_brute_force_on_random_meshes(mesh, seed):
     rng = np.random.default_rng(seed)
     verts, tris = mesh.vertices, mesh.triangles
+    loc = TriangleLocator(mesh)
     lam = rng.dirichlet([1.0, 1.0, 1.0], size=300)
     inside = np.einsum("pk,pkd->pd", lam, verts[tris[rng.integers(0, len(tris), 300)]])
     points = np.vstack([
         inside,
         rng.uniform(-1.5, 1.5, size=(300, 2)),  # holes and beyond the bounding box
+        _grid_points(loc, rng, 100),
         verts,
         0.5 * (verts[tris[:, 0]] + verts[tris[:, 1]]),
     ])
-    tri, bary = TriangleLocator(mesh).locate(points)
+    tri, bary = loc.locate(points)
     ref_tri, ref_bary = _locate_reference(mesh, points)
     assert np.array_equal(tri, ref_tri)
     assert np.array_equal(bary, ref_bary)
     assert (tri[:300] >= 0).all() and (tri[-len(verts) - len(tris):] >= 0).all()
+    assert (loc.table >= 0).any()
+
+
+def test_table_defers_to_the_scan_where_triangles_overlap():
+    # not a valid mesh: triangle 1 lies inside triangle 0, where the scan
+    # answers 0, so no fine cell may map to 1
+    verts = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [0.5, 0.5], [2.0, 0.5], [0.5, 2.0]])
+    mesh = Mesh(
+        vertices=verts,
+        triangles=np.array([[0, 1, 2], [3, 4, 5]]),
+        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
+        boundary_markers=np.ones(3, dtype=np.int64),
+        domain_area=8.0,
+    )
+    loc = TriangleLocator(mesh)
+    assert (loc.table == 0).any() and not (loc.table == 1).any()
+    pts = np.random.default_rng(0).uniform(0.0, 4.0, size=(2000, 2))
+    tri, bary = loc.locate(pts)
+    ref_tri, ref_bary = _locate_reference(mesh, pts)
+    assert np.array_equal(tri, ref_tri) and np.array_equal(bary, ref_bary)
+
+
+def test_table_covers_most_criterion_10_particles():
+    # the initial ensemble of acceptance criterion 10
+    mesh = dc.generate_rect_mesh((-1, -1, 1, 1), 0.1, holes=[dc.Circle(0, 0, 0.2)])
+    q0 = dc.gaussian_density(dc.assemble_operators(mesh, mu=1.0), (-0.5, -0.5), 0.18)
+    pts = sample_initial(q0, mesh, 100_000, seed=42).positions
+    loc = TriangleLocator(mesh)
+    f = np.floor((pts - [loc.xmin, loc.ymin]) / loc.fine).astype(np.int64)
+    hit = loc.table[f[:, 1] * loc.fine_shape[0] + f[:, 0]]
+    covered = hit >= 0
+    assert covered.mean() >= 0.6
+    assert np.array_equal(hit[covered], loc.locate(pts[covered])[0])
 
 
 def test_locate_empty_input(holed_mesh):
