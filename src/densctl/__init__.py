@@ -71,6 +71,7 @@ from .state import (
     normalized_density,
     simulate,
     solve_equilibrium,
+    step_theta,
 )
 
 __version__ = "0.1.0"

@@ -107,16 +107,26 @@ class TriangleLocator:
 
     def cells(self, points):
         """(column, row) of the grid cell of each point, clamped to the grid."""
-        f = np.floor((points - [self.xmin, self.ymin]) / self.cell)
-        return np.fmin(np.fmax(f, 0), [self.nx - 1, self.ny - 1]).astype(np.int64)
+        return self._cells(points, self.cell, (self.nx, self.ny))
 
     def box_cells(self, lo, hi):
         """(box, cell) pairs of every grid cell that each box lo..hi meets,
         box by box in index order; boxes outside the grid are clamped to it."""
-        a, b = self.cells(lo), self.cells(hi)
+        box, col, row = self._box_cells(lo, hi, self.cell, (self.nx, self.ny))
+        return box, row * self.nx + col
+
+    def _cells(self, points, side, shape):
+        """``cells`` on the grid with our origin, cell side ``side`` and ``shape``
+        (columns, rows)."""
+        f = np.floor((points - [self.xmin, self.ymin]) / side)
+        return np.fmin(np.fmax(f, 0), np.subtract(shape, 1)).astype(np.int64)
+
+    def _box_cells(self, lo, hi, side, shape):
+        """``box_cells`` on that grid, as (box, column, row)."""
+        a, b = self._cells(lo, side, shape), self._cells(hi, side, shape)
         w = b - a + 1
         box, k = _ranges(np.zeros(len(a), dtype=np.int64), w[:, 0] * w[:, 1])
-        return box, (a[box, 1] + k // w[box, 0]) * self.nx + a[box, 0] + k % w[box, 0]
+        return box, a[box, 0] + k % w[box, 0], a[box, 1] + k // w[box, 0]
 
     def bin_boxes(self, lo, hi):
         """CSR (ptr, items) listing, per grid cell, the boxes lo..hi that
@@ -138,17 +148,12 @@ class TriangleLocator:
         candidate: the table gives the scan's answer.
         """
         side, pad, (nx, ny) = self.fine, 1e-6 * self.fine, self.fine_shape
-        a, b = (np.clip(np.floor((v - [self.xmin, self.ymin]) / side), 0, [nx - 1, ny - 1])
-                .astype(np.int64) for v in (lo - pad, hi + pad))
-        w = b - a + 1
-        count = w.prod(axis=1)
         owner = np.full(nx * ny, -1, dtype=np.int32)
-        near = np.zeros(nx * ny, dtype=np.int64)  # triangles not surely outside
+        near = np.zeros(nx * ny, dtype=np.int32)  # triangles not surely outside
         for s in range(0, len(lo), _BUILD_CHUNK):
-            chunk = count[s : s + _BUILD_CHUNK]
-            t, k = _ranges(np.zeros_like(chunk), chunk)
+            chunk = slice(s, s + _BUILD_CHUNK)
+            t, col, row = self._box_cells(lo[chunk] - pad, hi[chunk] + pad, side, self.fine_shape)
             t += s
-            col, row = a[t, 0] + k % w[t, 0], a[t, 1] + k // w[t, 0]
             x, y = self.xmin + col * side, self.ymin + row * side
             lam = np.array([self._bary(x + ox, y + oy, t)
                             for ox in (-pad, side + pad) for oy in (-pad, side + pad)])

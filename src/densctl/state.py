@@ -28,6 +28,7 @@ __all__ = [
     "normalized_density",
     "solve_equilibrium",
     "theta_sweep",
+    "step_theta",
     "simulate",
 ]
 
@@ -203,6 +204,23 @@ def theta_sweep(
         fallbacks=fallbacks,
     )
     return traj, lu if constant else None
+
+
+def step_theta(
+    ops: FemOperators,
+    q: np.ndarray | DensityField,
+    u_old: ControlField,
+    u_new: ControlField,
+    dt: float,
+    theta: float = 1.0,
+    lumped: bool = True,
+) -> DensityField:
+    """One theta-method step of M dq/dt + L(u) q = 0.
+
+    Solves (M/dt + theta L(u_new)) q1 = (M/dt - (1-theta) L(u_old)) q0.
+    """
+    traj, _ = theta_sweep(ops, q, [u_old, u_new], dt, theta, lumped)
+    return density_from_values(ops, traj.states[1])
 
 
 def _n_steps(T: float, dt: float) -> int:

@@ -6,7 +6,7 @@ import densctl as dc
 
 from densctl.ocp_dynamic import TimeVaryingControl
 from densctl.ocp_static import OcpConfig
-from densctl.state import NegativeDensityWarning, _n_steps, theta_sweep
+from densctl.state import NegativeDensityWarning, _n_steps, step_theta
 
 from conftest import random_control
 
@@ -43,8 +43,8 @@ def test_step_theta_fixed_point(small_ops, rng):
     u = random_control(small_ops, rng, scale=0.5)
     q, _ = dc.solve_equilibrium(small_ops, u)
     for theta, lumped in ((1.0, True), (0.5, False), (0.0, False)):
-        traj, _ = theta_sweep(small_ops, q, [u, u], 0.01, theta, lumped)
-        assert_allclose(traj.states[1], q.values, rtol=0, atol=1e-10)
+        q1 = step_theta(small_ops, q, u, u, dt=0.01, theta=theta, lumped=lumped)
+        assert_allclose(q1.values, q.values, rtol=0, atol=1e-10)
 
 
 def test_step_theta_mass_conservation(small_ops, rng):
@@ -52,8 +52,8 @@ def test_step_theta_mass_conservation(small_ops, rng):
     for theta in (0.0, 0.5, 1.0):
         u0 = random_control(small_ops, rng)
         u1 = random_control(small_ops, rng)
-        traj, _ = theta_sweep(small_ops, q, [u0, u1], 0.02, theta, theta == 1.0)
-        assert abs(traj.masses[1] - 1.0) < 1e-12
+        q1 = step_theta(small_ops, q, u0, u1, dt=0.02, theta=theta, lumped=theta == 1.0)
+        assert abs(q1.mass - 1.0) < 1e-12
 
 
 def test_step_theta_matches_dense_implicit_euler(tiny_ops, rng):
@@ -63,17 +63,17 @@ def test_step_theta_matches_dense_implicit_euler(tiny_ops, rng):
     L = dc.state_matrix(tiny_ops, u).toarray()
     M = tiny_ops.M.toarray()
     expected = np.linalg.solve(M + dt * L, M @ q0)
-    traj, _ = theta_sweep(tiny_ops, q0, [u, u], dt, 1.0, False)
-    assert_allclose(traj.states[1], expected, rtol=0, atol=1e-12)
+    got = step_theta(tiny_ops, q0, u, u, dt=dt, theta=1.0, lumped=False)
+    assert_allclose(got.values, expected, rtol=0, atol=1e-12)
 
 
 def test_step_theta_validates_inputs(small_ops):
     u = dc.ControlField.zeros(small_ops.n)
     q = dc.uniform_density(small_ops)
     with pytest.raises(ValueError):
-        theta_sweep(small_ops, q, [u, u], -1.0)
+        step_theta(small_ops, q, u, u, dt=-1.0)
     with pytest.raises(ValueError):
-        theta_sweep(small_ops, q, [u, u], 0.1, 1.5)
+        step_theta(small_ops, q, u, u, dt=0.1, theta=1.5)
 
 
 def test_simulate_stationary(small_ops, rng):
