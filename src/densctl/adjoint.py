@@ -116,14 +116,13 @@ def solve_adjoint_dynamic(
     dt: float,
     theta: float,
     lumped: bool = True,
-    weights=None,
     precond=None,
 ) -> AdjointTrajectory:
     """Discrete adjoint of the theta scheme for the tracking cost.
 
     ``controls`` holds one ControlField or stacked [ux, uy] row per time
     node.  The source at node i is w_i * dt * alpha * M (q_i - q_ref) with
-    trapezoidal weights by default.  Each transposed step is factorized, or,
+    trapezoidal weights w_i.  Each transposed step is factorized, or,
     given ``precond`` (the LU of a nearby step matrix), solved by
     :func:`linalg.gmres_solve` from the next step's multiplier, with its
     misses counted in ``fallbacks``.  The transposed explicit and implicit
@@ -133,7 +132,7 @@ def solve_adjoint_dynamic(
     if abs(trajectory.dt - dt) > 1e-12 * max(1.0, dt):
         raise ValueError(f"trajectory dt {trajectory.dt} does not match dt {dt}")
     controls = _controls_for_grid(controls, n_steps)
-    w = trapezoid_weights(n_steps) if weights is None else np.asarray(weights, float)
+    w = trapezoid_weights(n_steps)
     qref = _vals(q_ref)
     mass = ops.mass_data(lumped) / dt
     f_total = float(ops.F.sum())

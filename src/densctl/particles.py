@@ -5,15 +5,14 @@ with specular reflection at the mesh boundary, and deposits ensembles back
 onto the mesh (mass-lumped P1 deposition) so empirical densities can be
 compared against PDE trajectories.
 
-Each substep runs two kernels on one uniform background grid.  Point
-location reads most points' triangles from a table of fine cells that lie
-well inside one triangle, and tests the rest against their cell's candidate
-triangles progressively: round k tests only the points still unlocated
-against their cell's k-th candidate, in ascending triangle index, so every
-point gets the lowest-index triangle that contains it.  Reflection tests a
-segment only against the boundary edges binned, once per domain, into the
-cells its bounding box covers, so its memory grows with the segments, not
-with segments times boundary edges.
+Each substep runs two kernels on uniform background grids.  Point location
+tests each point against the candidate triangles of its fine cell
+progressively: round k tests only the points still unlocated against their
+cell's k-th candidate, in ascending triangle index, so every point gets the
+lowest-index triangle that contains it.  Most cells list one candidate.
+Reflection tests a segment only against the boundary edges binned, once per
+domain, into the coarse cells its bounding box covers, so its memory grows
+with the segments, not with segments times boundary edges.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ logger = logging.getLogger(__name__)
 _MAX_REFLECTIONS = 10
 # locator grid cell side, as a fraction of the largest triangle bounding box
 _CELL_SCALE = 0.5
-# covered-cell table: fine cells per grid cell side, and triangles per chunk
-# of its build, which bounds the build's transient memory
+# candidate lists: fine cells per grid cell side, and triangles per chunk of
+# their build, which bounds the build's transient memory
 _FINE_SPLIT = 8
 _BUILD_CHUNK = 256
 
@@ -50,7 +49,6 @@ _BUILD_CHUNK = 256
 @dataclass(frozen=True)
 class ParticleEnsemble:
     positions: np.ndarray  # (n, 2)
-    rng_seed: int
     time: float
     # location cache (containing triangle + barycentric coords), filled lazily
     tri: np.ndarray | None = None
@@ -61,6 +59,14 @@ class ParticleEnsemble:
         return self.positions.shape[0]
 
 
+def _csr(key, items, n):
+    """CSR (ptr, items) grouping items by key in [0, n), in their order
+    within a key."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=n), out=ptr[1:])
+    return ptr, items[np.argsort(key, kind="stable")]
+
+
 def _ranges(start, count):
     """Every start[i] + j with j < count[i], in order of i, paired with i."""
     which = np.repeat(np.arange(len(start)), count)
@@ -68,15 +74,14 @@ def _ranges(start, count):
 
 
 class TriangleLocator:
-    """Uniform background grid for point-in-triangle queries.
+    """Uniform background grids for point-in-triangle queries.
 
-    Each cell lists, as CSR arrays (``ptr``, ``tris``), the triangles whose
-    bounding box meets it, in ascending triangle index.  ``table`` maps each
-    cell of a grid ``_FINE_SPLIT`` times finer to the triangle that covers
-    it, or -1.  ``locate`` reads the table, then tests the other points
+    Each cell of a grid ``_FINE_SPLIT`` times finer than the coarse one
+    lists, as CSR arrays (``ptr``, ``tris``), the triangles not surely
+    outside it, in ascending triangle index.  ``locate`` tests points
     progressively: round k tests the points still unlocated against the
-    k-th candidate of their cell, so a point stops at its first hit.  The
-    same binning (``bin_boxes``) serves any boxes, such as the boundary
+    k-th candidate of their fine cell, so a point stops at its first hit.
+    The coarse grid bins any boxes (``bin_boxes``), such as the boundary
     edges of ``MeshDomain``.
     """
 
@@ -98,16 +103,26 @@ class TriangleLocator:
         self.cell = max((hi - lo).max() * _CELL_SCALE, 1e-12)
         self.nx = max(1, int(np.ceil((xmax - self.xmin) / self.cell)))
         self.ny = max(1, int(np.ceil((ymax - self.ymin) / self.cell)))
-        # padded, so every triangle whose -1e-12 test a point passes is its candidate
-        pad = 1e-6 * self.cell
-        self.ptr, self.tris = self.bin_boxes(lo - pad, hi + pad)
         self.fine = self.cell / _FINE_SPLIT
         self.fine_shape = np.array([self.nx, self.ny]) * _FINE_SPLIT
-        self.table = self._covered_cells(lo, hi)
 
-    def cells(self, points):
-        """(column, row) of the grid cell of each point, clamped to the grid."""
-        return self._cells(points, self.cell, (self.nx, self.ny))
+        # T is surely outside a fine cell, padded by 1e-6 of its side, when
+        # one of its barycentrics is below -1e-9 at all four corners.  They
+        # are linear, so then, wherever rounding puts a point of the cell,
+        # the scan's -1e-12 test fails T: dropping T changes no answer.
+        side, pad, nfx = self.fine, 1e-6 * self.fine, self.fine_shape[0]
+        cells, cands = [], []
+        for s in range(0, len(lo), _BUILD_CHUNK):
+            chunk = slice(s, s + _BUILD_CHUNK)
+            t, col, row = self._box_cells(lo[chunk] - pad, hi[chunk] + pad, side, self.fine_shape)
+            t += s
+            x, y = self.xmin + col * side, self.ymin + row * side
+            lam = np.array([self._bary(x + ox, y + oy, t)
+                            for ox in (-pad, side + pad) for oy in (-pad, side + pad)])
+            near = (lam.max(axis=0) >= -1e-9).all(axis=0)
+            cells.append(row[near] * nfx + col[near])
+            cands.append(t[near])
+        self.ptr, self.tris = _csr(np.concatenate(cells), np.concatenate(cands), nfx * self.fine_shape[1])
 
     def box_cells(self, lo, hi):
         """(box, cell) pairs of every grid cell that each box lo..hi meets,
@@ -116,8 +131,8 @@ class TriangleLocator:
         return box, row * self.nx + col
 
     def _cells(self, points, side, shape):
-        """``cells`` on the grid with our origin, cell side ``side`` and ``shape``
-        (columns, rows)."""
+        """(column, row) of each point's cell on the grid with our origin, cell
+        side ``side`` and ``shape`` (columns, rows), clamped to the grid."""
         f = np.floor((points - [self.xmin, self.ymin]) / side)
         return np.fmin(np.fmax(f, 0), np.subtract(shape, 1)).astype(np.int64)
 
@@ -132,70 +147,37 @@ class TriangleLocator:
         """CSR (ptr, items) listing, per grid cell, the boxes lo..hi that
         meet it, in ascending box index."""
         box, cell = self.box_cells(lo, hi)
-        n_cells = self.nx * self.ny
-        ptr = np.zeros(n_cells + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cell, minlength=n_cells), out=ptr[1:])
-        return ptr, box[np.argsort(cell, kind="stable")]
-
-    def _covered_cells(self, lo, hi):
-        """Flat int32 table of the triangle covering each fine cell, or -1.
-
-        T covers a fine cell, padded by 1e-6 of its side, when T's three
-        barycentrics are >= 1e-9 at the padded cell's corners and every other
-        triangle whose box lo..hi meets it has one below -1e-9 at all four.
-        Barycentrics are linear, so then, wherever rounding puts a point of
-        the cell, the scan's -1e-12 test passes T and fails every other
-        candidate: the table gives the scan's answer.
-        """
-        side, pad, (nx, ny) = self.fine, 1e-6 * self.fine, self.fine_shape
-        owner = np.full(nx * ny, -1, dtype=np.int32)
-        near = np.zeros(nx * ny, dtype=np.int32)  # triangles not surely outside
-        for s in range(0, len(lo), _BUILD_CHUNK):
-            chunk = slice(s, s + _BUILD_CHUNK)
-            t, col, row = self._box_cells(lo[chunk] - pad, hi[chunk] + pad, side, self.fine_shape)
-            t += s
-            x, y = self.xmin + col * side, self.ymin + row * side
-            lam = np.array([self._bary(x + ox, y + oy, t)
-                            for ox in (-pad, side + pad) for oy in (-pad, side + pad)])
-            cell = row * nx + col
-            inside = lam.min(axis=(0, 1)) >= 1e-9
-            owner[cell[inside]] = t[inside]
-            near += np.bincount(cell[(lam.max(axis=0) >= -1e-9).all(axis=0)], minlength=nx * ny)
-        owner[near != 1] = -1
-        return owner
+        return _csr(cell, box, self.nx * self.ny)
 
     def locate(self, points):
         """Containing triangle and barycentric coordinates per point.
 
-        Returns (tri, bary): the first triangle of the point's cell, in
-        ascending index, whose barycentrics are all >= -1e-12 (read from
-        ``table`` where the point's fine cell is covered), and those
+        Returns (tri, bary): the first triangle of the point's fine cell, in
+        ascending index, whose barycentrics are all >= -1e-12, and those
         barycentrics clipped at 0 and renormalized.  Points outside the mesh
         get tri = -1 and bary = 0.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         x, y = points[:, 0], points[:, 1]
         tri = np.full(len(points), -1, dtype=np.int64)
-        # fine index unclamped: a point off the fine grid never reads the table
-        fx, fy = np.floor((points - [self.xmin, self.ymin]) / self.fine).T
-        nx, ny = self.fine_shape
-        on = np.flatnonzero((fx >= 0) & (fx < nx) & (fy >= 0) & (fy < ny))
-        tri[on] = self.table[(fy * nx + fx)[on].astype(np.int64)]
-        todo = np.flatnonzero(tri < 0)
-        c = self.cells(points[todo])
-        cell = c[:, 1] * self.nx + c[:, 0]
-        pos, end = self.ptr[cell], self.ptr[cell + 1]
+        lam = np.zeros((3, len(points)))
+        # clamped: a point just off the grid can still pass an edge cell's test
+        c = self._cells(points, self.fine, self.fine_shape)
+        cell = c[:, 1] * self.fine_shape[0] + c[:, 0]
+        todo, pos, end = np.arange(len(points)), self.ptr[cell], self.ptr[cell + 1]
         live = pos < end
         while live.any():
             todo, pos, end = todo[live], pos[live], end[live]
             cand = self.tris[pos]
             l1, l2, l3 = self._bary(x[todo], y[todo], cand)
             ok = np.minimum(np.minimum(l1, l2), l3) >= -1e-12
-            tri[todo[ok]] = cand[ok]
+            hit = todo[ok]
+            tri[hit] = cand[ok]
+            lam[0, hit], lam[1, hit], lam[2, hit] = l1[ok], l2[ok], l3[ok]
             pos += 1
             live = ~ok & (pos < end)
         found = np.flatnonzero(tri >= 0)
-        lam = np.clip(np.stack(self._bary(x[found], y[found], tri[found])), 0.0, None)
+        lam = np.clip(lam[:, found], 0.0, None)
         bary = np.zeros((len(points), 3))
         bary[found] = (lam / (lam[0] + lam[1] + lam[2])).T
         return tri, bary
@@ -388,7 +370,7 @@ def sample_initial(density, mesh: Mesh, n: int, seed: int) -> ParticleEnsemble:
     positions = (
         np.concatenate(chunks, axis=0) if chunks else np.empty((0, 2))
     )
-    return ParticleEnsemble(positions=positions, rng_seed=int(seed), time=0.0)
+    return ParticleEnsemble(positions=positions, time=0.0)
 
 
 def step_particles(
@@ -420,14 +402,6 @@ def step_particles(
     proposal = X + vel * dt + noise
     if not np.isfinite(np.asarray(proposal)).all():
         raise ValueError("particle step produced non-finite positions")
-    if mu <= 0 and velocity is None:
-        return ParticleEnsemble(
-            positions=X.copy(),
-            rng_seed=ensemble.rng_seed,
-            time=ensemble.time + dt,
-            tri=ensemble.tri,
-            bary=ensemble.bary,
-        )
 
     tri, bary = domain.locator.locate(proposal)
     outside = tri < 0
@@ -437,11 +411,7 @@ def step_particles(
             X[idx], proposal[idx], (tri[idx], bary[idx])
         )
     return ParticleEnsemble(
-        positions=proposal,
-        rng_seed=ensemble.rng_seed,
-        time=ensemble.time + dt,
-        tri=tri,
-        bary=bary,
+        positions=proposal, time=ensemble.time + dt, tri=tri, bary=bary
     )
 
 

@@ -82,8 +82,6 @@ class Trajectory:
     masses: np.ndarray
     min_values: np.ndarray
     dt: float
-    theta: float
-    lumped: bool
     fallbacks: int = 0  # time-varying steps that GMRES missed, solved directly
 
     @property
@@ -199,8 +197,6 @@ def theta_sweep(
         masses=states @ ops.F,
         min_values=states.min(axis=1),
         dt=float(dt),
-        theta=float(theta),
-        lumped=bool(lumped),
         fallbacks=fallbacks,
     )
     return traj, lu if constant else None
