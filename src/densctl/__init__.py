@@ -15,8 +15,6 @@ from .adjoint import (
     solve_adjoint_static,
 )
 from .analysis import (
-    CertificateReport,
-    certify,
     certify_kernel,
     certify_spectral_positivity,
     convergence_report,
@@ -46,7 +44,7 @@ from .mesh import (
     validate_mesh,
     write_mesh,
 )
-from .ocp_dynamic import DynamicSolution, TimeVaryingControl, evaluate_dynamic_cost, solve_dynamic_ocp
+from .ocp_dynamic import DynamicSolution, evaluate_dynamic_cost, solve_dynamic_ocp
 from .ocp_static import (
     ArmijoParams,
     OcpConfig,

@@ -120,7 +120,7 @@ def solve_adjoint_dynamic(
 ) -> AdjointTrajectory:
     """Discrete adjoint of the theta scheme for the tracking cost.
 
-    ``controls`` holds one ControlField or stacked [ux, uy] row per time
+    ``controls`` is an (n_t, 2n) stack of [ux, uy] rows, one per time
     node.  The source at node i is w_i * dt * alpha * M (q_i - q_ref) with
     trapezoidal weights w_i.  Each transposed step is factorized, or,
     given ``precond`` (the LU of a nearby step matrix), solved by

@@ -13,7 +13,7 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,13 +25,11 @@ from .state import Trajectory, _vals
 
 __all__ = [
     "KernelCertificate",
-    "CertificateReport",
     "certify_kernel",
     "certify_spectral_positivity",
     "l2_distance",
     "lyapunov_values",
     "convergence_report",
-    "certify",
 ]
 
 
@@ -43,15 +41,6 @@ class KernelCertificate:
     adjoint_kernel_residual: float  # ||L^T 1||_inf / ||L||_inf
     gap_ratio: float  # sigma_{n-2} / ||L v||_2 <= sigma_{n-2} / sigma_{n-1}
     kernel_min_entry: float  # after sign normalization
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    kernel_dim_state: int | None
-    left_kernel_residual: float
-    min_symmetric_eigenvalue_on_M0: float
-    lyapunov_monotone: bool | None
-    details: dict = field(default_factory=dict)
 
 
 def _extreme_eigenvalue(apply, n, project, which, tol=0.0) -> float:
@@ -171,29 +160,3 @@ def convergence_report(trajectory: Trajectory, reference, ops: FemOperators):
     ]
     monotone = bool(np.all(np.diff(lyap) <= 1e-12 * max(lyap[0], 1.0)))
     return rows, monotone, float(dists[-1])
-
-
-def certify(
-    ops: FemOperators,
-    u: ControlField,
-    trajectory: Trajectory | None = None,
-    reference=None,
-) -> CertificateReport:
-    """Aggregate certificate used by the command-line runner."""
-    kc = certify_kernel(ops, u)
-    details = {
-        "adjoint_kernel_residual": kc.adjoint_kernel_residual,
-        "gap_ratio": kc.gap_ratio,
-        "kernel_min_entry": kc.kernel_min_entry,
-    }
-    monotone = None
-    if trajectory is not None and reference is not None:
-        _, monotone, final = convergence_report(trajectory, reference, ops)
-        details["final_l2_distance"] = final
-    return CertificateReport(
-        kernel_dim_state=kc.dim,
-        left_kernel_residual=kc.left_kernel_residual,
-        min_symmetric_eigenvalue_on_M0=certify_spectral_positivity(ops, u),
-        lyapunov_monotone=monotone,
-        details=details,
-    )

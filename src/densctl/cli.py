@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 
@@ -114,6 +115,27 @@ def load_config(args, base=DEFAULT_CONFIG) -> dict:
     return cfg
 
 
+def _numbers(value, k=None) -> bool:
+    """A real number, or with ``k`` a list of k real numbers."""
+    if k is not None:
+        return isinstance(value, (list, tuple)) and len(value) == k and all(map(_numbers, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _positive(value) -> bool:
+    return _numbers(value) and value > 0
+
+
+def _shape_problems(where, spec) -> list[str]:
+    """Problems of a circle or rect spec (a hole or an indicator region)."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind == "circle" and not (_numbers(spec.get("center"), 2) and _numbers(spec.get("radius"))):
+        return [f"{where}: a circle needs center [x, y] and a radius"]
+    if kind == "rect" and not _numbers(spec.get("bounds"), 4):
+        return [f"{where}: a rect needs bounds [x0, y0, x1, y1]"]
+    return [] if kind in ("circle", "rect") else [f"{where}: type must be 'circle' or 'rect'"]
+
+
 def validate_config(cfg) -> None:
     """Collect every problem before failing, not just the first."""
     problems = []
@@ -123,16 +145,15 @@ def validate_config(cfg) -> None:
             problems.append(f"mesh file does not exist: {mesh['file']}")
     elif "generate" in mesh:
         gen = mesh["generate"]
-        if len(gen.get("bounds", [])) != 4:
+        if not _numbers(gen.get("bounds"), 4):
             problems.append("mesh.generate.bounds must be [x0, y0, x1, y1]")
-        if not gen.get("target_h", 0) > 0:
+        if not _positive(gen.get("target_h")):
             problems.append("mesh.generate.target_h must be positive")
         for k, hole in enumerate(gen.get("holes", [])):
-            if hole.get("type") not in ("circle", "rect"):
-                problems.append(f"hole {k}: type must be 'circle' or 'rect'")
+            problems += _shape_problems(f"hole {k}", hole)
     else:
         problems.append("mesh must specify either 'file' or 'generate'")
-    if not cfg.get("mu", 0) > 0:
+    if not _positive(cfg.get("mu")):
         problems.append("mu must be positive")
     drift = cfg.get("drift")
     if drift is not None and drift not in fields.DRIFT_PRESETS:
@@ -144,10 +165,15 @@ def validate_config(cfg) -> None:
         kind = spec.get("type")
         if kind not in ("uniform", "gaussian", "indicator", "nodal"):
             problems.append(f"{name}.type must be uniform|gaussian|indicator|nodal")
-        elif kind == "gaussian" and not spec.get("sigma", 0) > 0:
+        elif kind == "gaussian" and not _positive(spec.get("sigma")):
             problems.append(f"{name}.sigma must be positive")
+        elif kind == "gaussian" and not _numbers(spec.get("center"), 2):
+            problems.append(f"{name}.center must be [x, y]")
         elif kind == "indicator" and not spec.get("regions"):
             problems.append(f"{name}.regions must be a nonempty list")
+        elif kind == "indicator":
+            for k, region in enumerate(spec["regions"]):
+                problems += _shape_problems(f"{name}.regions[{k}]", region)
         elif kind == "nodal" and not os.path.exists(spec.get("file", "")):
             problems.append(f"{name}.file does not exist: {spec.get('file')}")
     ocp = cfg.get("ocp", {})
@@ -225,7 +251,7 @@ def _start(args, base=DEFAULT_CONFIG, static_control=False):
     control = load_control(ops, args.control) if "control" in args else None
     if static_control and not isinstance(control, ControlField):
         raise ConfigError([f"{args.command} requires a static control (zero or static dir)"])
-    if isinstance(control, list):
+    if isinstance(control, np.ndarray):
         ocp = _ocp_config(cfg["ocp"])
         try:
             _controls_for_grid(control, _n_steps(ocp.T, ocp.dt))
@@ -238,7 +264,8 @@ def _start(args, base=DEFAULT_CONFIG, static_control=False):
 
 
 def load_control(ops, source):
-    """Control from 'zero', a static_solution directory, or a dynamic one."""
+    """Control from 'zero' or a static_solution directory (a ControlField), or
+    from a dynamic one (the (n_t, 2n) stack of its [ux, uy] rows)."""
     if source == "zero":
         return ControlField.zeros(ops.n)
 
@@ -254,7 +281,8 @@ def load_control(ops, source):
     ctrl_dir = os.path.join(source, "controls")
     if os.path.isdir(ctrl_dir):
         files = sorted(f for f in os.listdir(ctrl_dir) if f.startswith("u_x_"))
-        return [read(ctrl_dir, fx) for fx in files]
+        rows = [read(ctrl_dir, fx).stacked() for fx in files]
+        return np.array(rows).reshape(len(files), 2 * ops.n)
     raise ConfigError([f"no control found at {source!r} (expected u_x.csv or controls/)"])
 
 
@@ -343,8 +371,8 @@ def _write_dynamic_solution(manifest, mesh, dyn):
     ddir = os.path.join(manifest.out_dir, "dynamic_solution")
     cdir = os.path.join(ddir, "controls")
     os.makedirs(cdir, exist_ok=True)
-    for i, cf in enumerate(dyn.control.controls):
-        export.write_control_csvs(cdir, mesh, cf, suffix=f"_{i:05d}")
+    for i, row in enumerate(dyn.control):
+        export.write_control_csvs(cdir, mesh, ControlField.from_stacked(row), suffix=f"_{i:05d}")
     export.write_history_csv(os.path.join(ddir, "history.csv"), dyn.history)
     export.write_csv(
         os.path.join(ddir, "turnpike.csv"),
@@ -390,7 +418,7 @@ def cmd_particles(args) -> int:
     n_steps = traj.n_steps
 
     rng = np.random.default_rng(cfg["seed"])
-    ens = sample_initial(q0, mesh, args.n, seed=cfg["seed"])
+    ens = sample_initial(q0, domain.locator, args.n, seed=cfg["seed"])
     pdir = os.path.join(cfg["out_dir"], "particles")
     os.makedirs(pdir, exist_ok=True)
 
@@ -402,7 +430,7 @@ def cmd_particles(args) -> int:
             for _ in range(sub):
                 ens = step_particles(ens, domain, vel, mu=cfg["mu"], dt=dt / sub, rng=rng)
             step += 1
-        rho = empirical_density(ens, mesh, domain.locator)
+        rho = empirical_density(ens, mesh)
         dist = analysis.l2_distance(rho, density_from_values(ops, traj.states[step]), ops.M)
         floor = float(np.sqrt(np.clip(traj.states[step], 0.0, None).sum() / ens.n))
         rows.append((step * dt, dist, floor, dist / floor))
@@ -429,16 +457,17 @@ def cmd_certify(args) -> int:
     ocp = cfg["ocp"]
     qeq, _ = solve_equilibrium(ops, control)
     traj = simulate(ops, q0, control, T=ocp["T"], dt=ocp["dt"], theta=1.0, lumped=True)
-    report = analysis.certify(ops, control, trajectory=traj, reference=qeq)
+    kc = analysis.certify_kernel(ops, control)
+    _, monotone, final = analysis.convergence_report(traj, qeq, ops)
     rows = [
-        ("kernel_dim_state", report.kernel_dim_state, "1", ""),
-        ("left_kernel_residual", report.left_kernel_residual, "1e-12", ""),
-        ("adjoint_kernel_residual", report.details["adjoint_kernel_residual"], "1e-12", ""),
-        ("gap_ratio", report.details["gap_ratio"], ">1e6", ""),
-        ("kernel_min_entry", report.details["kernel_min_entry"], ">0", ""),
-        ("min_sym_eigenvalue_M0", report.min_symmetric_eigenvalue_on_M0, ">0", ""),
-        ("lyapunov_monotone", str(report.lyapunov_monotone).lower(), "true", ""),
-        ("final_l2_distance", report.details.get("final_l2_distance"), "", ""),
+        ("kernel_dim_state", kc.dim, "1", ""),
+        ("left_kernel_residual", kc.left_kernel_residual, "1e-12", ""),
+        ("adjoint_kernel_residual", kc.adjoint_kernel_residual, "1e-12", ""),
+        ("gap_ratio", kc.gap_ratio, ">1e6", ""),
+        ("kernel_min_entry", kc.kernel_min_entry, ">0", ""),
+        ("min_sym_eigenvalue_M0", analysis.certify_spectral_positivity(ops, control), ">0", ""),
+        ("lyapunov_monotone", str(monotone).lower(), "true", ""),
+        ("final_l2_distance", final, "", ""),
     ]
     export.write_csv(
         os.path.join(cfg["out_dir"], "certificate.csv"),
@@ -454,9 +483,9 @@ def cmd_certify(args) -> int:
     manifest.add("certificate.txt", "certificate summary")
     manifest.write()
     print(
-        f"certificate: kernel dim {report.kernel_dim_state}, "
-        f"left kernel residual {report.left_kernel_residual!r}, "
-        f"lyapunov monotone {report.lyapunov_monotone}"
+        f"certificate: kernel dim {kc.dim}, "
+        f"left kernel residual {kc.left_kernel_residual!r}, "
+        f"lyapunov monotone {monotone}"
     )
     return 0
 

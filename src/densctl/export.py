@@ -106,17 +106,16 @@ def write_history_csv(path, history) -> None:
 
 
 def write_trajectory(
-    out_dir, mesh: Mesh, trajectory, reference=None, M=None, every: int = 1, vtk: bool = False
+    out_dir, mesh: Mesh, trajectory, reference, M, every: int = 1, vtk: bool = False
 ) -> None:
-    """Snapshot CSVs plus a manifest (step,time,mass,min_q,l2_dist_to_target)."""
+    """Snapshot CSVs plus a manifest (step,time,mass,min_q,l2_dist_to_target),
+    the distance being the M-norm of each state minus ``reference``."""
     os.makedirs(out_dir, exist_ok=True)
-    ref = None if reference is None else _vals(reference)
+    ref = _vals(reference)
     rows = []
     for i in range(trajectory.n_steps + 1):
-        dist = ""
-        if ref is not None and M is not None:
-            d = trajectory.states[i] - ref
-            dist = np.sqrt(max(d @ (M @ d), 0.0))
+        d = trajectory.states[i] - ref
+        dist = np.sqrt(max(d @ (M @ d), 0.0))
         rows.append(
             (
                 i,

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Circle",
@@ -272,7 +274,7 @@ def validate_mesh(mesh: Mesh) -> None:
             raise MeshTopologyError(
                 f"boundary is not a union of closed loops at vertex {int(bad[0])}"
             )
-        n_loops = _count_boundary_loops(boundary)
+        n_loops = _count_boundary_loops(boundary, nv)
         n_holes = n_loops - 1
         euler = nv - edges.shape[0] + tris.shape[0]
         if euler != 1 - n_holes:
@@ -288,25 +290,11 @@ def validate_mesh(mesh: Mesh) -> None:
         )
 
 
-def _count_boundary_loops(boundary_edges):
-    adj: dict[int, list[int]] = {}
-    for a, b in boundary_edges:
-        adj.setdefault(int(a), []).append(int(b))
-        adj.setdefault(int(b), []).append(int(a))
-    seen: set[int] = set()
-    loops = 0
-    for start in adj:
-        if start in seen:
-            continue
-        loops += 1
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(w for w in adj[v] if w not in seen)
-    return loops
+def _count_boundary_loops(boundary_edges, nv):
+    """Connected components of the boundary-edge graph that hold an edge."""
+    graph = sp.coo_matrix((np.ones(len(boundary_edges)), boundary_edges.T), shape=(nv, nv))
+    _, labels = connected_components(graph, directed=False)
+    return np.unique(labels[boundary_edges]).size
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +368,9 @@ def load_mesh(path) -> Mesh:
             markers[i] = int(parts[2])
         except ValueError:
             raise MeshFormatError(line_no, f"bad boundary edge {body!r}")
+    extra = next(lines, None)
+    if extra is not None:
+        raise MeshFormatError(extra[0], f"data after the last boundary edge: {extra[1]!r}")
 
     if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
         bad = np.flatnonzero((triangles < 0).any(axis=1) | (triangles >= nv).any(axis=1))[0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint_dynamic, trapezoid_weights
-from .fem import ControlField, FemOperators
+from .fem import FemOperators
 from .ocp_static import (
     IterationRecord,
     OcpConfig,
@@ -30,10 +30,9 @@ from .ocp_static import (
     h_inv_of,
     per_component,
 )
-from .state import Trajectory, _controls_for_grid, _n_steps, _vals, theta_sweep
+from .state import Trajectory, _n_steps, _vals, theta_sweep
 
 __all__ = [
-    "TimeVaryingControl",
     "DynamicSolution",
     "evaluate_dynamic_cost",
     "solve_dynamic_ocp",
@@ -42,27 +41,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TimeVaryingControl:
-    """One ControlField per time node on a uniform grid."""
-
-    controls: list[ControlField]
-    dt: float
-    T: float
-
-    def __post_init__(self):
-        _controls_for_grid(self.controls, _n_steps(self.T, self.dt))
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.controls) - 1
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([c.stacked() for c in self.controls])
-
-
-@dataclass(frozen=True)
 class DynamicSolution:
-    control: TimeVaryingControl
+    control: np.ndarray  # (n_t, 2n) stack of [ux, uy] rows
     trajectory: Trajectory
     adjoint: AdjointTrajectory
     history: list[IterationRecord]
@@ -152,7 +132,8 @@ def solve_dynamic_ocp(
     radius = static_solution.control_magnitude_bound()
     # the warm start's one LU (a constant control) preconditions every sweep
     us = static_solution.u_star.stacked()
-    traj, precond = theta_sweep(ops, q0v, [us] * n_nodes, dt, theta, lumped)
+    warm = np.broadcast_to(us, (n_nodes, 2 * n))
+    traj, precond = theta_sweep(ops, q0v, warm, dt, theta, lumped)
     fallbacks = []
 
     def evaluated(U, traj):
@@ -174,13 +155,13 @@ def solve_dynamic_ocp(
         return G.ravel(), (traj, lams)
 
     u, (traj, lams), history, reason = descend(
-        evaluate, gradient, evaluated(np.tile(us, (n_nodes, 1)), traj),
+        evaluate, gradient, evaluated(warm, traj),
         h_inv_of(ops, config), config, config.max_iter if max_iter is None else max_iter,
         armijo_backtracking, 0,
     )
     U = u.reshape(n_nodes, 2 * n)
     return DynamicSolution(
-        control=TimeVaryingControl([ControlField.from_stacked(r) for r in U], dt=dt, T=config.T),
+        control=U,
         trajectory=traj,
         adjoint=lams,
         history=history,

@@ -48,11 +48,11 @@ _BUILD_CHUNK = 256
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
+    """Positions with their location: containing triangle and barycentrics."""
+
     positions: np.ndarray  # (n, 2)
-    time: float
-    # location cache (containing triangle + barycentric coords), filled lazily
-    tri: np.ndarray | None = None
-    bary: np.ndarray | None = None
+    tri: np.ndarray  # (n,), from TriangleLocator.locate
+    bary: np.ndarray  # (n, 3)
 
     @property
     def n(self) -> int:
@@ -218,10 +218,10 @@ class MeshDomain:
             np.minimum(self._ea, self._eb) - pad, np.maximum(self._ea, self._eb) + pad
         )
 
-    def reflect(self, start, end, located=None):
+    def reflect(self, start, end, located):
         """Specularly fold the segments start->end back into the domain.
 
-        ``start`` must be inside; ``located`` may hold the (tri, bary) of
+        ``start`` must be inside; ``located`` holds the (tri, bary) of
         ``end`` from :meth:`TriangleLocator.locate`.  Applies up to
         _MAX_REFLECTIONS bounces per particle; anything still outside
         afterwards is returned to its start point (counted and logged).
@@ -229,7 +229,7 @@ class MeshDomain:
         by the locate that tests each bounce.
         """
         end = end.copy()
-        tri, bary = self.locator.locate(end) if located is None else map(np.copy, located)
+        tri, bary = map(np.copy, located)
         outside = tri < 0
         stuck = np.zeros(len(end), dtype=bool)
         p = start.copy()
@@ -302,22 +302,16 @@ class MeshDomain:
 
 
 class NodalVelocity:
-    """Barycentric P1 interpolator of nodal velocities plus analytic drift.
-
-    Callable on raw points; ``at`` additionally accepts a cached location
-    (triangle indices + barycentric coordinates) to skip point location.
-    """
+    """Barycentric P1 interpolator of nodal velocities plus analytic drift,
+    evaluated at located points (triangle indices + barycentric coordinates)."""
 
     def __init__(self, locator: TriangleLocator, nodal_x, nodal_y, drift=None):
-        self.locator = locator
         self.drift = drift
         # per triangle: u_x, then u_y, at its three vertices; one gather per point
         tris = locator.mesh.triangles
         self._corners = np.hstack([np.asarray(v, dtype=float)[tris] for v in (nodal_x, nodal_y)])
 
-    def at(self, points, tri=None, bary=None):
-        if tri is None or bary is None:
-            tri, bary = self.locator.locate(points)
+    def at(self, points, tri, bary):
         terms = self._corners[np.maximum(tri, 0)].reshape(-1, 2, 3) * bary[:, None, :]
         out = terms[..., 0] + terms[..., 1] + terms[..., 2]
         out[tri < 0] = 0.0
@@ -327,12 +321,10 @@ class NodalVelocity:
             raise ValueError("velocity evaluation produced non-finite values")
         return out
 
-    def __call__(self, points):
-        return self.at(points)
 
-
-def sample_initial(density, mesh: Mesh, n: int, seed: int) -> ParticleEnsemble:
-    """Draw n positions from a nodal P1 density (rejection inside triangles).
+def sample_initial(density, locator: TriangleLocator, n: int, seed: int) -> ParticleEnsemble:
+    """Draw n positions from a nodal P1 density on the locator's mesh
+    (rejection inside triangles), located by ``locator``.
 
     Triangles are chosen with probability proportional to their integrated
     density; within a triangle, uniform barycentric proposals are accepted
@@ -340,6 +332,7 @@ def sample_initial(density, mesh: Mesh, n: int, seed: int) -> ParticleEnsemble:
     """
     q = _vals(density)
     rng = np.random.default_rng(seed)
+    mesh = locator.mesh
     tris = mesh.triangles
     corners = mesh.vertices[tris]
     nodal = np.clip(q[tris], 0.0, None)  # (nt, 3)
@@ -370,37 +363,30 @@ def sample_initial(density, mesh: Mesh, n: int, seed: int) -> ParticleEnsemble:
     positions = (
         np.concatenate(chunks, axis=0) if chunks else np.empty((0, 2))
     )
-    return ParticleEnsemble(positions=positions, time=0.0)
+    return ParticleEnsemble(positions, *locator.locate(positions))
 
 
 def step_particles(
     ensemble: ParticleEnsemble,
     domain: MeshDomain,
-    velocity,
+    velocity: NodalVelocity,
     mu: float,
     dt: float,
     rng: np.random.Generator,
 ) -> ParticleEnsemble:
     """One Euler-Maruyama step with specular boundary reflection.
 
-    ``velocity`` maps (n, 2) positions to (n, 2) velocities (or None for
-    pure diffusion); ``rng`` is the caller-owned noise stream.
+    ``velocity`` is evaluated at the ensemble's own location; ``rng`` is the
+    caller-owned noise stream.  The new ensemble carries the location of its
+    positions, found by one locate and by the reflection's own.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     X = ensemble.positions
-    if velocity is None:
-        vel = 0.0
-    elif isinstance(velocity, NodalVelocity):
-        tri0, bary0 = ensemble.tri, ensemble.bary
-        if tri0 is None:
-            tri0, bary0 = domain.locator.locate(X)
-        vel = velocity.at(X, tri0, bary0)
-    else:
-        vel = velocity(X)
+    vel = velocity.at(X, ensemble.tri, ensemble.bary)
     noise = rng.standard_normal(X.shape) * np.sqrt(2.0 * mu * dt) if mu > 0 else 0.0
     proposal = X + vel * dt + noise
-    if not np.isfinite(np.asarray(proposal)).all():
+    if not np.isfinite(proposal).all():
         raise ValueError("particle step produced non-finite positions")
 
     tri, bary = domain.locator.locate(proposal)
@@ -410,14 +396,10 @@ def step_particles(
         proposal[idx], tri[idx], bary[idx] = domain.reflect(
             X[idx], proposal[idx], (tri[idx], bary[idx])
         )
-    return ParticleEnsemble(
-        positions=proposal, time=ensemble.time + dt, tri=tri, bary=bary
-    )
+    return ParticleEnsemble(proposal, tri, bary)
 
 
-def empirical_density(
-    ensemble: ParticleEnsemble, mesh: Mesh, locator: TriangleLocator | None = None
-) -> DensityField:
+def empirical_density(ensemble: ParticleEnsemble, mesh: Mesh) -> DensityField:
     """Mass-lumped P1 deposition of the ensemble; has unit mass exactly.
 
     Each particle spreads weight 1/n to its triangle's vertices by
@@ -427,11 +409,7 @@ def empirical_density(
     """
     if ensemble.n == 0:
         raise ValueError("empty ensemble")
-    if ensemble.tri is not None:
-        tri, bary = ensemble.tri, ensemble.bary
-    else:
-        locator = locator or TriangleLocator(mesh)
-        tri, bary = locator.locate(ensemble.positions)
+    tri, bary = ensemble.tri, ensemble.bary
     if (tri < 0).any():
         raise ValueError(
             f"{int((tri < 0).sum())} particle(s) lie outside the mesh"

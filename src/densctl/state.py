@@ -144,25 +144,23 @@ def theta_sweep(
 ):
     """Theta-method sweep of M dq/dt + L(u) q = 0 on a uniform time grid.
 
-    ``controls`` holds one entry per time node, each a ControlField or a
-    stacked (ux, uy) vector.  Step i solves
+    ``controls`` is an (n_t, 2n) stack of [ux, uy] rows, one per time node.
+    Step i solves
     (M/dt + theta L_{i+1}) q_{i+1} = (M/dt - (1-theta) L_i) q_i by LU with one
     step of iterative refinement, or, for a time-varying control given a
     ``precond`` (a nearby step matrix's LU), by :func:`linalg.gmres_solve`.
     The operators are data arrays on the tensor's sparsity pattern, and each
     node's L data is the implicit part of the step into it and the explicit
     part of the step out of it.  The two step matrices are built once per
-    sweep, and each step overwrites their data.  A control given as the same
-    object at every node is factorized once.  Returns (trajectory, that LU or
-    else None).
+    sweep, and each step overwrites their data.  A stack whose rows all equal
+    row 0 is factorized once.  Returns (trajectory, that LU or else None).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    controls = list(controls)
     n_steps = len(controls) - 1
-    constant = all(c is controls[0] for c in controls)
+    constant = bool((controls == controls[0]).all())
     krylov = precond is not None and not constant
     tensor = ops.tensor
     mass = ops.mass_data(lumped) / dt
@@ -215,7 +213,8 @@ def step_theta(
 
     Solves (M/dt + theta L(u_new)) q1 = (M/dt - (1-theta) L(u_old)) q0.
     """
-    traj, _ = theta_sweep(ops, q, [u_old, u_new], dt, theta, lumped)
+    controls = np.stack([u_old.stacked(), u_new.stacked()])
+    traj, _ = theta_sweep(ops, q, controls, dt, theta, lumped)
     return density_from_values(ops, traj.states[1])
 
 
@@ -231,11 +230,12 @@ def _n_steps(T: float, dt: float) -> int:
 
 
 def _controls_for_grid(control, n_steps):
-    """Normalize a control argument to a per-node list of length n_steps + 1."""
+    """The (n_steps + 1, 2n) stack of a control: a ControlField's row as a
+    read-only broadcast view, or a time-varying stack checked against the grid."""
     if isinstance(control, ControlField):
-        return [control] * (n_steps + 1)
-    controls = getattr(control, "controls", control)
-    controls = list(controls)
+        row = control.stacked()
+        return np.broadcast_to(row, (n_steps + 1, row.size))
+    controls = np.asarray(control, dtype=float)
     if len(controls) != n_steps + 1:
         raise ValueError(
             f"time-varying control has {len(controls)} nodes, grid needs {n_steps + 1}"
@@ -255,7 +255,7 @@ def simulate(
     """Integrate the density dynamics over [0, T] with uniform steps.
 
     ``control`` is either a single ControlField (held constant, so factorized
-    once) or a sequence of ControlField with one entry per time node.
+    once) or an (n_t, 2n) stack of [ux, uy] rows, one per time node.
     """
     controls = _controls_for_grid(control, _n_steps(T, dt))
     return theta_sweep(ops, q0, controls, dt, theta, lumped)[0]

@@ -103,10 +103,7 @@ def test_criterion_02_mass_conservation():
     q0 = dc.gaussian_density(ops, (-0.4, 0.4), 0.2)
     worst = 0.0
     for theta in (0.5, 1.0):
-        controls = [
-            dc.ControlField(rng.standard_normal(ops.n), rng.standard_normal(ops.n))
-            for _ in range(101)
-        ]
+        controls = rng.standard_normal((101, 2 * ops.n))  # one [ux, uy] row per node
         traj = dc.simulate(
             ops, q0, controls, T=1.0, dt=0.01, theta=theta, lumped=theta == 1.0
         )
@@ -189,7 +186,7 @@ def test_criterion_04_gradient_exactness():
 
     traj, _ = theta_sweep(opst, q0.values, U, dcfg.dt, dcfg.theta, dcfg.lumped)
     lams = solve_adjoint_dynamic(
-        opst, traj, [dc.ControlField.from_stacked(r) for r in U], static.q_star,
+        opst, traj, U, static.q_star,
         dcfg.alpha, dcfg.dt, dcfg.theta, dcfg.lumped,
     )
     G = _dynamic_gradient(opst, traj, lams, U, static, dcfg)
@@ -402,7 +399,7 @@ def test_criterion_10_particle_pde_consistency():
     domain = MeshDomain(mesh)
     vel = NodalVelocity(domain.locator, sol.u_star.ux, sol.u_star.uy)
     rng = np.random.default_rng(42)
-    ens = sample_initial(q0, mesh, 100_000, seed=42)
+    ens = sample_initial(q0, domain.locator, 100_000, seed=42)
     rows = []
     step = 0
     for target_step in (20, 40, 60, 80, 100):
@@ -410,7 +407,7 @@ def test_criterion_10_particle_pde_consistency():
             for _ in range(sub):
                 ens = step_particles(ens, domain, vel, mu=1.0, dt=dt / sub, rng=rng)
             step += 1
-        rho = empirical_density(ens, mesh, domain.locator)
+        rho = empirical_density(ens, mesh)
         dist = l2_distance(rho, dc.density_from_values(ops, traj.states[step]), ops.M)
         floor = float(np.sqrt(np.clip(traj.states[step], 0.0, None).sum() / ens.n))
         rows.append((step * dt, dist / floor))

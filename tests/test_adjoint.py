@@ -87,15 +87,14 @@ def test_dynamic_adjoint_zero_cases(small_ops, rng):
     u = random_control(small_ops, rng, scale=0.3)
     qeq, _ = dc.solve_equilibrium(small_ops, u)
     traj = dc.simulate(small_ops, qeq, u, T=0.3, dt=0.1, theta=1.0, lumped=True)
-    controls = [u] * 4
     lams = solve_adjoint_dynamic(
-        small_ops, traj, controls, qeq, alpha=1.0, dt=0.1, theta=1.0, lumped=True
+        small_ops, traj, u, qeq, alpha=1.0, dt=0.1, theta=1.0, lumped=True
     )
     assert np.abs(lams.values).max() < 1e-10
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
     traj2 = dc.simulate(small_ops, q0, u, T=0.3, dt=0.1, theta=1.0, lumped=True)
     lams2 = solve_adjoint_dynamic(
-        small_ops, traj2, controls, qeq, alpha=0.0, dt=0.1, theta=1.0, lumped=True
+        small_ops, traj2, u, qeq, alpha=0.0, dt=0.1, theta=1.0, lumped=True
     )
     assert np.abs(lams2.values).max() == 0.0
 
@@ -121,17 +120,17 @@ def test_dynamic_adjoint_dense_spacetime_oracle(tiny_ops, rng, theta, lumped, kr
     # the Krylov sweeps are preconditioned by another control's step matrix,
     # so GMRES needs several iterations per step
     other = random_control(tiny_ops, rng, 0.4)
-    precond = theta_sweep(tiny_ops, q0, [other] * 2, dt, theta, lumped)[1] if krylov else None
+    pair = np.tile(other.stacked(), (2, 1))
+    precond = theta_sweep(tiny_ops, q0, pair, dt, theta, lumped)[1] if krylov else None
     traj, _ = theta_sweep(tiny_ops, q0.values, U, dt, theta, lumped, precond)
-    controls = [dc.ControlField.from_stacked(r) for r in U]
     lams = solve_adjoint_dynamic(
-        tiny_ops, traj, controls, qref, alpha=1.7, dt=dt, theta=theta, lumped=lumped,
+        tiny_ops, traj, U, qref, alpha=1.7, dt=dt, theta=theta, lumped=lumped,
         precond=precond,
     )
     assert traj.fallbacks == lams.fallbacks == 0
 
     Ms = tiny_ops.tensor.csr(tiny_ops.mass_data(lumped)).toarray()
-    Ls = [dc.state_matrix(tiny_ops, c).toarray() for c in controls]
+    Ls = [dc.state_matrix(tiny_ops, dc.ControlField.from_stacked(r)).toarray() for r in U]
     A_big = np.zeros((n_steps * n, n_steps * n))
     for s in range(1, n_steps + 1):
         A_big[(s - 1) * n : s * n, (s - 1) * n : s * n] = Ms / dt + theta * Ls[s]
@@ -160,7 +159,7 @@ def test_dynamic_adjoint_zero_mean_slices(small_ops, rng):
     qref = dc.uniform_density(small_ops)
     traj = dc.simulate(small_ops, q0, u, T=0.5, dt=0.05, theta=0.5, lumped=False)
     lams = solve_adjoint_dynamic(
-        small_ops, traj, [u] * 11, qref, alpha=1.0, dt=0.05, theta=0.5, lumped=False
+        small_ops, traj, u, qref, alpha=1.0, dt=0.05, theta=0.5, lumped=False
     )
     assert np.abs(lams.values @ small_ops.F).max() < 1e-10
 
@@ -171,5 +170,5 @@ def test_dynamic_adjoint_grid_mismatch(small_ops, rng):
     traj = dc.simulate(small_ops, q0, u, T=0.3, dt=0.1)
     with pytest.raises(ValueError):
         solve_adjoint_dynamic(
-            small_ops, traj, [u] * 7, q0, alpha=1.0, dt=0.1, theta=1.0
+            small_ops, traj, np.tile(u.stacked(), (7, 1)), q0, alpha=1.0, dt=0.1, theta=1.0
         )

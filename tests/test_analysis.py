@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 import densctl as dc
 from densctl import cli, presets
 from densctl.analysis import (
-    certify,
     certify_kernel,
     certify_spectral_positivity,
     convergence_report,
@@ -123,17 +122,19 @@ def test_convergence_report(small_ops, rng):
     assert rows[5][3] == pytest.approx(lyap[5], rel=1e-12)
 
 
-def test_certify_aggregate(small_ops, rng):
+def test_certificates_of_one_control(small_ops, rng):
+    # the three functions behind the rows of `densctl certify`
     u = random_control(small_ops, rng, 0.3)
     qeq, _ = dc.solve_equilibrium(small_ops, u)
     q0 = dc.uniform_density(small_ops)
     traj = dc.simulate(small_ops, q0, u, T=0.5, dt=0.05, theta=1.0, lumped=True)
-    rep = certify(small_ops, u, trajectory=traj, reference=qeq)
-    assert rep.kernel_dim_state == 1
-    assert rep.left_kernel_residual < 1e-12
-    assert rep.lyapunov_monotone
-    assert np.isfinite(rep.min_symmetric_eigenvalue_on_M0)
-    assert "final_l2_distance" in rep.details
+    kc = certify_kernel(small_ops, u)
+    assert kc.dim == 1
+    assert kc.left_kernel_residual < 1e-12
+    assert np.isfinite(certify_spectral_positivity(small_ops, u))
+    rows, monotone, final = convergence_report(traj, qeq, small_ops)
+    assert monotone
+    assert final == rows[-1][2] and np.isfinite(final)
 
 
 def test_boundary_normals_outward(small_mesh):

@@ -174,6 +174,30 @@ def test_config_validation_lists_all_problems(tmp_path, capsys):
     assert err.count("error: config:") >= 4
 
 
+@pytest.mark.parametrize("path, value, problem", [
+    pytest.param(("mesh", "generate", "holes"), [{"type": "circle", "radius": 0.1}],
+                 "hole 0: a circle needs center [x, y] and a radius", id="circle-hole-no-center"),
+    pytest.param(("mu",), "one", "mu must be positive", id="mu-not-a-number"),
+    pytest.param(("target",), {"type": "indicator", "regions": [{"type": "rect"}]},
+                 "target.regions[0]: a rect needs bounds", id="rect-region-no-bounds"),
+    pytest.param(("target",), {"type": "gaussian", "sigma": 0.2},
+                 "target.center must be [x, y]", id="gaussian-no-center"),
+])
+def test_malformed_fields_are_config_problems(run_cfg, tmp_path, capsys, path, value, problem):
+    _, cfg = run_cfg
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    cfg_path = tmp_path / "cfg_fields.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["static", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and problem in err, err
+    assert "Traceback" not in err
+    assert not os.path.exists(cfg["out_dir"])
+
+
 @pytest.mark.parametrize("dt, T", [(0.0, 0.25), (-0.05, 0.25), (0.05, 0.0)])
 def test_bad_time_grid_is_a_config_problem(run_cfg, tmp_path, capsys, dt, T):
     _, cfg = run_cfg

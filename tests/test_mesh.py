@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import densctl as dc
+from densctl.cli import main
 from densctl.mesh import (
     GeometryError,
     MeshFormatError,
@@ -45,6 +46,19 @@ def test_parse_error_reports_line(tmp_path):
     path.write_text("3 1 0\n0 0\nnot numbers\n0 1\n0 1 2\n")
     with pytest.raises(MeshFormatError, match="line 3"):
         dc.load_mesh(path)
+
+
+def test_data_after_the_last_boundary_edge_is_rejected(tmp_path, capsys):
+    square = "4 2 4\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n"
+    path = tmp_path / "tail.txt"
+    path.write_text(square + "# comments and blank lines may follow\n\n")
+    assert dc.load_mesh(path).n_triangles == 2
+    path.write_text(square + "\n# junk follows\n3 0 1\n")
+    with pytest.raises(MeshFormatError, match="line 14") as exc:
+        dc.load_mesh(path)
+    assert exc.value.line_no == 14
+    assert main(["mesh", "check", str(path)]) == 1
+    assert "line 14" in capsys.readouterr().err
 
 
 def test_roundtrip_bit_exact(tmp_path, holed_mesh):

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 import densctl as dc
 from densctl.adjoint import solve_adjoint_dynamic
 from densctl.ocp_dynamic import (
-    TimeVaryingControl,
     _dynamic_gradient,
     evaluate_dynamic_cost,
     project_to_magnitude_ball,
@@ -22,14 +21,6 @@ def static_solution(small_ops):
     z = dc.gaussian_density(small_ops, (0.7, 0.7), 0.2)
     cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-7, max_iter=200)
     return solve_static_ocp(small_ops, z, cfg)
-
-
-def test_time_varying_control_grid_check(small_ops):
-    u = dc.ControlField.zeros(small_ops.n)
-    with pytest.raises(ValueError):
-        TimeVaryingControl([u] * 5, dt=0.1, T=1.0)
-    tvc = TimeVaryingControl([u] * 11, dt=0.1, T=1.0)
-    assert tvc.n_steps == 10
 
 
 def test_dynamic_cost_zero_at_turnpike(small_ops, static_solution):
@@ -54,9 +45,8 @@ def test_dynamic_cost_zero_weights(small_ops, static_solution, rng):
 def test_dynamic_cost_trapezoid_oracle(small_ops, static_solution, rng):
     cfg = OcpConfig(alpha=1.3, beta=2e-3, beta_g=1e-4, dt=0.1, T=0.3)
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.25)
-    controls = [random_control(small_ops, rng, 0.3) for _ in range(4)]
-    traj = dc.simulate(small_ops, q0, controls, T=0.3, dt=0.1, theta=0.5, lumped=False)
-    U = np.stack([c.stacked() for c in controls])
+    U = np.stack([random_control(small_ops, rng, 0.3).stacked() for _ in range(4)])
+    traj = dc.simulate(small_ops, q0, U, T=0.3, dt=0.1, theta=0.5, lumped=False)
     got = evaluate_dynamic_cost(small_ops, traj, U, static_solution, cfg)
 
     n = small_ops.n
@@ -119,8 +109,7 @@ def test_dynamic_gradient_matches_finite_differences(
 
     traj, _ = theta_sweep(tiny_ops, q0.values, U, cfg.dt, theta, lumped)
     lams = solve_adjoint_dynamic(
-        tiny_ops, traj, [dc.ControlField.from_stacked(r) for r in U],
-        static.q_star, cfg.alpha, cfg.dt, theta, lumped,
+        tiny_ops, traj, U, static.q_star, cfg.alpha, cfg.dt, theta, lumped,
     )
     G = _dynamic_gradient(tiny_ops, traj, lams, U, static, cfg)
     for _ in range(10):
@@ -144,7 +133,7 @@ def test_warm_start_is_optimal(small_ops, static_solution):
     assert len(dyn.history) == 1
     assert dyn.history[0].grad_norm < cfg.tol
     assert_allclose(
-        dyn.control.stacked(),
+        dyn.control,
         np.tile(static_solution.u_star.stacked(), (11, 1)),
         rtol=0,
         atol=0,
@@ -162,8 +151,8 @@ def test_dynamic_ocp_descends_and_respects_box(small_ops, static_solution):
     assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
     assert costs[-1] < costs[0]
     radius = static_solution.control_magnitude_bound()
-    for cf in dyn.control.controls:
-        assert cf.magnitudes().max() <= radius + 1e-12
+    n = small_ops.n
+    assert np.hypot(dyn.control[:, :n], dyn.control[:, n:]).max() <= radius + 1e-12
     # improvement over the constant static control on the same cost
     traj_const = dc.simulate(
         small_ops, q0, static_solution.u_star, T=1.0, dt=0.05, theta=0.5, lumped=False

@@ -60,6 +60,17 @@ def domain(holed_mesh):
     return MeshDomain(holed_mesh)
 
 
+@pytest.fixture(scope="module")
+def still(domain, holed_mesh):
+    """Zero control and no drift: particles only diffuse."""
+    zero = np.zeros(holed_mesh.n_vertices)
+    return NodalVelocity(domain.locator, zero, zero)
+
+
+def _ensemble(locator, points):
+    return ParticleEnsemble(points, *locator.locate(points))
+
+
 def test_locator_roundtrip(holed_mesh, rng):
     loc = TriangleLocator(holed_mesh)
     tris = holed_mesh.triangles
@@ -79,12 +90,12 @@ def test_locator_rejects_outside(holed_mesh):
     assert (tri == -1).all()  # hole center and exterior points
 
 
-def test_sampling_deterministic(holed_ops, holed_mesh):
+def test_sampling_deterministic(holed_ops, domain):
     uni = dc.uniform_density(holed_ops)
-    a = sample_initial(uni, holed_mesh, 2000, seed=5)
-    b = sample_initial(uni, holed_mesh, 2000, seed=5)
+    a = sample_initial(uni, domain.locator, 2000, seed=5)
+    b = sample_initial(uni, domain.locator, 2000, seed=5)
     assert np.array_equal(a.positions, b.positions)
-    c = sample_initial(uni, holed_mesh, 2000, seed=6)
+    c = sample_initial(uni, domain.locator, 2000, seed=6)
     assert not np.array_equal(a.positions, c.positions)
 
 
@@ -96,7 +107,7 @@ def test_sampling_single_triangle_support(holed_ops, holed_mesh):
     # density supported on the patch around triangle 17; particles sampled
     # from the restriction to that triangle's span stay in the patch
     dens = dc.normalized_density(holed_ops, values)
-    ens = sample_initial(dens, holed_mesh, 500, seed=0)
+    ens = sample_initial(dens, loc, 500, seed=0)
     found, _ = loc.locate(ens.positions)
     support_tris = {
         t
@@ -112,8 +123,8 @@ def test_sampling_chi2_uniform(holed_ops, holed_mesh):
 
     uni = dc.uniform_density(holed_ops)
     n = 100_000
-    ens = sample_initial(uni, holed_mesh, n, seed=11)
     loc = TriangleLocator(holed_mesh)
+    ens = sample_initial(uni, loc, n, seed=11)
     found, _ = loc.locate(ens.positions)
     assert (found >= 0).all()
     counts = np.bincount(found, minlength=holed_mesh.n_triangles)
@@ -124,63 +135,75 @@ def test_sampling_chi2_uniform(holed_ops, holed_mesh):
     assert stat < chi2.ppf(0.99, dof)
 
 
-def test_sampling_rejects_zero_density(holed_ops, holed_mesh):
+def test_sampling_rejects_zero_density(holed_ops, domain):
     with pytest.raises(ValueError):
         sample_initial(
             dc.DensityField(values=np.zeros(holed_ops.n), mass=0.0),
-            holed_mesh,
+            domain.locator,
             10,
             seed=0,
         )
 
 
-def test_step_no_motion(domain):
-    ens = ParticleEnsemble(np.array([[0.5, 0.5], [-0.7, 0.6]]), 0.0)
+def test_sampling_carries_its_location(holed_ops, domain):
+    # the ensemble is located once, by the locator it was sampled for
+    q0 = dc.gaussian_density(holed_ops, (0.5, -0.5), 0.3)
+    ens = sample_initial(q0, domain.locator, 5000, seed=4)
+    tri, bary = domain.locator.locate(ens.positions)
+    assert ens.tri.dtype == tri.dtype and np.array_equal(ens.tri, tri)
+    assert ens.bary.dtype == bary.dtype and np.array_equal(ens.bary, bary)
+    assert (ens.tri >= 0).all()
+
+
+def test_step_no_motion(domain, still):
+    ens = _ensemble(domain.locator, np.array([[0.5, 0.5], [-0.7, 0.6]]))
     rng = np.random.default_rng(0)
-    out = step_particles(ens, domain, None, mu=0.0, dt=0.1, rng=rng)
+    out = step_particles(ens, domain, still, mu=0.0, dt=0.1, rng=rng)
     assert np.array_equal(out.positions, ens.positions)
-    assert out.time == pytest.approx(0.1)
+    assert np.array_equal(out.tri, ens.tri) and np.array_equal(out.bary, ens.bary)
 
 
-def test_step_pure_advection(domain):
-    ens = ParticleEnsemble(np.array([[0.5, 0.5]]), 0.0)
+def test_step_pure_advection(domain, holed_mesh):
+    ens = _ensemble(domain.locator, np.array([[0.5, 0.5]]))
     rng = np.random.default_rng(0)
-    out = step_particles(
-        ens, domain, lambda X: np.full_like(X, 0.25), mu=0.0, dt=0.1, rng=rng
+    zero = np.zeros(holed_mesh.n_vertices)
+    wind = NodalVelocity(
+        domain.locator, zero, zero, drift=lambda x, y: (np.full_like(x, 0.25),) * 2
     )
+    out = step_particles(ens, domain, wind, mu=0.0, dt=0.1, rng=rng)
     assert_allclose(out.positions, [[0.525, 0.525]], rtol=0, atol=1e-15)
 
 
-def test_step_determinism(domain, holed_ops, holed_mesh):
+def test_step_determinism(domain, still, holed_ops):
     q0 = dc.gaussian_density(holed_ops, (0.5, 0.5), 0.2)
     outs = []
     for _ in range(2):
-        ens = sample_initial(q0, holed_mesh, 3000, seed=9)
+        ens = sample_initial(q0, domain.locator, 3000, seed=9)
         rng = np.random.default_rng(99)
         for _ in range(5):
-            ens = step_particles(ens, domain, None, mu=1.0, dt=0.03, rng=rng)
+            ens = step_particles(ens, domain, still, mu=1.0, dt=0.03, rng=rng)
         outs.append(ens.positions)
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_containment_many_steps(domain, holed_ops, holed_mesh):
+def test_containment_many_steps(domain, still, holed_ops):
     uni = dc.uniform_density(holed_ops)
-    ens = sample_initial(uni, holed_mesh, 5000, seed=1)
+    ens = sample_initial(uni, domain.locator, 5000, seed=1)
     rng = np.random.default_rng(2)
     for _ in range(30):
-        ens = step_particles(ens, domain, None, mu=1.0, dt=0.03, rng=rng)
+        ens = step_particles(ens, domain, still, mu=1.0, dt=0.03, rng=rng)
         assert (domain.locator.locate(ens.positions)[0] >= 0).all()
 
 
-def test_pure_diffusion_preserves_uniform(domain, holed_ops, holed_mesh):
+def test_pure_diffusion_preserves_uniform(domain, still, holed_ops, holed_mesh):
     # u = 0 long run: the empirical density stays uniform within the
     # sampling noise floor
     uni = dc.uniform_density(holed_ops)
-    ens = sample_initial(uni, holed_mesh, 50_000, seed=13)
+    ens = sample_initial(uni, domain.locator, 50_000, seed=13)
     rng = np.random.default_rng(14)
     for _ in range(30):
-        ens = step_particles(ens, domain, None, mu=1.0, dt=0.03, rng=rng)
-    rho = empirical_density(ens, holed_mesh, domain.locator)
+        ens = step_particles(ens, domain, still, mu=1.0, dt=0.03, rng=rng)
+    rho = empirical_density(ens, holed_mesh)
     floor = np.sqrt(np.clip(uni.values, 0.0, None).sum() / ens.n)
     assert dc.l2_distance(rho, uni, holed_ops.M) < 3.0 * floor
 
@@ -191,7 +214,7 @@ def test_reflection_simple_wall():
     dom = MeshDomain(mesh)
     start = np.array([[0.9, 0.5]])
     end = np.array([[1.06, 0.5]])
-    out, tri, bary = dom.reflect(start, end)
+    out, tri, bary = dom.reflect(start, end, dom.locator.locate(end))
     assert_allclose(out, [[0.94, 0.5]], atol=1e-12)
     # the location comes with the folded point
     want_tri, want_bary = dom.locator.locate(out)
@@ -201,15 +224,15 @@ def test_reflection_simple_wall():
 
 def test_empirical_density_unit_mass(domain, holed_ops, holed_mesh):
     q0 = dc.gaussian_density(holed_ops, (-0.5, 0.5), 0.2)
-    ens = sample_initial(q0, holed_mesh, 20000, seed=3)
-    rho = empirical_density(ens, holed_mesh, domain.locator)
+    ens = sample_initial(q0, domain.locator, 20000, seed=3)
+    rho = empirical_density(ens, holed_mesh)
     assert rho.mass == pytest.approx(1.0, abs=1e-12)
     assert holed_ops.F @ rho.values == pytest.approx(1.0, abs=1e-10)
 
 
-def test_empirical_density_single_particle_at_vertex(holed_mesh):
+def test_empirical_density_single_particle_at_vertex(domain, holed_mesh):
     v = 30
-    ens = ParticleEnsemble(holed_mesh.vertices[[v]].copy(), 0.0)
+    ens = _ensemble(domain.locator, holed_mesh.vertices[[v]].copy())
     rho = empirical_density(ens, holed_mesh)
     areas = holed_mesh.triangle_areas()
     lumped_v = sum(
@@ -226,15 +249,15 @@ def test_empirical_density_converges_with_n(holed_ops, holed_mesh, domain):
     q = dc.gaussian_density(holed_ops, (0.4, -0.4), 0.25)
     errs = []
     for n in (1000, 10000, 100000):
-        ens = sample_initial(q, holed_mesh, n, seed=21)
-        rho = empirical_density(ens, holed_mesh, domain.locator)
+        ens = sample_initial(q, domain.locator, n, seed=21)
+        rho = empirical_density(ens, holed_mesh)
         errs.append(dc.l2_distance(rho, q, holed_ops.M))
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.35 * errs[0]
 
 
-def test_empirical_density_rejects_outside(holed_mesh):
-    ens = ParticleEnsemble(np.array([[0.0, 0.0]]), 0.0)  # hole center
+def test_empirical_density_rejects_outside(domain, holed_mesh):
+    ens = _ensemble(domain.locator, np.array([[0.0, 0.0]]))  # hole center
     with pytest.raises(ValueError, match="outside"):
         empirical_density(ens, holed_mesh)
 
@@ -244,7 +267,7 @@ def test_velocity_interpolation(domain, holed_ops, holed_mesh):
     verts = holed_mesh.vertices
     vel = NodalVelocity(domain.locator, 2.0 * verts[:, 0], -verts[:, 1])
     pts = np.array([[0.5, 0.5], [-0.3, 0.8], [0.7, -0.2]])
-    out = vel(pts)
+    out = vel.at(pts, *domain.locator.locate(pts))
     assert_allclose(out[:, 0], 2.0 * pts[:, 0], atol=1e-12)
     assert_allclose(out[:, 1], -pts[:, 1], atol=1e-12)
 
@@ -390,8 +413,8 @@ def test_one_candidate_for_most_criterion_10_particles():
     # the initial ensemble of acceptance criterion 10
     mesh = dc.generate_rect_mesh((-1, -1, 1, 1), 0.1, holes=[dc.Circle(0, 0, 0.2)])
     q0 = dc.gaussian_density(dc.assemble_operators(mesh, mu=1.0), (-0.5, -0.5), 0.18)
-    pts = sample_initial(q0, mesh, 100_000, seed=42).positions
     loc = TriangleLocator(mesh)
+    pts = sample_initial(q0, loc, 100_000, seed=42).positions
     f = np.floor((pts - [loc.xmin, loc.ymin]) / loc.fine).astype(np.int64)
     cell = f[:, 1] * loc.fine_shape[0] + f[:, 0]
     single = loc.ptr[cell + 1] - loc.ptr[cell] == 1

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 import densctl as dc
 
-from densctl.ocp_dynamic import TimeVaryingControl
 from densctl.ocp_static import OcpConfig
 from densctl.state import NegativeDensityWarning, _n_steps, step_theta
 
@@ -96,7 +95,7 @@ def test_simulate_grid_and_mass(small_ops, rng):
 
 def test_simulate_time_varying_control(small_ops, rng):
     q0 = dc.uniform_density(small_ops)
-    controls = [random_control(small_ops, rng, scale=0.2) for _ in range(11)]
+    controls = np.stack([random_control(small_ops, rng, scale=0.2).stacked() for _ in range(11)])
     traj = dc.simulate(small_ops, q0, controls, T=1.0, dt=0.1, theta=0.5, lumped=False)
     assert traj.mass_errors().max() < 1e-12
     with pytest.raises(ValueError):
@@ -120,7 +119,6 @@ def test_every_time_grid_goes_through_one_check(small_ops, T, dt):
         lambda: _n_steps(T, dt),
         lambda: dc.simulate(small_ops, dc.uniform_density(small_ops), u, T=T, dt=dt),
         lambda: OcpConfig(T=T, dt=dt),
-        lambda: TimeVaryingControl([u] * 11, dt=dt, T=T),
     ):
         with pytest.raises(ValueError, match="dt"):
             make()

@@ -4,6 +4,7 @@ whole-stack dynamic gradient and of the mesh file round trip."""
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,35 @@ def test_simulate_constant_control_factorizes_once(small_ops, rng, counts):
 
 
 def test_simulate_time_varying_control_factorizes_every_step(small_ops, rng, counts):
-    controls = [random_control(small_ops, rng, scale=0.5) for _ in range(11)]
+    controls = np.stack([random_control(small_ops, rng, scale=0.5).stacked() for _ in range(11)])
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
     dc.simulate(small_ops, q0, controls, T=0.5, dt=0.05, theta=0.5, lumped=False)
     # one contraction per time node serves both steps that touch it
     assert counts == {"lu_factor": 10, "contract": 11}
+
+
+def test_equal_rows_factorize_once(small_ops, rng, counts):
+    # rows equal in value but each its own array, as a controls/ directory loads
+    u = random_control(small_ops, rng, scale=0.5).stacked()
+    U = np.stack([u.copy() for _ in range(11)])
+    q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
+    traj, lu = theta_sweep(small_ops, q0, U, 0.05, 0.5, False)
+    assert lu is not None and traj.n_steps == 10
+    assert counts == {"lu_factor": 1, "contract": 1}
+
+
+def test_constant_control_is_not_copied_per_node(small_ops, rng):
+    # a (n_t, 2n) copy of the control alone would be twice the states' size
+    u = random_control(small_ops, rng, scale=0.5)
+    q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
+    tracemalloc.start()
+    try:
+        traj = dc.simulate(small_ops, q0, u, T=99.99, dt=0.03)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps == 3333
+    assert peak < 2 * traj.states.nbytes
 
 
 def test_dynamic_ocp_reuses_the_accepted_trial(small_ops, monkeypatch, counts):
@@ -119,8 +144,10 @@ def test_pattern_operators_on_random_meshes(mesh, drift, seed, scale, theta, lum
     assert np.abs(col_sums).max() <= 1e-12 * size
 
     q0 = dc.normalized_density(ops, rng.random(ops.n) + 0.1)
-    traj, lu = theta_sweep(ops, q0, [u_old, u_new], 0.01, theta, lumped)
-    assert lu is None  # only a constant control's LU is returned
+    U = np.stack([u_old.stacked(), u_new.stacked()])
+    traj, lu = theta_sweep(ops, q0, U, 0.01, theta, lumped)
+    # only a constant control's LU is returned: rows equal in value (scale 0)
+    assert (lu is None) == (not np.array_equal(U[0], U[1]))
     assert abs(ops.F @ traj.states[1] - 1.0) <= 1e-12
 
 
@@ -198,7 +225,8 @@ def test_krylov_sweeps_on_random_meshes(mesh, drift, seed, theta, lumped):
     q0 = dc.normalized_density(ops, rng.random(n) + 0.1)
     U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
     # preconditioned by the reference control's step LU, as in the OCP
-    precond = theta_sweep(ops, q0, [static.u_star] * 2, cfg.dt, theta, lumped)[1]
+    pair = np.tile(static.u_star.stacked(), (2, 1))
+    precond = theta_sweep(ops, q0, pair, cfg.dt, theta, lumped)[1]
 
     def cost(Um):
         traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
@@ -248,7 +276,8 @@ def test_sweeps_match_fresh_step_matrices_bitwise(mesh, drift, seed, theta, lump
     q0, qref = (dc.normalized_density(ops, rng.random(n) + 0.1).values for _ in range(2))
     U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
     u_ref = random_control(ops, rng, 0.5)
-    precond = theta_sweep(ops, q0, [u_ref] * 2, dt, theta, lumped)[1] if krylov else None
+    pair = np.tile(u_ref.stacked(), (2, 1))
+    precond = theta_sweep(ops, q0, pair, dt, theta, lumped)[1] if krylov else None
     tensor, mass = ops.tensor, ops.mass_data(lumped) / dt
     L = [ops.state_data(u) for u in U]
 
