@@ -89,7 +89,7 @@ def solve_adjoint_static(
     lam_m = compute_lambda_m(qv, ops, qv, zv, alpha)
     rhs = alpha * (ops.M @ (qv - zv)) + lam_m * ops.F
     L = state_matrix(ops, u)
-    lam, nu, _ = bordered_solve(factor or bordered_lu(L, ops.F), rhs, 0.0, trans="T")
+    lam, nu = bordered_solve(factor or bordered_lu(L, ops.F), rhs, 0.0, trans="T")
 
     residual = np.abs(L.T @ lam - rhs).max()
     scale = np.abs(L).max() * max(np.abs(lam).max(), 1e-300) + np.abs(rhs).max()

@@ -136,9 +136,34 @@ def _shape_problems(where, spec) -> list[str]:
     return [] if kind in ("circle", "rect") else [f"{where}: type must be 'circle' or 'rect'"]
 
 
-def validate_config(cfg) -> None:
-    """Collect every problem before failing, not just the first."""
+# entries that must be JSON objects (dict) or lists where the config has them
+_STRUCTURE = {
+    ("mesh",): dict, ("mesh", "generate"): dict, ("mesh", "generate", "holes"): list,
+    ("target",): dict, ("target", "regions"): list,
+    ("initial",): dict, ("initial", "regions"): list,
+    ("ocp",): dict, ("ocp", "armijo"): dict, ("dynamic",): dict,
+}
+
+
+def _structure_problems(cfg) -> list[str]:
+    """Entries of _STRUCTURE present with the wrong JSON type (null included)."""
     problems = []
+    for (*parents, key), kind in _STRUCTURE.items():
+        section = cfg
+        for name in parents:
+            section = section.get(name) if isinstance(section, dict) else None
+        if isinstance(section, dict) and key in section and not isinstance(section[key], kind):
+            what = "an object" if kind is dict else "a list"
+            problems.append(f"{'.'.join(parents + [key])} must be {what}")
+    return problems
+
+
+def validate_config(cfg) -> None:
+    """Collect every problem before failing, not just the first; the other
+    checks run once every section has its JSON type."""
+    problems = _structure_problems(cfg)
+    if problems:
+        raise ConfigError(problems)
     mesh = cfg.get("mesh", {})
     if "file" in mesh:
         if not os.path.exists(mesh["file"]):
@@ -156,10 +181,13 @@ def validate_config(cfg) -> None:
     if not _positive(cfg.get("mu")):
         problems.append("mu must be positive")
     drift = cfg.get("drift")
-    if drift is not None and drift not in fields.DRIFT_PRESETS:
+    if drift is not None and not (isinstance(drift, str) and drift in fields.DRIFT_PRESETS):
         problems.append(
             f"unknown drift preset {drift!r}; available: {sorted(fields.DRIFT_PRESETS)}"
         )
+    seed = cfg.get("seed", 0)
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        problems.append(f"seed must be a non-negative integer, got {seed!r}")
     for name in ("target", "initial"):
         spec = cfg.get(name, {})
         kind = spec.get("type")
@@ -417,7 +445,8 @@ def cmd_particles(args) -> int:
     traj = _simulate(ops, q0, control, ocp)
     n_steps = traj.n_steps
 
-    rng = np.random.default_rng(cfg["seed"])
+    # the noise draws from a child stream of the seed, independent of the sampling's
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
     ens = sample_initial(q0, domain.locator, args.n, seed=cfg["seed"])
     pdir = os.path.join(cfg["out_dir"], "particles")
     os.makedirs(pdir, exist_ok=True)

@@ -38,7 +38,7 @@ def bordered_solve(factor, rhs, rhs_scalar, trans="N"):
 
     ``factor`` is the (K, lu) pair of :func:`bordered_lu`.  One step of
     iterative refinement is applied against the matrix solved with.  Returns
-    (x, s, residual_norm).
+    (x, s).
     """
     K, lu = factor
     if trans == "T":
@@ -47,11 +47,9 @@ def bordered_solve(factor, rhs, rhs_scalar, trans="N"):
     x = lu.solve(b, trans=trans)
     r = b - K @ x
     x = x + lu.solve(r, trans=trans)
-    r = b - K @ x
-    scale = max(np.abs(b).max(), np.abs(x).max(), 1e-300)
     if not np.isfinite(x).all():
         raise SolverError("bordered solve produced non-finite values")
-    return x[:-1], float(x[-1]), float(np.abs(r).max() / scale)
+    return x[:-1], float(x[-1])
 
 
 def gmres_solve(A, b, lu, x0, trans="N"):

@@ -77,6 +77,12 @@ class Circle:
     def boundary_distance(self, x, y):
         return np.abs(np.hypot(x - self.cx, y - self.cy) - self.r)
 
+    def nearest(self, x, y):
+        """Radial projection onto the circle; the distance to the center is
+        floored at 1e-12 r, so the center itself stays put."""
+        scale = self.r / np.maximum(np.hypot(x - self.cx, y - self.cy), 1e-12 * self.r)
+        return self.cx + (x - self.cx) * scale, self.cy + (y - self.cy) * scale
+
     def bbox(self):
         return (self.cx - self.r, self.cy - self.r, self.cx + self.r, self.cy + self.r)
 
@@ -99,14 +105,19 @@ class Rect:
         )
 
     def boundary_distance(self, x, y):
-        # distance to the boundary of the rectangle (inside or outside)
-        qx = np.clip(x, self.x0, self.x1)
-        qy = np.clip(y, self.y0, self.y1)
-        outside = np.hypot(x - qx, y - qy)
-        inner = np.minimum(
-            np.minimum(x - self.x0, self.x1 - x), np.minimum(y - self.y0, self.y1 - y)
-        )
-        return np.where(outside > 0, outside, np.abs(inner))
+        nx, ny = self.nearest(x, y)
+        return np.hypot(x - nx, y - ny)
+
+    def nearest(self, x, y):
+        """Closest boundary point: outside points clip onto the rectangle,
+        interior points move along the axis of least penetration."""
+        inside = self.contains(x, y)
+        which = np.argmin(np.stack([x - self.x0, self.x1 - x, y - self.y0, self.y1 - y]), axis=0)
+        ix = np.where(which == 0, self.x0, np.where(which == 1, self.x1, x))
+        iy = np.where(which == 2, self.y0, np.where(which == 3, self.y1, y))
+        nx = np.where(inside, ix, np.clip(x, self.x0, self.x1))
+        ny = np.where(inside, iy, np.clip(y, self.y0, self.y1))
+        return nx, ny
 
     def bbox(self):
         return (self.x0, self.y0, self.x1, self.y1)
@@ -165,8 +176,12 @@ class MeshQualityReport:
     max_opposite_angle_sum: float
 
 
-def _freeze(mesh: Mesh) -> Mesh:
-    for arr in (mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_markers):
+def _finish(vertices, triangles, boundary, markers) -> Mesh:
+    """The validated Mesh of these arrays, which become read-only."""
+    area = float(_signed_areas(vertices, triangles).sum())
+    mesh = Mesh(vertices, triangles, boundary, markers, domain_area=area)
+    validate_mesh(mesh)
+    for arr in (vertices, triangles, boundary, markers):
         arr.setflags(write=False)
     return mesh
 
@@ -196,15 +211,15 @@ def _orient_ccw(vertices, triangles):
 def _edge_incidence(triangles):
     """All undirected edges with incidence counts.
 
-    Returns (edges (ne,2) sorted pairs, counts (ne,), inverse (3*nt,)) where
-    inverse maps each local triangle edge to its row in ``edges``.
+    Returns (edges (ne,2) sorted pairs in lexicographic order, counts (ne,),
+    inverse (3*nt,)) where inverse maps each local triangle edge to its row in
+    ``edges``.  Pairs are deduplicated through the integer key a * nv + b.
     """
     raw = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    raw_sorted = np.sort(raw, axis=1)
-    edges, inverse, counts = np.unique(
-        raw_sorted, axis=0, return_inverse=True, return_counts=True
-    )
-    return edges, counts, inverse
+    a, b = np.sort(raw, axis=1).astype(np.int64, copy=False).T
+    nv = int(b.max()) + 1 if b.size else 1
+    keys, inverse, counts = np.unique(a * nv + b, return_inverse=True, return_counts=True)
+    return np.stack([keys // nv, keys % nv], axis=1), counts, inverse
 
 
 def boundary_edge_normals(mesh: Mesh) -> np.ndarray:
@@ -216,7 +231,7 @@ def boundary_edge_normals(mesh: Mesh) -> np.ndarray:
     edges, _, inverse = _edge_incidence(tris)
     # slot s = e * nt + t is local edge e of triangle t, opposite its vertex (e + 2) % 3
     owner = np.empty(len(edges), dtype=np.int64)
-    owner[inverse.ravel()] = np.arange(3 * nt)
+    owner[inverse] = np.arange(3 * nt)
     keys = edges[:, 0] * nv + edges[:, 1]
     slot = owner[np.searchsorted(keys, be.min(axis=1) * nv + be.max(axis=1))]
     opposite = tris[slot % nt, (slot // nt + 2) % 3]
@@ -261,9 +276,8 @@ def validate_mesh(mesh: Mesh) -> None:
             f"mesh has {boundary.shape[0]} boundary edges"
         )
     if boundary.size:
-        order_a = np.lexsort((boundary[:, 1], boundary[:, 0]))
-        order_b = np.lexsort((listed[:, 1], listed[:, 0]))
-        if not np.array_equal(boundary[order_a], listed[order_b]):
+        order = np.lexsort((listed[:, 1], listed[:, 0]))
+        if not np.array_equal(boundary, listed[order]):
             raise MeshTopologyError("boundary edge list does not match mesh boundary")
 
     # boundary loops: every boundary vertex has degree exactly 2
@@ -388,17 +402,7 @@ def load_mesh(path) -> Mesh:
         warnings.warn(
             f"re-oriented {n_flipped} clockwise triangle(s)", OrientationWarning
         )
-
-    areas = _signed_areas(vertices, triangles)
-    mesh = Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=boundary,
-        boundary_markers=markers,
-        domain_area=float(areas.sum()),
-    )
-    validate_mesh(mesh)
-    return _freeze(mesh)
+    return _finish(vertices, triangles, boundary, markers)
 
 
 def write_mesh(mesh: Mesh, path) -> None:
@@ -470,16 +474,7 @@ def generate_rect_mesh(bounds, target_h, holes=()) -> Mesh:
 
     _orient_ccw(vertices, triangles)
     boundary, markers = _classify_boundary(vertices, triangles, (x0, y0, x1, y1), holes)
-    areas = _signed_areas(vertices, triangles)
-    mesh = Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=boundary,
-        boundary_markers=markers,
-        domain_area=float(areas.sum()),
-    )
-    validate_mesh(mesh)
-    return _freeze(mesh)
+    return _finish(vertices, triangles, boundary, markers)
 
 
 def _check_hole_geometry(bounds, holes, target_h):
@@ -529,19 +524,18 @@ def _strip(bottom, top, vertices):
     return tris
 
 
-def _snap_to_hole(vertices, sel, hole):
-    if not sel.any():
-        return
+def _on_bounds(vertices, bounds, rel_tol):
+    """Which vertices lie on a side of the rectangle ``bounds``, within
+    ``rel_tol`` times its longer side."""
+    x0, y0, x1, y1 = bounds
+    tol = rel_tol * max(x1 - x0, y1 - y0)
     vx, vy = vertices[:, 0], vertices[:, 1]
-    if isinstance(hole, Circle):
-        d = np.hypot(vx[sel] - hole.cx, vy[sel] - hole.cy)
-        d = np.maximum(d, 1e-12 * hole.r)
-        scale = hole.r / d
-        vertices[sel, 0] = hole.cx + (vx[sel] - hole.cx) * scale
-        vertices[sel, 1] = hole.cy + (vy[sel] - hole.cy) * scale
-    else:
-        nearest, _ = _nearest_on_rect(hole, vx, vy)
-        vertices[sel] = nearest[sel]
+    return (
+        (np.abs(vx - x0) <= tol)
+        | (np.abs(vx - x1) <= tol)
+        | (np.abs(vy - y0) <= tol)
+        | (np.abs(vy - y1) <= tol)
+    )
 
 
 def _carve_holes(vertices, triangles, bounds, holes, dx):
@@ -554,20 +548,11 @@ def _carve_holes(vertices, triangles, bounds, holes, dx):
     strictly interior vertex, and degenerate or inverted triangles are
     removed, until the boundary stabilizes.
     """
-    x0, y0, x1, y1 = bounds
     vertices = vertices.copy()
-    vx, vy = vertices[:, 0], vertices[:, 1]
-    tol = 1e-12 * max(x1 - x0, y1 - y0)
-    on_outer = (
-        (np.abs(vx - x0) <= tol)
-        | (np.abs(vx - x1) <= tol)
-        | (np.abs(vy - y0) <= tol)
-        | (np.abs(vy - y1) <= tol)
-    )
-    snap_band = 0.45 * dx
+    on_outer = _on_bounds(vertices, bounds, 1e-12)
     for hole in holes:
-        dist = hole.boundary_distance(vertices[:, 0], vertices[:, 1])
-        _snap_to_hole(vertices, (~on_outer) & (dist < snap_band), hole)
+        sel = ~on_outer & (hole.boundary_distance(*vertices.T) < 0.45 * dx)
+        vertices[sel, 0], vertices[sel, 1] = hole.nearest(*vertices[sel].T)
 
     for _ in range(20):
         vx, vy = vertices[:, 0], vertices[:, 1]
@@ -599,9 +584,8 @@ def _carve_holes(vertices, triangles, bounds, holes, dx):
                     f"boundary ({min_dist[stray].max():.3g}); refine target_h"
                 )
             for k, hole in enumerate(holes):
-                sel = np.zeros(len(vertices), dtype=bool)
-                sel[loop_verts[stray & (nearest_hole == k)]] = True
-                _snap_to_hole(vertices, sel, hole)
+                idx = loop_verts[stray & (nearest_hole == k)]
+                vertices[idx, 0], vertices[idx, 1] = hole.nearest(*vertices[idx].T)
     else:
         raise GeometryError("hole carving did not stabilize; refine target_h")
 
@@ -612,54 +596,26 @@ def _carve_holes(vertices, triangles, bounds, holes, dx):
     return vertices[referenced], remap[triangles]
 
 
-def _nearest_on_rect(rect, x, y):
-    inside = rect.contains(x, y)
-    qx = np.clip(x, rect.x0, rect.x1)
-    qy = np.clip(y, rect.y0, rect.y1)
-    # for interior points, push along the axis of least penetration
-    dxl = x - rect.x0
-    dxr = rect.x1 - x
-    dyb = y - rect.y0
-    dyt = rect.y1 - y
-    stacked = np.stack([dxl, dxr, dyb, dyt])
-    which = np.argmin(stacked, axis=0)
-    ix = np.where(which == 0, rect.x0, np.where(which == 1, rect.x1, x))
-    iy = np.where(which == 2, rect.y0, np.where(which == 3, rect.y1, y))
-    nx = np.where(inside, ix, qx)
-    ny = np.where(inside, iy, qy)
-    dist = np.hypot(x - nx, y - ny)
-    return np.stack([nx, ny], axis=1), dist
-
-
 def _classify_boundary(vertices, triangles, bounds, holes):
+    """Boundary edges and their markers: 1 where both ends lie on the outer
+    rectangle, else 2 + the index of the first hole holding both ends."""
     x0, y0, x1, y1 = bounds
     edges, counts, _ = _edge_incidence(triangles)
     boundary = edges[counts == 1]
-    scale = max(x1 - x0, y1 - y0)
-    tol = 1e-9 * scale
+    tol = 1e-6 * max(x1 - x0, y1 - y0)
     vx, vy = vertices[:, 0], vertices[:, 1]
-    on_outer = (
-        (np.abs(vx - x0) <= tol)
-        | (np.abs(vx - x1) <= tol)
-        | (np.abs(vy - y0) <= tol)
-        | (np.abs(vy - y1) <= tol)
+    on = np.stack(
+        [_on_bounds(vertices, bounds, 1e-9)]
+        + [hole.boundary_distance(vx, vy) <= tol for hole in holes]
     )
-    on_hole = [hole.boundary_distance(vx, vy) <= 1e-6 * scale for hole in holes]
-
-    markers = np.zeros(len(boundary), dtype=np.int64)
-    for n, (a, b) in enumerate(boundary):
-        if on_outer[a] and on_outer[b]:
-            markers[n] = 1
-            continue
-        for k, mask in enumerate(on_hole):
-            if mask[a] and mask[b]:
-                markers[n] = k + 2
-                break
-        else:
-            raise MeshTopologyError(
-                f"boundary edge ({a},{b}) lies on neither the outer boundary nor a hole"
-            )
-    return boundary, markers
+    both = on[:, boundary[:, 0]] & on[:, boundary[:, 1]]
+    unmarked = np.flatnonzero(~both.any(axis=0))
+    if unmarked.size:
+        a, b = boundary[unmarked[0]]
+        raise MeshTopologyError(
+            f"boundary edge ({a},{b}) lies on neither the outer boundary nor a hole"
+        )
+    return boundary, np.argmax(both, axis=0).astype(np.int64) + 1
 
 
 # ---------------------------------------------------------------------------

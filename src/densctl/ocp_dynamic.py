@@ -115,7 +115,6 @@ def solve_dynamic_ocp(
     q0,
     static_solution: StaticSolution,
     config: OcpConfig,
-    max_iter: int | None = None,
 ) -> DynamicSolution:
     """Optimize a time-varying control, warm-started from the static optimum.
 
@@ -155,8 +154,7 @@ def solve_dynamic_ocp(
         return G.ravel(), (traj, lams)
 
     u, (traj, lams), history, reason = descend(
-        evaluate, gradient, evaluated(warm, traj),
-        h_inv_of(ops, config), config, config.max_iter if max_iter is None else max_iter,
+        evaluate, gradient, evaluated(warm, traj), h_inv_of(ops, config), config,
         armijo_backtracking, 0,
     )
     U = u.reshape(n_nodes, 2 * n)

@@ -212,7 +212,7 @@ def h_inv_of(ops: FemOperators, config: OcpConfig):
     return lambda v: H_lu.solve(v.reshape(-1, n).T).T.ravel()
 
 
-def descend(evaluate, gradient, start, h_inv, config, max_iter, line_search, memory):
+def descend(evaluate, gradient, start, h_inv, config, line_search, memory):
     """Armijo-safeguarded L-BFGS descent, shared by the static and dynamic OCPs.
 
     ``evaluate(u)`` returns (u', J, state) for the point u' it evaluated (u
@@ -224,8 +224,9 @@ def descend(evaluate, gradient, start, h_inv, config, max_iter, line_search, mem
     the one it accepts: it is the next iterate, with its J and state.  An
     iterate's state is dropped once its gradient is taken, and no trial is
     held while the next is evaluated.  Stops with ``reason`` "tol" once
-    |grad| < config.tol, "max_iter" or "line_search", and returns (u,
-    result, history, reason) at the last iterate.
+    |grad| < config.tol, "max_iter" after config.max_iter iterations or
+    "line_search", and returns (u, result, history, reason) at the last
+    iterate.
     """
     u, J, state = start
     del start
@@ -239,11 +240,11 @@ def descend(evaluate, gradient, start, h_inv, config, max_iter, line_search, mem
     history: list[IterationRecord] = []
     pairs = deque(maxlen=memory)
     step = grad_old = None
-    for it in range(max_iter + 1):
+    for it in range(config.max_iter + 1):
         grad, result = gradient(u, state)
         state = None
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < config.tol or it == max_iter:
+        if gnorm < config.tol or it == config.max_iter:
             reason = "tol" if gnorm < config.tol else "max_iter"
             break
         if step is not None and step @ (grad - grad_old) > 0:
@@ -287,8 +288,8 @@ def solve_static_ocp(
 
     u = u0.stacked() if u0 is not None else np.zeros(2 * ops.n)
     u, (q, adj), history, reason = descend(
-        evaluate, gradient, evaluate(u), h_inv_of(ops, config), config, config.max_iter,
-        armijo_backtracking, LBFGS_MEMORY,
+        evaluate, gradient, evaluate(u), h_inv_of(ops, config), config, armijo_backtracking,
+        LBFGS_MEMORY,
     )
     return StaticSolution(
         q_star=q,

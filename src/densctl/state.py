@@ -105,7 +105,7 @@ def solve_equilibrium(ops: FemOperators, u: ControlField, return_factor: bool = 
     """
     L = state_matrix(ops, u)
     factor = bordered_lu(L, ops.F)
-    raw, s, _ = bordered_solve(factor, np.zeros(ops.n), 1.0)
+    raw, s = bordered_solve(factor, np.zeros(ops.n), 1.0)
     if abs(s) > 1e-8:
         raise SolverError(
             f"bordered equilibrium solve returned s={s:.3e}; "

@@ -3,8 +3,10 @@ import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
+from densctl import cli
 from densctl.cli import build_mesh, main
 
 
@@ -182,6 +184,23 @@ def test_config_validation_lists_all_problems(tmp_path, capsys):
                  "target.regions[0]: a rect needs bounds", id="rect-region-no-bounds"),
     pytest.param(("target",), {"type": "gaussian", "sigma": 0.2},
                  "target.center must be [x, y]", id="gaussian-no-center"),
+    pytest.param(("seed",), 1.5, "seed must be a non-negative integer", id="seed-float"),
+    pytest.param(("seed",), "x", "seed must be a non-negative integer", id="seed-string"),
+    pytest.param(("seed",), -1, "seed must be a non-negative integer", id="seed-negative"),
+    pytest.param(("seed",), True, "seed must be a non-negative integer", id="seed-bool"),
+    pytest.param(("drift",), ["swirl"], "unknown drift preset ['swirl']", id="drift-list"),
+    pytest.param(("target",), "uniform", "target must be an object", id="target-string"),
+    pytest.param(("initial",), None, "initial must be an object", id="initial-null"),
+    pytest.param(("dynamic",), 3, "dynamic must be an object", id="dynamic-number"),
+    pytest.param(("ocp",), [], "ocp must be an object", id="ocp-list"),
+    pytest.param(("ocp", "armijo"), 0.5, "ocp.armijo must be an object", id="armijo-number"),
+    pytest.param(("mesh",), "generate", "mesh must be an object", id="mesh-string"),
+    pytest.param(("mesh", "generate"), True, "mesh.generate must be an object",
+                 id="generate-bool"),
+    pytest.param(("mesh", "generate", "holes"), 7, "mesh.generate.holes must be a list",
+                 id="holes-number"),
+    pytest.param(("target",), {"type": "indicator", "regions": 5},
+                 "target.regions must be a list", id="regions-number"),
 ])
 def test_malformed_fields_are_config_problems(run_cfg, tmp_path, capsys, path, value, problem):
     _, cfg = run_cfg
@@ -196,6 +215,35 @@ def test_malformed_fields_are_config_problems(run_cfg, tmp_path, capsys, path, v
     assert err.startswith("error: config: ") and problem in err, err
     assert "Traceback" not in err
     assert not os.path.exists(cfg["out_dir"])
+
+
+def test_negative_seed_flag_is_a_config_problem(run_cfg, capsys):
+    path, cfg = run_cfg
+    assert main(["particles", "--config", str(path), "--n", "100", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: config: seed must be a non-negative integer, got -1" in err
+    assert not os.path.exists(cfg["out_dir"])
+
+
+def test_particle_noise_is_independent_of_the_sampling(run_cfg, monkeypatch):
+    # sample_initial draws from default_rng(seed); the noise must not replay that stream
+    path, cfg = run_cfg
+    noise = []
+    step = cli.step_particles
+
+    def recording_step(ens, domain, vel, mu, dt, rng):
+        if not noise:
+            noise.append(rng.bit_generator.state)
+        return step(ens, domain, vel, mu=mu, dt=dt, rng=rng)
+
+    monkeypatch.setattr(cli, "step_particles", recording_step)
+    assert main([
+        "particles", "--config", str(path), "--control", "zero", "--n", "100",
+        "--substeps", "1", "--t-final", "0.15",
+    ]) == 0
+    child = np.random.SeedSequence(cfg["seed"]).spawn(1)[0]
+    assert noise == [np.random.default_rng(child).bit_generator.state]
+    assert noise != [np.random.default_rng(cfg["seed"]).bit_generator.state]
 
 
 @pytest.mark.parametrize("dt, T", [(0.0, 0.25), (-0.05, 0.25), (0.05, 0.0)])

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import densctl as dc
+from densctl import presets
 from densctl.cli import main
 from densctl.mesh import (
     GeometryError,
@@ -12,6 +15,9 @@ from densctl.mesh import (
     OrientationWarning,
     _edge_incidence,
 )
+
+from test_particles import _delaunay_meshes
+from test_sweep import _meshes
 
 
 def test_unit_square_file(unit_square_mesh):
@@ -247,3 +253,101 @@ def test_rect_hole_mesh():
     exact = 4.0 - 0.2 * 1.2
     assert abs(mesh.domain_area - exact) / exact < 0.02
     assert set(np.unique(mesh.boundary_markers)) == {1, 2}
+
+
+def _edge_incidence_rows(triangles):
+    """Row-wise oracle: np.unique over the sorted vertex pairs as rows."""
+    raw = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
+    edges, inverse, counts = np.unique(
+        np.sort(raw, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    return edges, counts, inverse
+
+
+def _rect_distance_oracle(rect, x, y):
+    """Clip distance outside, least penetration depth inside."""
+    qx, qy = np.clip(x, rect.x0, rect.x1), np.clip(y, rect.y0, rect.y1)
+    outside = np.hypot(x - qx, y - qy)
+    inner = np.minimum(np.minimum(x - rect.x0, rect.x1 - x), np.minimum(y - rect.y0, rect.y1 - y))
+    return np.where(outside > 0, outside, np.abs(inner))
+
+
+def _rect_nearest_oracle(rect, x, y):
+    """Clip outside; inside, push along the axis of least penetration."""
+    which = np.argmin(np.stack([x - rect.x0, rect.x1 - x, y - rect.y0, rect.y1 - y]), axis=0)
+    ix = np.where(which == 0, rect.x0, np.where(which == 1, rect.x1, x))
+    iy = np.where(which == 2, rect.y0, np.where(which == 3, rect.y1, y))
+    inside = (x > rect.x0) & (x < rect.x1) & (y > rect.y0) & (y < rect.y1)
+    return (
+        np.where(inside, ix, np.clip(x, rect.x0, rect.x1)),
+        np.where(inside, iy, np.clip(y, rect.y0, rect.y1)),
+    )
+
+
+def _circle_nearest_oracle(circle, x, y):
+    """Radial projection, the distance to the center floored at 1e-12 r."""
+    scale = circle.r / np.maximum(np.hypot(x - circle.cx, y - circle.cy), 1e-12 * circle.r)
+    return circle.cx + (x - circle.cx) * scale, circle.cy + (y - circle.cy) * scale
+
+
+_mesh_properties = settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_mesh_properties
+@given(mesh=st.one_of(_meshes(), _delaunay_meshes()))
+def test_edge_incidence_matches_row_unique(mesh):
+    got, want = _edge_incidence(mesh.triangles), _edge_incidence_rows(mesh.triangles)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@_mesh_properties
+@given(mesh=st.one_of(_meshes(), _delaunay_meshes()), data=st.data())
+def test_shape_projections_match_their_formulas(mesh, data):
+    # shapes spanned by mesh vertices, so some vertices lie on a rect's edges or
+    # corners, one at the circle's center and one on the circle
+    v = mesh.vertices
+    i, j = (data.draw(st.integers(0, mesh.n_vertices - 1)) for _ in range(2))
+    (x0, x1), (y0, y1) = np.sort(v[[i, j]], axis=0).T
+    mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    x = np.concatenate([v[:, 0], [x0, x1, x1, x0, mx, x1, mx, x0, mx]])
+    y = np.concatenate([v[:, 1], [y0, y0, y1, y1, y0, my, y1, my, my]])
+    rect = dc.Rect(x0, y0, x1, y1)
+    assert np.array_equal(rect.boundary_distance(x, y), _rect_distance_oracle(rect, x, y))
+    for a, b in zip(rect.nearest(x, y), _rect_nearest_oracle(rect, x, y)):
+        assert np.array_equal(a, b)
+    r = float(np.hypot(*(v[j] - v[i]))) or 0.5
+    circle = dc.Circle(float(v[i, 0]), float(v[i, 1]), r)
+    for a, b in zip(circle.nearest(x, y), _circle_nearest_oracle(circle, x, y)):
+        assert np.array_equal(a, b)
+
+
+def _markers_by_edge_loop(mesh, bounds, holes):
+    """Loop oracle: 1 where both ends are on the outer rectangle, else 2 + the
+    first hole holding both ends."""
+    x0, y0, x1, y1 = bounds
+    scale = max(x1 - x0, y1 - y0)
+    vx, vy = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    on_outer = np.min(np.abs([vx - x0, vx - x1, vy - y0, vy - y1]), axis=0) <= 1e-9 * scale
+    on_hole = [hole.boundary_distance(vx, vy) <= 1e-6 * scale for hole in holes]
+    markers = []
+    for a, b in mesh.boundary_edges:
+        if on_outer[a] and on_outer[b]:
+            markers.append(1)
+        else:
+            markers.append(next(k + 2 for k, on in enumerate(on_hole) if on[a] and on[b]))
+    return np.array(markers)
+
+
+@pytest.mark.parametrize("number", [1, 2, 3])
+def test_boundary_markers_match_the_edge_loop(number):
+    gen = presets.testcase_config(number)["mesh"]["generate"]
+    holes = [
+        dc.Circle(*h["center"], h["radius"]) if h["type"] == "circle" else dc.Rect(*h["bounds"])
+        for h in gen["holes"]
+    ]
+    mesh = dc.generate_rect_mesh(gen["bounds"], gen["target_h"], holes)
+    assert np.array_equal(mesh.boundary_markers, _markers_by_edge_loop(mesh, gen["bounds"], holes))
+    assert set(mesh.boundary_markers) == set(range(1, len(holes) + 2))

@@ -206,7 +206,7 @@ def test_adjoint_on_the_equilibrium_factor(small_mesh, with_drift, rng):
     alone = solve_adjoint_static(ops, u, q, z, 1.0)
     # reference: factorize the bordered matrix of L^T itself
     rhs = ops.M @ (q.values - z.values) + alone.lambda_m * ops.F
-    lam, nu, _ = dc.bordered_solve(dc.bordered_lu(dc.state_matrix(ops, u).T, ops.F), rhs, 0.0)
+    lam, nu = dc.bordered_solve(dc.bordered_lu(dc.state_matrix(ops, u).T, ops.F), rhs, 0.0)
     scale = np.abs(lam).max()
     for adj in (shared, alone):
         assert np.abs(adj.values - lam).max() <= 1e-12 * scale
@@ -276,8 +276,7 @@ def test_descend_without_memory_is_preconditioned_steepest_descent():
 
     u0 = np.array([3.0, 2.0, -1.0])
     u, _, history, reason = ocp_static.descend(
-        evaluate, gradient, evaluate(u0), _jacobi(4.0), cfg, cfg.max_iter,
-        armijo_backtracking, 0,
+        evaluate, gradient, evaluate(u0), _jacobi(4.0), cfg, armijo_backtracking, 0,
     )
     assert reason == "max_iter"
     # the same iteration written out: d = -h_inv(grad), then Armijo
@@ -309,8 +308,7 @@ def test_descend_accepts_the_projected_trial():
         return _quad_gradient(u, state)
 
     u, _, history, _ = ocp_static.descend(
-        evaluate, gradient, evaluate(np.zeros(3)), _jacobi(), cfg, cfg.max_iter,
-        armijo_backtracking, 0,
+        evaluate, gradient, evaluate(np.zeros(3)), _jacobi(), cfg, armijo_backtracking, 0,
     )
     assert len(history) > 2
     for v, rec in zip(iterates, history):
@@ -342,7 +340,7 @@ def test_descend_holds_no_state_while_it_evaluates(memory):
     # an overlong first direction makes the line searches backtrack
     _, _, history, _ = ocp_static.descend(
         evaluate, _quad_gradient, evaluate(np.array([3.0, 2.0, -1.0])), _jacobi(8.0), cfg,
-        cfg.max_iter, armijo_backtracking, memory,
+        armijo_backtracking, memory,
     )
     assert len(made) > len(history) + 1  # some trials were rejected
     assert alive_at_evaluation == [0] * len(made)
