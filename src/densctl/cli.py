@@ -429,6 +429,7 @@ def cmd_dynamic(args) -> int:
     print(
         f"dynamic OCP: stopped ({dyn.reason}) after {len(dyn.history)} iterations, "
         f"J_t={float(last.J)!r}, {dyn.fallbacks} GMRES fallbacks, "
+        f"{dyn.restarts} steepest-descent restarts, "
         f"final control distance {float(dyn.control_distances[-1])!r}"
     )
     return 0

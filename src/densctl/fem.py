@@ -123,16 +123,6 @@ class AdvectionTensor:
         w = lam[self.pattern_rows] * q[self.pattern_cols]
         return self._kx_T @ w, self._ky_T @ w
 
-    def dense(self):
-        """Dense (n, n, n) arrays (Tx, Ty); only for small oracle meshes."""
-        tx = np.zeros((self.n_state,) * 3)
-        ty = np.zeros_like(tx)
-        for mat, out in ((self.kx.tocoo(), tx), (self.ky.tocoo(), ty)):
-            out[
-                self.pattern_rows[mat.row], self.pattern_cols[mat.row], mat.col
-            ] += mat.data
-        return tx, ty
-
 
 @dataclass(frozen=True, eq=False)
 class FemOperators:

@@ -478,6 +478,7 @@ def generate_rect_mesh(bounds, target_h, holes=()) -> Mesh:
 
 
 def _check_hole_geometry(bounds, holes, target_h):
+    """Raise GeometryError for hole layouts the generator cannot mesh."""
     x0, y0, x1, y1 = bounds
     clear = 0.75 * target_h
     for n, hole in enumerate(holes):
@@ -501,6 +502,21 @@ def _check_hole_geometry(bounds, holes, target_h):
             gap_y = max(by0 - ay1, ay0 - by1)
             if max(gap_x, gap_y) < clear:
                 raise GeometryError(f"holes {n} and {m} overlap or are too close")
+    # a rectangle's corner needs a vertex of its own, which the carving
+    # cannot give it when a hole diagonally across takes the one lattice
+    # vertex between them
+    for n, a in enumerate(holes):
+        if not isinstance(a, Rect):
+            continue
+        cx, cy = np.array([a.x0, a.x0, a.x1, a.x1]), np.array([a.y0, a.y1, a.y0, a.y1])
+        for m, b in enumerate(holes):
+            bx0, by0, bx1, by1 = b.bbox()
+            diagonal = ~(((cx > bx0) & (cx < bx1)) | ((cy > by0) & (cy < by1)))
+            if m != n and (b.boundary_distance(cx, cy)[diagonal] < target_h).any():
+                raise GeometryError(
+                    f"a corner of hole {n} lies diagonally within target_h={target_h:g} "
+                    f"of hole {m}"
+                )
 
 
 def _strip(bottom, top, vertices):
@@ -543,32 +559,63 @@ def _carve_holes(vertices, triangles, bounds, holes, dx):
 
     Removal exposes loop vertices farther than the initial snap band, so the
     snap/carve pair iterates: every exposed non-outer vertex is pulled onto
-    its nearest hole, then triangles whose centroid landed inside a hole (in
+    its nearest hole (the nearest that holds a boundary neighbour of it, if
+    one does), then triangles whose centroid landed inside a hole (in
     particular chordal caps with all corners on a circle), triangles with a
     strictly interior vertex, and degenerate or inverted triangles are
     removed, until the boundary stabilizes.
+
+    Between two holes less than about two edges apart, a removed triangle
+    can span the gap and leave an edge from one hole to the other on the
+    boundary.  The carving then starts over with the vertices inside a hole
+    of the removed triangles at that edge's ends snapped onto their holes
+    too, so that those triangles stay; layouts with no such edge carve in
+    one pass.
     """
-    vertices = vertices.copy()
     on_outer = _on_bounds(vertices, bounds, 1e-12)
+    pinned = np.zeros(len(vertices), dtype=bool)
+    while True:
+        carved, kept = _carve_pass(vertices, triangles, on_outer, holes, dx, pinned)
+        culprits = _gap_culprits(carved, triangles, kept, bounds, holes) & ~pinned
+        if not culprits.any():
+            break
+        pinned |= culprits
+    triangles = triangles[kept]
+    referenced = np.zeros(len(carved), dtype=bool)
+    referenced[triangles.ravel()] = True
+    remap = -np.ones(len(carved), dtype=np.int64)
+    remap[referenced] = np.arange(referenced.sum())
+    return carved[referenced], remap[triangles]
+
+
+def _carve_pass(vertices, triangles, on_outer, holes, dx, pinned):
+    """One snap/carve iteration to a stable boundary, with the ``pinned``
+    vertices snapped onto the hole holding them at the start; returns the
+    moved vertices and the indices of the kept triangles."""
+    vertices = vertices.copy()
     for hole in holes:
         sel = ~on_outer & (hole.boundary_distance(*vertices.T) < 0.45 * dx)
+        sel |= pinned & hole.contains(*vertices.T)
         vertices[sel, 0], vertices[sel, 1] = hole.nearest(*vertices[sel].T)
 
+    kept = np.arange(len(triangles))
     for _ in range(20):
         vx, vy = vertices[:, 0], vertices[:, 1]
-        keep = _signed_areas(vertices, triangles) > 1e-9 * dx * dx
-        cent = vertices[triangles].mean(axis=1)
+        tris = triangles[kept]
+        keep = _signed_areas(vertices, tris) > 1e-9 * dx * dx
+        cent = vertices[tris].mean(axis=1)
         for hole in holes:
             keep &= ~hole.contains(cent[:, 0], cent[:, 1])
             inside_v = hole.contains(vx, vy, shrink=1e-9 * dx)
-            keep &= ~inside_v[triangles].any(axis=1)
+            keep &= ~inside_v[tris].any(axis=1)
         changed = not keep.all()
-        triangles = triangles[keep]
+        kept = kept[keep]
 
         # exposed boundary vertices that sit on neither the outer rectangle
-        # nor a hole boundary get pulled onto the nearest hole
-        edges, counts, _ = _edge_incidence(triangles)
-        loop_verts = np.unique(edges[counts == 1])
+        # nor a hole boundary get pulled onto a hole
+        edges, counts, _ = _edge_incidence(triangles[kept])
+        loop_edges = edges[counts == 1]
+        loop_verts = np.unique(loop_edges)
         hole_dists = np.stack(
             [hole.boundary_distance(vx[loop_verts], vy[loop_verts]) for hole in holes]
         )
@@ -576,38 +623,60 @@ def _carve_holes(vertices, triangles, bounds, holes, dx):
         min_dist = hole_dists[nearest_hole, np.arange(len(loop_verts))]
         stray = (~on_outer[loop_verts]) & (min_dist > 1e-9 * dx)
         if not stray.any() and not changed:
-            break
+            return vertices, kept
         if stray.any():
             if min_dist[stray].max() > 2.0 * dx:
                 raise GeometryError(
                     "hole carving exposed a vertex far from every hole "
                     f"boundary ({min_dist[stray].max():.3g}); refine target_h"
                 )
+            ends = np.searchsorted(loop_verts, loop_edges)
+            held = np.zeros(hole_dists.shape[::-1], dtype=bool)
+            for a, b in (ends.T, ends.T[::-1]):
+                np.logical_or.at(held, a, hole_dists[:, b].T <= 1e-9 * dx)
+            target = np.where(
+                held.any(axis=1), np.argmin(np.where(held.T, hole_dists, np.inf), axis=0),
+                nearest_hole,
+            )
             for k, hole in enumerate(holes):
-                idx = loop_verts[stray & (nearest_hole == k)]
+                idx = loop_verts[stray & (target == k)]
                 vertices[idx, 0], vertices[idx, 1] = hole.nearest(*vertices[idx].T)
-    else:
-        raise GeometryError("hole carving did not stabilize; refine target_h")
+    raise GeometryError("hole carving did not stabilize; refine target_h")
 
-    referenced = np.zeros(len(vertices), dtype=bool)
-    referenced[triangles.ravel()] = True
-    remap = -np.ones(len(vertices), dtype=np.int64)
-    remap[referenced] = np.arange(referenced.sum())
-    return vertices[referenced], remap[triangles]
+
+def _gap_culprits(vertices, triangles, kept, bounds, holes):
+    """Which vertices belong to a removed triangle at an end of a boundary
+    edge that joins two boundaries."""
+    edges, counts, _ = _edge_incidence(triangles[kept])
+    loop = edges[counts == 1]
+    on = _on_boundaries(vertices, bounds, holes)
+    gap_ends = np.zeros(len(vertices), dtype=bool)
+    gap_ends[loop[~(on[:, loop[:, 0]] & on[:, loop[:, 1]]).any(axis=0)]] = True
+    removed = np.ones(len(triangles), dtype=bool)
+    removed[kept] = False
+    culprits = np.zeros(len(vertices), dtype=bool)
+    culprits[triangles[removed & gap_ends[triangles].any(axis=1)]] = True
+    return culprits
+
+
+def _on_boundaries(vertices, bounds, holes):
+    """Per boundary (the outer rectangle, then each hole), which vertices lie
+    on it."""
+    x0, y0, x1, y1 = bounds
+    tol = 1e-6 * max(x1 - x0, y1 - y0)
+    vx, vy = vertices[:, 0], vertices[:, 1]
+    return np.stack(
+        [_on_bounds(vertices, bounds, 1e-9)]
+        + [hole.boundary_distance(vx, vy) <= tol for hole in holes]
+    )
 
 
 def _classify_boundary(vertices, triangles, bounds, holes):
     """Boundary edges and their markers: 1 where both ends lie on the outer
     rectangle, else 2 + the index of the first hole holding both ends."""
-    x0, y0, x1, y1 = bounds
     edges, counts, _ = _edge_incidence(triangles)
     boundary = edges[counts == 1]
-    tol = 1e-6 * max(x1 - x0, y1 - y0)
-    vx, vy = vertices[:, 0], vertices[:, 1]
-    on = np.stack(
-        [_on_bounds(vertices, bounds, 1e-9)]
-        + [hole.boundary_distance(vx, vy) <= tol for hole in holes]
-    )
+    on = _on_boundaries(vertices, bounds, holes)
     both = on[:, boundary[:, 0]] & on[:, boundary[:, 1]]
     unmarked = np.flatnonzero(~both.any(axis=0))
     if unmarked.size:

@@ -6,10 +6,14 @@ static control in the static OCP's control metric H = beta M + beta_g A_u,
 so the optimal time-varying control converges to the static one instead of
 developing a terminal transient.  Controls are (n_t, 2n) stacks of [ux, uy]
 rows.  The optimizer is :func:`ocp_static.descend` on forward sweeps of
-the theta scheme and backward sweeps of its exact discrete adjoint, with
-steps -H^-1 G; every trial control is projected onto the pointwise
-magnitude ball of the static control before it is evaluated.  Sweeps run
-GMRES against the warm start's one LU and keep no per-step factors.
+the theta scheme and backward sweeps of its exact discrete adjoint; every
+trial control is projected onto the pointwise magnitude ball of the static
+control before it is evaluated.  Its directions are projected L-BFGS ones
+(Bertsekas 1982; Byrd, Lu, Nocedal & Zhu 1995) in the metric H: the speeds
+on the ball whose gradient points outward are held, and the two-loop
+recursion over the last ``DYNAMIC_LBFGS_MEMORY`` curvature pairs runs on
+the free entries.  Sweeps run GMRES against the warm start's one LU and
+keep no per-step factors.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from .adjoint import AdjointTrajectory, solve_adjoint_dynamic, trapezoid_weights
 from .fem import FemOperators
 from .ocp_static import (
+    DYNAMIC_LBFGS_MEMORY,
     IterationRecord,
     OcpConfig,
     StaticSolution,
@@ -50,6 +55,7 @@ class DynamicSolution:
     state_distances: np.ndarray  # per-node ||q(t) - q_static||_M
     reason: str  # why the iteration stopped: "tol", "max_iter" or "line_search"
     fallbacks: int = 0  # sweep steps GMRES missed, over the accepted sweeps
+    restarts: int = 0  # quasi-Newton line searches that failed and restarted along -H^-1 G
 
     @property
     def converged(self) -> bool:
@@ -118,11 +124,20 @@ def solve_dynamic_ocp(
 ) -> DynamicSolution:
     """Optimize a time-varying control, warm-started from the static optimum.
 
-    :func:`ocp_static.descend` with no L-BFGS memory: every direction is
-    -H^-1 G, steepest descent in the control metric.  Each Armijo trial is
-    one forward sweep of a projected control; a gradient is one adjoint
-    sweep.  Both run GMRES against the warm start's LU (``fallbacks``
-    counts their missed steps).  ``reason`` says why the iteration stopped.
+    :func:`ocp_static.descend` with projected L-BFGS directions: the bound
+    set is the (time node, node) speeds with |u| >= radius (1 - 1e-9), on
+    the ball, and u . g < 0, a gradient pointing outward; the direction is
+    zero there and the two-loop recursion runs over at most
+    ``DYNAMIC_LBFGS_MEMORY`` (3) pairs on the other entries.  Three pairs
+    already bring the line searches to about one trial per iteration, and
+    each pair holds two (n_t, 2n) stacks.  ``restarts`` counts the line
+    searches along such a direction that failed and were run again along
+    -H^-1 G, steepest descent in the control metric, with the pairs
+    dropped; a failed restart stops the run with "line_search".  Each
+    Armijo trial is one forward sweep of a projected control; a gradient is
+    one adjoint sweep.  Both run GMRES against the warm start's LU
+    (``fallbacks`` counts their missed steps).  ``reason`` says why the
+    iteration stopped.
     """
     n = ops.n
     dt, theta, lumped = config.dt, config.theta, config.lumped
@@ -153,9 +168,17 @@ def solve_dynamic_ocp(
         G = _dynamic_gradient(ops, traj, lams, U, static_solution, config)
         return G.ravel(), (traj, lams)
 
-    u, (traj, lams), history, reason = descend(
+    def binding(u, grad):
+        """Flat indices of both components of the speeds on the magnitude
+        ball whose gradient points outward, u . g < 0."""
+        U, G = u.reshape(n_nodes, 2, n), grad.reshape(n_nodes, 2, n)
+        on_ball = np.hypot(U[:, 0], U[:, 1]) >= radius * (1.0 - 1e-9)
+        i, j = np.nonzero(on_ball & (np.einsum("icj,icj->ij", U, G) < 0))
+        return np.concatenate([i * 2 * n + j, i * 2 * n + n + j])
+
+    u, (traj, lams), history, reason, restarts = descend(
         evaluate, gradient, evaluated(warm, traj), h_inv_of(ops, config), config,
-        armijo_backtracking, 0,
+        armijo_backtracking, DYNAMIC_LBFGS_MEMORY, binding,
     )
     U = u.reshape(n_nodes, 2 * n)
     return DynamicSolution(
@@ -169,4 +192,5 @@ def solve_dynamic_ocp(
         ),
         reason=reason,
         fallbacks=sum(fallbacks),
+        restarts=restarts,
     )

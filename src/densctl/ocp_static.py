@@ -8,9 +8,11 @@ where q(u) is the unit-mass equilibrium and H = beta M + beta_g A_u is the
 control metric (L2 plus H1 per velocity component) that the dynamic OCP
 shares.  The gradient is H u per component plus the tensor contraction of
 the static adjoint with q.  Both OCPs run one loop, :func:`descend`:
-gradient, stop test, L-BFGS direction from gamma H^-1 (H factorized once),
-Armijo backtracking, and the accepted trial, with its cost and state, as
-the next iterate.  A static trial factorizes one bordered equilibrium
+gradient, stop test, L-BFGS direction from gamma H^-1 (H factorized once;
+on the free entries only when a ``binding`` callback names bound ones, as
+the dynamic OCP's does), Armijo backtracking with one restart along
+-H^-1 grad, and the accepted trial, with its cost and state, as the next
+iterate.  A static trial factorizes one bordered equilibrium
 matrix; the accepted trial's factor also serves its adjoint (transposed),
 so a gradient costs no further factorization.
 """
@@ -184,24 +186,44 @@ def armijo_backtracking(j_fun, u, d, grad, params: ArmijoParams, f0=None):
 
 # Number of (s, y) pairs kept by the L-BFGS memory.
 LBFGS_MEMORY = 10
+# Pairs kept by the dynamic OCP.  Each pair holds two (n_t, 2n) stacks, 3.2 MB
+# on the benchmark's dynamic workload, and three pairs already take its line
+# searches to one trial per iteration.
+DYNAMIC_LBFGS_MEMORY = 3
+
+_NO_BOUND = np.zeros(0, dtype=np.intp)
 
 
-def _lbfgs_direction(grad, memory, h_inv):
+def _lbfgs_direction(grad, memory, h_inv, bound=_NO_BOUND):
     """Inverse-Hessian estimate times grad by the two-loop recursion
     (Nocedal & Wright, Algorithm 7.4) over the (s, y) pairs in ``memory``,
     oldest first, with the initial operator gamma h_inv and gamma =
-    s^T y / (y^T h_inv y) from the newest pair."""
+    s^T y / (y^T h_inv y) from the newest pair.
+
+    The recursion runs on the free entries only: the entries ``bound`` (an
+    index array) of grad, of every curvature product and of the result are
+    zero, and a pair whose free curvature s_F^T y_F is not positive is
+    skipped.  Pairs are stored whole; each product drops the bound entries'
+    share, so no masked copy of a pair is made.
+    """
+    used = [(s, y, sy) for s, y in memory if (sy := s @ y - s[bound] @ y[bound]) > 0]
     r = grad.copy()
+    r[bound] = 0.0
     alphas = []
-    for s, y in reversed(memory):
-        alphas.append((s @ r) / (s @ y))
+    for s, y, sy in reversed(used):
+        alphas.append((s @ r) / sy)
         r -= alphas[-1] * y
+        r[bound] = 0.0
     r = h_inv(r)
-    if memory:
-        s, y = memory[-1]
-        r *= (s @ y) / (y @ h_inv(y))
-    for (s, y), a in zip(memory, reversed(alphas)):
-        r += (a - (y @ r) / (s @ y)) * s
+    r[bound] = 0.0
+    if used:
+        s, y, sy = used[-1]
+        y_free = y.copy()
+        y_free[bound] = 0.0
+        r *= sy / (y_free @ h_inv(y_free))
+    for (s, y, sy), a in zip(used, reversed(alphas)):
+        r += (a - (y @ r) / sy) * s
+        r[bound] = 0.0
     return r
 
 
@@ -212,21 +234,24 @@ def h_inv_of(ops: FemOperators, config: OcpConfig):
     return lambda v: H_lu.solve(v.reshape(-1, n).T).T.ravel()
 
 
-def descend(evaluate, gradient, start, h_inv, config, line_search, memory):
+def descend(evaluate, gradient, start, h_inv, config, line_search, memory, binding=None):
     """Armijo-safeguarded L-BFGS descent, shared by the static and dynamic OCPs.
 
     ``evaluate(u)`` returns (u', J, state) for the point u' it evaluated (u
     or its projection), ``gradient(u, state)`` returns (grad, result), and
     ``start`` is an evaluated triple, passed inline so that only this call
     holds it.  Directions are :func:`_lbfgs_direction` over at most
-    ``memory`` (s, y) pairs (-h_inv(grad) when the memory is empty, or when
-    they do not descend).  The last trial that ``line_search`` evaluates is
-    the one it accepts: it is the next iterate, with its J and state.  An
-    iterate's state is dropped once its gradient is taken, and no trial is
-    held while the next is evaluated.  Stops with ``reason`` "tol" once
-    |grad| < config.tol, "max_iter" after config.max_iter iterations or
-    "line_search", and returns (u, result, history, reason) at the last
-    iterate.
+    ``memory`` (s, y) pairs, restricted to the entries that
+    ``binding(u, grad)`` does not return when it is given (projected
+    L-BFGS); -h_inv(grad) when they do not descend.  When the line search
+    along such a direction fails, the pairs are dropped and the search runs
+    once more along -h_inv(grad), a restart.  The last trial that
+    ``line_search`` evaluates is the one it accepts: it is the next iterate,
+    with its J and state.  An iterate's state is dropped once its gradient
+    is taken, and no trial is held while the next is evaluated.  Stops with
+    ``reason`` "tol" once |grad| < config.tol, "max_iter" after
+    config.max_iter iterations or "line_search", and returns (u, result,
+    history, reason, restarts) at the last iterate.
     """
     u, J, state = start
     del start
@@ -237,9 +262,16 @@ def descend(evaluate, gradient, start, h_inv, config, line_search, memory):
         trial.extend(evaluate(v))
         return trial[1]
 
+    def search(d):
+        try:
+            return line_search(j_of, u, d, grad, config.armijo, f0=J)[0]
+        except LineSearchError:
+            return None
+
     history: list[IterationRecord] = []
     pairs = deque(maxlen=memory)
     step = grad_old = None
+    restarts = 0
     for it in range(config.max_iter + 1):
         grad, result = gradient(u, state)
         state = None
@@ -247,22 +279,30 @@ def descend(evaluate, gradient, start, h_inv, config, line_search, memory):
         if gnorm < config.tol or it == config.max_iter:
             reason = "tol" if gnorm < config.tol else "max_iter"
             break
-        if step is not None and step @ (grad - grad_old) > 0:
-            pairs.append((step, grad - grad_old))
-        d = -_lbfgs_direction(grad, pairs, h_inv)
+        if step is not None:
+            y = grad - grad_old
+            if step @ y > 0:
+                pairs.append((step, y))
+            step = grad_old = y = None  # the pairs hold what is still needed
+        bound = _NO_BOUND if binding is None else binding(u, grad)
+        d = -_lbfgs_direction(grad, pairs, h_inv, bound)
+        steepest = not pairs and not bound.size
         if not grad @ d < 0:
             pairs.clear()
-            d = -h_inv(grad)
-        try:
-            tau, _ = line_search(j_of, u, d, grad, config.armijo, f0=J)
-        except LineSearchError:
+            d, steepest = -h_inv(grad), True
+        tau = search(d)
+        if tau is None and not steepest:
+            pairs.clear()
+            restarts += 1
+            tau = search(-h_inv(grad))
+        if tau is None:
             reason = "line_search"
             break
         history.append(IterationRecord(it, J, gnorm, tau))
         u_new, J, state = trial
         step, grad_old, u = u_new - u, grad, u_new
     history.append(IterationRecord(it, J, gnorm, 0.0))
-    return u, result, history, reason
+    return u, result, history, reason, restarts
 
 
 def solve_static_ocp(
@@ -287,7 +327,7 @@ def solve_static_ocp(
         return grad, (q, adj)
 
     u = u0.stacked() if u0 is not None else np.zeros(2 * ops.n)
-    u, (q, adj), history, reason = descend(
+    u, (q, adj), history, reason, _ = descend(
         evaluate, gradient, evaluate(u), h_inv_of(ops, config), config, armijo_backtracking,
         LBFGS_MEMORY,
     )

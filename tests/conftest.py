@@ -2,10 +2,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 import densctl as dc
 from densctl import linalg
 from densctl.fem import AdvectionTensor
+from densctl.mesh import Mesh, validate_mesh
 from densctl.ocp_static import OcpConfig
 
 
@@ -99,3 +102,36 @@ def counts(monkeypatch):
             monkeypatch.setattr(mod, "lu_factor", counted_lu)
     monkeypatch.setattr(AdvectionTensor, "contract_data", counted_contract)
     return calls
+
+
+@st.composite
+def _delaunay_meshes(draw):
+    """Delaunay triangulation of a jittered ring of boundary points around a
+    disc of uniform interior points: unstructured meshes, unlike the aligned
+    ones of ``generate_rect_mesh``.  Triangles are counterclockwise and the
+    ring is one boundary loop with marker 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_ring, n_in = draw(st.integers(8, 40)), draw(st.integers(0, 150))
+    phi = 2.0 * np.pi * (np.arange(n_ring) + rng.uniform(-0.3, 0.3, n_ring)) / n_ring
+    # interior points stay inside the ring polygon, whose widest gap sets its inradius
+    inner = 0.95 * np.cos(0.5 * np.diff(phi, append=phi[0] + 2.0 * np.pi).max())
+    r = inner * np.sqrt(rng.uniform(size=n_in))
+    psi = rng.uniform(0.0, 2.0 * np.pi, n_in)
+    verts = np.vstack([
+        np.stack([np.cos(phi), np.sin(phi)], axis=1),
+        np.stack([r * np.cos(psi), r * np.sin(psi)], axis=1),
+    ])
+    tris = Delaunay(verts).simplices.astype(np.int64)
+    p1, p2, p3 = (verts[tris[:, k]] for k in range(3))
+    area = 0.5 * ((p2 - p1)[:, 0] * (p3 - p1)[:, 1] - (p2 - p1)[:, 1] * (p3 - p1)[:, 0])
+    tris[area < 0] = tris[area < 0][:, [0, 2, 1]]
+    ring = np.arange(n_ring)
+    mesh = Mesh(
+        vertices=verts,
+        triangles=tris,
+        boundary_edges=np.stack([ring, (ring + 1) % n_ring], axis=1),
+        boundary_markers=np.ones(n_ring, dtype=np.int64),
+        domain_area=float(np.abs(area).sum()),
+    )
+    validate_mesh(mesh)
+    return mesh

@@ -39,6 +39,24 @@ def _report(number, name, passed, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {number} exceeded runtime budget"
 
 
+def _counted_dynamic_solve(monkeypatch, *args):
+    """solve_dynamic_ocp, and a summary of its iterations, Armijo trials (cost
+    evaluations after the warm start's), restarts and final J."""
+    import densctl.ocp_dynamic as ocp_dynamic
+
+    evaluations = []
+    evaluate = ocp_dynamic.evaluate_dynamic_cost
+    monkeypatch.setattr(
+        ocp_dynamic, "evaluate_dynamic_cost",
+        lambda *a, **k: evaluations.append(1) or evaluate(*a, **k),
+    )
+    dyn = solve_dynamic_ocp(*args)
+    return dyn, (
+        f"{len(dyn.history) - 1} iterations, {len(evaluations) - 1} Armijo trials, "
+        f"{dyn.restarts} restarts, final J {dyn.history[-1].J:.10g}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # benchmark scenario 1 artifacts, shared by criteria 5, 6, 7
 
@@ -258,7 +276,7 @@ def test_criterion_06_global_stabilization(tc1):
     )
 
 
-def test_criterion_07_dynamic_speedup_turnpike(tc1):
+def test_criterion_07_dynamic_speedup_turnpike(tc1, monkeypatch):
     t0 = time.monotonic()
     ops, sol = tc1["ops"], tc1["sol"]
     q0 = dc.gaussian_density(ops, (-0.5, -0.5), 0.09)
@@ -266,7 +284,7 @@ def test_criterion_07_dynamic_speedup_turnpike(tc1):
         alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-6, max_iter=25,
         theta=0.5, lumped=False, dt=0.03, T=3.0,
     )
-    dyn = solve_dynamic_ocp(ops, q0, sol, dcfg)
+    dyn, solve_counts = _counted_dynamic_solve(monkeypatch, ops, q0, sol, dcfg)
     traj_static = dc.simulate(
         ops, q0, sol.u_star, T=3.0, dt=0.03, theta=0.5, lumped=False
     )
@@ -280,12 +298,12 @@ def test_criterion_07_dynamic_speedup_turnpike(tc1):
     _report(
         7, "dynamic speedup and turnpike", ok,
         f"endpoint ratio {endpoint_ratio:.3f} (<=0.5); final/first control "
-        f"distance {turnpike_ratio:.2e} (<=0.1); J_t monotone {monotone}",
+        f"distance {turnpike_ratio:.2e} (<=0.1); J_t monotone {monotone}; {solve_counts}",
         time.monotonic() - t0, 600,
     )
 
 
-def test_criterion_08_two_chamber_contrast():
+def test_criterion_08_two_chamber_contrast(monkeypatch):
     t0 = time.monotonic()
     mesh = dc.generate_rect_mesh(
         (-1, -1, 1, 1), 0.06, holes=[dc.Rect(-0.08, -0.84, 0.08, 0.84)]
@@ -312,7 +330,7 @@ def test_criterion_08_two_chamber_contrast():
         alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-6, max_iter=15,
         theta=0.5, lumped=False, dt=0.03, T=3.0,
     )
-    dyn = solve_dynamic_ocp(ops, q0, sol, dcfg)
+    dyn, solve_counts = _counted_dynamic_solve(monkeypatch, ops, q0, sol, dcfg)
     hit_dyn = dyn.state_distances <= threshold
     t_dyn = (
         float(dyn.trajectory.times[np.argmax(hit_dyn)]) if hit_dyn.any() else np.inf
@@ -323,12 +341,12 @@ def test_criterion_08_two_chamber_contrast():
         8, "two-chamber slow/fast contrast", ok,
         f"time to 0.25*d0: static {t_static:.2f}s vs dynamic {t_dyn:.2f}s, "
         f"factor {factor:.0f} (>=10, observed factor-100 level logged); "
-        f"100s run final/initial {eventual:.3f} (<0.1)",
+        f"100s run final/initial {eventual:.3f} (<0.1); {solve_counts}",
         time.monotonic() - t0, 600,
     )
 
 
-def test_criterion_09_drift_robustness():
+def test_criterion_09_drift_robustness(monkeypatch):
     t0 = time.monotonic()
     mesh = dc.generate_rect_mesh(
         (-1, -1, 1, 1), 0.07,
@@ -357,7 +375,7 @@ def test_criterion_09_drift_robustness():
         alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-6, max_iter=25,
         theta=0.5, lumped=False, dt=0.03, T=3.0,
     )
-    dyn = solve_dynamic_ocp(ops, q0, sol, dcfg)
+    dyn, solve_counts = _counted_dynamic_solve(monkeypatch, ops, q0, sol, dcfg)
     # extend the optimized run to the series horizon under the static field
     # (the time-varying control has already merged into it by t = 3)
     tail = dc.simulate(
@@ -377,7 +395,8 @@ def test_criterion_09_drift_robustness():
         9, "drift robustness", ok,
         f"uncontrolled: to q* {d_un_qstar[-1] / d_un_qstar[0]:.2f} (stays away), "
         f"to drift equilibrium {d_un_drift[-1] / d_un_drift[0]:.1e}; controlled "
-        f"static {d_c[-1] / d_c[0]:.2e}, dynamic {d_dyn_final / d0:.2e} (<1e-3)",
+        f"static {d_c[-1] / d_c[0]:.2e}, dynamic {d_dyn_final / d0:.2e} (<1e-3); "
+        f"{solve_counts}",
         time.monotonic() - t0, 600,
     )
 

@@ -270,7 +270,7 @@ def test_bad_dynamic_section_is_a_config_problem(run_cfg, tmp_path, capsys, dyna
 def test_dynamic_summary_counts_gmres_fallbacks(run_cfg, tmp_path, capsys):
     path, _ = run_cfg
     assert main(["dynamic", "--config", str(path), "--out", str(tmp_path / "d")]) == 0
-    assert ", 0 GMRES fallbacks, " in capsys.readouterr().out
+    assert ", 0 GMRES fallbacks, 0 steepest-descent restarts, " in capsys.readouterr().out
 
 
 def test_missing_config_file(capsys):

@@ -7,6 +7,16 @@ import densctl as dc
 from conftest import random_control
 
 
+def dense_tensor(tensor):
+    """Dense (n, n, n) arrays (Tx, Ty) of an AdvectionTensor; only for small
+    oracle meshes."""
+    tx = np.zeros((tensor.n_state,) * 3)
+    ty = np.zeros_like(tx)
+    for mat, out in ((tensor.kx.tocoo(), tx), (tensor.ky.tocoo(), ty)):
+        out[tensor.pattern_rows[mat.row], tensor.pattern_cols[mat.row], mat.col] += mat.data
+    return tx, ty
+
+
 def dense_contract(tx, ty, u):
     n = tx.shape[0]
     out = np.zeros((n, n))
@@ -77,7 +87,7 @@ def test_bad_mu_rejected(small_mesh):
 
 
 def test_tensor_symmetry_last_two_indices(tiny_ops):
-    tx, ty = tiny_ops.tensor.dense()
+    tx, ty = dense_tensor(tiny_ops.tensor)
     assert_allclose(tx, np.swapaxes(tx, 1, 2), rtol=0, atol=1e-15)
     assert_allclose(ty, np.swapaxes(ty, 1, 2), rtol=0, atol=1e-15)
 
@@ -85,7 +95,7 @@ def test_tensor_symmetry_last_two_indices(tiny_ops):
 def test_tensor_quadrature_oracle(tiny_ops):
     # entries against a numerical quadrature oracle on each element
     mesh = tiny_ops.mesh
-    tx, ty = tiny_ops.tensor.dense()
+    tx, ty = dense_tensor(tiny_ops.tensor)
     # degree-3-exact rule (4 points) is enough for the quadratic integrand
     pts = np.array(
         [[1 / 3, 1 / 3, 1 / 3], [0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]]
@@ -123,7 +133,7 @@ def test_contract_zero_and_linearity(tiny_ops, rng):
 
 def test_contract_matches_dense_oracle(tiny_ops, rng):
     u = random_control(tiny_ops, rng)
-    tx, ty = tiny_ops.tensor.dense()
+    tx, ty = dense_tensor(tiny_ops.tensor)
     expected = dense_contract(tx, ty, u)
     tensor = tiny_ops.tensor
     got = tensor.csr(tensor.contract_data(u)).toarray()
@@ -142,7 +152,7 @@ def test_gradient_contraction_oracle(tiny_ops, rng):
     n = tiny_ops.n
     lam = rng.standard_normal(n)
     q = rng.standard_normal(n)
-    tx, ty = tiny_ops.tensor.dense()
+    tx, ty = dense_tensor(tiny_ops.tensor)
     ref_x = np.einsum("i,ijk,j->k", lam, tx, q)
     ref_y = np.einsum("i,ijk,j->k", lam, ty, q)
     gx, gy = tiny_ops.tensor.gradient_contraction(lam, q)
@@ -198,7 +208,7 @@ def test_drift_constant_field_oracle(tiny_mesh):
     # B_ij = ∫ (b . grad phi_i) phi_j with b = (1, 2): exact linear algebra
     ops = dc.assemble_operators(tiny_mesh, mu=1.0)
     B = drift_data(tiny_mesh, lambda x, y: (np.ones_like(x), 2.0 * np.ones_like(y)))
-    tx, ty = ops.tensor.dense()
+    tx, ty = dense_tensor(ops.tensor)
     # sum_k T_ijk = ∫ (d phi_i/dc) phi_j, so the constant-drift matrix is the
     # tensor contracted with the all-ones control scaled per component
     expected = tx.sum(axis=2) * 1.0 + ty.sum(axis=2) * 2.0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import densctl as dc
@@ -13,10 +13,11 @@ from densctl.mesh import (
     MeshFormatError,
     MeshTopologyError,
     OrientationWarning,
+    _check_hole_geometry,
     _edge_incidence,
 )
 
-from test_particles import _delaunay_meshes
+from conftest import _delaunay_meshes
 from test_sweep import _meshes
 
 
@@ -253,6 +254,104 @@ def test_rect_hole_mesh():
     exact = 4.0 - 0.2 * 1.2
     assert abs(mesh.domain_area - exact) / exact < 0.02
     assert set(np.unique(mesh.boundary_markers)) == {1, 2}
+
+
+# Layouts that the hole check accepts and whose carving left an edge from
+# one hole to the other on the boundary (MeshTopologyError "lies on neither
+# the outer boundary nor a hole"): a removed triangle spanned the gap.
+_CLOSE_LAYOUTS = {
+    "two rects 0.95 h apart": (0.21985944969592663, [
+        dc.Rect(-0.10014517517314592, -0.7284493903895214, 0.33588714799941405, -0.28694551961009584),
+        dc.Rect(-0.7763622057208465, -0.4856768220117492, -0.30874278271888833, -0.03659646695113239),
+    ]),
+    "rect and circle": (0.08202118945079956, [
+        dc.Rect(0.14065802772742353, -0.9289176164675911, 0.588254548454121, -0.4862271719833291),
+        dc.Circle(0.7792021420192206, -0.6200960753965188, 0.12344995316533552),
+    ]),
+    "two circles": (0.08019171697851514, [
+        dc.Circle(0.30756275476313777, -0.5411119392868706, 0.18060352685116332),
+        dc.Circle(0.7355070020550394, -0.544219469017136, 0.18062891606508147),
+    ]),
+    # an exposed vertex nearer the other hole than its neighbours' one
+    "rect above rect": (0.12471500173005429, [
+        dc.Rect(0.13675179457268427, -0.31953951850609286, 0.3986795950420975, 0.2700784669793771),
+        dc.Rect(0.27466851075124366, 0.40454013995175137, 0.46344719227723896, 0.6970897626444783),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSE_LAYOUTS))
+def test_close_holes_mesh(name):
+    h, holes = _CLOSE_LAYOUTS[name]
+    mesh = dc.generate_rect_mesh((-1, -1, 1, 1), h, holes=holes)  # validates
+    assert set(np.unique(mesh.boundary_markers)) == {1, 2, 3}
+
+
+def test_diagonal_corner_gap_is_refused():
+    # the corners (-0.278, 0.421) and (-0.148, 0.373) face each other across
+    # 0.95 h: one lattice vertex between them cannot serve both
+    holes = [
+        dc.Rect(-0.5675494579609903, 0.42069458309095076, -0.27831982901731306, 0.7351684279533739),
+        dc.Rect(-0.14772195510083685, -0.2651151237238587, 0.24174946591175273, 0.3729997355775748),
+    ]
+    with pytest.raises(GeometryError, match="corner of hole 0 lies diagonally"):
+        dc.generate_rect_mesh((-1, -1, 1, 1), 0.1464329820765764, holes=holes)
+
+
+@st.composite
+def _hole_layouts(draw):
+    """(target_h, holes): one or two circles or rectangles in (-1, 1)^2,
+    often near the generator's clearance limits: a second hole 0.6-1.4 h
+    from the first, or a hole 0.7-1.4 h from a side."""
+    h = draw(st.floats(0.08, 0.25))
+    lo, hi = -1.0 + 0.75 * h, 1.0 - 0.75 * h
+
+    def hole():
+        if draw(st.booleans()):
+            w, t = draw(st.floats(1.5 * h, 1.5 * h + 0.45)), draw(st.floats(1.5 * h, 1.5 * h + 0.45))
+            x, y = draw(st.floats(lo, hi - w)), draw(st.floats(lo, hi - t))
+            return dc.Rect(x, y, x + w, y + t)
+        r = draw(st.floats(1.5 * h, 1.5 * h + 0.2))
+        return dc.Circle(draw(st.floats(lo + r, hi - r)), draw(st.floats(lo + r, hi - r)), r)
+
+    def moved(shape, dx, dy):
+        if isinstance(shape, dc.Rect):
+            return dc.Rect(shape.x0 + dx, shape.y0 + dy, shape.x1 + dx, shape.y1 + dy)
+        return dc.Circle(shape.cx + dx, shape.cy + dy, shape.r)
+
+    holes = [hole() for _ in range(draw(st.integers(1, 2)))]
+    if len(holes) == 2 and draw(st.booleans()):
+        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = holes[0].bbox(), holes[1].bbox()
+        gap, slide = draw(st.floats(0.6, 1.4)) * h, draw(st.floats(0.0, 1.0))
+        if draw(st.booleans()):  # beside the first hole
+            dy = ay0 - by1 + slide * (ay1 - ay0 + by1 - by0)
+            holes[1] = moved(holes[1], ax1 + gap - bx0, dy)
+        else:  # above it
+            dx = ax0 - bx1 + slide * (ax1 - ax0 + bx1 - bx0)
+            holes[1] = moved(holes[1], dx, ay1 + gap - by0)
+    if draw(st.booleans()):
+        x0, y0, x1, y1 = holes[0].bbox()
+        c = draw(st.floats(0.7, 1.4)) * h
+        side = draw(st.sampled_from([(-1 + c - x0, 0.0), (1 - c - x1, 0.0),
+                                     (0.0, -1 + c - y0), (0.0, 1 - c - y1)]))
+        holes[0] = moved(holes[0], *side)
+    return h, holes
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(layout=_hole_layouts())
+def test_every_accepted_hole_layout_meshes(layout):
+    h, holes = layout
+    bounds = (-1.0, -1.0, 1.0, 1.0)
+    try:
+        _check_hole_geometry(bounds, holes, h)
+    except GeometryError:
+        assume(False)
+    mesh = dc.generate_rect_mesh(bounds, h, holes=holes)  # validates
+    assert set(np.unique(mesh.boundary_markers)) == set(range(1, len(holes) + 2))
 
 
 def _edge_incidence_rows(triangles):

@@ -189,3 +189,78 @@ def test_dynamic_stop_reasons(small_ops, static_solution):
         dyn = solve_dynamic_ocp(small_ops, start, static_solution, cfg)
         assert dyn.reason == reason
         assert dyn.converged == (reason == "tol")
+
+
+def _restart_run(small_ops, static_solution, fail_calls):
+    """A dynamic solve whose line searches number ``fail_calls`` raise; the
+    directions searched, with their gradients, and the solution."""
+    import densctl.ocp_dynamic as ocp_dynamic
+    from densctl.ocp_static import LineSearchError, armijo_backtracking
+
+    cfg = OcpConfig(
+        alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-12, max_iter=4,
+        theta=0.5, lumped=False, dt=0.05, T=0.5,
+    )
+    searched = []
+
+    def flaky(j_fun, u, d, grad, params, f0=None):
+        searched.append((d, grad))
+        if len(searched) in fail_calls:
+            raise LineSearchError("injected")
+        return armijo_backtracking(j_fun, u, d, grad, params, f0=f0)
+
+    q0 = dc.gaussian_density(small_ops, (0.25, 0.25), 0.15)
+    mp = pytest.MonkeyPatch()
+    with mp.context() as m:
+        m.setattr(ocp_dynamic, "armijo_backtracking", flaky)
+        dyn = solve_dynamic_ocp(small_ops, q0, static_solution, cfg)
+    return searched, dyn
+
+
+def test_failed_line_search_restarts_once_along_steepest_descent(small_ops, static_solution):
+    from densctl.ocp_static import h_inv_of
+
+    searched, dyn = _restart_run(small_ops, static_solution, {3})
+    assert dyn.restarts == 1 and dyn.reason == "max_iter"
+    assert len(dyn.history) == 5 and len(searched) == 5  # iteration 2 searched twice
+    cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=1e-5)
+    h_inv = h_inv_of(small_ops, cfg)
+    (failed, grad), (restart, same) = searched[2], searched[3]
+    assert np.array_equal(grad, same)
+    assert not np.allclose(failed, -h_inv(grad))
+    assert_allclose(restart, -h_inv(grad), rtol=1e-12, atol=0)
+    costs = [h.J for h in dyn.history]
+    assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+
+def test_a_failed_restart_stops_the_run(small_ops, static_solution):
+    searched, dyn = _restart_run(small_ops, static_solution, {3, 4})
+    assert dyn.restarts == 1 and dyn.reason == "line_search"
+    assert len(searched) == 4 and len(dyn.history) == 3
+
+
+def test_binding_holds_the_outward_speeds_on_the_ball(small_ops, static_solution, monkeypatch):
+    import densctl.ocp_dynamic as ocp_dynamic
+
+    captured = []
+    descend = ocp_dynamic.descend
+    monkeypatch.setattr(
+        ocp_dynamic, "descend", lambda *args: captured.append(args[-1]) or descend(*args)
+    )
+    cfg = OcpConfig(
+        alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-12, max_iter=1,
+        theta=0.5, lumped=False, dt=0.05, T=0.25,
+    )
+    solve_dynamic_ocp(small_ops, static_solution.q_star, static_solution, cfg)
+    binding, n = captured[0], small_ops.n
+    U = np.tile(static_solution.u_star.stacked(), (6, 1))
+    U[2] *= 0.5  # a time node inside the ball
+    U[3] *= 1 - 1e-6  # just inside: free
+    U[4] *= 1 - 1e-12  # on the ball up to round-off: held
+    on_ball = np.hypot(U[:, :n], U[:, n:]) >= static_solution.control_magnitude_bound() * (1 - 1e-9)
+    i, j = np.nonzero(on_ball)
+    both = np.sort(np.concatenate([i * 2 * n + j, i * 2 * n + n + j]))
+    assert not on_ball[2:4].any() and on_ball[4].any()
+    # -G along u points outward: every speed on the ball is held, both components
+    assert np.array_equal(np.sort(binding(U.ravel(), -U.ravel())), both)
+    assert binding(U.ravel(), U.ravel()).size == 0

@@ -275,7 +275,7 @@ def test_descend_without_memory_is_preconditioned_steepest_descent():
         return u, _quad_cost(u), None
 
     u0 = np.array([3.0, 2.0, -1.0])
-    u, _, history, reason = ocp_static.descend(
+    u, _, history, reason, _ = ocp_static.descend(
         evaluate, gradient, evaluate(u0), _jacobi(4.0), cfg, armijo_backtracking, 0,
     )
     assert reason == "max_iter"
@@ -307,7 +307,7 @@ def test_descend_accepts_the_projected_trial():
         iterates.append(u.copy())
         return _quad_gradient(u, state)
 
-    u, _, history, _ = ocp_static.descend(
+    u, _, history, _, _ = ocp_static.descend(
         evaluate, gradient, evaluate(np.zeros(3)), _jacobi(), cfg, armijo_backtracking, 0,
     )
     assert len(history) > 2
@@ -338,9 +338,102 @@ def test_descend_holds_no_state_while_it_evaluates(memory):
         return u, _quad_cost(u), state
 
     # an overlong first direction makes the line searches backtrack
-    _, _, history, _ = ocp_static.descend(
+    _, _, history, _, _ = ocp_static.descend(
         evaluate, _quad_gradient, evaluate(np.array([3.0, 2.0, -1.0])), _jacobi(8.0), cfg,
         armijo_backtracking, memory,
     )
     assert len(made) > len(history) + 1  # some trials were rejected
     assert alive_at_evaluation == [0] * len(made)
+
+
+def _masked_bfgs_reference(grad, pairs, h_inv_matrix, bound):
+    """The free-set direction from explicit masked copies: the BFGS inverse
+    update (Nocedal & Wright, eq. 6.17) applied pair by pair, oldest first,
+    to gamma P H^-1 P, with P the projection onto the free entries."""
+    free = np.ones(grad.size)
+    free[bound] = 0.0
+    P = np.diag(free)
+    masked = [(free * s, free * y) for s, y in pairs]
+    masked = [(s, y) for s, y in masked if s @ y > 0]
+    H = P @ h_inv_matrix @ P
+    if masked:
+        s, y = masked[-1]
+        H = (s @ y) / (y @ H @ y) * H
+    eye = np.eye(grad.size)
+    for s, y in masked:
+        rho = 1.0 / (s @ y)
+        V = eye - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    return H @ (free * grad)
+
+
+def test_free_set_two_loop_matches_a_dense_reference():
+    rng = np.random.default_rng(7)
+    skipped = 0
+    for _ in range(40):
+        n = int(rng.integers(4, 30))
+        B = rng.standard_normal((n, n))
+        h_inv_matrix = np.linalg.inv(B @ B.T + n * np.eye(n))
+        pairs = [(rng.standard_normal(n), rng.standard_normal(n))
+                 for _ in range(int(rng.integers(0, 5)))]
+        # most pairs get positive curvature, as descend keeps them
+        pairs = [(s, y + 3.0 * s) if rng.random() < 0.8 else (s, y) for s, y in pairs]
+        bound = np.flatnonzero(rng.random(n) < rng.uniform(0.0, 0.5))
+        free = np.ones(n)
+        free[bound] = 0.0
+        skipped += sum((free * s) @ (free * y) <= 0 for s, y in pairs)
+        grad = rng.standard_normal(n)
+        got = ocp_static._lbfgs_direction(grad, pairs, lambda v: h_inv_matrix @ v, bound)
+        want = _masked_bfgs_reference(grad, pairs, h_inv_matrix, bound)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert skipped > 0  # the skip rule was exercised
+
+
+def test_free_set_direction_is_zero_on_bound_entries():
+    rng = np.random.default_rng(8)
+    n = 50
+    pairs = [(s, rng.standard_normal(n) + 2.0 * s) for s in rng.standard_normal((3, n))]
+    bound = np.array([3, 17, 18, 42])
+    d = ocp_static._lbfgs_direction(rng.standard_normal(n), pairs, lambda v: 0.5 * v, bound)
+    assert np.all(d[bound] == 0.0)
+    assert np.count_nonzero(d) == n - bound.size
+    # with no bound entry the recursion is the unrestricted one, bit for bit
+    grad = rng.standard_normal(n)
+    plain = ocp_static._lbfgs_direction(grad, pairs, lambda v: 0.5 * v)
+    empty = ocp_static._lbfgs_direction(grad, pairs, lambda v: 0.5 * v, np.zeros(0, dtype=int))
+    assert np.array_equal(plain, empty)
+
+
+def test_failed_quasi_newton_search_restarts_along_steepest_descent():
+    cfg = OcpConfig(tol=1e-300, max_iter=6)
+    directions, failures, iterates = [], [], []
+
+    def flaky(j_fun, u, d, grad, params, f0=None):
+        directions.append((d.copy(), grad.copy()))
+        if len(directions) == 3 and not failures:  # a quasi-Newton direction
+            failures.append(len(directions))
+            raise LineSearchError("injected")
+        return armijo_backtracking(j_fun, u, d, grad, params, f0=f0)
+
+    def evaluate(u):
+        return u, _quad_cost(u), None
+
+    def gradient(u, state):
+        iterates.append(u.copy())
+        return _quad_gradient(u, state)
+
+    _, _, history, reason, restarts = ocp_static.descend(
+        evaluate, gradient, evaluate(np.array([3.0, 2.0, -1.0])), _jacobi(), cfg,
+        flaky, ocp_static.LBFGS_MEMORY,
+    )
+    assert reason == "max_iter" and restarts == 1 and len(history) == cfg.max_iter + 1
+    failed_d, grad = directions[2]
+    restart_d, same_grad = directions[3]
+    assert np.array_equal(grad, same_grad)
+    assert not np.array_equal(failed_d, -_jacobi()(grad))
+    assert np.array_equal(restart_d, -_jacobi()(grad))
+    # the memory was dropped: the next direction is built from the one pair
+    # of the restart step
+    (u2, u3), (g2, g3) = iterates[2:4], (directions[3][1], directions[4][1])
+    pair = [(u3 - u2, g3 - g2)]
+    assert np.array_equal(directions[4][0], -ocp_static._lbfgs_direction(g3, pair, _jacobi()))

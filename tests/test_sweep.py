@@ -83,7 +83,9 @@ def test_dynamic_ocp_reuses_the_accepted_trial(small_ops, monkeypatch, counts):
     counts["lu_factor"] = 0
     dyn = solve_dynamic_ocp(small_ops, q0, static, cfg)
     trials = len(evaluations) - 1  # the first sweep is the warm start's
-    assert len(dyn.history) == 4 and trials == 5  # 3 line searches, 2 backtracks
+    # 3 line searches, none backtracking: the second and third directions
+    # are projected L-BFGS ones
+    assert len(dyn.history) == 4 and trials == 3 and dyn.restarts == 0
     # H once and the warm start's constant control once; every trial and
     # adjoint step is a GMRES solve preconditioned by the warm start's LU,
     # and no iteration sweeps its accepted trial again
