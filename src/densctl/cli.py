@@ -5,21 +5,23 @@ and testcase {1,2,3}.  A run's configuration is DEFAULT_CONFIG (for
 testcase, the built-in scenario) merged with a JSON file (--config), then
 with the overrides --out, --seed and --t-final (ocp.T), all applied in
 `load_config`.  Every verb but mesh starts in `_start`: the configuration is
-validated, the problem built and the --control loaded; then the configuration
-is echoed to <out>/config.echo and listed first in <out>/manifest.csv, the
-index of the run's outputs.  A problem in the configuration (an unknown ocp
-or armijo key included) or in --control exits 2 before any output is
-written.  A run is reproducible byte-for-byte from its own output directory:
-config.echo replays it as a new --config.
+parsed once into a `Run` (`parse_config`), the problem built and the --control
+loaded; then the configuration is echoed to <out>/config.echo and listed
+first in <out>/manifest.csv, the index of the run's outputs.  A problem in
+the configuration (an unknown ocp or armijo key included) or in --control
+exits 2 before any output is written.  A run is reproducible byte-for-byte
+from its own output directory: config.echo replays it as a new --config.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import os
 import sys
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .mesh import (
     write_mesh,
 )
 from .ocp_dynamic import solve_dynamic_ocp
-from .ocp_static import ArmijoParams, OcpConfig, solve_static_ocp
+from .ocp_static import ArmijoParams, OcpConfig, _integer, _real, solve_static_ocp
 from .particles import (
     MeshDomain,
     NodalVelocity,
@@ -59,18 +61,7 @@ DEFAULT_CONFIG = {
     "drift": None,
     "target": {"type": "uniform"},
     "initial": {"type": "uniform"},
-    "ocp": {
-        "alpha": 1.0,
-        "beta": 1e-3,
-        "beta_g": 1e-5,
-        "tol": 1e-6,
-        "max_iter": 400,
-        "armijo": {"c1": 1e-4, "shrink": 0.5, "max_backtracks": 30},
-        "theta": 1.0,
-        "lumped": True,
-        "dt": 0.03,
-        "T": 3.0,
-    },
+    "ocp": asdict(OcpConfig(max_iter=400)),
     "dynamic": {"max_iter": 25, "tol": 1e-6},
     "out_dir": "out",
     "seed": 0,
@@ -94,8 +85,8 @@ def _merge(base, override):
     return out
 
 
-def load_config(args, base=DEFAULT_CONFIG) -> dict:
-    """``base`` merged with --config, then with the flag overrides; validated."""
+def load_config(args, base=DEFAULT_CONFIG) -> Run:
+    """``base`` merged with --config, then with the flag overrides; parsed."""
     cfg = base
     if getattr(args, "config", None):
         try:
@@ -111,184 +102,196 @@ def load_config(args, base=DEFAULT_CONFIG) -> dict:
         cfg = _merge(cfg, {"seed": args.seed})
     if getattr(args, "t_final", None) is not None:
         cfg = _merge(cfg, {"ocp": {"T": args.t_final}})
-    validate_config(cfg)
-    return cfg
+    return parse_config(cfg)
 
 
-def _numbers(value, k=None) -> bool:
-    """A real number, or with ``k`` a list of k real numbers."""
-    if k is not None:
-        return isinstance(value, (list, tuple)) and len(value) == k and all(map(_numbers, value))
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class Run:
+    """A configuration parsed into the objects a run uses, densities as builders
+    ``ops -> DensityField``; ``echo``, the merged configuration, is for config.echo."""
+
+    mesh: Callable  # () -> Mesh: load_mesh or generate_rect_mesh with its arguments
+    mu: float
+    drift: Callable | None
+    target: Callable
+    initial: Callable
+    extra_initials: list[Callable]
+    ocp: OcpConfig
+    dynamic: OcpConfig  # ocp merged with the dynamic section
+    out_dir: str | None
+    seed: int
+    vtk: bool
+    series_T: float  # horizon of the testcase stabilization series, ocp.T by default
+    long_T: float | None  # horizon of the long static-control series, if any
+    echo: dict
+
+    def problem(self):
+        """(mesh, operators, target density, initial density) of the run."""
+        mesh = self.mesh()
+        ops = assemble_operators(mesh, mu=self.mu, drift=self.drift)
+        return mesh, ops, self.target(ops), self.initial(ops)
+
+
+def _reals(value, k):
+    """``value`` as a tuple of k finite real numbers, or None."""
+    ok = isinstance(value, (list, tuple)) and len(value) == k and all(map(_real, value))
+    return tuple(value) if ok else None
 
 
 def _positive(value) -> bool:
-    return _numbers(value) and value > 0
+    return _real(value) and value > 0
 
 
-def _shape_problems(where, spec) -> list[str]:
-    """Problems of a circle or rect spec (a hole or an indicator region)."""
+def _file(where, path, problems):
+    """``path``, with a problem unless it names an existing file."""
+    if not isinstance(path, str):
+        problems.append(f"{where} must be a path string, got {path!r}")
+    elif not os.path.isfile(path):
+        problems.append(f"{where} does not exist: {path}")
+    return path
+
+
+def _shape(where, spec, problems):
+    """Circle or Rect of a hole or indicator-region spec."""
     kind = spec.get("type") if isinstance(spec, dict) else None
-    if kind == "circle" and not (_numbers(spec.get("center"), 2) and _numbers(spec.get("radius"))):
-        return [f"{where}: a circle needs center [x, y] and a radius"]
-    if kind == "rect" and not _numbers(spec.get("bounds"), 4):
-        return [f"{where}: a rect needs bounds [x0, y0, x1, y1]"]
-    return [] if kind in ("circle", "rect") else [f"{where}: type must be 'circle' or 'rect'"]
+    if kind == "circle" and _reals(spec.get("center"), 2) and _real(spec.get("radius")):
+        return Circle(*spec["center"], spec["radius"])
+    if kind == "rect" and _reals(spec.get("bounds"), 4):
+        return Rect(*spec["bounds"])
+    needs = {"circle": "center [x, y] and a radius", "rect": "bounds [x0, y0, x1, y1]"}
+    problems.append(f"{where}: a {kind} needs {needs[kind]}" if kind in ("circle", "rect")
+                    else f"{where}: type must be 'circle' or 'rect'")
 
 
-# entries that must be JSON objects (dict) or lists where the config has them
-_STRUCTURE = {
-    ("mesh",): dict, ("mesh", "generate"): dict, ("mesh", "generate", "holes"): list,
-    ("target",): dict, ("target", "regions"): list,
-    ("initial",): dict, ("initial", "regions"): list,
-    ("ocp",): dict, ("ocp", "armijo"): dict, ("dynamic",): dict,
-}
+def _typed(section, path, kind, problems):
+    """``section[path[-1]]`` when it has the JSON type ``kind`` (dict or list);
+    an empty one when absent, and with a problem when of another type."""
+    value = section.get(path[-1], kind())
+    if isinstance(value, kind):
+        return value
+    problems.append(f"{'.'.join(path)} must be {'an object' if kind is dict else 'a list'}")
+    return kind()
 
 
-def _structure_problems(cfg) -> list[str]:
-    """Entries of _STRUCTURE present with the wrong JSON type (null included)."""
+def _density(name, spec, problems):
+    """Builder ``ops -> DensityField`` of a target or initial density spec."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if kind == "uniform":
+        return fields.uniform_density
+    if kind == "gaussian" and not _positive(spec.get("sigma")):
+        problems.append(f"{name}.sigma must be positive and finite")
+    elif kind == "gaussian" and not _reals(spec.get("center"), 2):
+        problems.append(f"{name}.center must be [x, y]")
+    elif kind == "gaussian":
+        return partial(fields.gaussian_density, center=tuple(spec["center"]), sigma=spec["sigma"])
+    elif kind == "indicator":
+        regions = _typed(spec, (name, "regions"), list, problems)
+        shapes = [_shape(f"{name}.regions[{k}]", r, problems) for k, r in enumerate(regions)]
+        if not shapes:
+            problems.append(f"{name}.regions must be a nonempty list")
+        return partial(fields.indicator_density, regions=shapes)
+    elif kind == "nodal":
+        path = _file(f"{name}.file", spec.get("file"), problems)
+        return partial(fields.density_from_file, path=path)
+    else:
+        problems.append(f"{name}.type must be uniform|gaussian|indicator|nodal")
+
+
+def parse_config(cfg) -> Run:
+    """The Run of a merged configuration, read once.  Every problem is
+    collected before failing, not just the first; a section of the wrong
+    JSON type is one problem and is then read as empty."""
     problems = []
-    for (*parents, key), kind in _STRUCTURE.items():
-        section = cfg
-        for name in parents:
-            section = section.get(name) if isinstance(section, dict) else None
-        if isinstance(section, dict) and key in section and not isinstance(section[key], kind):
-            what = "an object" if kind is dict else "a list"
-            problems.append(f"{'.'.join(parents + [key])} must be {what}")
-    return problems
-
-
-def validate_config(cfg) -> None:
-    """Collect every problem before failing, not just the first; the other
-    checks run once every section has its JSON type."""
-    problems = _structure_problems(cfg)
-    if problems:
-        raise ConfigError(problems)
-    mesh = cfg.get("mesh", {})
+    mesh = _typed(cfg, ("mesh",), dict, problems)
     if "file" in mesh:
-        if not os.path.exists(mesh["file"]):
-            problems.append(f"mesh file does not exist: {mesh['file']}")
+        source = partial(load_mesh, _file("mesh file", mesh["file"], problems))
     elif "generate" in mesh:
-        gen = mesh["generate"]
-        if not _numbers(gen.get("bounds"), 4):
+        gen = _typed(mesh, ("mesh", "generate"), dict, problems)
+        bounds, h = _reals(gen.get("bounds"), 4), gen.get("target_h")
+        if bounds is None:
             problems.append("mesh.generate.bounds must be [x0, y0, x1, y1]")
-        if not _positive(gen.get("target_h")):
-            problems.append("mesh.generate.target_h must be positive")
-        for k, hole in enumerate(gen.get("holes", [])):
-            problems += _shape_problems(f"hole {k}", hole)
+        if not _positive(h):
+            problems.append("mesh.generate.target_h must be positive and finite")
+        specs = _typed(gen, ("mesh", "generate", "holes"), list, problems)
+        holes = [_shape(f"hole {k}", spec, problems) for k, spec in enumerate(specs)]
+        source = partial(generate_rect_mesh, bounds, h, holes=holes)
     else:
         problems.append("mesh must specify either 'file' or 'generate'")
-    if not _positive(cfg.get("mu")):
-        problems.append("mu must be positive")
-    drift = cfg.get("drift")
+    mu, drift, seed = cfg.get("mu"), cfg.get("drift"), cfg.get("seed", 0)
+    if not _positive(mu):
+        problems.append("mu must be positive and finite")
     if drift is not None and not (isinstance(drift, str) and drift in fields.DRIFT_PRESETS):
         problems.append(
             f"unknown drift preset {drift!r}; available: {sorted(fields.DRIFT_PRESETS)}"
         )
-    seed = cfg.get("seed", 0)
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+    if not _integer(seed, 0):
         problems.append(f"seed must be a non-negative integer, got {seed!r}")
-    for name in ("target", "initial"):
-        spec = cfg.get(name, {})
-        kind = spec.get("type")
-        if kind not in ("uniform", "gaussian", "indicator", "nodal"):
-            problems.append(f"{name}.type must be uniform|gaussian|indicator|nodal")
-        elif kind == "gaussian" and not _positive(spec.get("sigma")):
-            problems.append(f"{name}.sigma must be positive")
-        elif kind == "gaussian" and not _numbers(spec.get("center"), 2):
-            problems.append(f"{name}.center must be [x, y]")
-        elif kind == "indicator" and not spec.get("regions"):
-            problems.append(f"{name}.regions must be a nonempty list")
-        elif kind == "indicator":
-            for k, region in enumerate(spec["regions"]):
-                problems += _shape_problems(f"{name}.regions[{k}]", region)
-        elif kind == "nodal" and not os.path.exists(spec.get("file", "")):
-            problems.append(f"{name}.file does not exist: {spec.get('file')}")
-    ocp = cfg.get("ocp", {})
-    for name, section in (("ocp", ocp), ("dynamic", _merge(ocp, cfg.get("dynamic", {})))):
+    out_dir, vtk = cfg.get("out_dir"), cfg.get("vtk", False)
+    if "out_dir" in cfg and not (isinstance(out_dir, str) and out_dir):
+        problems.append(f"out_dir must be a nonempty path string, got {out_dir!r}")
+    if not isinstance(vtk, bool):
+        problems.append(f"vtk must be true or false, got {vtk!r}")
+    for key in ("series_T", "long_T"):  # horizons of the testcase series
+        if key in cfg and not _positive(cfg[key]):
+            problems.append(f"{key} must be positive and finite")
+    target, initial = [_density(key, _typed(cfg, (key,), dict, problems), problems)
+                       for key in ("target", "initial")]
+    specs = _typed(cfg, ("extra_initials",), list, problems)
+    extra = [_density(f"extra_initials[{k}]", spec, problems) for k, spec in enumerate(specs)]
+    ocp = _typed(cfg, ("ocp",), dict, problems)
+    ocp = dict(ocp, armijo=_typed(ocp, ("ocp", "armijo"), dict, problems))
+    dynamic = _merge(ocp, _typed(cfg, ("dynamic",), dict, problems))
+    configs = {}  # the Run's ocp and dynamic fields
+    for name, section in (("ocp", ocp), ("dynamic", dynamic)):
         try:
-            _ocp_config(section)
-        except (ValueError, TypeError) as exc:
+            configs[name] = OcpConfig(**dict(section, armijo=ArmijoParams(**section["armijo"])))
+        except (ValueError, TypeError) as exc:  # an unknown key is a TypeError
             problems.append(f"{name}: {exc}")
             break  # the merged dynamic section inherits every ocp problem
     if problems:
         raise ConfigError(problems)
-
-
-def _ocp_config(ocp: dict) -> OcpConfig:
-    """OcpConfig of a config section; an unknown key raises TypeError."""
-    return OcpConfig(**dict(ocp, armijo=ArmijoParams(**ocp.get("armijo", {}))))
-
-
-def _holes(specs):
-    out = []
-    for spec in specs:
-        if spec["type"] == "circle":
-            cx, cy = spec["center"]
-            out.append(Circle(cx, cy, spec["radius"]))
-        else:
-            out.append(Rect(*spec["bounds"]))
-    return out
+    return Run(
+        mesh=source, mu=mu, drift=fields.DRIFT_PRESETS.get(drift), target=target, initial=initial,
+        extra_initials=extra, out_dir=out_dir, seed=seed, vtk=vtk, echo=cfg, **configs,
+        series_T=cfg.get("series_T", configs["ocp"].T), long_T=cfg.get("long_T"),
+    )
 
 
 def build_mesh(cfg):
-    mesh_cfg = cfg["mesh"]
-    if "file" in mesh_cfg:
-        return load_mesh(mesh_cfg["file"])
-    gen = mesh_cfg["generate"]
-    return generate_rect_mesh(
-        tuple(gen["bounds"]), gen["target_h"], holes=_holes(gen.get("holes", []))
-    )
+    return parse_config(cfg).mesh()
 
 
 def build_problem(cfg):
     """(mesh, operators, target density, initial density) for a run config."""
-    mesh = build_mesh(cfg)
-    drift = fields.DRIFT_PRESETS[cfg["drift"]] if cfg.get("drift") else None
-    ops = assemble_operators(mesh, mu=cfg["mu"], drift=drift)
-    z = _density_from_spec(ops, cfg["target"])
-    q0 = _density_from_spec(ops, cfg["initial"])
-    return mesh, ops, z, q0
+    return parse_config(cfg).problem()
 
 
-def _density_from_spec(ops, spec):
-    kind = spec["type"]
-    if kind == "uniform":
-        return fields.uniform_density(ops)
-    if kind == "gaussian":
-        return fields.gaussian_density(ops, tuple(spec["center"]), spec["sigma"])
-    if kind == "indicator":
-        return fields.indicator_density(ops, _holes(spec["regions"]))
-    return fields.density_from_file(ops, spec["file"])
-
-
-def _echo_config(cfg, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+def _echo_config(run):
+    os.makedirs(run.out_dir, exist_ok=True)
+    with open(os.path.join(run.out_dir, "config.echo"), "w", encoding="utf-8") as fh:
+        json.dump(run.echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _start(args, base=DEFAULT_CONFIG, static_control=False):
-    """(cfg, manifest, mesh, ops, z, q0, control): the validated config, its
+    """(run, manifest, mesh, ops, z, q0, control): the parsed config, its
     problem and the control of --control (None for a verb without one), all
     built before the config is echoed to config.echo and listed in the run's
     manifest.  static_control rejects a time-varying control."""
-    cfg = load_config(args, base)
-    mesh, ops, z, q0 = build_problem(cfg)
+    run = load_config(args, base)
+    mesh, ops, z, q0 = run.problem()
     control = load_control(ops, args.control) if "control" in args else None
     if static_control and not isinstance(control, ControlField):
         raise ConfigError([f"{args.command} requires a static control (zero or static dir)"])
     if isinstance(control, np.ndarray):
-        ocp = _ocp_config(cfg["ocp"])
         try:
-            _controls_for_grid(control, _n_steps(ocp.T, ocp.dt))
+            _controls_for_grid(control, _n_steps(run.ocp.T, run.ocp.dt))
         except ValueError as exc:
             raise ConfigError([f"control {args.control!r}: {exc}"]) from None
-    _echo_config(cfg, cfg["out_dir"])
-    manifest = export.Manifest(cfg["out_dir"])
+    _echo_config(run)
+    manifest = export.Manifest(run.out_dir)
     manifest.add("config.echo", "configuration")
-    return cfg, manifest, mesh, ops, z, q0, control
+    return run, manifest, mesh, ops, z, q0, control
 
 
 def load_control(ops, source):
@@ -320,10 +323,10 @@ def load_control(ops, source):
 
 def cmd_mesh(args) -> int:
     if args.action == "gen":
-        cfg = load_config(args)
-        mesh = build_mesh(cfg)
-        _echo_config(cfg, cfg["out_dir"])
-        out = args.mesh_out or os.path.join(cfg["out_dir"], "mesh.txt")
+        run = load_config(args)
+        mesh = run.mesh()
+        _echo_config(run)
+        out = args.mesh_out or os.path.join(run.out_dir, "mesh.txt")
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         write_mesh(mesh, out)
         rep = check_mesh_quality(mesh)
@@ -358,8 +361,8 @@ def _write_static_solution(manifest, mesh, z, sol):
 
 
 def cmd_static(args) -> int:
-    cfg, manifest, mesh, ops, z, _, _ = _start(args)
-    sol = solve_static_ocp(ops, z, _ocp_config(cfg["ocp"]))
+    run, manifest, mesh, ops, z, _, _ = _start(args)
+    sol = solve_static_ocp(ops, z, run.ocp)
     _write_static_solution(manifest, mesh, z, sol)
     manifest.write()
     last = sol.history[-1]
@@ -377,14 +380,14 @@ def _simulate(ops, q0, control, ocp: OcpConfig, T=None):
 
 
 def cmd_simulate(args) -> int:
-    cfg, manifest, mesh, ops, z, q0, control = _start(args)
-    traj = _simulate(ops, q0, control, _ocp_config(cfg["ocp"]))
+    run, manifest, mesh, ops, z, q0, control = _start(args)
+    traj = _simulate(ops, q0, control, run.ocp)
     reference = (
         solve_equilibrium(ops, control)[0] if isinstance(control, ControlField) else z
     )
     export.write_trajectory(
-        os.path.join(cfg["out_dir"], "trajectory"), mesh, traj,
-        reference=reference, M=ops.M, every=args.every, vtk=cfg.get("vtk", False),
+        os.path.join(run.out_dir, "trajectory"), mesh, traj,
+        reference=reference, M=ops.M, every=args.every, vtk=run.vtk,
     )
     manifest.add("trajectory/manifest.csv", "trajectory index")
     manifest.write()
@@ -413,15 +416,14 @@ def _write_dynamic_solution(manifest, mesh, dyn):
 
 
 def cmd_dynamic(args) -> int:
-    cfg, manifest, mesh, ops, z, q0, _ = _start(args)
-    static = solve_static_ocp(ops, z, _ocp_config(cfg["ocp"]))
-    dyn_cfg = _ocp_config(_merge(cfg["ocp"], cfg.get("dynamic", {})))
-    dyn = solve_dynamic_ocp(ops, q0, static, dyn_cfg)
+    run, manifest, mesh, ops, z, q0, _ = _start(args)
+    static = solve_static_ocp(ops, z, run.ocp)
+    dyn = solve_dynamic_ocp(ops, q0, static, run.dynamic)
     _write_static_solution(manifest, mesh, z, static)
     _write_dynamic_solution(manifest, mesh, dyn)
     export.write_trajectory(
-        os.path.join(cfg["out_dir"], "dynamic_solution", "trajectory"), mesh, dyn.trajectory,
-        reference=static.q_star, M=ops.M, every=args.every, vtk=cfg.get("vtk", False),
+        os.path.join(run.out_dir, "dynamic_solution", "trajectory"), mesh, dyn.trajectory,
+        reference=static.q_star, M=ops.M, every=args.every, vtk=run.vtk,
     )
     manifest.add("dynamic_solution/trajectory/manifest.csv", "optimized trajectory")
     manifest.write()
@@ -436,20 +438,18 @@ def cmd_dynamic(args) -> int:
 
 
 def cmd_particles(args) -> int:
-    cfg, manifest, mesh, ops, z, q0, control = _start(args, static_control=True)
-    ocp = _ocp_config(cfg["ocp"])
-    dt, sub = ocp.dt, args.substeps
+    run, manifest, mesh, ops, z, q0, control = _start(args, static_control=True)
+    dt, sub = run.ocp.dt, args.substeps
 
     domain = MeshDomain(mesh)
-    drift = fields.DRIFT_PRESETS[cfg["drift"]] if cfg.get("drift") else None
-    vel = NodalVelocity(domain.locator, control.ux, control.uy, drift=drift)
-    traj = _simulate(ops, q0, control, ocp)
+    vel = NodalVelocity(domain.locator, control.ux, control.uy, drift=run.drift)
+    traj = _simulate(ops, q0, control, run.ocp)
     n_steps = traj.n_steps
 
     # the noise draws from a child stream of the seed, independent of the sampling's
-    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]).spawn(1)[0])
-    ens = sample_initial(q0, domain.locator, args.n, seed=cfg["seed"])
-    pdir = os.path.join(cfg["out_dir"], "particles")
+    rng = np.random.default_rng(np.random.SeedSequence(run.seed).spawn(1)[0])
+    ens = sample_initial(q0, domain.locator, args.n, seed=run.seed)
+    pdir = os.path.join(run.out_dir, "particles")
     os.makedirs(pdir, exist_ok=True)
 
     checkpoints = sorted({min(max(1, n_steps // 5) * k, n_steps) for k in range(1, 6)})
@@ -458,7 +458,7 @@ def cmd_particles(args) -> int:
     for target_step in checkpoints:
         while step < target_step:
             for _ in range(sub):
-                ens = step_particles(ens, domain, vel, mu=cfg["mu"], dt=dt / sub, rng=rng)
+                ens = step_particles(ens, domain, vel, mu=run.mu, dt=dt / sub, rng=rng)
             step += 1
         rho = empirical_density(ens, mesh)
         dist = analysis.l2_distance(rho, density_from_values(ops, traj.states[step]), ops.M)
@@ -483,10 +483,9 @@ def cmd_particles(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    cfg, manifest, mesh, ops, z, q0, control = _start(args, static_control=True)
-    ocp = cfg["ocp"]
+    run, manifest, mesh, ops, z, q0, control = _start(args, static_control=True)
     qeq, _ = solve_equilibrium(ops, control)
-    traj = simulate(ops, q0, control, T=ocp["T"], dt=ocp["dt"], theta=1.0, lumped=True)
+    traj = simulate(ops, q0, control, T=run.ocp.T, dt=run.ocp.dt, theta=1.0, lumped=True)
     kc = analysis.certify_kernel(ops, control)
     _, monotone, final = analysis.convergence_report(traj, qeq, ops)
     rows = [
@@ -500,11 +499,11 @@ def cmd_certify(args) -> int:
         ("final_l2_distance", final, "", ""),
     ]
     export.write_csv(
-        os.path.join(cfg["out_dir"], "certificate.csv"),
+        os.path.join(run.out_dir, "certificate.csv"),
         ["check", "value", "expectation", "note"],
         [(a, "" if b is None else b, c, d) for a, b, c, d in rows],
     )
-    with open(os.path.join(cfg["out_dir"], "certificate.txt"), "w", encoding="ascii") as fh:
+    with open(os.path.join(run.out_dir, "certificate.txt"), "w", encoding="ascii") as fh:
         fh.write("structural certificates\n")
         fh.write("=======================\n")
         for name, value, expect, _ in rows:
@@ -524,12 +523,11 @@ def cmd_testcase(args) -> int:
     number = args.number
     base = presets.testcase_config(number, paper_scale=args.paper_scale)
     base.setdefault("out_dir", f"testcase{number}")
-    cfg, manifest, mesh, ops, z, q0, _ = _start(args, base)
-    out_dir = cfg["out_dir"]
+    run, manifest, mesh, ops, z, q0, _ = _start(args, base)
+    out_dir, ocp = run.out_dir, run.ocp
     write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
     manifest.add("mesh.txt", "mesh")
 
-    ocp = _ocp_config(cfg["ocp"])
     static = solve_static_ocp(ops, z, ocp)
     _write_static_solution(manifest, mesh, z, static)
     print(
@@ -550,40 +548,36 @@ def cmd_testcase(args) -> int:
         return rows, monotone, final
 
     # stabilization from the preset initial conditions under the static field
-    series_T = cfg.get("series_T", ocp.T)
-    initials = [cfg["initial"]] + cfg.get("extra_initials", [])
     os.makedirs(os.path.join(out_dir, "stabilization"), exist_ok=True)
-    for k, spec in enumerate(initials, start=1):
+    for k, q_start in enumerate([q0] + [build(ops) for build in run.extra_initials], start=1):
         rows, monotone, final = series(
-            f"stabilization/ic_{k}.csv", "convergence series",
-            _density_from_spec(ops, spec), static.u_star, series_T,
+            f"stabilization/ic_{k}.csv", "convergence series", q_start, static.u_star, run.series_T
         )
         print(
             f"[testcase {number}] ic {k}: final/initial distance "
             f"{float(final / rows[0][2])!r}, lyapunov monotone {monotone}"
         )
 
-    if cfg.get("long_T"):
+    if run.long_T:
         _, _, final = series(
             "static_long_run.csv", "long-horizon static-control series",
-            q0, static.u_star, cfg["long_T"], thin=True,
+            q0, static.u_star, run.long_T, thin=True,
         )
         print(f"[testcase {number}] long static run final distance {float(final)!r}")
 
     # uncontrolled comparison series when a drift field is present
-    if cfg.get("drift"):
+    if run.drift is not None:
         _, _, final = series(
             "uncontrolled.csv", "uncontrolled (drift only) series",
-            q0, ControlField.zeros(ops.n), series_T,
+            q0, ControlField.zeros(ops.n), run.series_T,
         )
         print(f"[testcase {number}] uncontrolled final distance to q* {float(final)!r}")
 
     # dynamic speedup
-    dyn_cfg = _ocp_config(_merge(cfg["ocp"], cfg.get("dynamic", {})))
-    dyn = solve_dynamic_ocp(ops, q0, static, dyn_cfg)
+    dyn = solve_dynamic_ocp(ops, q0, static, run.dynamic)
     _write_dynamic_solution(manifest, mesh, dyn)
 
-    traj_static = _simulate(ops, q0, static.u_star, dyn_cfg)
+    traj_static = _simulate(ops, q0, static.u_star, run.dynamic)
     d_static = [
         analysis.l2_distance(traj_static.states[i], static.q_star.values, ops.M)
         for i in range(traj_static.n_steps + 1)
@@ -617,58 +611,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed (overrides config)")
+    def verb(parent, name, func, help, config=True):
+        """Subparser of a verb that func runs; config adds --config, --out and --seed."""
+        p = parent.add_parser(name, help=help)
+        if config:
+            p.add_argument("--config", help="JSON run configuration")
+            p.add_argument("--out", help="output directory (overrides config)")
+            p.add_argument("--seed", type=int, help="seed (overrides config)")
+        p.set_defaults(func=func)
+        return p
 
     p_mesh = sub.add_parser("mesh", help="generate or check meshes")
-    mesh_sub = p_mesh.add_subparsers(dest="action", required=True)
-    p_gen = mesh_sub.add_parser("gen", help="generate a mesh from the config")
-    common(p_gen)
+    meshes = p_mesh.add_subparsers(dest="action", required=True)
+    p_gen = verb(meshes, "gen", cmd_mesh, "generate a mesh from the config")
     p_gen.add_argument("--mesh-out", help="output mesh path")
-    p_gen.set_defaults(func=cmd_mesh)
-    p_check = mesh_sub.add_parser("check", help="validate a mesh file")
-    p_check.add_argument("mesh_file")
-    p_check.set_defaults(func=cmd_mesh)
+    verb(meshes, "check", cmd_mesh, "validate a mesh file", config=False).add_argument("mesh_file")
+    verb(sub, "static", cmd_static, "solve the static control problem")
 
-    p_static = sub.add_parser("static", help="solve the static control problem")
-    common(p_static)
-    p_static.set_defaults(func=cmd_static)
-
-    p_sim = sub.add_parser("simulate", help="integrate the density dynamics")
-    common(p_sim)
+    p_sim = verb(sub, "simulate", cmd_simulate, "integrate the density dynamics")
     p_sim.add_argument("--control", default="zero", help="zero | solution directory")
     p_sim.add_argument("--t-final", type=float, help="final time (overrides ocp.T)")
     p_sim.add_argument("--every", type=_count, default=10, help="snapshot stride")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_dyn = sub.add_parser("dynamic", help="solve the time-varying control problem")
-    common(p_dyn)
+    p_dyn = verb(sub, "dynamic", cmd_dynamic, "solve the time-varying control problem")
     p_dyn.add_argument("--every", type=_count, default=10)
-    p_dyn.set_defaults(func=cmd_dynamic)
 
-    p_part = sub.add_parser("particles", help="agent simulation vs the PDE")
-    common(p_part)
+    p_part = verb(sub, "particles", cmd_particles, "agent simulation vs the PDE")
     p_part.add_argument("--control", default="zero")
     p_part.add_argument("--n", type=_count, default=100000)
     p_part.add_argument("--t-final", type=float, help="final time (overrides ocp.T)")
     p_part.add_argument("--substeps", type=_count, default=10,
                         help="particle substeps per PDE step")
-    p_part.set_defaults(func=cmd_particles)
-
-    p_cert = sub.add_parser("certify", help="numerical structure certificates")
-    common(p_cert)
+    p_cert = verb(sub, "certify", cmd_certify, "numerical structure certificates")
     p_cert.add_argument("--control", default="zero")
-    p_cert.set_defaults(func=cmd_certify)
 
-    p_tc = sub.add_parser("testcase", help="run a built-in benchmark scenario")
+    p_tc = verb(sub, "testcase", cmd_testcase, "run a built-in benchmark scenario", config=False)
     p_tc.add_argument("number", type=int, choices=(1, 2, 3))
     p_tc.add_argument("--out", help="output directory")
     p_tc.add_argument("--seed", type=int)
     p_tc.add_argument("--paper-scale", action="store_true",
                       help="refine the mesh to the full benchmark size")
-    p_tc.set_defaults(func=cmd_testcase)
     return parser
 
 

@@ -19,6 +19,8 @@ so a gradient costs no further factorization.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -52,6 +54,19 @@ class NotDescentError(ValueError):
     """The supplied direction is not a descent direction."""
 
 
+def _real(value) -> bool:
+    """A real number, not a bool, with a finite float value."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+        return False
+
+
+def _integer(value, least) -> bool:
+    """An integer, not a bool, of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class ArmijoParams:
     c1: float = 1e-4
@@ -63,6 +78,8 @@ class ArmijoParams:
             raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
+        if not _integer(self.max_backtracks, 0):
+            raise ValueError(f"max_backtracks must be an int >= 0, got {self.max_backtracks!r}")
 
 
 @dataclass(frozen=True)
@@ -81,13 +98,18 @@ class OcpConfig:
     lumped: bool = True
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "beta_g", "tol", "theta", "dt", "T"):
+            if not _real(value := getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.alpha <= 0 or self.beta <= 0 or self.beta_g < 0:
             raise ValueError(
                 f"weights must satisfy alpha>0, beta>0, beta_g>=0, got "
                 f"({self.alpha}, {self.beta}, {self.beta_g})"
             )
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter at least 1")
+        if self.tol <= 0 or not _integer(self.max_iter, 1):
+            raise ValueError("tol must be positive and max_iter an integer of at least 1")
+        if not isinstance(self.lumped, bool):
+            raise ValueError(f"lumped must be a bool, got {self.lumped!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         _n_steps(self.T, self.dt)

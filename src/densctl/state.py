@@ -49,10 +49,6 @@ class DensityField:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
 
 def _vals(x) -> np.ndarray:
     """Nodal values of a DensityField or of a plain array."""

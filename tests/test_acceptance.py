@@ -143,7 +143,7 @@ def test_criterion_03_positivity():
     verts = mesh.vertices
     u = dc.ControlField(-verts[:, 1], verts[:, 0])  # rigid swirl, |u| <= sqrt(2)
     q0 = dc.gaussian_density(ops, (-0.45, -0.45), 0.12)
-    assert q0.min_value >= 0.0
+    assert q0.values.min() >= 0.0
     traj = dc.simulate(ops, q0, u, T=3.0, dt=0.03, theta=1.0, lumped=True)
     worst = float(traj.min_values.min())
     _report(
@@ -238,13 +238,13 @@ def test_criterion_05_static_ocp_convergence(tc1):
     baseline, _ = dc.solve_equilibrium(ops, dc.ControlField.zeros(ops.n))
     d_base = l2_distance(baseline, z, ops.M)
     d_opt = l2_distance(sol.q_star, z, ops.M)
-    nonnegative = sol.q_star.min_value > 0
+    nonnegative = sol.q_star.values.min() > 0
     ok = monotone and reduction >= 1e3 and d_opt < 0.5 * d_base and nonnegative
     _report(
         5, "static OCP convergence", ok,
         f"J monotone {monotone}; |grad| reduction {reduction:.0f} (>=1e3); "
         f"tracking {d_opt:.3f} vs 0.5*baseline {0.5 * d_base:.3f}; "
-        f"equilibrium min {sol.q_star.min_value:.2e} (>0)",
+        f"equilibrium min {sol.q_star.values.min():.2e} (>0)",
         time.monotonic() - t0 + tc1["solve_seconds"], 300,
     )
 

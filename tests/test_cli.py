@@ -201,6 +201,39 @@ def test_config_validation_lists_all_problems(tmp_path, capsys):
                  id="holes-number"),
     pytest.param(("target",), {"type": "indicator", "regions": 5},
                  "target.regions must be a list", id="regions-number"),
+    pytest.param(("mesh",), {"file": 0}, "mesh file must be a path string, got 0",
+                 id="mesh-file-descriptor"),
+    pytest.param(("target",), {"type": "nodal", "file": ["q.csv"]},
+                 "target.file must be a path string", id="nodal-file-list"),
+    pytest.param(("ocp", "max_iter"), 2.5, "ocp: tol must be positive and max_iter an integer",
+                 id="max-iter-float"),
+    pytest.param(("ocp", "max_iter"), True, "ocp: tol must be positive and max_iter an integer",
+                 id="max-iter-bool"),
+    pytest.param(("ocp", "armijo"), {"max_backtracks": -1}, "ocp: max_backtracks must be an int",
+                 id="max-backtracks-negative"),
+    pytest.param(("ocp", "armijo"), {"max_backtracks": 1.5}, "ocp: max_backtracks must be an int",
+                 id="max-backtracks-float"),
+    pytest.param(("ocp", "lumped"), "no", "ocp: lumped must be a bool", id="lumped-string"),
+    pytest.param(("ocp", "alpha"), float("nan"), "ocp: alpha must be a finite number",
+                 id="alpha-nan"),
+    pytest.param(("ocp", "T"), float("inf"), "ocp: T must be a finite number", id="T-infinite"),
+    pytest.param(("mu",), float("inf"), "mu must be positive and finite", id="mu-infinite"),
+    pytest.param(("mesh", "generate", "target_h"), float("inf"),
+                 "mesh.generate.target_h must be positive and finite", id="target-h-infinite"),
+    pytest.param(("target",), {"type": "gaussian", "center": [0.5, 0.5], "sigma": float("inf")},
+                 "target.sigma must be positive and finite", id="sigma-infinite"),
+    pytest.param(("mesh", "generate", "holes"),
+                 [{"type": "circle", "center": [0.5, 0.5], "radius": float("nan")}],
+                 "hole 0: a circle needs center [x, y] and a radius", id="hole-radius-nan"),
+    pytest.param(("target",), {"type": "indicator", "regions": [
+                     {"type": "rect", "bounds": [0.2, 0.2, float("inf"), 0.8]}]},
+                 "target.regions[0]: a rect needs bounds", id="region-bounds-infinite"),
+    pytest.param(("out_dir",), "", "out_dir must be a nonempty path string", id="out-dir-empty"),
+    pytest.param(("vtk",), "no", "vtk must be true or false", id="vtk-string"),
+    pytest.param(("extra_initials",), [{"type": "gaussian", "sigma": 0.1}],
+                 "extra_initials[0].center must be [x, y]", id="extra-initial-no-center"),
+    pytest.param(("series_T",), "3", "series_T must be positive and finite",
+                 id="series-T-string"),
 ])
 def test_malformed_fields_are_config_problems(run_cfg, tmp_path, capsys, path, value, problem):
     _, cfg = run_cfg
@@ -215,6 +248,19 @@ def test_malformed_fields_are_config_problems(run_cfg, tmp_path, capsys, path, v
     assert err.startswith("error: config: ") and problem in err, err
     assert "Traceback" not in err
     assert not os.path.exists(cfg["out_dir"])
+
+
+@pytest.mark.parametrize("out_dir", [5, None])
+def test_out_dir_must_be_a_path_string(run_cfg, tmp_path, monkeypatch, capsys, out_dir):
+    _, cfg = run_cfg
+    cfg["out_dir"] = out_dir
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg_out.json").write_text(json.dumps(cfg))
+    assert main(["static", "--config", "cfg_out.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: out_dir must be a nonempty path string, got {out_dir}")
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "cfg_out.json"]
 
 
 def test_negative_seed_flag_is_a_config_problem(run_cfg, capsys):

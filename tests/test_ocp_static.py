@@ -33,6 +33,30 @@ def test_config_validation():
         ArmijoParams(shrink=1.0)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: OcpConfig(max_iter=2.5), "max_iter"),
+    (lambda: OcpConfig(max_iter=True), "max_iter"),
+    (lambda: OcpConfig(lumped="no"), "lumped"),
+    (lambda: OcpConfig(lumped=1), "lumped"),
+    (lambda: OcpConfig(alpha=float("nan")), "alpha"),
+    (lambda: OcpConfig(tol=float("inf")), "tol"),
+    (lambda: OcpConfig(dt="0.03"), "dt"),
+    (lambda: OcpConfig(T=None), "T"),
+    (lambda: ArmijoParams(max_backtracks=-1), "max_backtracks"),
+    (lambda: ArmijoParams(max_backtracks=1.5), "max_backtracks"),
+    (lambda: ArmijoParams(max_backtracks=False), "max_backtracks"),
+])
+def test_config_types_are_checked_at_construction(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_config_accepts_numpy_scalars_and_zero_backtracks():
+    cfg = OcpConfig(max_iter=np.int64(5), alpha=np.float64(2.0), T=0.3, dt=np.float64(0.1))
+    assert cfg.max_iter == 5 and cfg.alpha == 2.0
+    assert ArmijoParams(max_backtracks=0).max_backtracks == 0
+
+
 def test_cost_zero_at_target(small_ops, base_config):
     z = dc.gaussian_density(small_ops, (0.5, 0.5), 0.2)
     u0 = dc.ControlField.zeros(small_ops.n)
@@ -224,7 +248,7 @@ def test_preset_static_solve_budget(number, counts):
     cfg = presets.testcase_config(number)
     _, ops, z, _ = cli.build_problem(cfg)
     counts["lu_factor"] = 0
-    sol = solve_static_ocp(ops, z, cli._ocp_config(cfg["ocp"]))
+    sol = solve_static_ocp(ops, z, cli.parse_config(cfg).ocp)
     factorizations, J = SURROGATE_STEP[number]
     assert sol.converged
     assert counts["lu_factor"] <= factorizations / 5

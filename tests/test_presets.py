@@ -8,12 +8,12 @@ from densctl.cli import main
 
 
 def test_preset_configs_valid():
-    from densctl.cli import validate_config
+    from densctl.cli import parse_config
 
     for n in (1, 2, 3):
         cfg = presets.testcase_config(n)
         cfg.setdefault("out_dir", "x")
-        validate_config(cfg)
+        parse_config(cfg)
         paper = presets.testcase_config(n, paper_scale=True)
         assert paper["mesh"]["generate"]["target_h"] < cfg["mesh"]["generate"]["target_h"]
     with pytest.raises(ValueError):

@@ -137,7 +137,7 @@ def test_positivity_lumped_implicit_euler(small_mesh):
     verts = ops.mesh.vertices
     u = dc.ControlField(-(verts[:, 1] - 0.5), verts[:, 0] - 0.5)
     q0 = dc.gaussian_density(ops, (0.25, 0.25), 0.1)
-    assert q0.min_value >= 0.0
+    assert q0.values.min() >= 0.0
     traj = dc.simulate(ops, q0, u, T=2.0, dt=0.05, theta=1.0, lumped=True)
     assert traj.min_values.min() >= -1e-12
 
