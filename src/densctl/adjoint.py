@@ -92,7 +92,7 @@ def solve_adjoint_static(
     lam, nu = bordered_solve(factor or bordered_lu(L, ops.F), rhs, 0.0, trans="T")
 
     residual = np.abs(L.T @ lam - rhs).max()
-    scale = np.abs(L).max() * max(np.abs(lam).max(), 1e-300) + np.abs(rhs).max()
+    scale = np.abs(L.data).max() * max(np.abs(lam).max(), 1e-300) + np.abs(rhs).max()
     if residual > 1e-10 * max(scale, 1e-300):
         raise SolverError(
             f"static adjoint residual {residual:.3e} exceeds tolerance; "

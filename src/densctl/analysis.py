@@ -67,7 +67,7 @@ def certify_kernel(ops: FemOperators, u: ControlField) -> KernelCertificate:
     in exact arithmetic bounds sigma_{n-2} / sigma_{n-1} from below.
     """
     L = state_matrix(ops, u)
-    norm = np.abs(L).max() if L.nnz else 1.0
+    norm = np.abs(L.data).max() if L.nnz else 1.0
     ones = np.ones(ops.n)
     left_res = float(np.abs(ones @ L).max() / norm)
     adj_res = float(np.abs(L.T @ ones).max() / norm)

@@ -91,11 +91,18 @@ def load_config(args, base=DEFAULT_CONFIG) -> Run:
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = _merge(cfg, json.load(fh))
+                doc = json.load(fh)
         except FileNotFoundError:
             raise ConfigError([f"config file not found: {args.config}"])
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config is not valid JSON: {exc}"])
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"config is not UTF-8: {exc}"])
+        except OSError as exc:
+            raise ConfigError([f"cannot read config {args.config}: {exc.strerror}"])
+        if not isinstance(doc, dict):
+            raise ConfigError([f"config must be a JSON object, not {type(doc).__name__}"])
+        cfg = _merge(cfg, doc)
     if getattr(args, "out", None):
         cfg = _merge(cfg, {"out_dir": args.out})
     if getattr(args, "seed", None) is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -13,12 +15,81 @@ class SolverError(Exception):
     """A linear solve failed or produced an inconsistent result."""
 
 
-def lu_factor(matrix):
-    """Sparse LU of a square matrix; raises SolverError when singular."""
+# Column orders kept, one per sparsity pattern, most recently used last.
+# Few patterns recur in a run: the bordered state matrix, and the mesh
+# pattern that the step matrices and H share.
+_ORDERS_KEPT = 8
+_orders = {}
+
+
+class _ColumnOrder:
+    """SuperLU's column order of one sparsity pattern, with the gather that
+    lays a matrix's CSC data out as A[order][:, order]."""
+
+    def __init__(self, A, perm_c):
+        # column (and row) j of A[order][:, order] is column (row) order[j] of A
+        self.perm_c, self.order = perm_c, np.argsort(perm_c)
+        starts, ends = A.indptr[self.order], A.indptr[self.order + 1]
+        sizes = ends - starts
+        self.indptr = np.concatenate([[0], np.cumsum(sizes)]).astype(A.indptr.dtype)
+        self.gather = np.arange(A.nnz) - np.repeat(self.indptr[:-1] - starts, sizes)
+        # Rows are relabelled like the columns, so A's diagonal stays on the
+        # diagonal, towards which SuperLU breaks ties between equal pivots.
+        # Each column keeps A's storage order (unsorted in the new labels):
+        # SuperLU visits a column's rows in storage order, so it then does
+        # the same arithmetic as splu(A).
+        self.indices = perm_c[A.indices[self.gather]].astype(A.indices.dtype)
+
+    def factor(self, A):
+        """The LU of A in the kept order, with SuperLU's ordering step off."""
+        B = sp.csc_matrix((A.data[self.gather], self.indices, self.indptr), shape=A.shape)
+        B.has_canonical_format = True  # so splu keeps the storage order
+        return _PermutedLU(_splu(B, permc_spec="NATURAL"), self.order, self.perm_c)
+
+
+@dataclass(frozen=True)
+class _PermutedLU:
+    """The LU of A[order][:, order], solving with A exactly as ``splu(A)`` does."""
+
+    lu: object  # SuperLU
+    order: np.ndarray
+    perm_c: np.ndarray
+
+    def solve(self, b, trans="N"):
+        return self.lu.solve(np.asarray(b)[self.order], trans=trans)[self.perm_c]
+
+
+def _splu(A, **options):
     try:
-        return splu(sp.csc_matrix(matrix))
+        return splu(A, **options)
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+
+
+def lu_factor(matrix):
+    """Sparse LU of a square matrix; raises SolverError when singular.
+
+    SuperLU's COLAMD column order depends only on the sparsity pattern, so it
+    is computed once per pattern: the first matrix of a pattern is factorized
+    by ``splu`` as is and its ``perm_c`` kept (for the last ``_ORDERS_KEPT``
+    patterns, keyed by the pattern's content).  A later matrix of the pattern
+    is permuted symmetrically into that order and factorized with no ordering
+    step, which gives the same L and U up to the row and column labels; its
+    ``solve(b, trans)`` undoes the order and returns bit for bit what
+    ``splu(A).solve`` does.
+    """
+    A = sp.csc_matrix(matrix)
+    A.sum_duplicates()  # as splu does; the key is the canonical pattern
+    key = (A.shape, A.indptr.tobytes(), A.indices.tobytes())
+    order = _orders.pop(key, None)
+    first = order is None
+    if first:
+        lu = _splu(A)
+        order = _ColumnOrder(A, lu.perm_c)
+    _orders[key] = order
+    if len(_orders) > _ORDERS_KEPT:
+        del _orders[next(iter(_orders))]
+    return lu if first else order.factor(A)
 
 
 def bordered_lu(matrix, border):
@@ -26,10 +97,24 @@ def bordered_lu(matrix, border):
 
     A may be singular with a 1-D kernel; the border restores unique
     solvability.  K^T = [[A^T, f], [f^T, 0]], so the same LU also solves the
-    bordered system of A^T.
+    bordered system of A^T.  K is built from A's canonical CSC arrays: the
+    nonzero f_j goes after column j's entries, in row n, and f's nonzeros
+    make column n; it equals ``sp.bmat`` of the blocks array for array.
     """
-    f = np.asarray(border, dtype=float)
-    K = sp.bmat([[sp.csc_matrix(matrix), f[:, None]], [f[None, :], None]], format="csc")
+    A = sp.csc_matrix(matrix)
+    A.sum_duplicates()
+    n, f = A.shape[0], np.asarray(border, dtype=float)
+    nz = np.flatnonzero(f)
+    ends = A.indptr[nz + 1]
+    indptr = A.indptr + np.concatenate([[0], np.cumsum(f != 0)]).astype(A.indptr.dtype)
+    K = sp.csc_matrix(
+        (
+            np.concatenate([np.insert(A.data, ends, f[nz]), f[nz]]),
+            np.concatenate([np.insert(A.indices, ends, n), nz]).astype(A.indices.dtype),
+            np.append(indptr, indptr[-1] + len(nz)),
+        ),
+        shape=(n + 1, n + 1),
+    )
     return K, lu_factor(K)
 
 

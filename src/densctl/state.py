@@ -113,7 +113,7 @@ def solve_equilibrium(ops: FemOperators, u: ControlField, return_factor: bool = 
     q = raw / total
 
     residual = np.abs(L @ q).max()
-    scale = np.abs(L).max() * max(np.abs(q).max(), 1e-300)
+    scale = np.abs(L.data).max() * max(np.abs(q).max(), 1e-300)
     if residual > 1e-10 * scale:
         raise SolverError(
             f"equilibrium residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"

@@ -324,6 +324,24 @@ def test_missing_config_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[1, 2]", "config must be a JSON object, not list"),
+    (b'{"mu": "\xe9"}', "config is not UTF-8"),  # latin-1
+    (None, "cannot read config"),  # a directory
+], ids=["list", "latin-1", "directory"])
+def test_unreadable_config_is_a_config_problem(tmp_path, capsys, content, message):
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["static", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {message}")
+    assert not out.exists()
+
+
 def test_infeasible_geometry_exit_code(tmp_path, capsys):
     cfg = {
         "mesh": {"generate": {"bounds": [0, 0, 1, 1], "target_h": 0.2,
