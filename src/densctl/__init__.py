@@ -10,7 +10,6 @@ simulations of the underlying stochastic agents.
 from .adjoint import (
     AdjointField,
     AdjointTrajectory,
-    compute_lambda_m,
     solve_adjoint_dynamic,
     solve_adjoint_static,
 )

@@ -1,9 +1,13 @@
 """Static and dynamic adjoint solves for the reduced-gradient computation.
 
 The static adjoint solves L(u)^T lam = alpha M (q - z) + lam_m F on the
-zero-mean subspace F.lam = 0, where the scalar lam_m is fixed by requiring
-the right-hand side to be orthogonal to the kernel vector of L(u) (the
-solvability condition of the singular transposed system).
+zero-mean subspace F.lam = 0.  L(u)^T is singular, and the mass multiplier
+lam_m is the scalar that makes the system solvable.  The equilibrium's
+bordered matrix K = [[L, F], [F^T, 0]] gives both at once: the solution of
+K^T [lam; nu] = [alpha M (q - z); 0] has L^T lam + nu F = alpha M (q - z)
+and F.lam = 0.  The dot product of the first block row with the kernel
+vector v of L is 0 + nu v.F = alpha v.M (q - z), because v.L^T lam =
+(L v).lam = 0; so nu = -lam_m, with lam_m = -alpha v.M (q - z) / v.F.
 
 The dynamic adjoint is the exact discrete adjoint of the forward theta
 scheme, marched backward from a zero terminal multiplier; this makes the
@@ -26,7 +30,6 @@ from .state import Trajectory, _controls_for_grid, _vals
 __all__ = [
     "AdjointField",
     "AdjointTrajectory",
-    "compute_lambda_m",
     "solve_adjoint_static",
     "solve_adjoint_dynamic",
     "trapezoid_weights",
@@ -35,11 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdjointField:
-    """Zero-mean adjoint state with its scalar multipliers."""
+    """Zero-mean static adjoint with the mass multiplier lambda_m, the
+    negated border multiplier nu of the transposed bordered solve."""
 
     values: np.ndarray
     lambda_m: float
-    lagrange_nu: float
 
 
 @dataclass(frozen=True)
@@ -55,50 +58,39 @@ class AdjointTrajectory:
     fallbacks: int = 0  # steps that GMRES missed, solved directly
 
 
-def compute_lambda_m(v, ops: FemOperators, q, z, alpha: float) -> float:
-    """Mass multiplier lam_m = -alpha v.M(q - z) / v.F.
-
-    ``v`` is any vector spanning the kernel of the state matrix; the result
-    makes alpha M (q - z) + lam_m F orthogonal to v.
-    """
-    v = np.asarray(v, dtype=float)
-    denom = float(v @ ops.F)
-    scale = float(np.abs(v).max() * np.abs(ops.F).sum())
-    if abs(denom) <= 1e-12 * max(scale, 1e-300):
-        raise SolverError(
-            "kernel vector is orthogonal to the mass vector; the computed "
-            "kernel is corrupted (a valid equilibrium has positive mass)"
-        )
-    return -alpha * float(v @ (ops.M @ (_vals(q) - _vals(z)))) / denom
-
-
 def solve_adjoint_static(
     ops: FemOperators, u: ControlField, q, z, alpha: float, factor=None
 ) -> AdjointField:
-    """Zero-mean solution of the transposed state system.
+    """Zero-mean adjoint and mass multiplier at the equilibrium q of u.
 
-    ``q`` must be the equilibrium for ``u`` so that the compatibility
-    condition holds after the lam_m correction.  The adjoint's bordered
-    matrix is the transpose of the equilibrium's, so ``factor`` may hold the
-    equilibrium's (``solve_equilibrium(..., return_factor=True)``); without
-    it that factor is computed.  Returns the adjoint values, lam_m, and the
-    bordered multiplier nu (which must be ~0).
+    Solves K^T [lam; nu] = [alpha M (q - z); 0] once with the bordered
+    factor (K, lu) of :func:`linalg.bordered_lu` and returns lam with
+    lambda_m = -nu (see the module docstring).  ``factor`` may hold the
+    equilibrium's (``solve_equilibrium(..., return_factor=True)``); ``u`` is
+    read only to build it when it is not given.  Both checks read K: q must
+    be a nonzero kernel vector of L, |L q| <= 1e-10 |L| |q| (a stale q, the
+    equilibrium of another control, fails it), and the transposed solve's
+    residual must stay below 1e-10 of its scale; else SolverError.
     """
     qv = _vals(q)
-    zv = _vals(z)
-    lam_m = compute_lambda_m(qv, ops, qv, zv, alpha)
-    rhs = alpha * (ops.M @ (qv - zv)) + lam_m * ops.F
-    L = state_matrix(ops, u)
-    lam, nu = bordered_solve(factor or bordered_lu(L, ops.F), rhs, 0.0, trans="T")
-
-    residual = np.abs(L.T @ lam - rhs).max()
-    scale = np.abs(L.data).max() * max(np.abs(lam).max(), 1e-300) + np.abs(rhs).max()
-    if residual > 1e-10 * max(scale, 1e-300):
+    factor = factor or bordered_lu(state_matrix(ops, u), ops.F)
+    K, n = factor[0], ops.n
+    head = K.indptr[n]  # L's columns, each with its border entry in row n
+    L_max, q_max = np.abs(K.data[:head][K.indices[:head] < n]).max(), np.abs(qv).max()
+    residual = np.abs((K @ np.append(qv, 0.0))[:n]).max()  # K [q; 0] = [L q; F.q]
+    if not (q_max > 0 and residual <= 1e-10 * L_max * q_max):
         raise SolverError(
-            f"static adjoint residual {residual:.3e} exceeds tolerance; "
-            "the right-hand side is incompatible (stale lam_m or wrong q?)"
+            f"|L q| = {residual:.3e} exceeds 1e-10 * |L| |q| = {1e-10 * L_max * q_max:.3e}: "
+            "q is not the equilibrium of this state matrix (stale q?)"
         )
-    return AdjointField(values=lam, lambda_m=lam_m, lagrange_nu=nu)
+    rhs = alpha * (ops.M @ (qv - _vals(z)))
+    lam, nu = bordered_solve(factor, rhs, 0.0, trans="T")
+    x = np.append(lam, nu)
+    residual = np.abs(K.T @ x - np.append(rhs, 0.0)).max()
+    scale = np.abs(K.data).max() * np.abs(x).max() + np.abs(rhs).max()
+    if residual > 1e-10 * max(scale, 1e-300):
+        raise SolverError(f"static adjoint residual {residual:.3e} exceeds 1e-10 * {scale:.3e}")
+    return AdjointField(values=lam, lambda_m=-nu)
 
 
 def trapezoid_weights(n_steps: int) -> np.ndarray:

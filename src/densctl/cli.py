@@ -264,10 +264,6 @@ def parse_config(cfg) -> Run:
     )
 
 
-def build_mesh(cfg):
-    return parse_config(cfg).mesh()
-
-
 def build_problem(cfg):
     """(mesh, operators, target density, initial density) for a run config."""
     return parse_config(cfg).problem()

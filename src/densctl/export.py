@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 
+from .analysis import l2_distance
 from .fem import ControlField
 from .mesh import Mesh
-from .state import _vals
 
 __all__ = [
     "fmt",
@@ -111,18 +111,15 @@ def write_trajectory(
     """Snapshot CSVs plus a manifest (step,time,mass,min_q,l2_dist_to_target),
     the distance being the M-norm of each state minus ``reference``."""
     os.makedirs(out_dir, exist_ok=True)
-    ref = _vals(reference)
     rows = []
     for i in range(trajectory.n_steps + 1):
-        d = trajectory.states[i] - ref
-        dist = np.sqrt(max(d @ (M @ d), 0.0))
         rows.append(
             (
                 i,
                 trajectory.times[i],
                 trajectory.masses[i],
                 trajectory.min_values[i],
-                dist,
+                l2_distance(trajectory.states[i], reference, M),
             )
         )
         if i % every == 0:

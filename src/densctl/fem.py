@@ -274,10 +274,12 @@ def _drift_entries(mesh: Mesh, areas, gx, gy, drift) -> np.ndarray:
     return areas * (_Q7_WEIGHTS * flux[_A] * _Q7_POINTS.T[_B, None, :]).sum(axis=2)
 
 
-def state_matrix(ops: FemOperators, u: ControlField) -> sp.csr_matrix:
-    """State operator L(u) = mu A_u - C(u) - B.
+def state_matrix(ops: FemOperators, u: ControlField) -> sp.csc_matrix:
+    """State operator L(u) = mu A_u - C(u) - B, in CSC form: the form that
+    :func:`linalg.bordered_lu` and :func:`linalg.lu_factor` take, so it is
+    factorized with no conversion.
 
     Columns of L(u) sum to zero (1^T L = 0), so F.q is invariant under the
     dynamics M dq/dt = -L(u) q, and the equilibrium spans its 1-D kernel.
     """
-    return ops.tensor.csr(ops.state_data(u))
+    return ops.tensor.csc(ops.state_data(u))

@@ -444,28 +444,7 @@ def generate_rect_mesh(bounds, target_h, holes=()) -> Mesh:
     holes = tuple(holes)
     _check_hole_geometry((x0, y0, x1, y1), holes, target_h)
 
-    nx = max(2, round(width / target_h))
-    dx = width / nx
-    ny = max(2, round(height / (dx * math.sqrt(3.0) / 2.0)))
-    dy = height / ny
-
-    rows = []
-    verts = []
-    for j in range(ny + 1):
-        y = y0 + j * dy if j < ny else y1
-        if j % 2 == 0:
-            xs = np.linspace(x0, x1, nx + 1)
-        else:
-            xs = np.concatenate(([x0], x0 + (np.arange(nx) + 0.5) * dx, [x1]))
-        idx = np.arange(len(verts), len(verts) + len(xs))
-        verts.extend((x, y) for x in xs)
-        rows.append(idx)
-    vertices = np.asarray(verts, dtype=float)
-
-    triangles = []
-    for j in range(ny):
-        triangles.extend(_strip(rows[j], rows[j + 1], vertices))
-    triangles = np.asarray(triangles, dtype=np.int64)
+    vertices, triangles, dx = _lattice(x0, y0, x1, y1, target_h)
 
     if holes:
         vertices, triangles = _carve_holes(vertices, triangles, (x0, y0, x1, y1), holes, dx)
@@ -519,25 +498,36 @@ def _check_hole_geometry(bounds, holes, target_h):
                 )
 
 
-def _strip(bottom, top, vertices):
-    """Monotone triangulation between two x-sorted vertex rows."""
-    tris = []
-    i, j = 0, 0
-    nb, nt = len(bottom) - 1, len(top) - 1
-    while i < nb or j < nt:
-        if i < nb and j < nt:
-            d_bottom = np.hypot(*(vertices[bottom[i + 1]] - vertices[top[j]]))
-            d_top = np.hypot(*(vertices[bottom[i]] - vertices[top[j + 1]]))
-            advance_bottom = d_bottom <= d_top
-        else:
-            advance_bottom = i < nb
-        if advance_bottom:
-            tris.append((bottom[i], bottom[i + 1], top[j]))
-            i += 1
-        else:
-            tris.append((bottom[i], top[j + 1], top[j]))
-            j += 1
-    return tris
+def _lattice(x0, y0, x1, y1, target_h):
+    """Staggered rows of vertices over the rectangle and the triangles between
+    them, as (vertices, triangles, dx), row by row and strip by strip.
+
+    Even rows hold nx + 1 vertices dx apart; odd rows are offset by dx/2 and
+    end in vertices pinned to the sides, nx + 2 in all.  Each strip between
+    two rows is 2 nx + 1 triangles, left to right, each joining a row's edge
+    to a vertex of the other row.  The shorter diagonal always follows, so a
+    strip alternates its triangles between its bottom and top row's edges,
+    starting on the top over an even row and on the bottom over an odd one.
+    """
+    nx = max(2, round((x1 - x0) / target_h))
+    dx = (x1 - x0) / nx
+    ny = max(2, round((y1 - y0) / (dx * math.sqrt(3.0) / 2.0)))
+    dy = (y1 - y0) / ny
+    sizes = nx + 1 + np.arange(ny + 1) % 2  # vertices per row
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    even, odd = np.linspace(x0, x1, nx + 1), x0 + (np.arange(nx) + 0.5) * dx
+    x = np.tile(np.concatenate([even, [x0], odd, [x1]]), ny // 2 + 1)[: starts[-1]]
+    y = y0 + np.arange(ny + 1) * dy
+    y[-1] = y1
+    vertices = np.column_stack([x, np.repeat(y, sizes)])
+
+    # triangle m of a strip joins bottom vertex i and top vertex k to the
+    # next vertex of the top row (up) or of the bottom row
+    m, top_first = np.arange(2 * nx + 1), 1 - np.arange(ny)[:, None] % 2
+    i, k, up = (m + 1 - top_first) // 2, (m + top_first) // 2, (m + top_first) % 2 == 1
+    bottom, top = starts[:-2, None] + i, starts[1:-1, None] + k
+    triangles = np.stack([bottom, np.where(up, top + 1, bottom + 1), top], axis=-1)
+    return vertices, triangles.reshape(-1, 3), dx
 
 
 def _on_bounds(vertices, bounds, rel_tol):

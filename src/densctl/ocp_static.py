@@ -13,8 +13,9 @@ on the free entries only when a ``binding`` callback names bound ones, as
 the dynamic OCP's does), Armijo backtracking with one restart along
 -H^-1 grad, and the accepted trial, with its cost and state, as the next
 iterate.  A static trial factorizes one bordered equilibrium
-matrix; the accepted trial's factor also serves its adjoint (transposed),
-so a gradient costs no further factorization.
+matrix; the accepted trial's factor also serves its adjoint and mass
+multiplier (one transposed solve), so a gradient builds no state matrix
+and costs no further factorization.
 """
 
 from __future__ import annotations
@@ -169,9 +170,10 @@ def reduced_gradient(
 
     Returns (grad, q, adjoint) with grad stacked as [gx, gy].  The
     gradient of each component c is H u_c plus the tensor contraction of the
-    adjoint with the equilibrium.  ``equilibrium`` may hold the (q, bordered
-    factor) pair of an earlier solve at u; the adjoint then reuses that
-    factor.
+    adjoint with the equilibrium; the adjoint and its mass multiplier come
+    from one transposed solve with the equilibrium's bordered factor.
+    ``equilibrium`` may hold the (q, bordered factor) pair of an earlier
+    solve at u; the gradient then neither factorizes nor builds L(u).
     """
     if equilibrium is None:
         q, _, factor = solve_equilibrium(ops, u, return_factor=True)

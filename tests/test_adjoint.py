@@ -1,43 +1,89 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import densctl as dc
-from densctl.adjoint import (
-    compute_lambda_m,
-    solve_adjoint_dynamic,
-    solve_adjoint_static,
-    trapezoid_weights,
-)
+from densctl.adjoint import solve_adjoint_dynamic, solve_adjoint_static, trapezoid_weights
 from densctl.linalg import SolverError
 from densctl.state import theta_sweep
 
-from conftest import random_control
+from conftest import _delaunay_meshes, random_control
+from test_sweep import _meshes
 
 
 def test_lambda_m_zero_cases(small_ops, rng):
     z = dc.gaussian_density(small_ops, (0.5, 0.5), 0.2)
     u = random_control(small_ops, rng, scale=0.3)
-    q, v = dc.solve_equilibrium(small_ops, u)
-    assert compute_lambda_m(v, small_ops, q, q, alpha=1.0) == 0.0
-    assert compute_lambda_m(v, small_ops, q, z, alpha=0.0) == 0.0
+    q, _, factor = dc.solve_equilibrium(small_ops, u, return_factor=True)
+    for target, alpha in ((q, 1.0), (z, 0.0)):
+        adj = solve_adjoint_static(small_ops, u, q, target, alpha, factor=factor)
+        assert adj.lambda_m == 0.0
+        assert np.abs(adj.values).max() == 0.0
 
 
 def test_lambda_m_orthogonality(tiny_ops, rng):
+    # lambda_m makes the adjoint's right-hand side orthogonal to the kernel
     for _ in range(5):
         u = random_control(tiny_ops, rng, scale=0.5)
         q, v = dc.solve_equilibrium(tiny_ops, u)
         z = dc.normalized_density(tiny_ops, rng.random(tiny_ops.n) + 0.1)
-        lam_m = compute_lambda_m(v, tiny_ops, q, z, alpha=1.3)
+        lam_m = solve_adjoint_static(tiny_ops, u, q, z, alpha=1.3).lambda_m
         rhs = 1.3 * (tiny_ops.M @ (q.values - z.values)) + lam_m * tiny_ops.F
         assert abs(v @ rhs) < 1e-12 * max(np.abs(rhs).max(), 1e-30) * np.abs(v).max() * len(v)
 
 
-def test_lambda_m_rejects_bad_kernel(small_ops):
-    v = np.zeros(small_ops.n)
+def test_lambda_m_rejects_bad_kernel(small_ops, rng):
+    # a zero state passes |L q| <= 1e-10 |L| |q| but is no kernel vector
+    u = random_control(small_ops, rng, scale=0.3)
     q = dc.uniform_density(small_ops)
     with pytest.raises(SolverError):
-        compute_lambda_m(v, small_ops, q, q, alpha=1.0)
+        solve_adjoint_static(small_ops, u, np.zeros(small_ops.n), q, alpha=1.0)
+
+
+def test_adjoint_static_rejects_a_stale_state(small_ops, rng):
+    # the equilibrium of another control is not a kernel vector of L(u)
+    u, other = (random_control(small_ops, rng, scale=0.5) for _ in range(2))
+    z = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
+    _, _, factor = dc.solve_equilibrium(small_ops, u, return_factor=True)
+    stale, _ = dc.solve_equilibrium(small_ops, other)
+    with pytest.raises(SolverError):
+        solve_adjoint_static(small_ops, u, stale, z, alpha=1.0)
+    with pytest.raises(SolverError):
+        solve_adjoint_static(small_ops, u, stale, z, alpha=1.0, factor=factor)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 3.0),
+    alpha=st.floats(0.1, 10.0),
+)
+def test_static_adjoint_and_mass_multiplier_on_random_meshes(mesh, drift, seed, scale, alpha):
+    ops = dc.assemble_operators(mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None)
+    rng = np.random.default_rng(seed)
+    u = random_control(ops, rng, scale)
+    z = dc.normalized_density(ops, rng.random(ops.n) + 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dc.state.NegativeDensityWarning)
+        q, v, factor = dc.solve_equilibrium(ops, u, return_factor=True)
+    adj = solve_adjoint_static(ops, u, q, z, alpha, factor=factor)
+    lam, source = adj.values, alpha * (ops.M @ (q.values - z.values))
+
+    # lambda_m = -alpha v.M(q - z) / v.F, the solvability condition of L^T
+    expected = -(v @ source) / (v @ ops.F)
+    bound = np.abs(v) @ np.abs(source) / abs(v @ ops.F)
+    assert abs(adj.lambda_m - expected) <= 1e-10 * bound
+    assert abs(ops.F @ lam) <= 1e-10 * (ops.F @ np.abs(lam))
+    L = dc.state_matrix(ops, u)
+    rhs = source + adj.lambda_m * ops.F
+    bound = (abs(L).T @ np.abs(lam) + np.abs(source) + np.abs(adj.lambda_m * ops.F)).max()
+    assert np.abs(L.T @ lam - rhs).max() <= 1e-10 * bound
 
 
 def test_adjoint_static_zero_for_matched_target(small_ops, rng):
@@ -46,7 +92,6 @@ def test_adjoint_static_zero_for_matched_target(small_ops, rng):
     adj = solve_adjoint_static(small_ops, u, q, q, alpha=1.0)
     assert np.abs(adj.values).max() < 1e-12
     assert adj.lambda_m == 0.0
-    assert abs(adj.lagrange_nu) < 1e-12
 
 
 def test_adjoint_static_zero_mean_and_linearity(small_ops, rng):
@@ -67,8 +112,8 @@ def test_adjoint_static_symmetric_case_pinv_oracle(tiny_ops, rng):
     q, _ = dc.solve_equilibrium(tiny_ops, u)
     z = dc.normalized_density(tiny_ops, rng.random(tiny_ops.n) + 0.2)
     adj = solve_adjoint_static(tiny_ops, u, q, z, alpha=1.0)
-    lam_m = compute_lambda_m(q.values, tiny_ops, q, z, 1.0)
-    rhs = tiny_ops.M @ (q.values - z.values) + lam_m * tiny_ops.F
+    source = tiny_ops.M @ (q.values - z.values)
+    rhs = source - (q.values @ source) / (q.values @ tiny_ops.F) * tiny_ops.F
     A = tiny_ops.tensor.csr(tiny_ops.L0_data)  # the stiffness matrix: no drift, mu = 1
     lam_pinv = np.linalg.pinv(A.toarray()) @ rhs
     lam_pinv -= (tiny_ops.F @ lam_pinv) / tiny_ops.F.sum()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from densctl import cli
-from densctl.cli import build_mesh, main
+from densctl.cli import main
 
 
 @pytest.fixture()
@@ -90,7 +90,7 @@ def test_certify_fills_every_row_above_two_thousand_nodes(run_cfg, tmp_path, cap
     cfg["mesh"]["generate"]["target_h"] = 0.022
     cfg["drift"] = "swirl"
     cfg["ocp"].update(T=0.1, dt=0.05)
-    assert build_mesh(cfg).n_vertices > 2000
+    assert cli.parse_config(cfg).mesh().n_vertices > 2000
     path = tmp_path / "cfg_fine.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "cert"

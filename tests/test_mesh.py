@@ -15,6 +15,7 @@ from densctl.mesh import (
     OrientationWarning,
     _check_hole_geometry,
     _edge_incidence,
+    _lattice,
 )
 
 from conftest import _delaunay_meshes
@@ -246,6 +247,67 @@ def test_generated_meshes_validate(seed):
     mesh = dc.generate_rect_mesh((-1, -1, 1, 1), h, holes=[dc.Circle(0.1, -0.1, 0.25)])
     dc.validate_mesh(mesh)  # raises on any structural violation
     assert mesh.domain_area < 4.0
+
+
+def _greedy_lattice(x0, y0, x1, y1, target_h):
+    """The reference lattice: vertex rows built row by row, and each strip
+    between two rows triangulated greedily along the shorter diagonal."""
+    nx = max(2, round((x1 - x0) / target_h))
+    dx = (x1 - x0) / nx
+    ny = max(2, round((y1 - y0) / (dx * math.sqrt(3.0) / 2.0)))
+    dy = (y1 - y0) / ny
+    rows, verts = [], []
+    for j in range(ny + 1):
+        y = y0 + j * dy if j < ny else y1
+        if j % 2 == 0:
+            xs = np.linspace(x0, x1, nx + 1)
+        else:
+            xs = np.concatenate(([x0], x0 + (np.arange(nx) + 0.5) * dx, [x1]))
+        rows.append(np.arange(len(verts), len(verts) + len(xs)))
+        verts.extend((x, y) for x in xs)
+    vertices = np.asarray(verts, dtype=float)
+    strips = [_strip(rows[j], rows[j + 1], vertices) for j in range(ny)]
+    return vertices, strips, dx
+
+
+def _strip(bottom, top, vertices):
+    """Monotone triangulation between two x-sorted vertex rows."""
+    tris = []
+    i, j = 0, 0
+    nb, nt = len(bottom) - 1, len(top) - 1
+    while i < nb or j < nt:
+        if i < nb and j < nt:
+            d_bottom = np.hypot(*(vertices[bottom[i + 1]] - vertices[top[j]]))
+            d_top = np.hypot(*(vertices[bottom[i]] - vertices[top[j + 1]]))
+            advance_bottom = d_bottom <= d_top
+        else:
+            advance_bottom = i < nb
+        if advance_bottom:
+            tris.append((bottom[i], bottom[i + 1], top[j]))
+            i += 1
+        else:
+            tris.append((bottom[i], top[j + 1], top[j]))
+            j += 1
+    return np.asarray(tris, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corner=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    width=st.floats(0.05, 10.0),
+    aspect=st.floats(0.2, 5.0),
+    ratio=st.floats(0.04, 1.0),
+)
+def test_lattice_matches_the_greedy_strips(corner, width, aspect, ratio):
+    x0, y0 = corner
+    bounds = (x0, y0, x0 + width, y0 + aspect * width)
+    target_h = ratio * min(bounds[2] - x0, bounds[3] - y0)
+    vertices, triangles, dx = _lattice(*bounds, target_h)
+    ref_vertices, strips, ref_dx = _greedy_lattice(*bounds, target_h)
+    assert vertices.tobytes() == ref_vertices.tobytes() and dx == ref_dx
+    assert triangles.dtype == np.int64 and len(triangles) == sum(map(len, strips))
+    for strip, ref in zip(np.split(triangles, len(strips)), strips):
+        assert np.array_equal(strip, ref)
 
 
 def test_rect_hole_mesh():
