@@ -64,7 +64,6 @@ from .particles import (
 from .state import (
     DensityField,
     Trajectory,
-    density_from_values,
     normalized_density,
     simulate,
     solve_equilibrium,

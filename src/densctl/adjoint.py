@@ -8,13 +8,18 @@ K^T [lam; nu] = [alpha M (q - z); 0] has L^T lam + nu F = alpha M (q - z)
 and F.lam = 0.  The dot product of the first block row with the kernel
 vector v of L is 0 + nu v.F = alpha v.M (q - z), because v.L^T lam =
 (L v).lam = 0; so nu = -lam_m, with lam_m = -alpha v.M (q - z) / v.F.
+The solve takes the (q, factor) pair of :func:`state.solve_equilibrium`
+whole, so the transposed matrix is the one that made q.
 
 The dynamic adjoint is the exact discrete adjoint of the forward theta
 scheme, marched backward from a zero terminal multiplier; this makes the
 assembled control gradient exact for the fully discrete cost.  Each time
 slice is gauge-fixed to zero mean (shifts along the constant vector are in
 the kernel of the transposed operator and do not change the gradient).
-The optimizer's adjoint sweeps run GMRES against its forward sweeps' LU.
+The scheme (dt, theta, mass matrix) and the control stack are read from the
+forward :class:`state.Trajectory`, so the adjoint transposes the very steps
+that were taken.  The optimizer's adjoint sweeps run GMRES against its
+forward sweeps' LU.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import ControlField, FemOperators, state_matrix
-from .linalg import SolverError, bordered_lu, bordered_solve, gmres_solve, lu_factor
-from .state import Trajectory, _controls_for_grid, _vals
+from .fem import FemOperators
+from .linalg import SolverError, bordered_solve, gmres_solve, lu_factor
+from .state import Trajectory, _vals
 
 __all__ = [
     "AdjointField",
@@ -47,33 +52,30 @@ class AdjointField:
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Backward-in-time multipliers on the forward time grid.
+    """Backward-in-time multipliers on the forward trajectory's time grid.
 
     ``values[i]`` is the multiplier of the step from node i to node i + 1
     (zero-mean gauge); ``values[-1]`` is the zero terminal condition.
     """
 
-    times: np.ndarray
     values: np.ndarray  # (n_steps + 1, n_nodes)
     fallbacks: int = 0  # steps that GMRES missed, solved directly
 
 
-def solve_adjoint_static(
-    ops: FemOperators, u: ControlField, q, z, alpha: float, factor=None
-) -> AdjointField:
-    """Zero-mean adjoint and mass multiplier at the equilibrium q of u.
+def solve_adjoint_static(ops: FemOperators, equilibrium, z, alpha: float) -> AdjointField:
+    """Zero-mean adjoint and mass multiplier at an equilibrium.
 
-    Solves K^T [lam; nu] = [alpha M (q - z); 0] once with the bordered
-    factor (K, lu) of :func:`linalg.bordered_lu` and returns lam with
-    lambda_m = -nu (see the module docstring).  ``factor`` may hold the
-    equilibrium's (``solve_equilibrium(..., return_factor=True)``); ``u`` is
-    read only to build it when it is not given.  Both checks read K: q must
+    ``equilibrium`` is the (q, factor) pair of :func:`state.solve_equilibrium`,
+    the factor (K, lu) of :func:`linalg.bordered_lu`.  Solves
+    K^T [lam; nu] = [alpha M (q - z); 0] once with it and returns lam with
+    lambda_m = -nu (see the module docstring).  Both checks read K: q must
     be a nonzero kernel vector of L, |L q| <= 1e-10 |L| |q| (a stale q, the
-    equilibrium of another control, fails it), and the transposed solve's
-    residual must stay below 1e-10 of its scale; else SolverError.
+    equilibrium of another control paired with this factor, fails it), and
+    the transposed solve's residual must stay below 1e-10 of its scale;
+    else SolverError.
     """
+    q, factor = equilibrium
     qv = _vals(q)
-    factor = factor or bordered_lu(state_matrix(ops, u), ops.F)
     K, n = factor[0], ops.n
     head = K.indptr[n]  # L's columns, each with its border entry in row n
     L_max, q_max = np.abs(K.data[:head][K.indices[:head] < n]).max(), np.abs(qv).max()
@@ -100,33 +102,24 @@ def trapezoid_weights(n_steps: int) -> np.ndarray:
 
 
 def solve_adjoint_dynamic(
-    ops: FemOperators,
-    trajectory: Trajectory,
-    controls,
-    q_ref,
-    alpha: float,
-    dt: float,
-    theta: float,
-    lumped: bool = True,
-    precond=None,
+    ops: FemOperators, trajectory: Trajectory, q_ref, alpha: float, precond=None
 ) -> AdjointTrajectory:
     """Discrete adjoint of the theta scheme for the tracking cost.
 
-    ``controls`` is an (n_t, 2n) stack of [ux, uy] rows, one per time
-    node.  The source at node i is w_i * dt * alpha * M (q_i - q_ref) with
-    trapezoidal weights w_i.  Each transposed step is factorized, or,
-    given ``precond`` (the LU of a nearby step matrix), solved by
-    :func:`linalg.gmres_solve` from the next step's multiplier, with its
-    misses counted in ``fallbacks``.  The transposed explicit and implicit
-    step matrices are built once per sweep; each step overwrites their data.
+    The scheme (dt, theta, lumped) and the (n_t, 2n) control stack are the
+    forward ``trajectory``'s own.  The source at node i is
+    w_i * dt * alpha * M (q_i - q_ref) with trapezoidal weights w_i.  Each
+    transposed step is factorized, or, given ``precond`` (the LU of a nearby
+    step matrix), solved by :func:`linalg.gmres_solve` from the next step's
+    multiplier, with its misses counted in ``fallbacks``.  The transposed
+    explicit and implicit step matrices are built once per sweep; each step
+    overwrites their data.
     """
-    n_steps = trajectory.n_steps
-    if abs(trajectory.dt - dt) > 1e-12 * max(1.0, dt):
-        raise ValueError(f"trajectory dt {trajectory.dt} does not match dt {dt}")
-    controls = _controls_for_grid(controls, n_steps)
+    n_steps, dt, theta = trajectory.n_steps, trajectory.dt, trajectory.theta
+    controls = trajectory.controls
     w = trapezoid_weights(n_steps)
     qref = _vals(q_ref)
-    mass = ops.mass_data(lumped) / dt
+    mass = ops.mass_data(trajectory.lumped) / dt
     f_total = float(ops.F.sum())
 
     values = np.zeros((n_steps + 1, ops.n))
@@ -148,4 +141,4 @@ def solve_adjoint_dynamic(
         if not np.isfinite(lam).all():
             raise SolverError(f"dynamic adjoint solve failed at step {i}")
         values[i - 1] = lam_next = lam - float(ops.F @ lam) / f_total
-    return AdjointTrajectory(trajectory.times.copy(), values, fallbacks)
+    return AdjointTrajectory(values, fallbacks)

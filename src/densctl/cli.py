@@ -47,7 +47,7 @@ from .particles import (
     sample_initial,
     step_particles,
 )
-from .state import _controls_for_grid, _n_steps, density_from_values, simulate, solve_equilibrium
+from .state import _controls_for_grid, _n_steps, simulate, solve_equilibrium
 
 DEFAULT_CONFIG = {
     "mesh": {
@@ -464,7 +464,7 @@ def cmd_particles(args) -> int:
                 ens = step_particles(ens, domain, vel, mu=run.mu, dt=dt / sub, rng=rng)
             step += 1
         rho = empirical_density(ens, mesh)
-        dist = analysis.l2_distance(rho, density_from_values(ops, traj.states[step]), ops.M)
+        dist = analysis.l2_distance(rho, traj.states[step], ops.M)
         floor = float(np.sqrt(np.clip(traj.states[step], 0.0, None).sum() / ens.n))
         rows.append((step * dt, dist, floor, dist / floor))
         export.write_indexed_csv(

@@ -246,11 +246,7 @@ def validate_mesh(mesh: Mesh) -> None:
     """Raise MeshTopologyError unless all structural invariants hold."""
     nv = mesh.n_vertices
     tris = mesh.triangles
-    if tris.size and (tris.min() < 0 or tris.max() >= nv):
-        bad = np.flatnonzero((tris < 0).any(axis=1) | (tris >= nv).any(axis=1))[0]
-        raise MeshTopologyError(
-            f"triangle {bad} references vertex index out of range 0..{nv - 1}"
-        )
+    _check_indices("triangle", tris, nv)
     areas = _signed_areas(mesh.vertices, tris)
     if (areas <= 0).any():
         bad = int(np.argmin(areas))
@@ -326,6 +322,33 @@ def _data_lines(path):
                 yield line_no, body
 
 
+def _check_indices(what, rows, nv):
+    """MeshTopologyError naming the first of ``rows`` (``what`` i) with a
+    vertex index outside 0..nv-1."""
+    if rows.size and (rows.min() < 0 or rows.max() >= nv):
+        bad = np.flatnonzero((rows < 0).any(axis=1) | (rows >= nv).any(axis=1))[0]
+        raise MeshTopologyError(
+            f"{what} {int(bad)} references vertex index out of range 0..{nv - 1}"
+        )
+
+
+def _records(next_line, what, count, width, parse, usage, bad):
+    """A (count, width) array of ``parse`` values, one data line per record
+    (``what`` i); MeshFormatError with ``usage`` for a line of another width
+    and ``bad`` for a field ``parse`` rejects."""
+    rows = np.empty((count, width), dtype=parse)
+    for i in range(count):
+        line_no, body = next_line(f"{what} {i}")
+        parts = body.split()
+        if len(parts) != width:
+            raise MeshFormatError(line_no, usage)
+        try:
+            rows[i] = [parse(p) for p in parts]
+        except ValueError:
+            raise MeshFormatError(line_no, f"{bad} {body!r}")
+    return rows
+
+
 def load_mesh(path) -> Mesh:
     """Read a mesh file, normalize orientation, and validate it."""
     lines = _data_lines(path)
@@ -347,55 +370,25 @@ def load_mesh(path) -> Mesh:
     if nv < 3 or nt < 1 or nb < 0:
         raise MeshFormatError(line_no, f"implausible sizes nv={nv} nt={nt} nb={nb}")
 
-    vertices = np.empty((nv, 2), dtype=float)
-    for i in range(nv):
-        line_no, body = next_line(f"vertex {i}")
-        parts = body.split()
-        if len(parts) != 2:
-            raise MeshFormatError(line_no, "vertex line must contain 'x y'")
-        try:
-            vertices[i, 0] = float(parts[0])
-            vertices[i, 1] = float(parts[1])
-        except ValueError:
-            raise MeshFormatError(line_no, f"bad vertex coordinates {body!r}")
-
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        line_no, body = next_line(f"triangle {i}")
-        parts = body.split()
-        if len(parts) != 3:
-            raise MeshFormatError(line_no, "triangle line must contain 'i j k'")
-        try:
-            triangles[i] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(line_no, f"bad triangle indices {body!r}")
-
-    boundary = np.empty((nb, 2), dtype=np.int64)
-    markers = np.empty(nb, dtype=np.int64)
-    for i in range(nb):
-        line_no, body = next_line(f"boundary edge {i}")
-        parts = body.split()
-        if len(parts) != 3:
-            raise MeshFormatError(line_no, "boundary line must contain 'i j marker'")
-        try:
-            boundary[i] = [int(parts[0]), int(parts[1])]
-            markers[i] = int(parts[2])
-        except ValueError:
-            raise MeshFormatError(line_no, f"bad boundary edge {body!r}")
+    vertices = _records(
+        next_line, "vertex", nv, 2, float, "vertex line must contain 'x y'",
+        "bad vertex coordinates",
+    )
+    triangles = _records(
+        next_line, "triangle", nt, 3, int, "triangle line must contain 'i j k'",
+        "bad triangle indices",
+    )
+    edges = _records(
+        next_line, "boundary edge", nb, 3, int, "boundary line must contain 'i j marker'",
+        "bad boundary edge",
+    )
+    boundary, markers = edges[:, :2].copy(), edges[:, 2].copy()
     extra = next(lines, None)
     if extra is not None:
         raise MeshFormatError(extra[0], f"data after the last boundary edge: {extra[1]!r}")
 
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
-        bad = np.flatnonzero((triangles < 0).any(axis=1) | (triangles >= nv).any(axis=1))[0]
-        raise MeshTopologyError(
-            f"triangle {int(bad)} references vertex index out of range 0..{nv - 1}"
-        )
-    if boundary.size and (boundary.min() < 0 or boundary.max() >= nv):
-        bad = np.flatnonzero((boundary < 0).any(axis=1) | (boundary >= nv).any(axis=1))[0]
-        raise MeshTopologyError(
-            f"boundary edge {int(bad)} references vertex index out of range 0..{nv - 1}"
-        )
+    _check_indices("triangle", triangles, nv)
+    _check_indices("boundary edge", boundary, nv)
 
     n_flipped = _orient_ccw(vertices, triangles)
     if n_flipped:

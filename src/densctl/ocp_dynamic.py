@@ -5,7 +5,9 @@ state to the static equilibrium and the distance of the control to the
 static control in the static OCP's control metric H = beta M + beta_g A_u,
 so the optimal time-varying control converges to the static one instead of
 developing a terminal transient.  Controls are (n_t, 2n) stacks of [ux, uy]
-rows.  The optimizer is :func:`ocp_static.descend` on forward sweeps of
+rows; a forward sweep's :class:`state.Trajectory` holds the stack it swept,
+so the cost, the adjoint sweep and the gradient read the controls and the
+scheme from it.  The optimizer is :func:`ocp_static.descend` on forward sweeps of
 the theta scheme and backward sweeps of its exact discrete adjoint; every
 trial control is projected onto the pointwise magnitude ball of the static
 control before it is evaluated.  Its directions are projected L-BFGS ones
@@ -25,7 +27,6 @@ import numpy as np
 from .adjoint import AdjointTrajectory, solve_adjoint_dynamic, trapezoid_weights
 from .fem import FemOperators
 from .ocp_static import (
-    DYNAMIC_LBFGS_MEMORY,
     IterationRecord,
     OcpConfig,
     StaticSolution,
@@ -43,6 +44,11 @@ __all__ = [
     "solve_dynamic_ocp",
     "project_to_magnitude_ball",
 ]
+
+# Pairs kept by the dynamic OCP.  Each pair holds two (n_t, 2n) stacks, 3.2 MB
+# on the benchmark's dynamic workload, and three pairs already take its line
+# searches to one trial per iteration.
+DYNAMIC_LBFGS_MEMORY = 3
 
 
 @dataclass(frozen=True)
@@ -70,21 +76,15 @@ def _sq_norms(H, X: np.ndarray) -> np.ndarray:
 def evaluate_dynamic_cost(
     ops: FemOperators,
     trajectory: Trajectory,
-    control: np.ndarray,
     static_solution: StaticSolution,
     config: OcpConfig,
 ) -> float:
-    """Trapezoidal time quadrature of the tracking cost of an (n_t, 2n) stack."""
-    U = np.asarray(control)
-    n_steps = trajectory.n_steps
-    if U.shape[0] != n_steps + 1:
-        raise ValueError(
-            f"control grid has {U.shape[0]} nodes, trajectory has {n_steps + 1}"
-        )
+    """Trapezoidal time quadrature of the tracking cost of a trajectory and
+    the (n_t, 2n) control stack that it holds."""
     dQ = trajectory.states - static_solution.q_star.values
-    dU = U - static_solution.u_star.stacked()
+    dU = trajectory.controls - static_solution.u_star.stacked()
     terms = config.alpha * _sq_norms(ops.M, dQ) + _sq_norms(control_metric(ops, config), dU)
-    return 0.5 * trajectory.dt * float(trapezoid_weights(n_steps) @ terms)
+    return 0.5 * trajectory.dt * float(trapezoid_weights(trajectory.n_steps) @ terms)
 
 
 def project_to_magnitude_ball(U: np.ndarray, n: int, radius: float) -> np.ndarray:
@@ -100,15 +100,16 @@ def project_to_magnitude_ball(U: np.ndarray, n: int, radius: float) -> np.ndarra
     return out
 
 
-def _dynamic_gradient(ops, traj, lams, U, static_solution, config):
-    """Stacked gradient (n_nodes_t, 2n) of the discrete cost w.r.t. the control."""
+def _dynamic_gradient(ops, traj, lams, static_solution, config):
+    """Stacked gradient (n_nodes_t, 2n) of the discrete cost w.r.t. the
+    control stack of ``traj``."""
     w_dt = trapezoid_weights(traj.n_steps) * traj.dt
     G = w_dt[:, None] * per_component(
-        control_metric(ops, config), U - static_solution.u_star.stacked()
+        control_metric(ops, config), traj.controls - static_solution.u_star.stacked()
     )
     # node j's control enters the steps into node j (implicitly, multiplier
     # lam_{j-1}) and out of it (explicitly, lam_j); the terminal lam is zero
-    lam, theta = lams.values, config.theta
+    lam, theta = lams.values, traj.theta
     combo = (1.0 - theta) * lam
     combo[1:] += theta * lam[:-1]
     for g, c, q in zip(G, combo, traj.states):
@@ -150,22 +151,20 @@ def solve_dynamic_ocp(
     traj, precond = theta_sweep(ops, q0v, warm, dt, theta, lumped)
     fallbacks = []
 
-    def evaluated(U, traj):
-        J = evaluate_dynamic_cost(ops, traj, U, static_solution, config)
-        return U.ravel(), J, traj
+    def evaluated(traj):
+        J = evaluate_dynamic_cost(ops, traj, static_solution, config)
+        return traj.controls.ravel(), J, traj
 
     def evaluate(u):
         U = project_to_magnitude_ball(u.reshape(n_nodes, 2 * n), n, radius)
-        return evaluated(U, theta_sweep(ops, q0v, U, dt, theta, lumped, precond)[0])
+        return evaluated(theta_sweep(ops, q0v, U, dt, theta, lumped, precond)[0])
 
     def gradient(u, traj):
-        U = u.reshape(n_nodes, 2 * n)
         lams = solve_adjoint_dynamic(
-            ops, traj, U, static_solution.q_star, config.alpha, dt, theta, lumped,
-            precond=precond,
+            ops, traj, static_solution.q_star, config.alpha, precond=precond
         )
         fallbacks.append(traj.fallbacks + lams.fallbacks)
-        G = _dynamic_gradient(ops, traj, lams, U, static_solution, config)
+        G = _dynamic_gradient(ops, traj, lams, static_solution, config)
         return G.ravel(), (traj, lams)
 
     def binding(u, grad):
@@ -177,7 +176,7 @@ def solve_dynamic_ocp(
         return np.concatenate([i * 2 * n + j, i * 2 * n + n + j])
 
     u, (traj, lams), history, reason, restarts = descend(
-        evaluate, gradient, evaluated(warm, traj), h_inv_of(ops, config), config,
+        evaluate, gradient, evaluated(traj), h_inv_of(ops, config), config,
         armijo_backtracking, DYNAMIC_LBFGS_MEMORY, binding,
     )
     U = u.reshape(n_nodes, 2 * n)

@@ -13,9 +13,10 @@ on the free entries only when a ``binding`` callback names bound ones, as
 the dynamic OCP's does), Armijo backtracking with one restart along
 -H^-1 grad, and the accepted trial, with its cost and state, as the next
 iterate.  A static trial factorizes one bordered equilibrium
-matrix; the accepted trial's factor also serves its adjoint and mass
-multiplier (one transposed solve), so a gradient builds no state matrix
-and costs no further factorization.
+matrix; the accepted trial's (q, factor) pair is what its gradient takes,
+and the factor serves the adjoint and mass multiplier (one transposed
+solve), so a gradient builds no state matrix and costs no further
+factorization.
 """
 
 from __future__ import annotations
@@ -136,10 +137,6 @@ class StaticSolution:
     def converged(self) -> bool:
         return self.reason == "tol"
 
-    @property
-    def lambda_m(self) -> float:
-        return self.adjoint.lambda_m
-
     def control_magnitude_bound(self) -> float:
         return float(self.u_star.magnitudes().max())
 
@@ -163,26 +160,20 @@ def evaluate_cost(ops: FemOperators, q, z, u: ControlField, config: OcpConfig) -
     return 0.5 * (config.alpha * float(dq @ (ops.M @ dq)) + float(us @ per_component(H, us)))
 
 
-def reduced_gradient(
-    ops: FemOperators, u: ControlField, z, config: OcpConfig, equilibrium=None
-):
+def reduced_gradient(ops: FemOperators, u: ControlField, z, config: OcpConfig, equilibrium):
     """Gradient of the reduced cost at u.
 
-    Returns (grad, q, adjoint) with grad stacked as [gx, gy].  The
-    gradient of each component c is H u_c plus the tensor contraction of the
-    adjoint with the equilibrium; the adjoint and its mass multiplier come
-    from one transposed solve with the equilibrium's bordered factor.
-    ``equilibrium`` may hold the (q, bordered factor) pair of an earlier
-    solve at u; the gradient then neither factorizes nor builds L(u).
+    ``equilibrium`` is the (q, bordered factor) pair of
+    ``solve_equilibrium(ops, u)``.  Returns (grad, adjoint) with grad
+    stacked as [gx, gy].  The gradient of each component c is H u_c plus the
+    tensor contraction of the adjoint with q; the adjoint and its mass
+    multiplier come from one transposed solve with the factor, so the
+    gradient neither factorizes nor builds L(u).
     """
-    if equilibrium is None:
-        q, _, factor = solve_equilibrium(ops, u, return_factor=True)
-    else:
-        q, factor = equilibrium
-    adj = solve_adjoint_static(ops, u, q, z, config.alpha, factor=factor)
+    adj = solve_adjoint_static(ops, equilibrium, z, config.alpha)
     grad = per_component(control_metric(ops, config), u.stacked())
-    grad += np.concatenate(ops.tensor.gradient_contraction(adj.values, q.values))
-    return grad, q, adj
+    grad += np.concatenate(ops.tensor.gradient_contraction(adj.values, equilibrium[0].values))
+    return grad, adj
 
 
 def armijo_backtracking(j_fun, u, d, grad, params: ArmijoParams, f0=None):
@@ -210,10 +201,6 @@ def armijo_backtracking(j_fun, u, d, grad, params: ArmijoParams, f0=None):
 
 # Number of (s, y) pairs kept by the L-BFGS memory.
 LBFGS_MEMORY = 10
-# Pairs kept by the dynamic OCP.  Each pair holds two (n_t, 2n) stacks, 3.2 MB
-# on the benchmark's dynamic workload, and three pairs already take its line
-# searches to one trial per iteration.
-DYNAMIC_LBFGS_MEMORY = 3
 
 _NO_BOUND = np.zeros(0, dtype=np.intp)
 
@@ -342,13 +329,12 @@ def solve_static_ocp(
 
     def evaluate(u):
         cf = ControlField.from_stacked(u)
-        q, _, factor = solve_equilibrium(ops, cf, return_factor=True)
-        return u, evaluate_cost(ops, q, zv, cf, config), (q, factor)
+        equilibrium = solve_equilibrium(ops, cf)
+        return u, evaluate_cost(ops, equilibrium[0], zv, cf, config), equilibrium
 
     def gradient(u, equilibrium):
-        cf = ControlField.from_stacked(u)
-        grad, q, adj = reduced_gradient(ops, cf, zv, config, equilibrium)
-        return grad, (q, adj)
+        grad, adj = reduced_gradient(ops, ControlField.from_stacked(u), zv, config, equilibrium)
+        return grad, (equilibrium[0], adj)
 
     u = u0.stacked() if u0 is not None else np.zeros(2 * ops.n)
     u, (q, adj), history, reason, _ = descend(

@@ -418,5 +418,4 @@ def empirical_density(ensemble: ParticleEnsemble, mesh: Mesh) -> DensityField:
     nv = mesh.n_vertices
     lumped = np.bincount(tris.ravel(), np.repeat(mesh.triangle_areas() / 3.0, 3), minlength=nv)
     dep = np.bincount(tris[tri].ravel(), (bary / ensemble.n).ravel(), minlength=nv)
-    values = dep / lumped
-    return DensityField(values=values, mass=float(lumped @ values))
+    return DensityField(values=dep / lumped)

@@ -3,11 +3,15 @@
 The semi-discrete dynamics are M dq/dt + L(u) q = 0 with the state matrix
 L(u) from :mod:`densctl.fem`.  Equilibria solve L(u) q = 0 with unit mass
 F.q = 1 and are computed through a bordered system that exploits the 1-D
-kernel.  Transients use the one-parameter theta scheme; theta = 1 with the
-lumped mass matrix preserves nonnegativity on strict-Delaunay meshes, while
-theta = 1/2 (Crank-Nicolson) with the consistent mass is second order.
+kernel; each comes with that system's factor, which the static adjoint
+solves transposed.  Transients use the one-parameter theta scheme; theta = 1
+with the lumped mass matrix preserves nonnegativity on strict-Delaunay
+meshes, while theta = 1/2 (Crank-Nicolson) with the consistent mass is
+second order.
 Single steps, simulations and optimizer sweeps all run :func:`theta_sweep`,
 the optimizer's by GMRES against one frozen LU, keeping no step factors.
+A sweep's :class:`Trajectory` keeps its scheme and the control stack it
+swept, the inputs the discrete dynamic adjoint transposes.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ __all__ = [
     "DensityField",
     "Trajectory",
     "NegativeDensityWarning",
-    "density_from_values",
     "normalized_density",
     "solve_equilibrium",
     "theta_sweep",
@@ -39,10 +42,9 @@ class NegativeDensityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DensityField:
-    """Nodal density coefficients together with their total mass F.values."""
+    """Nodal density coefficients, read-only."""
 
     values: np.ndarray
-    mass: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -55,29 +57,30 @@ def _vals(x) -> np.ndarray:
     return x.values if isinstance(x, DensityField) else np.asarray(x, dtype=float)
 
 
-def density_from_values(ops: FemOperators, values) -> DensityField:
-    values = np.asarray(values, dtype=float)
-    return DensityField(values=values, mass=float(ops.F @ values))
-
-
 def normalized_density(ops: FemOperators, values) -> DensityField:
     """Scale nodal values to unit mass; errors on nonpositive total mass."""
     values = np.asarray(values, dtype=float)
     total = float(ops.F @ values)
     if not total > 0:
         raise ValueError(f"cannot normalize density with total mass {total:g}")
-    return DensityField(values=values / total, mass=1.0)
+    return DensityField(values=values / total)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States of a theta-method run on a uniform time grid."""
+    """States of a theta-method run on a uniform time grid, with the scheme
+    (dt, theta, lumped) and the (n_steps + 1, 2n) control stack that made
+    them.  ``controls`` is the swept stack itself, not a copy: a constant
+    control's stays a read-only broadcast view."""
 
     times: np.ndarray
     states: np.ndarray  # (n_steps + 1, n_nodes)
     masses: np.ndarray
     min_values: np.ndarray
     dt: float
+    theta: float
+    lumped: bool
+    controls: np.ndarray  # (n_steps + 1, 2n) stack of [ux, uy] rows
     fallbacks: int = 0  # time-varying steps that GMRES missed, solved directly
 
     @property
@@ -88,16 +91,16 @@ class Trajectory:
         return np.abs(self.masses - self.masses[0])
 
 
-def solve_equilibrium(ops: FemOperators, u: ControlField, return_factor: bool = False):
-    """Unit-mass equilibrium density of L(u) q = 0.
+def solve_equilibrium(ops: FemOperators, u: ControlField):
+    """Unit-mass equilibrium density of L(u) q = 0 and its bordered factor.
 
-    Solves the bordered system [[L, F], [F^T, 0]] [q; s] = [0; 1].  Because
-    the columns of L sum to zero and 1^T F = |Omega| != 0, the auxiliary
-    scalar s must vanish; |s| > 1e-8 signals inconsistent assembly.  Returns
-    (density, kernel_vector) where the kernel vector is the raw solve result
-    before the explicit renormalization to F.q = 1.  With ``return_factor``
-    the bordered factor of :func:`linalg.bordered_lu` comes third; its
-    transposed solves are the static adjoint's.
+    Solves the bordered system K [q; s] = [0; 1], K = [[L, F], [F^T, 0]].
+    Because the columns of L sum to zero and 1^T F = |Omega| != 0, the
+    auxiliary scalar s must vanish; |s| > 1e-8 signals inconsistent
+    assembly.  The solution is renormalized to F.q = 1.  Returns (density,
+    factor) with the factor (K, lu) of :func:`linalg.bordered_lu`: the pair
+    is what :func:`adjoint.solve_adjoint_static` takes, whose one transposed
+    solve reuses the factor.
     """
     L = state_matrix(ops, u)
     factor = bordered_lu(L, ops.F)
@@ -125,8 +128,7 @@ def solve_equilibrium(ops: FemOperators, u: ControlField, return_factor: bool = 
             "equilibrium density has negative nodal entries beyond round-off",
             NegativeDensityWarning,
         )
-    density = DensityField(values=q, mass=1.0)
-    return (density, raw, factor) if return_factor else (density, raw)
+    return DensityField(values=q), factor
 
 
 def theta_sweep(
@@ -149,7 +151,8 @@ def theta_sweep(
     node's L data is the implicit part of the step into it and the explicit
     part of the step out of it.  The two step matrices are built once per
     sweep, and each step overwrites their data.  A stack whose rows all equal
-    row 0 is factorized once.  Returns (trajectory, that LU or else None).
+    row 0 is factorized once.  The trajectory holds ``controls`` by reference
+    with dt, theta and lumped.  Returns (trajectory, that LU or else None).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -191,6 +194,9 @@ def theta_sweep(
         masses=states @ ops.F,
         min_values=states.min(axis=1),
         dt=float(dt),
+        theta=float(theta),
+        lumped=lumped,
+        controls=controls,
         fallbacks=fallbacks,
     )
     return traj, lu if constant else None
@@ -211,7 +217,7 @@ def step_theta(
     """
     controls = np.stack([u_old.stacked(), u_new.stacked()])
     traj, _ = theta_sweep(ops, q, controls, dt, theta, lumped)
-    return density_from_values(ops, traj.states[1])
+    return DensityField(values=traj.states[1])
 
 
 def _n_steps(T: float, dt: float) -> int:

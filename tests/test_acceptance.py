@@ -170,7 +170,8 @@ def test_criterion_04_gradient_exactness():
             q, _ = dc.solve_equilibrium(ops, cf)
             return evaluate_cost(ops, q, z, cf, cfg)
 
-        grad, _, _ = reduced_gradient(ops, dc.ControlField.from_stacked(u0), z, cfg)
+        cf0 = dc.ControlField.from_stacked(u0)
+        grad, _ = reduced_gradient(ops, cf0, z, cfg, dc.solve_equilibrium(ops, cf0))
         for _ in range(10):
             d = rng.standard_normal(2 * ops.n)
             d /= np.linalg.norm(d)
@@ -200,14 +201,11 @@ def test_criterion_04_gradient_exactness():
     def jt(u_flat):
         Um = u_flat.reshape(6, 2 * n)
         traj, _ = theta_sweep(opst, q0.values, Um, dcfg.dt, dcfg.theta, dcfg.lumped)
-        return evaluate_dynamic_cost(opst, traj, Um, static, dcfg)
+        return evaluate_dynamic_cost(opst, traj, static, dcfg)
 
     traj, _ = theta_sweep(opst, q0.values, U, dcfg.dt, dcfg.theta, dcfg.lumped)
-    lams = solve_adjoint_dynamic(
-        opst, traj, U, static.q_star,
-        dcfg.alpha, dcfg.dt, dcfg.theta, dcfg.lumped,
-    )
-    G = _dynamic_gradient(opst, traj, lams, U, static, dcfg)
+    lams = solve_adjoint_dynamic(opst, traj, static.q_star, dcfg.alpha)
+    G = _dynamic_gradient(opst, traj, lams, static, dcfg)
     worst_dyn = 0.0
     for _ in range(10):
         D = rng.standard_normal(U.shape)
@@ -427,7 +425,7 @@ def test_criterion_10_particle_pde_consistency():
                 ens = step_particles(ens, domain, vel, mu=1.0, dt=dt / sub, rng=rng)
             step += 1
         rho = empirical_density(ens, mesh)
-        dist = l2_distance(rho, dc.density_from_values(ops, traj.states[step]), ops.M)
+        dist = l2_distance(rho, traj.states[step], ops.M)
         floor = float(np.sqrt(np.clip(traj.states[step], 0.0, None).sum() / ens.n))
         rows.append((step * dt, dist / floor))
     worst = max(r[1] for r in rows)

@@ -18,9 +18,9 @@ from test_sweep import _meshes
 def test_lambda_m_zero_cases(small_ops, rng):
     z = dc.gaussian_density(small_ops, (0.5, 0.5), 0.2)
     u = random_control(small_ops, rng, scale=0.3)
-    q, _, factor = dc.solve_equilibrium(small_ops, u, return_factor=True)
-    for target, alpha in ((q, 1.0), (z, 0.0)):
-        adj = solve_adjoint_static(small_ops, u, q, target, alpha, factor=factor)
+    equilibrium = dc.solve_equilibrium(small_ops, u)
+    for target, alpha in ((equilibrium[0], 1.0), (z, 0.0)):
+        adj = solve_adjoint_static(small_ops, equilibrium, target, alpha)
         assert adj.lambda_m == 0.0
         assert np.abs(adj.values).max() == 0.0
 
@@ -29,10 +29,11 @@ def test_lambda_m_orthogonality(tiny_ops, rng):
     # lambda_m makes the adjoint's right-hand side orthogonal to the kernel
     for _ in range(5):
         u = random_control(tiny_ops, rng, scale=0.5)
-        q, v = dc.solve_equilibrium(tiny_ops, u)
+        equilibrium = dc.solve_equilibrium(tiny_ops, u)
+        q = v = equilibrium[0].values  # the kernel vector
         z = dc.normalized_density(tiny_ops, rng.random(tiny_ops.n) + 0.1)
-        lam_m = solve_adjoint_static(tiny_ops, u, q, z, alpha=1.3).lambda_m
-        rhs = 1.3 * (tiny_ops.M @ (q.values - z.values)) + lam_m * tiny_ops.F
+        lam_m = solve_adjoint_static(tiny_ops, equilibrium, z, alpha=1.3).lambda_m
+        rhs = 1.3 * (tiny_ops.M @ (q - z.values)) + lam_m * tiny_ops.F
         assert abs(v @ rhs) < 1e-12 * max(np.abs(rhs).max(), 1e-30) * np.abs(v).max() * len(v)
 
 
@@ -40,20 +41,22 @@ def test_lambda_m_rejects_bad_kernel(small_ops, rng):
     # a zero state passes |L q| <= 1e-10 |L| |q| but is no kernel vector
     u = random_control(small_ops, rng, scale=0.3)
     q = dc.uniform_density(small_ops)
+    _, factor = dc.solve_equilibrium(small_ops, u)
     with pytest.raises(SolverError):
-        solve_adjoint_static(small_ops, u, np.zeros(small_ops.n), q, alpha=1.0)
+        solve_adjoint_static(small_ops, (np.zeros(small_ops.n), factor), q, alpha=1.0)
 
 
 def test_adjoint_static_rejects_a_stale_state(small_ops, rng):
-    # the equilibrium of another control is not a kernel vector of L(u)
+    # the equilibrium of another control is not a kernel vector of L(u):
+    # a q paired with another control's factor, either way round
     u, other = (random_control(small_ops, rng, scale=0.5) for _ in range(2))
     z = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
-    _, _, factor = dc.solve_equilibrium(small_ops, u, return_factor=True)
-    stale, _ = dc.solve_equilibrium(small_ops, other)
+    q, factor = dc.solve_equilibrium(small_ops, u)
+    stale, stale_factor = dc.solve_equilibrium(small_ops, other)
     with pytest.raises(SolverError):
-        solve_adjoint_static(small_ops, u, stale, z, alpha=1.0)
+        solve_adjoint_static(small_ops, (q, stale_factor), z, alpha=1.0)
     with pytest.raises(SolverError):
-        solve_adjoint_static(small_ops, u, stale, z, alpha=1.0, factor=factor)
+        solve_adjoint_static(small_ops, (stale, factor), z, alpha=1.0)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -71,8 +74,9 @@ def test_static_adjoint_and_mass_multiplier_on_random_meshes(mesh, drift, seed, 
     z = dc.normalized_density(ops, rng.random(ops.n) + 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", dc.state.NegativeDensityWarning)
-        q, v, factor = dc.solve_equilibrium(ops, u, return_factor=True)
-    adj = solve_adjoint_static(ops, u, q, z, alpha, factor=factor)
+        equilibrium = dc.solve_equilibrium(ops, u)
+    q, v = equilibrium[0], equilibrium[0].values  # q spans the kernel of L
+    adj = solve_adjoint_static(ops, equilibrium, z, alpha)
     lam, source = adj.values, alpha * (ops.M @ (q.values - z.values))
 
     # lambda_m = -alpha v.M(q - z) / v.F, the solvability condition of L^T
@@ -88,18 +92,18 @@ def test_static_adjoint_and_mass_multiplier_on_random_meshes(mesh, drift, seed, 
 
 def test_adjoint_static_zero_for_matched_target(small_ops, rng):
     u = random_control(small_ops, rng, scale=0.3)
-    q, _ = dc.solve_equilibrium(small_ops, u)
-    adj = solve_adjoint_static(small_ops, u, q, q, alpha=1.0)
+    equilibrium = dc.solve_equilibrium(small_ops, u)
+    adj = solve_adjoint_static(small_ops, equilibrium, equilibrium[0], alpha=1.0)
     assert np.abs(adj.values).max() < 1e-12
     assert adj.lambda_m == 0.0
 
 
 def test_adjoint_static_zero_mean_and_linearity(small_ops, rng):
     u = random_control(small_ops, rng, scale=0.4)
-    q, _ = dc.solve_equilibrium(small_ops, u)
+    equilibrium = dc.solve_equilibrium(small_ops, u)
     z = dc.gaussian_density(small_ops, (0.6, 0.4), 0.2)
-    a1 = solve_adjoint_static(small_ops, u, q, z, alpha=1.0)
-    a2 = solve_adjoint_static(small_ops, u, q, z, alpha=2.0)
+    a1 = solve_adjoint_static(small_ops, equilibrium, z, alpha=1.0)
+    a2 = solve_adjoint_static(small_ops, equilibrium, z, alpha=2.0)
     assert abs(small_ops.F @ a1.values) < 1e-10
     assert_allclose(a2.values, 2.0 * a1.values, rtol=1e-9, atol=1e-13)
     assert a2.lambda_m == pytest.approx(2.0 * a1.lambda_m, rel=1e-12)
@@ -109,9 +113,10 @@ def test_adjoint_static_symmetric_case_pinv_oracle(tiny_ops, rng):
     # u = 0, no drift: L = A is symmetric; compare to the Moore-Penrose
     # solution shifted to the zero-mean gauge
     u = dc.ControlField.zeros(tiny_ops.n)
-    q, _ = dc.solve_equilibrium(tiny_ops, u)
+    equilibrium = dc.solve_equilibrium(tiny_ops, u)
+    q = equilibrium[0]
     z = dc.normalized_density(tiny_ops, rng.random(tiny_ops.n) + 0.2)
-    adj = solve_adjoint_static(tiny_ops, u, q, z, alpha=1.0)
+    adj = solve_adjoint_static(tiny_ops, equilibrium, z, alpha=1.0)
     source = tiny_ops.M @ (q.values - z.values)
     rhs = source - (q.values @ source) / (q.values @ tiny_ops.F) * tiny_ops.F
     A = tiny_ops.tensor.csr(tiny_ops.L0_data)  # the stiffness matrix: no drift, mu = 1
@@ -132,15 +137,11 @@ def test_dynamic_adjoint_zero_cases(small_ops, rng):
     u = random_control(small_ops, rng, scale=0.3)
     qeq, _ = dc.solve_equilibrium(small_ops, u)
     traj = dc.simulate(small_ops, qeq, u, T=0.3, dt=0.1, theta=1.0, lumped=True)
-    lams = solve_adjoint_dynamic(
-        small_ops, traj, u, qeq, alpha=1.0, dt=0.1, theta=1.0, lumped=True
-    )
+    lams = solve_adjoint_dynamic(small_ops, traj, qeq, alpha=1.0)
     assert np.abs(lams.values).max() < 1e-10
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
     traj2 = dc.simulate(small_ops, q0, u, T=0.3, dt=0.1, theta=1.0, lumped=True)
-    lams2 = solve_adjoint_dynamic(
-        small_ops, traj2, u, qeq, alpha=0.0, dt=0.1, theta=1.0, lumped=True
-    )
+    lams2 = solve_adjoint_dynamic(small_ops, traj2, qeq, alpha=0.0)
     assert np.abs(lams2.values).max() == 0.0
 
 
@@ -168,10 +169,7 @@ def test_dynamic_adjoint_dense_spacetime_oracle(tiny_ops, rng, theta, lumped, kr
     pair = np.tile(other.stacked(), (2, 1))
     precond = theta_sweep(tiny_ops, q0, pair, dt, theta, lumped)[1] if krylov else None
     traj, _ = theta_sweep(tiny_ops, q0.values, U, dt, theta, lumped, precond)
-    lams = solve_adjoint_dynamic(
-        tiny_ops, traj, U, qref, alpha=1.7, dt=dt, theta=theta, lumped=lumped,
-        precond=precond,
-    )
+    lams = solve_adjoint_dynamic(tiny_ops, traj, qref, alpha=1.7, precond=precond)
     assert traj.fallbacks == lams.fallbacks == 0
 
     Ms = tiny_ops.tensor.csr(tiny_ops.mass_data(lumped)).toarray()
@@ -203,17 +201,5 @@ def test_dynamic_adjoint_zero_mean_slices(small_ops, rng):
     q0 = dc.gaussian_density(small_ops, (0.3, 0.7), 0.2)
     qref = dc.uniform_density(small_ops)
     traj = dc.simulate(small_ops, q0, u, T=0.5, dt=0.05, theta=0.5, lumped=False)
-    lams = solve_adjoint_dynamic(
-        small_ops, traj, u, qref, alpha=1.0, dt=0.05, theta=0.5, lumped=False
-    )
+    lams = solve_adjoint_dynamic(small_ops, traj, qref, alpha=1.0)
     assert np.abs(lams.values @ small_ops.F).max() < 1e-10
-
-
-def test_dynamic_adjoint_grid_mismatch(small_ops, rng):
-    u = random_control(small_ops, rng, scale=0.2)
-    q0 = dc.uniform_density(small_ops)
-    traj = dc.simulate(small_ops, q0, u, T=0.3, dt=0.1)
-    with pytest.raises(ValueError):
-        solve_adjoint_dynamic(
-            small_ops, traj, np.tile(u.stacked(), (7, 1)), q0, alpha=1.0, dt=0.1, theta=1.0
-        )

@@ -47,6 +47,9 @@ def test_out_of_range_vertex_index(tmp_path):
     path.write_text("3 1 3\n0 0\n1 0\n0 1\n0 1 7\n0 1 1\n1 2 1\n2 0 1\n")
     with pytest.raises(MeshTopologyError, match="triangle 0"):
         dc.load_mesh(path)
+    path.write_text("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 1\n1 -2 1\n2 0 1\n")
+    with pytest.raises(MeshTopologyError, match="boundary edge 1 references vertex index"):
+        dc.load_mesh(path)
 
 
 def test_parse_error_reports_line(tmp_path):

@@ -98,7 +98,8 @@ def test_gradient_matches_finite_differences(small_mesh, base_config, with_drift
         q, _ = dc.solve_equilibrium(ops, cf)
         return evaluate_cost(ops, q, z, cf, cfg)
 
-    grad, _, _ = reduced_gradient(ops, dc.ControlField.from_stacked(u0), z, cfg)
+    cf0 = dc.ControlField.from_stacked(u0)
+    grad, _ = reduced_gradient(ops, cf0, z, cfg, dc.solve_equilibrium(ops, cf0))
     for _ in range(10):
         d = rng.standard_normal(2 * ops.n)
         d /= np.linalg.norm(d)
@@ -115,7 +116,9 @@ def test_gradient_contraction_term_only(small_ops, rng):
     cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=0.0)
     z = dc.gaussian_density(small_ops, (0.3, 0.7), 0.2)
     u = dc.ControlField.zeros(small_ops.n)
-    grad, q, adj = reduced_gradient(small_ops, u, z, cfg)
+    equilibrium = dc.solve_equilibrium(small_ops, u)
+    q = equilibrium[0]
+    grad, adj = reduced_gradient(small_ops, u, z, cfg, equilibrium)
     gx, gy = small_ops.tensor.gradient_contraction(adj.values, q.values)
     assert_allclose(grad, np.concatenate([gx, gy]), rtol=0, atol=1e-15)
 
@@ -215,9 +218,9 @@ def test_static_ocp_factorization_count(small_ops, monkeypatch, counts):
     # only equilibria build a state matrix: a gradient reads the factor's
     assert counts["contract"] == 1 + len(trials)
 
-    q, _, factor = dc.solve_equilibrium(small_ops, sol.u_star, return_factor=True)
+    equilibrium = dc.solve_equilibrium(small_ops, sol.u_star)
     before = counts["lu_factor"]
-    reduced_gradient(small_ops, sol.u_star, z, cfg, equilibrium=(q, factor))
+    reduced_gradient(small_ops, sol.u_star, z, cfg, equilibrium)
     assert counts["lu_factor"] == before
 
 
@@ -227,9 +230,10 @@ def test_adjoint_on_the_equilibrium_factor(small_mesh, with_drift, rng):
     ops = dc.assemble_operators(small_mesh, mu=1.0, drift=drift)
     u = random_control(ops, rng, scale=0.5)
     z = dc.gaussian_density(ops, (0.3, 0.6), 0.2)
-    q, _, factor = dc.solve_equilibrium(ops, u, return_factor=True)
-    shared = solve_adjoint_static(ops, u, q, z, 1.0, factor=factor)
-    alone = solve_adjoint_static(ops, u, q, z, 1.0)
+    q, factor = dc.solve_equilibrium(ops, u)
+    shared = solve_adjoint_static(ops, (q, factor), z, 1.0)
+    # the same q with a second factorization of the same bordered matrix
+    alone = solve_adjoint_static(ops, (q, dc.solve_equilibrium(ops, u)[1]), z, 1.0)
     # reference: factorize the bordered matrix of L^T itself; with lambda_m
     # in the right-hand side, its border multiplier nu vanishes
     rhs = ops.M @ (q.values - z.values) + alone.lambda_m * ops.F

@@ -5,17 +5,17 @@ from numpy.testing import assert_allclose
 import densctl as dc
 
 from densctl.ocp_static import OcpConfig
-from densctl.state import NegativeDensityWarning, _n_steps, step_theta
+from densctl.state import NegativeDensityWarning, _n_steps, step_theta, theta_sweep
 
 from conftest import random_control
 
 
 def test_equilibrium_zero_control_uniform(holed_ops):
-    q, v = dc.solve_equilibrium(holed_ops, dc.ControlField.zeros(holed_ops.n))
+    q, _ = dc.solve_equilibrium(holed_ops, dc.ControlField.zeros(holed_ops.n))
     expected = 1.0 / holed_ops.mesh.domain_area
     assert_allclose(q.values, expected, rtol=1e-10)
-    assert q.mass == pytest.approx(1.0, abs=1e-12)
-    assert (v > 0).all()
+    assert holed_ops.F @ q.values == pytest.approx(1.0, abs=1e-12)
+    assert (q.values > 0).all()
 
 
 def test_equilibrium_matches_dense_svd(tiny_ops, rng):
@@ -31,7 +31,7 @@ def test_equilibrium_matches_dense_svd(tiny_ops, rng):
 
 def test_equilibrium_unit_mass_and_residual(small_ops, rng):
     u = random_control(small_ops, rng)
-    q, v = dc.solve_equilibrium(small_ops, u)
+    q, _ = dc.solve_equilibrium(small_ops, u)
     assert small_ops.F @ q.values == pytest.approx(1.0, abs=1e-13)
     L = dc.state_matrix(small_ops, u)
     rel = np.abs(L @ q.values).max() / (np.abs(L).max() * np.abs(q.values).max())
@@ -52,7 +52,7 @@ def test_step_theta_mass_conservation(small_ops, rng):
         u0 = random_control(small_ops, rng)
         u1 = random_control(small_ops, rng)
         q1 = step_theta(small_ops, q, u0, u1, dt=0.02, theta=theta, lumped=theta == 1.0)
-        assert abs(q1.mass - 1.0) < 1e-12
+        assert abs(small_ops.F @ q1.values - 1.0) < 1e-12
 
 
 def test_step_theta_matches_dense_implicit_euler(tiny_ops, rng):
@@ -162,3 +162,22 @@ def test_negative_density_warning(tiny_ops, rng):
 def test_normalized_density_rejects_zero(small_ops):
     with pytest.raises(ValueError):
         dc.normalized_density(small_ops, np.zeros(small_ops.n))
+
+
+def test_trajectory_holds_its_scheme_and_swept_controls(small_ops, rng):
+    q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
+    U = np.stack([random_control(small_ops, rng, scale=0.3).stacked() for _ in range(4)])
+    for theta, lumped in ((1.0, True), (0.5, False)):
+        traj, _ = theta_sweep(small_ops, q0, U, 0.1, theta, lumped)
+        assert traj.controls is U
+        assert (traj.dt, traj.theta, traj.lumped) == (0.1, theta, lumped)
+        traj = dc.simulate(small_ops, q0, U, T=0.3, dt=0.1, theta=theta, lumped=lumped)
+        assert traj.controls is U
+        assert (traj.dt, traj.theta, traj.lumped) == (0.1, theta, lumped)
+    # a constant control is swept as a read-only broadcast of its one row
+    u = random_control(small_ops, rng, scale=0.3)
+    traj = dc.simulate(small_ops, q0, u, T=0.3, dt=0.1, theta=0.5, lumped=False)
+    assert traj.controls.shape == (4, 2 * small_ops.n)
+    assert traj.controls.strides[0] == 0 and not traj.controls.flags.writeable
+    assert np.array_equal(traj.controls, np.tile(u.stacked(), (4, 1)))
+    assert (traj.dt, traj.theta, traj.lumped) == (0.1, 0.5, False)

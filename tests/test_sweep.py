@@ -183,13 +183,11 @@ def test_dynamic_gradient_on_random_meshes(mesh, drift, seed, theta, lumped):
 
     def cost(Um):
         traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
-        return evaluate_dynamic_cost(ops, traj, Um, static, cfg)
+        return evaluate_dynamic_cost(ops, traj, static, cfg)
 
     traj, _ = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
-    lams = solve_adjoint_dynamic(
-        ops, traj, U, static.q_star, cfg.alpha, cfg.dt, theta, lumped
-    )
-    G = _dynamic_gradient(ops, traj, lams, U, static, cfg)
+    lams = solve_adjoint_dynamic(ops, traj, static.q_star, cfg.alpha)
+    G = _dynamic_gradient(ops, traj, lams, static, cfg)
     D = rng.standard_normal(U.shape)
     D /= np.linalg.norm(D)
     slope = float((G * D).sum())
@@ -232,17 +230,15 @@ def test_krylov_sweeps_on_random_meshes(mesh, drift, seed, theta, lumped):
 
     def cost(Um):
         traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
-        return evaluate_dynamic_cost(ops, traj, Um, static, cfg)
+        return evaluate_dynamic_cost(ops, traj, static, cfg)
 
     direct, _ = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
     traj, lu = theta_sweep(ops, q0, U, cfg.dt, theta, lumped, precond)
     assert lu is None and traj.fallbacks == 0
     assert np.abs(traj.states - direct.states).max() <= 1e-12 * np.abs(direct.states).max()
-    lams = solve_adjoint_dynamic(
-        ops, traj, U, static.q_star, cfg.alpha, cfg.dt, theta, lumped, precond=precond
-    )
+    lams = solve_adjoint_dynamic(ops, traj, static.q_star, cfg.alpha, precond=precond)
     assert lams.fallbacks == 0
-    G = _dynamic_gradient(ops, traj, lams, U, static, cfg)
+    G = _dynamic_gradient(ops, traj, lams, static, cfg)
     D = rng.standard_normal(U.shape)
     D /= np.linalg.norm(D)
     slope = float((G * D).sum())
@@ -306,7 +302,7 @@ def test_sweeps_match_fresh_step_matrices_bitwise(mesh, drift, seed, theta, lump
         else:
             lam = lu_factor(tensor.csr(mass + theta * L[i]).T).solve(rhs)
         lams.append(lam - float(ops.F @ lam) / float(ops.F.sum()))
-    adj = solve_adjoint_dynamic(ops, traj, U, qref, alpha, dt, theta, lumped, precond=precond)
+    adj = solve_adjoint_dynamic(ops, traj, qref, alpha, precond=precond)
     assert _same_bits(adj.values, lams[::-1])
     assert traj.fallbacks == adj.fallbacks == 0
 
@@ -336,8 +332,8 @@ def test_krylov_miss_falls_back_to_the_direct_step(holed_ops, rng):
     traj, _ = theta_sweep(ops, q0, U, dt, 0.5, False, precond=poor)
     assert traj.fallbacks == n_steps
     assert np.array_equal(traj.states, direct.states)
-    ref = solve_adjoint_dynamic(ops, direct, U, qref, 1.0, dt, 0.5, False)
-    lams = solve_adjoint_dynamic(ops, traj, U, qref, 1.0, dt, 0.5, False, precond=poor)
+    ref = solve_adjoint_dynamic(ops, direct, qref, 1.0)
+    lams = solve_adjoint_dynamic(ops, traj, qref, 1.0, precond=poor)
     assert lams.fallbacks == n_steps and ref.fallbacks == 0
     # the fallback refines its direct solve once; the reference does not
     assert np.abs(lams.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
