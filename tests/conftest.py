@@ -107,9 +107,10 @@ def counts(monkeypatch):
 @st.composite
 def _delaunay_meshes(draw):
     """Delaunay triangulation of a jittered ring of boundary points around a
-    disc of uniform interior points: unstructured meshes, unlike the aligned
-    ones of ``generate_rect_mesh``.  Triangles are counterclockwise and the
-    ring is one boundary loop with marker 1."""
+    disc of uniform interior points: unstructured throughout, unlike
+    ``generate_rect_mesh``, whose meshes are an aligned lattice away from
+    their holes.  Triangles are counterclockwise and the ring is one boundary
+    loop with marker 1."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_ring, n_in = draw(st.integers(8, 40)), draw(st.integers(0, 150))
     phi = 2.0 * np.pi * (np.arange(n_ring) + rng.uniform(-0.3, 0.3, n_ring)) / n_ring

@@ -16,7 +16,7 @@ from densctl.analysis import (
 from densctl.fem import state_matrix
 from densctl.mesh import boundary_edge_normals
 
-from conftest import random_control
+from conftest import _delaunay_meshes, random_control
 from test_sweep import _meshes
 
 
@@ -165,7 +165,7 @@ def test_certificates_match_dense_oracle_on_presets(number, rng):
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    mesh=_meshes(),
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
     drift=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     scale=st.floats(0.0, 10.0),

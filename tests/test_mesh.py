@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import densctl as dc
-from densctl import presets
+from densctl import cli, presets
 from densctl.cli import main
 from densctl.mesh import (
     GeometryError,
@@ -97,10 +97,10 @@ def test_generate_with_circular_hole_area():
     # polygonalized circle: stay within 2% of the exact area, and never
     # below the inscribed-polygon bound for the coarsest plausible polygon
     assert abs(m.domain_area - exact) / exact < 0.02
-    # carving yields roughly one boundary segment per target_h of circumference
+    # the circle gets about one boundary segment per target_h of circumference
     n_hole_edges = int((m.boundary_markers == 2).sum())
     assert n_hole_edges >= math.ceil(2 * math.pi * 0.2 / 0.1) - 2
-    # the area deficit is exactly the shoelace area of the carved polygon,
+    # the area deficit is exactly the shoelace area of the hole's polygon,
     # which is inscribed in the circle and so never exceeds the disk area
     loop = _ordered_loop(m, marker=2)
     poly = m.vertices[loop]
@@ -321,9 +321,8 @@ def test_rect_hole_mesh():
     assert set(np.unique(mesh.boundary_markers)) == {1, 2}
 
 
-# Layouts that the hole check accepts and whose carving left an edge from
-# one hole to the other on the boundary (MeshTopologyError "lies on neither
-# the outer boundary nor a hole"): a removed triangle spanned the gap.
+# Layouts that the hole check accepts with two holes about one or two edges
+# apart, where only a few triangles span the gap between them.
 _CLOSE_LAYOUTS = {
     "two rects 0.95 h apart": (0.21985944969592663, [
         dc.Rect(-0.10014517517314592, -0.7284493903895214, 0.33588714799941405, -0.28694551961009584),
@@ -337,10 +336,14 @@ _CLOSE_LAYOUTS = {
         dc.Circle(0.30756275476313777, -0.5411119392868706, 0.18060352685116332),
         dc.Circle(0.7355070020550394, -0.544219469017136, 0.18062891606508147),
     ]),
-    # an exposed vertex nearer the other hole than its neighbours' one
     "rect above rect": (0.12471500173005429, [
         dc.Rect(0.13675179457268427, -0.31953951850609286, 0.3986795950420975, 0.2700784669793771),
         dc.Rect(0.27466851075124366, 0.40454013995175137, 0.46344719227723896, 0.6970897626444783),
+    ]),
+    # the corners (-0.278, 0.421) and (-0.148, 0.373) face each other across 0.95 h
+    "diagonal corners": (0.1464329820765764, [
+        dc.Rect(-0.5675494579609903, 0.42069458309095076, -0.27831982901731306, 0.7351684279533739),
+        dc.Rect(-0.14772195510083685, -0.2651151237238587, 0.24174946591175273, 0.3729997355775748),
     ]),
 }
 
@@ -350,17 +353,6 @@ def test_close_holes_mesh(name):
     h, holes = _CLOSE_LAYOUTS[name]
     mesh = dc.generate_rect_mesh((-1, -1, 1, 1), h, holes=holes)  # validates
     assert set(np.unique(mesh.boundary_markers)) == {1, 2, 3}
-
-
-def test_diagonal_corner_gap_is_refused():
-    # the corners (-0.278, 0.421) and (-0.148, 0.373) face each other across
-    # 0.95 h: one lattice vertex between them cannot serve both
-    holes = [
-        dc.Rect(-0.5675494579609903, 0.42069458309095076, -0.27831982901731306, 0.7351684279533739),
-        dc.Rect(-0.14772195510083685, -0.2651151237238587, 0.24174946591175273, 0.3729997355775748),
-    ]
-    with pytest.raises(GeometryError, match="corner of hole 0 lies diagonally"):
-        dc.generate_rect_mesh((-1, -1, 1, 1), 0.1464329820765764, holes=holes)
 
 
 @st.composite
@@ -417,6 +409,10 @@ def test_every_accepted_hole_layout_meshes(layout):
         assume(False)
     mesh = dc.generate_rect_mesh(bounds, h, holes=holes)  # validates
     assert set(np.unique(mesh.boundary_markers)) == set(range(1, len(holes) + 2))
+    rep = dc.check_mesh_quality(mesh)
+    assert rep.is_strict_delaunay, rep.max_opposite_angle_sum
+    A = dc.assemble_operators(mesh, mu=1.0).A_u.tocoo()
+    assert A.data[A.row != A.col].max() <= 1e-12 * A.diagonal().max()
 
 
 def _edge_incidence_rows(triangles):
@@ -448,12 +444,6 @@ def _rect_nearest_oracle(rect, x, y):
     )
 
 
-def _circle_nearest_oracle(circle, x, y):
-    """Radial projection, the distance to the center floored at 1e-12 r."""
-    scale = circle.r / np.maximum(np.hypot(x - circle.cx, y - circle.cy), 1e-12 * circle.r)
-    return circle.cx + (x - circle.cx) * scale, circle.cy + (y - circle.cy) * scale
-
-
 _mesh_properties = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -470,8 +460,8 @@ def test_edge_incidence_matches_row_unique(mesh):
 @_mesh_properties
 @given(mesh=st.one_of(_meshes(), _delaunay_meshes()), data=st.data())
 def test_shape_projections_match_their_formulas(mesh, data):
-    # shapes spanned by mesh vertices, so some vertices lie on a rect's edges or
-    # corners, one at the circle's center and one on the circle
+    # a rectangle spanned by mesh vertices, so some vertices lie on its edges
+    # or corners
     v = mesh.vertices
     i, j = (data.draw(st.integers(0, mesh.n_vertices - 1)) for _ in range(2))
     (x0, x1), (y0, y1) = np.sort(v[[i, j]], axis=0).T
@@ -481,10 +471,6 @@ def test_shape_projections_match_their_formulas(mesh, data):
     rect = dc.Rect(x0, y0, x1, y1)
     assert np.array_equal(rect.boundary_distance(x, y), _rect_distance_oracle(rect, x, y))
     for a, b in zip(rect.nearest(x, y), _rect_nearest_oracle(rect, x, y)):
-        assert np.array_equal(a, b)
-    r = float(np.hypot(*(v[j] - v[i]))) or 0.5
-    circle = dc.Circle(float(v[i, 0]), float(v[i, 1]), r)
-    for a, b in zip(circle.nearest(x, y), _circle_nearest_oracle(circle, x, y)):
         assert np.array_equal(a, b)
 
 
@@ -515,3 +501,12 @@ def test_boundary_markers_match_the_edge_loop(number):
     mesh = dc.generate_rect_mesh(gen["bounds"], gen["target_h"], holes)
     assert np.array_equal(mesh.boundary_markers, _markers_by_edge_loop(mesh, gen["bounds"], holes))
     assert set(mesh.boundary_markers) == set(range(1, len(holes) + 2))
+
+
+@pytest.mark.parametrize("paper_scale", [False, True], ids=["desk", "paper"])
+@pytest.mark.parametrize("number", [1, 2, 3])
+def test_preset_meshes_give_a_z_matrix_stiffness(number, paper_scale):
+    mesh = cli.parse_config(presets.testcase_config(number, paper_scale)).mesh()
+    assert dc.check_mesh_quality(mesh).is_strict_delaunay
+    A = dc.assemble_operators(mesh, mu=1.0).A_u.tocoo()
+    assert (A.data[A.row != A.col] <= 0).all()

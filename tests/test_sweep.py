@@ -20,7 +20,7 @@ from densctl.ocp_dynamic import _dynamic_gradient, evaluate_dynamic_cost, solve_
 from densctl.ocp_static import OcpConfig, StaticSolution, solve_static_ocp
 from densctl.state import theta_sweep
 
-from conftest import random_control
+from conftest import _delaunay_meshes, random_control
 
 
 def test_simulate_constant_control_factorizes_once(small_ops, rng, counts):
@@ -124,7 +124,7 @@ def _meshes(draw):
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    mesh=_meshes(),
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
     drift=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     scale=st.floats(0.0, 5.0),
