@@ -457,13 +457,16 @@ def _check_hole_geometry(bounds, holes, target_h):
             )
         if isinstance(hole, Rect) and min(hole.x1 - hole.x0, hole.y1 - hole.y0) < 1.5 * target_h:
             raise GeometryError(f"hole {n} is thinner than 1.5*target_h; refine target_h")
-    for n, a in enumerate(holes):
-        for m, b in enumerate(holes[n + 1 :], start=n + 1):
-            ax0, ay0, ax1, ay1 = a.bbox()
-            bx0, by0, bx1, by1 = b.bbox()
-            gap_x = max(bx0 - ax1, ax0 - bx1)
-            gap_y = max(by0 - ay1, ay0 - by1)
-            if max(gap_x, gap_y) < clear:
+    # A hole is a box widened by a radius (a circle its center by r), so the
+    # gap between boundaries is the boxes' distance less both radii, <= 0 on contact.
+    cores = [
+        ((h.cx, h.cy, h.cx, h.cy), h.r) if isinstance(h, Circle) else (h.bbox(), 0.0)
+        for h in holes
+    ]
+    for n, ((ax0, ay0, ax1, ay1), ra) in enumerate(cores):
+        for m, ((bx0, by0, bx1, by1), rb) in enumerate(cores[n + 1 :], start=n + 1):
+            gap_x, gap_y = max(bx0 - ax1, ax0 - bx1, 0.0), max(by0 - ay1, ay0 - by1, 0.0)
+            if math.hypot(gap_x, gap_y) - ra - rb < clear:
                 raise GeometryError(f"holes {n} and {m} overlap or are too close")
 
 

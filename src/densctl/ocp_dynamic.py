@@ -20,6 +20,7 @@ keep no per-step factors.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,65 @@ def project_to_magnitude_ball(U: np.ndarray, n: int, radius: float) -> np.ndarra
     return out
 
 
+def _lbfgs_direction(grad, memory, h_inv, bound):
+    """Inverse-Hessian estimate times grad by the two-loop recursion
+    (Nocedal & Wright, Algorithm 7.4) over the (s, y) pairs in ``memory``,
+    oldest first, with the initial operator gamma h_inv and gamma =
+    s^T y / (y^T h_inv y) from the newest pair.
+
+    The recursion runs on the free entries only: the entries ``bound`` (an
+    index array) of grad, of every curvature product and of the result are
+    zero, and a pair whose free curvature s_F^T y_F is not positive is
+    skipped.  Pairs are stored whole; each product drops the bound entries'
+    share, so no masked copy of a pair is made.
+    """
+    used = [(s, y, sy) for s, y in memory if (sy := s @ y - s[bound] @ y[bound]) > 0]
+    r = grad.copy()
+    r[bound] = 0.0
+    alphas = []
+    for s, y, sy in reversed(used):
+        alphas.append((s @ r) / sy)
+        r -= alphas[-1] * y
+        r[bound] = 0.0
+    r = h_inv(r)
+    r[bound] = 0.0
+    if used:
+        s, y, sy = used[-1]
+        y_free = y.copy()
+        y_free[bound] = 0.0
+        r *= sy / (y_free @ h_inv(y_free))
+    for (s, y, sy), a in zip(used, reversed(alphas)):
+        r += (a - (y @ r) / sy) * s
+        r[bound] = 0.0
+    return r
+
+
+def lbfgs_directions(h_inv, memory, binding):
+    """Projected L-BFGS directions for :func:`ocp_static.descend`.
+
+    The step and gradient change between successive iterates are kept as a
+    pair when their curvature is positive, at most ``memory`` pairs.  A
+    direction is :func:`_lbfgs_direction` on the entries that
+    ``binding(u, grad)`` does not return, with a restart along -h_inv(grad)
+    that drops the pairs; it is -h_inv(grad), with the pairs dropped and no
+    restart, when the recursion has nothing to add or does not descend.
+    """
+    pairs, last = deque(maxlen=memory), []
+
+    def direction(u, grad, state, result):
+        if last and (s := u - last[0]) @ (y := grad - last[1]) > 0:
+            pairs.append((s, y))
+        last[:] = u, grad
+        bound = binding(u, grad)
+        d = -_lbfgs_direction(grad, pairs, h_inv, bound)
+        if grad @ d < 0 and (pairs or bound.size):
+            return d, lambda: pairs.clear() or -h_inv(grad)
+        pairs.clear()
+        return -h_inv(grad), None
+
+    return direction
+
+
 def _dynamic_gradient(ops, traj, lams, static_solution, config):
     """Stacked gradient (n_nodes_t, 2n) of the discrete cost w.r.t. the
     control stack of ``traj``."""
@@ -175,9 +235,9 @@ def solve_dynamic_ocp(
         i, j = np.nonzero(on_ball & (np.einsum("icj,icj->ij", U, G) < 0))
         return np.concatenate([i * 2 * n + j, i * 2 * n + n + j])
 
+    directions = lbfgs_directions(h_inv_of(ops, config), DYNAMIC_LBFGS_MEMORY, binding)
     u, (traj, lams), history, reason, restarts = descend(
-        evaluate, gradient, evaluated(traj), h_inv_of(ops, config), config,
-        armijo_backtracking, DYNAMIC_LBFGS_MEMORY, binding,
+        evaluate, gradient, evaluated(traj), directions, config, armijo_backtracking
     )
     U = u.reshape(n_nodes, 2 * n)
     return DynamicSolution(

@@ -1,4 +1,4 @@
-"""Static velocity-field optimization by L-BFGS on the reduced cost.
+"""Static velocity-field optimization by line-search Newton-CG on the reduced cost.
 
 The reduced cost of a control u is
 
@@ -8,22 +8,21 @@ where q(u) is the unit-mass equilibrium and H = beta M + beta_g A_u is the
 control metric (L2 plus H1 per velocity component) that the dynamic OCP
 shares.  The gradient is H u per component plus the tensor contraction of
 the static adjoint with q.  Both OCPs run one loop, :func:`descend`:
-gradient, stop test, L-BFGS direction from gamma H^-1 (H factorized once;
-on the free entries only when a ``binding`` callback names bound ones, as
-the dynamic OCP's does), Armijo backtracking with one restart along
--H^-1 grad, and the accepted trial, with its cost and state, as the next
-iterate.  A static trial factorizes one bordered equilibrium
-matrix; the accepted trial's (q, factor) pair is what its gradient takes,
-and the factor serves the adjoint and mass multiplier (one transposed
-solve), so a gradient builds no state matrix and costs no further
-factorization.
+gradient, stop test, a direction from a callback, Armijo backtracking from
+a unit step, and the accepted trial, with its cost and state, as the next
+iterate.  A static trial factorizes one bordered equilibrium matrix; the
+accepted trial's (q, factor) pair is what its gradient takes, and the
+factor serves the adjoint and mass multiplier (one transposed solve) and
+every reduced-Hessian product at the iterate (two solves each), so neither
+builds a state matrix or factorizes.  The static direction is truncated CG
+on those products, preconditioned by H^-1 (H factorized once); the dynamic
+OCP's is projected L-BFGS (:mod:`ocp_dynamic`).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .adjoint import AdjointField, solve_adjoint_static
 from .fem import ControlField, FemOperators
-from .linalg import SolverError, lu_factor
+from .linalg import SolverError, bordered_solve, lu_factor
 from .state import DensityField, _n_steps, _vals, solve_equilibrium
 
 __all__ = [
@@ -44,6 +43,7 @@ __all__ = [
     "evaluate_cost",
     "reduced_gradient",
     "armijo_backtracking",
+    "hessian_product",
     "solve_static_ocp",
 ]
 
@@ -199,45 +199,6 @@ def armijo_backtracking(j_fun, u, d, grad, params: ArmijoParams, f0=None):
     )
 
 
-# Number of (s, y) pairs kept by the L-BFGS memory.
-LBFGS_MEMORY = 10
-
-_NO_BOUND = np.zeros(0, dtype=np.intp)
-
-
-def _lbfgs_direction(grad, memory, h_inv, bound=_NO_BOUND):
-    """Inverse-Hessian estimate times grad by the two-loop recursion
-    (Nocedal & Wright, Algorithm 7.4) over the (s, y) pairs in ``memory``,
-    oldest first, with the initial operator gamma h_inv and gamma =
-    s^T y / (y^T h_inv y) from the newest pair.
-
-    The recursion runs on the free entries only: the entries ``bound`` (an
-    index array) of grad, of every curvature product and of the result are
-    zero, and a pair whose free curvature s_F^T y_F is not positive is
-    skipped.  Pairs are stored whole; each product drops the bound entries'
-    share, so no masked copy of a pair is made.
-    """
-    used = [(s, y, sy) for s, y in memory if (sy := s @ y - s[bound] @ y[bound]) > 0]
-    r = grad.copy()
-    r[bound] = 0.0
-    alphas = []
-    for s, y, sy in reversed(used):
-        alphas.append((s @ r) / sy)
-        r -= alphas[-1] * y
-        r[bound] = 0.0
-    r = h_inv(r)
-    r[bound] = 0.0
-    if used:
-        s, y, sy = used[-1]
-        y_free = y.copy()
-        y_free[bound] = 0.0
-        r *= sy / (y_free @ h_inv(y_free))
-    for (s, y, sy), a in zip(used, reversed(alphas)):
-        r += (a - (y @ r) / sy) * s
-        r[bound] = 0.0
-    return r
-
-
 def h_inv_of(ops: FemOperators, config: OcpConfig):
     """H^-1 on every length-n block of a vector: H is factorized once, and
     each call is one multi-RHS solve."""
@@ -245,24 +206,22 @@ def h_inv_of(ops: FemOperators, config: OcpConfig):
     return lambda v: H_lu.solve(v.reshape(-1, n).T).T.ravel()
 
 
-def descend(evaluate, gradient, start, h_inv, config, line_search, memory, binding=None):
-    """Armijo-safeguarded L-BFGS descent, shared by the static and dynamic OCPs.
+def descend(evaluate, gradient, start, direction, config, line_search):
+    """Armijo-safeguarded descent, the one loop of the static and dynamic OCPs.
 
     ``evaluate(u)`` returns (u', J, state) for the point u' it evaluated (u
     or its projection), ``gradient(u, state)`` returns (grad, result), and
     ``start`` is an evaluated triple, passed inline so that only this call
-    holds it.  Directions are :func:`_lbfgs_direction` over at most
-    ``memory`` (s, y) pairs, restricted to the entries that
-    ``binding(u, grad)`` does not return when it is given (projected
-    L-BFGS); -h_inv(grad) when they do not descend.  When the line search
-    along such a direction fails, the pairs are dropped and the search runs
-    once more along -h_inv(grad), a restart.  The last trial that
-    ``line_search`` evaluates is the one it accepts: it is the next iterate,
-    with its J and state.  An iterate's state is dropped once its gradient
-    is taken, and no trial is held while the next is evaluated.  Stops with
-    ``reason`` "tol" once |grad| < config.tol, "max_iter" after
-    config.max_iter iterations or "line_search", and returns (u, result,
-    history, reason, restarts) at the last iterate.
+    holds it.  ``direction(u, grad, state, result)`` returns (d, restart):
+    the direction to search along, and None or a callable that gives the
+    direction to search once more along when that search fails (a
+    restart).  The last trial that ``line_search`` evaluates is the one it
+    accepts: it is the next iterate, with its J and state.  An iterate's
+    state is dropped once its direction is taken, and no trial is held while
+    the next is evaluated.  Stops with ``reason`` "tol" once |grad| <
+    config.tol, "max_iter" after config.max_iter iterations or
+    "line_search", and returns (u, result, history, reason, restarts) at the
+    last iterate.
     """
     u, J, state = start
     del start
@@ -280,52 +239,87 @@ def descend(evaluate, gradient, start, h_inv, config, line_search, memory, bindi
             return None
 
     history: list[IterationRecord] = []
-    pairs = deque(maxlen=memory)
-    step = grad_old = None
     restarts = 0
     for it in range(config.max_iter + 1):
         grad, result = gradient(u, state)
-        state = None
         gnorm = float(np.linalg.norm(grad))
         if gnorm < config.tol or it == config.max_iter:
             reason = "tol" if gnorm < config.tol else "max_iter"
             break
-        if step is not None:
-            y = grad - grad_old
-            if step @ y > 0:
-                pairs.append((step, y))
-            step = grad_old = y = None  # the pairs hold what is still needed
-        bound = _NO_BOUND if binding is None else binding(u, grad)
-        d = -_lbfgs_direction(grad, pairs, h_inv, bound)
-        steepest = not pairs and not bound.size
-        if not grad @ d < 0:
-            pairs.clear()
-            d, steepest = -h_inv(grad), True
+        d, restart = direction(u, grad, state, result)
+        state = None
         tau = search(d)
-        if tau is None and not steepest:
-            pairs.clear()
+        if tau is None and restart is not None:
             restarts += 1
-            tau = search(-h_inv(grad))
+            tau = search(restart())
         if tau is None:
             reason = "line_search"
             break
         history.append(IterationRecord(it, J, gnorm, tau))
-        u_new, J, state = trial
-        step, grad_old, u = u_new - u, grad, u_new
+        u, J, state = trial
     history.append(IterationRecord(it, J, gnorm, 0.0))
     return u, result, history, reason, restarts
+
+
+def hessian_product(ops: FemOperators, config: OcpConfig, equilibrium, adj: AdjointField, v):
+    """The reduced Hessian of the cost at a control times a stacked direction v.
+
+    ``equilibrium`` is the control's (q, bordered factor) pair and ``adj``
+    its adjoint.  With C = C(v), the linearized equilibrium
+    K [dq; ds] = [C q; 0] and the linearized adjoint
+    K^T [dlam; dnu] = [alpha M dq + C^T lam; 0] take one solve each with the
+    factor, and Hv = H v + g(dlam, q) + g(lam, dq) per component, g the
+    tensor's gradient contraction: no factorization, and no state matrix.
+    """
+    (q, factor), lam = equilibrium, adj.values
+    C = ops.tensor.csr(ops.tensor.contract_data(ControlField.from_stacked(v)))
+    dq, _ = bordered_solve(factor, C @ q.values, 0.0)
+    dlam, _ = bordered_solve(factor, config.alpha * (ops.M @ dq) + C.T @ lam, 0.0, trans="T")
+    g = ops.tensor.gradient_contraction
+    Hv = per_component(control_metric(ops, config), v)
+    return Hv + np.concatenate(g(dlam, q.values)) + np.concatenate(g(lam, dq))
+
+
+def _truncated_cg(hess, grad, h_inv, forcing):
+    """An inexact Newton direction d: CG on hess(d) = -grad from d = 0,
+    preconditioned by h_inv, until |hess(d) + grad| <= forcing |grad|.  On a
+    direction p of nonpositive curvature it returns the iterate so far, or p
+    = -h_inv(grad) at the first step (Nocedal & Wright, Algorithm 7.1)."""
+    d, r = np.zeros_like(grad), grad.copy()
+    z = h_inv(r)
+    p, rz = -z, r @ z
+    tol = forcing * np.linalg.norm(grad)
+    for j in range(grad.size):
+        Hp = hess(p)
+        curvature = p @ Hp
+        if curvature <= 0:
+            return p if j == 0 else d
+        a = rz / curvature
+        d += a * p
+        r += a * Hp
+        if np.linalg.norm(r) <= tol:
+            break
+        z = h_inv(r)
+        rz, rz_old = r @ z, rz
+        p = rz / rz_old * p - z
+    return d
 
 
 def solve_static_ocp(
     ops: FemOperators, z, config: OcpConfig, u0: ControlField | None = None
 ) -> StaticSolution:
-    """L-BFGS iteration on the reduced cost, by :func:`descend`.
+    """Line-search Newton-CG on the reduced cost, by :func:`descend`.
 
-    Each trial solves one bordered equilibrium; the accepted trial's
-    equilibrium, factor and cost serve the next gradient, so accepted costs
-    are nonincreasing.  ``reason`` says why the iteration stopped.
+    Each direction is :func:`_truncated_cg` on :func:`hessian_product` at
+    the iterate, with the forcing term min(0.5, sqrt(|g| / |g_0|))
+    (Eisenstat & Walker 1996), g_0 the first gradient; it searches from a
+    unit step.  Each trial solves one bordered equilibrium; the accepted
+    trial's equilibrium, factor and cost serve the next gradient and its
+    Hessian products, so accepted costs are nonincreasing.  ``reason`` says
+    why the iteration stopped.
     """
     zv = _vals(z)
+    h_inv, gnorms = h_inv_of(ops, config), []
 
     def evaluate(u):
         cf = ControlField.from_stacked(u)
@@ -336,10 +330,17 @@ def solve_static_ocp(
         grad, adj = reduced_gradient(ops, ControlField.from_stacked(u), zv, config, equilibrium)
         return grad, (equilibrium[0], adj)
 
+    def direction(u, grad, equilibrium, result):
+        gnorms.append(np.linalg.norm(grad))
+        d = _truncated_cg(
+            lambda v: hessian_product(ops, config, equilibrium, result[1], v),
+            grad, h_inv, min(0.5, math.sqrt(gnorms[-1] / gnorms[0])),
+        )
+        return d, None
+
     u = u0.stacked() if u0 is not None else np.zeros(2 * ops.n)
     u, (q, adj), history, reason, _ = descend(
-        evaluate, gradient, evaluate(u), h_inv_of(ops, config), config, armijo_backtracking,
-        LBFGS_MEMORY,
+        evaluate, gradient, evaluate(u), direction, config, armijo_backtracking
     )
     return StaticSolution(
         q_star=q,

@@ -84,23 +84,24 @@ def random_control(ops, rng, scale=1.0):
 
 @pytest.fixture()
 def counts(monkeypatch):
-    """Calls of lu_factor, through every binding, and of the tensor contraction."""
-    calls = {"lu_factor": 0, "contract": 0}
-    lu_factor = linalg.lu_factor
+    """Calls of lu_factor and bordered_solve, through every binding, and of
+    the tensor contraction."""
+    calls = {"lu_factor": 0, "bordered_solve": 0, "contract": 0}
     contract_data = AdvectionTensor.contract_data
 
-    def counted_lu(matrix):
-        calls["lu_factor"] += 1
-        return lu_factor(matrix)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    def counted_contract(self, u):
-        calls["contract"] += 1
-        return contract_data(self, u)
+        return wrapper
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "densctl" and getattr(mod, "lu_factor", None) is lu_factor:
-            monkeypatch.setattr(mod, "lu_factor", counted_lu)
-    monkeypatch.setattr(AdvectionTensor, "contract_data", counted_contract)
+    for fn in (linalg.lu_factor, linalg.bordered_solve):
+        wrapper = counted(fn.__name__, fn)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "densctl" and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    monkeypatch.setattr(AdvectionTensor, "contract_data", counted("contract", contract_data))
     return calls
 
 

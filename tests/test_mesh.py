@@ -345,6 +345,8 @@ _CLOSE_LAYOUTS = {
         dc.Rect(-0.5675494579609903, 0.42069458309095076, -0.27831982901731306, 0.7351684279533739),
         dc.Rect(-0.14772195510083685, -0.2651151237238587, 0.24174946591175273, 0.3729997355775748),
     ]),
+    # 0.166 (3.3 h) apart, though their bounding boxes share a corner
+    "diagonal circles": (0.05, [dc.Circle(-0.3, -0.3, 0.2), dc.Circle(0.1, 0.1, 0.2)]),
 }
 
 
@@ -353,6 +355,32 @@ def test_close_holes_mesh(name):
     h, holes = _CLOSE_LAYOUTS[name]
     mesh = dc.generate_rect_mesh((-1, -1, 1, 1), h, holes=holes)  # validates
     assert set(np.unique(mesh.boundary_markers)) == {1, 2, 3}
+    assert dc.check_mesh_quality(mesh).is_strict_delaunay
+
+
+def _diagonal_pair(kind, gap):
+    """Two holes in (-1, 1)^2 whose boundaries are ``gap`` apart along the
+    diagonal: circles of radius 0.2, squares of side 0.3 or 0.4."""
+    step = gap / math.sqrt(2.0)
+    if kind == "rects":
+        c = -0.2 + step
+        return [dc.Rect(-0.6, -0.6, -0.2, -0.2), dc.Rect(c, c, c + 0.3, c + 0.3)]
+    c = -0.3 + 0.2 / math.sqrt(2.0) + step  # nearest point of the second hole
+    if kind == "circles":
+        c += 0.2 / math.sqrt(2.0)
+        return [dc.Circle(-0.3, -0.3, 0.2), dc.Circle(c, c, 0.2)]
+    return [dc.Circle(-0.3, -0.3, 0.2), dc.Rect(c, c, c + 0.3, c + 0.3)]
+
+
+@pytest.mark.parametrize("kind", ["circles", "circle and rect", "rects"])
+def test_diagonal_holes_are_spaced_by_their_boundaries(kind):
+    # the clearance between holes is 0.75 h, boundary to boundary
+    h = 0.05
+    mesh = dc.generate_rect_mesh((-1, -1, 1, 1), h, holes=_diagonal_pair(kind, 0.8 * h))
+    assert set(np.unique(mesh.boundary_markers)) == {1, 2, 3}
+    assert dc.check_mesh_quality(mesh).is_strict_delaunay
+    with pytest.raises(GeometryError, match="holes 0 and 1 overlap or are too close"):
+        dc.generate_rect_mesh((-1, -1, 1, 1), h, holes=_diagonal_pair(kind, 0.7 * h))
 
 
 @st.composite

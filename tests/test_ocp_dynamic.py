@@ -228,9 +228,10 @@ def test_binding_holds_the_outward_speeds_on_the_ball(small_ops, static_solution
     import densctl.ocp_dynamic as ocp_dynamic
 
     captured = []
-    descend = ocp_dynamic.descend
+    directions = ocp_dynamic.lbfgs_directions
     monkeypatch.setattr(
-        ocp_dynamic, "descend", lambda *args: captured.append(args[-1]) or descend(*args)
+        ocp_dynamic, "lbfgs_directions",
+        lambda *args: captured.append(args[-1]) or directions(*args),
     )
     cfg = OcpConfig(
         alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-12, max_iter=1,

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import densctl as dc
 from densctl import cli, ocp_static, presets
 from densctl.adjoint import solve_adjoint_static
+from densctl.ocp_dynamic import _lbfgs_direction, lbfgs_directions
 from densctl.ocp_static import (
     ArmijoParams,
     LineSearchError,
@@ -16,7 +21,8 @@ from densctl.ocp_static import (
     solve_static_ocp,
 )
 
-from conftest import random_control
+from conftest import _delaunay_meshes, random_control
+from test_sweep import _meshes
 
 
 def test_config_validation():
@@ -111,6 +117,53 @@ def test_gradient_matches_finite_differences(small_mesh, base_config, with_drift
         assert best < 1e-5
 
 
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 3.0),
+)
+def test_hessian_product_matches_central_differences(mesh, drift, seed, scale):
+    ops = dc.assemble_operators(mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None)
+    rng = np.random.default_rng(seed)
+    cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=1e-5)
+    z = dc.normalized_density(ops, rng.random(ops.n) + 0.1)
+    u = random_control(ops, rng, scale).stacked()
+
+    def gradient(vec):
+        cf = dc.ControlField.from_stacked(vec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dc.state.NegativeDensityWarning)
+            equilibrium = dc.solve_equilibrium(ops, cf)
+        return reduced_gradient(ops, cf, z, cfg, equilibrium) + (equilibrium,)
+
+    _, adj, equilibrium = gradient(u)
+    v, w = rng.standard_normal((2, u.size))
+    Hv = ocp_static.hessian_product(ops, cfg, equilibrium, adj, v)
+    Hw = ocp_static.hessian_product(ops, cfg, equilibrium, adj, w)
+    best = np.inf
+    for eps in (1e-3, 1e-4, 1e-5):
+        fd = (gradient(u + eps * v)[0] - gradient(u - eps * v)[0]) / (2 * eps)
+        best = min(best, np.linalg.norm(fd - Hv) / np.linalg.norm(Hv))
+    assert best < 1e-7
+    # the reduced Hessian is symmetric: w.Hv = v.Hw up to the rounding of the products
+    assert abs(w @ Hv - v @ Hw) <= 1e-12 * np.linalg.norm(w) * np.linalg.norm(Hv)
+
+
+def test_hessian_product_reuses_the_equilibrium_factor(small_ops, base_config, rng, counts):
+    u = random_control(small_ops, rng, scale=0.5)
+    z = dc.gaussian_density(small_ops, (0.6, 0.4), 0.2)
+    equilibrium = dc.solve_equilibrium(small_ops, u)
+    _, adj = reduced_gradient(small_ops, u, z, base_config, equilibrium)
+    before = dict(counts)
+    ocp_static.hessian_product(
+        small_ops, base_config, equilibrium, adj, rng.standard_normal(2 * small_ops.n)
+    )
+    assert counts["lu_factor"] == before["lu_factor"]
+    assert counts["bordered_solve"] == before["bordered_solve"] + 2
+
+
 def test_gradient_contraction_term_only(small_ops, rng):
     # beta_g = 0 and u = 0: gradient reduces to the adjoint-state contraction
     cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=0.0)
@@ -201,22 +254,32 @@ def test_static_ocp_warm_start(small_ops):
 
 def test_static_ocp_factorization_count(small_ops, monkeypatch, counts):
     # H once, the equilibrium at u0 once, then one bordered factorization per
-    # Armijo trial; the accepted trial's factor serves the next gradient
-    trials = []
-    armijo = ocp_static.armijo_backtracking
+    # Armijo trial; the accepted trial's factor serves the next gradient and
+    # every Hessian product at it
+    trials, products = [], []
+    armijo, hessian_product = ocp_static.armijo_backtracking, ocp_static.hessian_product
 
     def counted_armijo(j_fun, *args, **kwargs):
         return armijo(lambda v: trials.append(1) or j_fun(v), *args, **kwargs)
 
+    def counted_product(*args):
+        products.append(1)
+        return hessian_product(*args)
+
     monkeypatch.setattr(ocp_static, "armijo_backtracking", counted_armijo)
+    monkeypatch.setattr(ocp_static, "hessian_product", counted_product)
     z = dc.gaussian_density(small_ops, (0.7, 0.3), 0.15)
     cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-5, max_iter=150)
     sol = solve_static_ocp(small_ops, z, cfg)
     assert sol.reason == "tol"
-    assert (len(sol.history) - 1, len(trials)) == (28, 37)
-    assert counts["lu_factor"] == 1 + 1 + len(trials) == 39
-    # only equilibria build a state matrix: a gradient reads the factor's
-    assert counts["contract"] == 1 + len(trials)
+    iterations = len(sol.history) - 1
+    assert (iterations, len(trials), len(products)) == (8, 9, 25)
+    assert counts["lu_factor"] == 1 + 1 + len(trials)
+    # an equilibrium per trial and at u0, an adjoint per gradient, two per product
+    assert counts["bordered_solve"] == len(trials) + 1 + iterations + 1 + 2 * len(products)
+    # only equilibria build a state matrix: a gradient reads the factor's, and
+    # a product contracts the tensor with its direction alone
+    assert counts["contract"] == 1 + len(trials) + len(products)
 
     equilibrium = dc.solve_equilibrium(small_ops, sol.u_star)
     before = counts["lu_factor"]
@@ -267,8 +330,9 @@ def test_static_stop_reasons(small_ops):
     runs = {
         "tol": OcpConfig(tol=1e-5, max_iter=150),
         "max_iter": OcpConfig(tol=1e-12, max_iter=3),
-        # the first direction is -H^-1 grad, far too long for a unit step
-        "line_search": OcpConfig(tol=1e-12, armijo=ArmijoParams(max_backtracks=2)),
+        # a Newton step decreases a quadratic by half its slope, so a
+        # sufficient decrease of 0.9 of the slope needs a step below 0.2
+        "line_search": OcpConfig(tol=1e-12, armijo=ArmijoParams(c1=0.9, max_backtracks=2)),
     }
     for reason, cfg in runs.items():
         sol = solve_static_ocp(small_ops, z, cfg)
@@ -277,7 +341,8 @@ def test_static_stop_reasons(small_ops):
     assert len(sol.history) == 1 and sol.history[0].step_size == 0.0
 
 
-# A convex quadratic J(u) = 1/2 u^T A u - b^T u with a Jacobi h_inv, for descend.
+# A convex quadratic J(u) = 1/2 u^T A u - b^T u with a Jacobi h_inv, for descend
+# with the dynamic OCP's L-BFGS directions.
 QUAD_A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.8], [0.5, -0.8, 2.0]])
 QUAD_B = np.array([1.0, -2.0, 3.0])
 
@@ -294,6 +359,14 @@ def _jacobi(scale=1.0):
     return lambda v: scale * v / np.diag(QUAD_A)
 
 
+NO_BOUND = np.zeros(0, dtype=np.intp)
+
+
+def _lbfgs(h_inv, memory):
+    """Unprojected L-BFGS directions for descend."""
+    return lbfgs_directions(h_inv, memory, lambda u, grad: NO_BOUND)
+
+
 def test_descend_without_memory_is_preconditioned_steepest_descent():
     cfg = OcpConfig(tol=1e-300, max_iter=12)
     iterates = []
@@ -307,7 +380,7 @@ def test_descend_without_memory_is_preconditioned_steepest_descent():
 
     u0 = np.array([3.0, 2.0, -1.0])
     u, _, history, reason, _ = ocp_static.descend(
-        evaluate, gradient, evaluate(u0), _jacobi(4.0), cfg, armijo_backtracking, 0,
+        evaluate, gradient, evaluate(u0), _lbfgs(_jacobi(4.0), 0), cfg, armijo_backtracking,
     )
     assert reason == "max_iter"
     # the same iteration written out: d = -h_inv(grad), then Armijo
@@ -339,7 +412,7 @@ def test_descend_accepts_the_projected_trial():
         return _quad_gradient(u, state)
 
     u, _, history, _, _ = ocp_static.descend(
-        evaluate, gradient, evaluate(np.zeros(3)), _jacobi(), cfg, armijo_backtracking, 0,
+        evaluate, gradient, evaluate(np.zeros(3)), _lbfgs(_jacobi(), 0), cfg, armijo_backtracking,
     )
     assert len(history) > 2
     for v, rec in zip(iterates, history):
@@ -350,7 +423,7 @@ def test_descend_accepts_the_projected_trial():
     assert np.array_equal(u, iterates[-1])
 
 
-@pytest.mark.parametrize("memory", [0, ocp_static.LBFGS_MEMORY])
+@pytest.mark.parametrize("memory", [0, 10])
 def test_descend_holds_no_state_while_it_evaluates(memory):
     # each state stands for an iterate's or a trial's factors: none may be
     # alive while the next trial is evaluated
@@ -370,8 +443,8 @@ def test_descend_holds_no_state_while_it_evaluates(memory):
 
     # an overlong first direction makes the line searches backtrack
     _, _, history, _, _ = ocp_static.descend(
-        evaluate, _quad_gradient, evaluate(np.array([3.0, 2.0, -1.0])), _jacobi(8.0), cfg,
-        armijo_backtracking, memory,
+        evaluate, _quad_gradient, evaluate(np.array([3.0, 2.0, -1.0])),
+        _lbfgs(_jacobi(8.0), memory), cfg, armijo_backtracking,
     )
     assert len(made) > len(history) + 1  # some trials were rejected
     assert alive_at_evaluation == [0] * len(made)
@@ -414,7 +487,7 @@ def test_free_set_two_loop_matches_a_dense_reference():
         free[bound] = 0.0
         skipped += sum((free * s) @ (free * y) <= 0 for s, y in pairs)
         grad = rng.standard_normal(n)
-        got = ocp_static._lbfgs_direction(grad, pairs, lambda v: h_inv_matrix @ v, bound)
+        got = _lbfgs_direction(grad, pairs, lambda v: h_inv_matrix @ v, bound)
         want = _masked_bfgs_reference(grad, pairs, h_inv_matrix, bound)
         assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     assert skipped > 0  # the skip rule was exercised
@@ -425,14 +498,9 @@ def test_free_set_direction_is_zero_on_bound_entries():
     n = 50
     pairs = [(s, rng.standard_normal(n) + 2.0 * s) for s in rng.standard_normal((3, n))]
     bound = np.array([3, 17, 18, 42])
-    d = ocp_static._lbfgs_direction(rng.standard_normal(n), pairs, lambda v: 0.5 * v, bound)
+    d = _lbfgs_direction(rng.standard_normal(n), pairs, lambda v: 0.5 * v, bound)
     assert np.all(d[bound] == 0.0)
     assert np.count_nonzero(d) == n - bound.size
-    # with no bound entry the recursion is the unrestricted one, bit for bit
-    grad = rng.standard_normal(n)
-    plain = ocp_static._lbfgs_direction(grad, pairs, lambda v: 0.5 * v)
-    empty = ocp_static._lbfgs_direction(grad, pairs, lambda v: 0.5 * v, np.zeros(0, dtype=int))
-    assert np.array_equal(plain, empty)
 
 
 def test_failed_quasi_newton_search_restarts_along_steepest_descent():
@@ -454,8 +522,8 @@ def test_failed_quasi_newton_search_restarts_along_steepest_descent():
         return _quad_gradient(u, state)
 
     _, _, history, reason, restarts = ocp_static.descend(
-        evaluate, gradient, evaluate(np.array([3.0, 2.0, -1.0])), _jacobi(), cfg,
-        flaky, ocp_static.LBFGS_MEMORY,
+        evaluate, gradient, evaluate(np.array([3.0, 2.0, -1.0])), _lbfgs(_jacobi(), 10), cfg,
+        flaky,
     )
     assert reason == "max_iter" and restarts == 1 and len(history) == cfg.max_iter + 1
     failed_d, grad = directions[2]
@@ -467,4 +535,4 @@ def test_failed_quasi_newton_search_restarts_along_steepest_descent():
     # of the restart step
     (u2, u3), (g2, g3) = iterates[2:4], (directions[3][1], directions[4][1])
     pair = [(u3 - u2, g3 - g2)]
-    assert np.array_equal(directions[4][0], -ocp_static._lbfgs_direction(g3, pair, _jacobi()))
+    assert np.array_equal(directions[4][0], -_lbfgs_direction(g3, pair, _jacobi(), NO_BOUND))

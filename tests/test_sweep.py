@@ -28,7 +28,7 @@ def test_simulate_constant_control_factorizes_once(small_ops, rng, counts):
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
     traj = dc.simulate(small_ops, q0, u, T=0.5, dt=0.05, theta=0.5, lumped=False)
     assert traj.n_steps == 10
-    assert counts == {"lu_factor": 1, "contract": 1}
+    assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 1}
 
 
 def test_simulate_time_varying_control_factorizes_every_step(small_ops, rng, counts):
@@ -36,7 +36,7 @@ def test_simulate_time_varying_control_factorizes_every_step(small_ops, rng, cou
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
     dc.simulate(small_ops, q0, controls, T=0.5, dt=0.05, theta=0.5, lumped=False)
     # one contraction per time node serves both steps that touch it
-    assert counts == {"lu_factor": 10, "contract": 11}
+    assert counts == {"lu_factor": 10, "bordered_solve": 0, "contract": 11}
 
 
 def test_equal_rows_factorize_once(small_ops, rng, counts):
@@ -46,7 +46,7 @@ def test_equal_rows_factorize_once(small_ops, rng, counts):
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
     traj, lu = theta_sweep(small_ops, q0, U, 0.05, 0.5, False)
     assert lu is not None and traj.n_steps == 10
-    assert counts == {"lu_factor": 1, "contract": 1}
+    assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 1}
 
 
 def test_constant_control_is_not_copied_per_node(small_ops, rng):
