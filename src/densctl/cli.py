@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import analysis, export, fields, presets
-from .fem import ControlField, assemble_operators
+from .fem import ControlField, assemble_operators, sq_norms
 from .linalg import SolverError
 from .mesh import (
     Circle,
@@ -133,10 +133,17 @@ class Run:
     echo: dict
 
     def problem(self):
-        """(mesh, operators, target density, initial density) of the run."""
+        """(mesh, operators, target density, initial density) of the run; a
+        density that cannot be built on the mesh is a ConfigError."""
         mesh = self.mesh()
         ops = assemble_operators(mesh, mu=self.mu, drift=self.drift)
-        return mesh, ops, self.target(ops), self.initial(ops)
+        densities = []
+        for name in ("target", "initial"):
+            try:  # an unreadable or misfit nodal file, or an empty indicator
+                densities.append(getattr(self, name)(ops))
+            except (OSError, ValueError) as exc:
+                raise ConfigError([f"{name}: {exc}"]) from None
+        return mesh, ops, *densities
 
 
 def _reals(value, k):
@@ -545,7 +552,8 @@ def cmd_testcase(args) -> int:
         )
         stride = max(1, len(rows) // 2000) if thin else 1
         export.write_csv(
-            os.path.join(out_dir, rel), ["step", "time", "l2_dist", "lyapunov"], rows[::stride]
+            os.path.join(out_dir, rel), ["step", "time", "l2_dist", "lyapunov"],
+            ((int(step), *row) for step, *row in rows[::stride]),
         )
         manifest.add(rel, kind)
         return rows, monotone, final
@@ -581,10 +589,7 @@ def cmd_testcase(args) -> int:
     _write_dynamic_solution(manifest, mesh, dyn)
 
     traj_static = _simulate(ops, q0, static.u_star, run.dynamic)
-    d_static = [
-        analysis.l2_distance(traj_static.states[i], static.q_star.values, ops.M)
-        for i in range(traj_static.n_steps + 1)
-    ]
+    d_static = np.sqrt(sq_norms(ops.M, traj_static.states, static.q_star.values))
     export.write_csv(
         os.path.join(out_dir, "comparison.csv"),
         ["time", "static_control_dist", "dynamic_control_dist"],

@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 
-from .analysis import l2_distance
-from .fem import ControlField
+from .fem import ControlField, sq_norms
 from .mesh import Mesh
+from .state import _vals
 
 __all__ = [
     "fmt",
@@ -108,34 +108,21 @@ def write_history_csv(path, history) -> None:
 def write_trajectory(
     out_dir, mesh: Mesh, trajectory, reference, M, every: int = 1, vtk: bool = False
 ) -> None:
-    """Snapshot CSVs plus a manifest (step,time,mass,min_q,l2_dist_to_target),
-    the distance being the M-norm of each state minus ``reference``."""
+    """Snapshot CSVs of every ``every``-th state (and VTK files with ``vtk``)
+    plus a manifest (step,time,mass,min_q,l2_dist_to_target), the distance
+    being the M-norm of each state minus ``reference``."""
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for i in range(trajectory.n_steps + 1):
-        rows.append(
-            (
-                i,
-                trajectory.times[i],
-                trajectory.masses[i],
-                trajectory.min_values[i],
-                l2_distance(trajectory.states[i], reference, M),
-            )
-        )
-        if i % every == 0:
-            write_density_csv(
-                os.path.join(out_dir, f"q_{i:05d}.csv"), mesh, trajectory.states[i]
-            )
-            if vtk:
-                write_vtk(
-                    os.path.join(out_dir, f"q_{i:05d}.vtk"),
-                    mesh,
-                    point_scalars={"q": trajectory.states[i]},
-                )
+    states = trajectory.states
+    for i in range(0, len(states), every):
+        path = os.path.join(out_dir, f"q_{i:05d}")
+        write_density_csv(path + ".csv", mesh, states[i])
+        if vtk:
+            write_vtk(path + ".vtk", mesh, point_scalars={"q": states[i]})
+    dists = np.sqrt(sq_norms(M, states, _vals(reference)))
     write_csv(
         os.path.join(out_dir, "manifest.csv"),
         ["step", "time", "mass", "min_q", "l2_dist_to_target"],
-        rows,
+        zip(range(len(states)), trajectory.times, trajectory.masses, trajectory.min_values, dists),
     )
 
 

@@ -6,7 +6,8 @@ diagonal, the nodal integral vector F (row sums of M), the unscaled stiffness
 A_u of the control's H1 cost (the control shares the state space, so M also
 serves it), the drift-free state operator mu A_u - B of an optional analytic
 drift field's transport matrix B, and the sparse rank-3 advection coupling
-tensors.
+tensors; and :func:`sq_norms`, the row-block metric-norm kernel of every
+state and control stack.
 
 Sign and index conventions are pinned by two properties that the assembled
 system must satisfy for every control u (both are enforced by tests):
@@ -272,6 +273,24 @@ def _drift_entries(mesh: Mesh, areas, gx, gy, drift) -> np.ndarray:
     # b . grad phi_a at each quadrature point of each triangle, (3, nt, 7)
     flux = bx * gx.T[:, :, None] + by * gy.T[:, :, None]
     return areas * (_Q7_WEIGHTS * flux[_A] * _Q7_POINTS.T[_B, None, :]).sum(axis=2)
+
+
+# Rows per block of sq_norms: about 2 MB per temporary at paper scale (n ~ 3800).
+_ROW_BLOCK = 64
+
+
+def per_component(H, U: np.ndarray) -> np.ndarray:
+    """H applied to every length-n block of U, a stacked [ux, uy] vector or an
+    (n_t, 2n) stack of them, in one sparse matmat."""
+    return (H @ U.reshape(-1, H.shape[0]).T).T.reshape(U.shape)
+
+
+def sq_norms(H, X: np.ndarray, ref=0.0) -> np.ndarray:
+    """Per row of X - ref, its squared H-norm summed over its length-n blocks,
+    ``_ROW_BLOCK`` rows at a time: no copy of the whole stack is made, and
+    each row has the bits of one einsum over the whole stack."""
+    blocks = (X[i : i + _ROW_BLOCK] - ref for i in range(0, len(X), _ROW_BLOCK))
+    return np.concatenate([np.einsum("ij,ij->i", D, per_component(H, D)) for D in blocks])
 
 
 def state_matrix(ops: FemOperators, u: ControlField) -> sp.csc_matrix:

@@ -4,10 +4,11 @@ The cost integrates (trapezoidal in time) the M-weighted distance of the
 state to the static equilibrium and the distance of the control to the
 static control in the static OCP's control metric H = beta M + beta_g A_u,
 so the optimal time-varying control converges to the static one instead of
-developing a terminal transient.  Controls are (n_t, 2n) stacks of [ux, uy]
-rows; a forward sweep's :class:`state.Trajectory` holds the stack it swept,
-so the cost, the adjoint sweep and the gradient read the controls and the
-scheme from it.  The optimizer is :func:`ocp_static.descend` on forward sweeps of
+developing a terminal transient; its terms and the turnpike distances are
+:func:`fem.sq_norms` of the stacks.  Controls are (n_t, 2n) stacks of
+[ux, uy] rows; a forward sweep's :class:`state.Trajectory` holds the stack
+it swept, so the cost, the adjoint sweep and the gradient read the controls
+and the scheme from it.  The optimizer is :func:`ocp_static.descend` on forward sweeps of
 the theta scheme and backward sweeps of its exact discrete adjoint; every
 trial control is projected onto the pointwise magnitude ball of the static
 control before it is evaluated.  Its directions are projected L-BFGS ones
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint_dynamic, trapezoid_weights
-from .fem import FemOperators
+from .fem import FemOperators, per_component, sq_norms
 from .ocp_static import (
     IterationRecord,
     OcpConfig,
@@ -35,7 +36,6 @@ from .ocp_static import (
     control_metric,
     descend,
     h_inv_of,
-    per_component,
 )
 from .state import Trajectory, _n_steps, _vals, theta_sweep
 
@@ -69,11 +69,6 @@ class DynamicSolution:
         return self.reason == "tol"
 
 
-def _sq_norms(H, X: np.ndarray) -> np.ndarray:
-    """Per time node, the squared H-norm of row X[i], summed over its blocks."""
-    return np.einsum("ij,ij->i", X, per_component(H, X))
-
-
 def evaluate_dynamic_cost(
     ops: FemOperators,
     trajectory: Trajectory,
@@ -82,9 +77,9 @@ def evaluate_dynamic_cost(
 ) -> float:
     """Trapezoidal time quadrature of the tracking cost of a trajectory and
     the (n_t, 2n) control stack that it holds."""
-    dQ = trajectory.states - static_solution.q_star.values
-    dU = trajectory.controls - static_solution.u_star.stacked()
-    terms = config.alpha * _sq_norms(ops.M, dQ) + _sq_norms(control_metric(ops, config), dU)
+    q_star, u_star = static_solution.q_star.values, static_solution.u_star.stacked()
+    terms = config.alpha * sq_norms(ops.M, trajectory.states, q_star)
+    terms += sq_norms(control_metric(ops, config), trajectory.controls, u_star)
     return 0.5 * trajectory.dt * float(trapezoid_weights(trajectory.n_steps) @ terms)
 
 
@@ -245,10 +240,8 @@ def solve_dynamic_ocp(
         trajectory=traj,
         adjoint=lams,
         history=history,
-        control_distances=np.sqrt(_sq_norms(ops.M, U - us)),
-        state_distances=np.sqrt(
-            _sq_norms(ops.M, traj.states - static_solution.q_star.values)
-        ),
+        control_distances=np.sqrt(sq_norms(ops.M, U, us)),
+        state_distances=np.sqrt(sq_norms(ops.M, traj.states, static_solution.q_star.values)),
         reason=reason,
         fallbacks=sum(fallbacks),
         restarts=restarts,

@@ -23,15 +23,23 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .adjoint import AdjointField, solve_adjoint_static
-from .fem import ControlField, FemOperators
+from .fem import ControlField, FemOperators, per_component
 from .linalg import SolverError, bordered_solve, lu_factor
-from .state import DensityField, _n_steps, _vals, solve_equilibrium
+from .state import (
+    DensityField,
+    NegativeDensityWarning,
+    _n_steps,
+    _vals,
+    _warn_if_negative,
+    solve_equilibrium,
+)
 
 __all__ = [
     "ArmijoParams",
@@ -145,12 +153,6 @@ class StaticSolution:
 def control_metric(ops: FemOperators, config: OcpConfig):
     """H = beta M + beta_g A_u, the cost metric of each velocity component."""
     return config.beta * ops.M + config.beta_g * ops.A_u
-
-
-def per_component(H, U: np.ndarray) -> np.ndarray:
-    """H applied to every length-n block of U, a stacked [ux, uy] vector or an
-    (n_t, 2n) stack of them, in one sparse matmat."""
-    return (H @ U.reshape(-1, H.shape[0]).T).T.reshape(U.shape)
 
 
 def evaluate_cost(ops: FemOperators, q, z, u: ControlField, config: OcpConfig) -> float:
@@ -315,8 +317,9 @@ def solve_static_ocp(
     (Eisenstat & Walker 1996), g_0 the first gradient; it searches from a
     unit step.  Each trial solves one bordered equilibrium; the accepted
     trial's equilibrium, factor and cost serve the next gradient and its
-    Hessian products, so accepted costs are nonincreasing.  ``reason`` says
-    why the iteration stopped.
+    Hessian products, so accepted costs are nonincreasing.  Trials do not
+    warn NegativeDensityWarning; the returned q* does, once, if it is
+    negative beyond round-off.  ``reason`` says why the iteration stopped.
     """
     zv = _vals(z)
     h_inv, gnorms = h_inv_of(ops, config), []
@@ -339,9 +342,12 @@ def solve_static_ocp(
         return d, None
 
     u = u0.stacked() if u0 is not None else np.zeros(2 * ops.n)
-    u, (q, adj), history, reason, _ = descend(
-        evaluate, gradient, evaluate(u), direction, config, armijo_backtracking
-    )
+    with warnings.catch_warnings():  # a rejected trial's density says nothing of q*
+        warnings.simplefilter("ignore", NegativeDensityWarning)
+        u, (q, adj), history, reason, _ = descend(
+            evaluate, gradient, evaluate(u), direction, config, armijo_backtracking
+        )
+    _warn_if_negative(q.values)
     return StaticSolution(
         q_star=q,
         u_star=ControlField.from_stacked(u),

@@ -121,14 +121,19 @@ def solve_equilibrium(ops: FemOperators, u: ControlField):
         raise SolverError(
             f"equilibrium residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
         )
+    _warn_if_negative(q)
+    return DensityField(values=q), factor
+
+
+def _warn_if_negative(q: np.ndarray) -> None:
+    """Warn NegativeDensityWarning when q has entries below -1e-9 max(q)."""
     if q.min() < -1e-9 * max(q.max(), 1e-300):
         # fixed message so the default warning filter collapses repeats;
-        # the magnitude is available from the returned field
+        # the magnitude is available from the density itself
         warnings.warn(
             "equilibrium density has negative nodal entries beyond round-off",
             NegativeDensityWarning,
         )
-    return DensityField(values=q), factor
 
 
 def theta_sweep(

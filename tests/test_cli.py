@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from densctl import cli
+from densctl import cli, export
 from densctl.cli import main
 
 
@@ -457,3 +457,62 @@ def test_unreadable_or_misfit_controls_are_config_problems(run_cfg, tmp_path, ca
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and problem in err, err
         assert not os.path.exists(cfg["out_dir"])
+
+
+@pytest.mark.parametrize("name", ["target", "initial"])
+@pytest.mark.parametrize("case, problem", [
+    ("header", "expected a density CSV header"),
+    ("missing", "no value for 1 of"),
+    ("indicator", "indicator regions contain no mesh vertices"),
+])
+def test_unbuildable_density_is_a_config_problem(run_cfg, tmp_path, capsys, name, case, problem):
+    _, cfg = run_cfg
+    mesh, ops, _, _ = cli.build_problem(cfg)
+    density = tmp_path / "density.csv"
+    if case == "header":
+        density.write_text("x,y,q\n0.0,0.0,1.0\n")
+    elif case == "missing":
+        export.write_density_csv(density, mesh, np.ones(ops.n))
+        density.write_text("".join(density.read_text().splitlines(keepends=True)[:-1]))
+    cfg[name] = (
+        {"type": "indicator", "regions": [{"type": "circle", "center": [5, 5], "radius": 0.1}]}
+        if case == "indicator" else {"type": "nodal", "file": str(density)}
+    )
+    path = tmp_path / "cfg_density.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["static", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {name}: ") and problem in err[0]
+    assert not os.path.exists(cfg["out_dir"])
+
+
+def test_static_density_reads_back_as_a_nodal_target(run_cfg, tmp_path):
+    path, cfg = run_cfg
+    assert main(["static", "--config", str(path)]) == 0
+    q_star = os.path.join(cfg["out_dir"], "static_solution", "q_star.csv")
+    cfg["target"] = {"type": "nodal", "file": q_star}
+    cfg["out_dir"] = str(tmp_path / "again")
+    _, ops, z, _ = cli.build_problem(cfg)
+    values = export.read_vector_csv(q_star, ops.n)
+    assert np.array_equal(z.values, values / (ops.F @ values))
+    path.write_text(json.dumps(cfg))
+    assert main(["static", "--config", str(path)]) == 0
+
+
+def test_vtk_snapshots_follow_the_csv_stride(run_cfg, tmp_path):
+    path, cfg = run_cfg
+    cfg["vtk"] = True
+    path.write_text(json.dumps(cfg))
+    argv = ["simulate", "--config", str(path), "--t-final", "0.6", "--every", "5"]
+    assert main(argv) == 0
+    traj_dir = tmp_path / "out" / "trajectory"
+    names = sorted(os.listdir(traj_dir))
+    assert [f for f in names if f.endswith(".vtk")] == [f"q_{i:05d}.vtk" for i in (0, 5, 10)]
+    assert [f for f in names if f.endswith(".csv")] == (
+        ["manifest.csv"] + [f"q_{i:05d}.csv" for i in (0, 5, 10)]
+    )
+    mesh = cli.build_problem(cfg)[0]
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    for name in ("q_00000.vtk", "q_00005.vtk", "q_00010.vtk"):
+        lines = (traj_dir / name).read_text().splitlines()
+        assert f"POINTS {nv} double" in lines and f"CELLS {nt} {4 * nt}" in lines

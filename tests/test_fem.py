@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import densctl as dc
+from densctl.analysis import l2_distance
+from densctl.fem import per_component, sq_norms
 
 from conftest import random_control
 
@@ -230,3 +232,20 @@ def test_nonfinite_drift_rejected(small_mesh):
     with pytest.raises(ValueError, match="not finite"):
         dc.assemble_operators(small_mesh, mu=1.0, drift=bad)
 
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 300])
+def test_sq_norms_is_the_whole_stack_einsum(small_ops, rng, rows):
+    # row blocks of _ROW_BLOCK (64) rows give each row the bits of one einsum
+    # over the whole stack, for a state stack under M and a control stack
+    # under the control metric H
+    n = small_ops.n
+    H = 1e-3 * small_ops.M + 1e-5 * small_ops.A_u
+    for metric, width in ((small_ops.M, n), (H, 2 * n)):
+        X, ref = rng.standard_normal((rows, width)), rng.standard_normal(width)
+        D = X - ref
+        whole = np.einsum("ij,ij->i", D, per_component(metric, D))
+        assert np.array_equal(sq_norms(metric, X, ref), whole)
+        assert np.array_equal(sq_norms(metric, D), whole)
+    dists = np.sqrt(sq_norms(small_ops.M, X[:, :n], ref[:n]))
+    single = [l2_distance(x, ref[:n], small_ops.M) for x in X[:, :n]]
+    assert_allclose(dists, single, rtol=1e-15, atol=0)

@@ -341,6 +341,43 @@ def test_static_stop_reasons(small_ops):
     assert len(sol.history) == 1 and sol.history[0].step_size == 0.0
 
 
+def test_rejected_negative_trials_do_not_warn(small_ops, monkeypatch):
+    # unit Newton steps overshoot to controls whose equilibria dip below
+    # zero; the line search rejects them and q* is positive
+    minima = []
+
+    def spy(ops, u):
+        equilibrium = dc.solve_equilibrium(ops, u)
+        minima.append(equilibrium[0].values.min())
+        return equilibrium
+
+    monkeypatch.setattr(ocp_static, "solve_equilibrium", spy)
+    z = dc.gaussian_density(small_ops, (0.7, 0.3), 0.15)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_static_ocp(small_ops, z, OcpConfig(tol=1e-6, max_iter=100))
+    assert sol.converged and sol.q_star.values.min() > 0
+    assert min(minima) < 0
+    assert [w.category for w in caught] == []
+
+
+def test_negative_returned_density_warns_once(tiny_ops, rng):
+    # start at a control whose equilibrium is negative and fail every search
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dc.state.NegativeDensityWarning)
+        u0 = next(
+            u for u in (random_control(tiny_ops, rng, scale=8.0) for _ in range(20))
+            if dc.solve_equilibrium(tiny_ops, u)[0].values.min() < 0
+        )
+    cfg = OcpConfig(tol=1e-12, armijo=ArmijoParams(c1=0.9, max_backtracks=2))
+    z = dc.uniform_density(tiny_ops)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_static_ocp(tiny_ops, z, cfg, u0=u0)
+    assert sol.reason == "line_search" and sol.q_star.values.min() < 0
+    assert [w.category for w in caught] == [dc.state.NegativeDensityWarning]
+
+
 # A convex quadratic J(u) = 1/2 u^T A u - b^T u with a Jacobi h_inv, for descend
 # with the dynamic OCP's L-BFGS directions.
 QUAD_A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.8], [0.5, -0.8, 2.0]])

@@ -63,6 +63,22 @@ def test_constant_control_is_not_copied_per_node(small_ops, rng):
     assert peak < 2 * traj.states.nbytes
 
 
+def test_convergence_report_makes_no_copy_of_the_states(small_ops, rng):
+    # the report of the same 3334-state series works through row blocks
+    u = random_control(small_ops, rng, scale=0.5)
+    q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
+    traj = dc.simulate(small_ops, q0, u, T=99.99, dt=0.03)
+    qeq, _ = dc.solve_equilibrium(small_ops, u)
+    tracemalloc.start()
+    try:
+        rows, _, final = dc.convergence_report(traj, qeq, small_ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3334 and final == rows[-1][2]
+    assert peak < 0.25 * traj.states.nbytes
+
+
 def test_dynamic_ocp_reuses_the_accepted_trial(small_ops, monkeypatch, counts):
     import densctl.ocp_dynamic as ocp_dynamic
 
