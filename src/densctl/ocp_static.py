@@ -317,9 +317,12 @@ def solve_static_ocp(
     (Eisenstat & Walker 1996), g_0 the first gradient; it searches from a
     unit step.  Each trial solves one bordered equilibrium; the accepted
     trial's equilibrium, factor and cost serve the next gradient and its
-    Hessian products, so accepted costs are nonincreasing.  Trials do not
-    warn NegativeDensityWarning; the returned q* does, once, if it is
-    negative beyond round-off.  ``reason`` says why the iteration stopped.
+    Hessian products, so accepted costs are nonincreasing.  A trial whose
+    equilibrium cannot be solved (SolverError) costs inf, so the line search
+    rejects it and shrinks the step; the start's SolverError is raised.
+    Trials do not warn NegativeDensityWarning; the returned q* does, once,
+    if it is negative beyond round-off.  ``reason`` says why the iteration
+    stopped.
     """
     zv = _vals(z)
     h_inv, gnorms = h_inv_of(ops, config), []
@@ -328,6 +331,12 @@ def solve_static_ocp(
         cf = ControlField.from_stacked(u)
         equilibrium = solve_equilibrium(ops, cf)
         return u, evaluate_cost(ops, equilibrium[0], zv, cf, config), equilibrium
+
+    def evaluate_trial(u):
+        try:
+            return evaluate(u)
+        except SolverError:  # rejected like a trial that fails the Armijo test
+            return u, math.inf, None
 
     def gradient(u, equilibrium):
         grad, adj = reduced_gradient(ops, ControlField.from_stacked(u), zv, config, equilibrium)
@@ -345,7 +354,7 @@ def solve_static_ocp(
     with warnings.catch_warnings():  # a rejected trial's density says nothing of q*
         warnings.simplefilter("ignore", NegativeDensityWarning)
         u, (q, adj), history, reason, _ = descend(
-            evaluate, gradient, evaluate(u), direction, config, armijo_backtracking
+            evaluate_trial, gradient, evaluate(u), direction, config, armijo_backtracking
         )
     _warn_if_negative(q.values)
     return StaticSolution(

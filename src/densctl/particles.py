@@ -7,9 +7,11 @@ compared against PDE trajectories.
 
 Each substep runs two kernels on uniform background grids.  Point location
 tests each point against the candidate triangles of its fine cell
-progressively: round k tests only the points still unlocated against their
-cell's k-th candidate, in ascending triangle index, so every point gets the
-lowest-index triangle that contains it.  Most cells list one candidate.
+progressively, in ascending triangle index, so every point gets the
+lowest-index triangle that contains it: round 0 tests every point in place
+against its cell's first candidate, and round k tests only the points still
+unlocated against their cell's k-th candidate.  Most cells list one
+candidate.
 Reflection tests a segment only against the boundary edges binned, once per
 domain, into the coarse cells its bounding box covers, so its memory grows
 with the segments, not with segments times boundary edges.
@@ -79,8 +81,9 @@ class TriangleLocator:
     Each cell of a grid ``_FINE_SPLIT`` times finer than the coarse one
     lists, as CSR arrays (``ptr``, ``tris``), the triangles not surely
     outside it, in ascending triangle index.  ``locate`` tests points
-    progressively: round k tests the points still unlocated against the
-    k-th candidate of their fine cell, so a point stops at its first hit.
+    progressively, so a point stops at its first hit: round 0 tests every
+    point in place against its fine cell's first candidate, and round k
+    only the points still unlocated against their cell's k-th candidate.
     The coarse grid bins any boxes (``bin_boxes``), such as the boundary
     edges of ``MeshDomain``.
     """
@@ -93,8 +96,9 @@ class TriangleLocator:
         e2 = verts[tris[:, 1]] - p1
         e3 = verts[tris[:, 2]] - p1
         det = e2[:, 0] * e3[:, 1] - e2[:, 1] * e3[:, 0]
-        # rows p1x, p1y, e2x, e2y, e3x, e3y, det: one gather per round
-        self._geom = np.stack([*p1.T, *e2.T, *e3.T, det])
+        # one row per triangle, p1x, p1y, e2x, e2y, e3x, e3y, det, gathered
+        # once per round; the last row, all NaN, fails every test
+        self._geom = np.vstack([np.column_stack([p1, e2, e3, det]), np.full(7, np.nan)])
 
         self.xmin, self.ymin = verts.min(axis=0)
         xmax, ymax = verts.max(axis=0)
@@ -123,6 +127,10 @@ class TriangleLocator:
             cells.append(row[near] * nfx + col[near])
             cands.append(t[near])
         self.ptr, self.tris = _csr(np.concatenate(cells), np.concatenate(cands), nfx * self.fine_shape[1])
+        # each fine cell's first candidate; the sentinel row for an empty cell
+        self._first = np.full(len(self.ptr) - 1, len(tris))
+        listed = self.ptr[:-1] < self.ptr[1:]
+        self._first[listed] = self.tris[self.ptr[:-1][listed]]
 
     def box_cells(self, lo, hi):
         """(box, cell) pairs of every grid cell that each box lo..hi meets,
@@ -155,16 +163,21 @@ class TriangleLocator:
         Returns (tri, bary): the first triangle of the point's fine cell, in
         ascending index, whose barycentrics are all >= -1e-12, and those
         barycentrics clipped at 0 and renormalized.  Points outside the mesh
-        get tri = -1 and bary = 0.
+        get tri = -1 and bary = 0.  Round 0 tests every point in place
+        against its cell's first candidate (an empty cell's is the NaN row);
+        later rounds test only the misses, against their cell's next one.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         x, y = points[:, 0], points[:, 1]
-        tri = np.full(len(points), -1, dtype=np.int64)
-        lam = np.zeros((3, len(points)))
         # clamped: a point just off the grid can still pass an edge cell's test
         c = self._cells(points, self.fine, self.fine_shape)
         cell = c[:, 1] * self.fine_shape[0] + c[:, 0]
-        todo, pos, end = np.arange(len(points)), self.ptr[cell], self.ptr[cell + 1]
+        tri = self._first[cell]
+        lam = np.array(self._bary(x, y, tri))
+        ok = np.minimum(np.minimum(lam[0], lam[1]), lam[2]) >= -1e-12
+        todo = np.flatnonzero(~ok)
+        tri[todo] = -1
+        pos, end = self.ptr[cell[todo]] + 1, self.ptr[cell[todo] + 1]
         live = pos < end
         while live.any():
             todo, pos, end = todo[live], pos[live], end[live]
@@ -176,15 +189,14 @@ class TriangleLocator:
             lam[0, hit], lam[1, hit], lam[2, hit] = l1[ok], l2[ok], l3[ok]
             pos += 1
             live = ~ok & (pos < end)
-        found = np.flatnonzero(tri >= 0)
-        lam = np.clip(lam[:, found], 0.0, None)
-        bary = np.zeros((len(points), 3))
-        bary[found] = (lam / (lam[0] + lam[1] + lam[2])).T
+        np.clip(lam, 0.0, None, out=lam)
+        bary = (lam / (lam[0] + lam[1] + lam[2])).T
+        bary[tri < 0] = 0.0
         return tri, bary
 
     def _bary(self, x, y, t):
         """Unclipped barycentrics (l1, l2, l3) of the points (x, y) in triangles t."""
-        p1x, p1y, e2x, e2y, e3x, e3y, det = self._geom[:, t]
+        p1x, p1y, e2x, e2y, e3x, e3y, det = self._geom[t].T
         dx = x - p1x
         dy = y - p1y
         l2 = (dx * e3y - dy * e3x) / det
@@ -312,8 +324,11 @@ class NodalVelocity:
         self._corners = np.hstack([np.asarray(v, dtype=float)[tris] for v in (nodal_x, nodal_y)])
 
     def at(self, points, tri, bary):
-        terms = self._corners[np.maximum(tri, 0)].reshape(-1, 2, 3) * bary[:, None, :]
-        out = terms[..., 0] + terms[..., 1] + terms[..., 2]
+        c = self._corners[np.maximum(tri, 0)]
+        b0, b1, b2 = bary.T
+        out = np.empty((len(c), 2))
+        out[:, 0] = c[:, 0] * b0 + c[:, 1] * b1 + c[:, 2] * b2
+        out[:, 1] = c[:, 3] * b0 + c[:, 4] * b1 + c[:, 5] * b2
         out[tri < 0] = 0.0
         if self.drift is not None:
             out += np.stack(self.drift(points[:, 0], points[:, 1]), axis=1)

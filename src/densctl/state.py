@@ -96,8 +96,8 @@ def solve_equilibrium(ops: FemOperators, u: ControlField):
 
     Solves the bordered system K [q; s] = [0; 1], K = [[L, F], [F^T, 0]].
     Because the columns of L sum to zero and 1^T F = |Omega| != 0, the
-    auxiliary scalar s must vanish; |s| > 1e-8 signals inconsistent
-    assembly.  The solution is renormalized to F.q = 1.  Returns (density,
+    auxiliary scalar s must vanish; |s| > 1e-8 signals a solve that lost
+    accuracy.  The solution is renormalized to F.q = 1.  Returns (density,
     factor) with the factor (K, lu) of :func:`linalg.bordered_lu`: the pair
     is what :func:`adjoint.solve_adjoint_static` takes, whose one transposed
     solve reuses the factor.
@@ -107,8 +107,8 @@ def solve_equilibrium(ops: FemOperators, u: ControlField):
     raw, s = bordered_solve(factor, np.zeros(ops.n), 1.0)
     if abs(s) > 1e-8:
         raise SolverError(
-            f"bordered equilibrium solve returned s={s:.3e}; "
-            "the state matrix does not conserve mass (assembly inconsistency)"
+            f"bordered equilibrium solve returned s={s:.3e}, not 0: "
+            "the solve lost accuracy"
         )
     total = float(ops.F @ raw)
     if not np.isfinite(total) or abs(total) < 1e-300:

@@ -378,6 +378,38 @@ def test_negative_returned_density_warns_once(tiny_ops, rng):
     assert [w.category for w in caught] == [dc.state.NegativeDensityWarning]
 
 
+def test_unsolvable_trial_is_rejected(monkeypatch):
+    # the unit Newton step from u = 0 reaches speeds of about 4e3, where the
+    # bordered equilibrium solve loses accuracy: the trial costs inf, the
+    # line search shrinks the step, and the solve goes on
+    ops = dc.assemble_operators(dc.generate_rect_mesh((0, 0, 1, 1), 0.18), mu=1.0)
+    z = dc.gaussian_density(ops, (0.8, 0.8), 0.2)
+    failures = []
+
+    def spy(ops, u):
+        try:
+            return dc.solve_equilibrium(ops, u)
+        except dc.SolverError as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(ocp_static, "solve_equilibrium", spy)
+    sol = solve_static_ocp(ops, z, OcpConfig(beta=1e-4, beta_g=1e-5, tol=1e-6, max_iter=100))
+    assert failures and "lost accuracy" in str(failures[0])
+    J = np.array([r.J for r in sol.history])
+    assert np.isfinite(J).all() and (np.diff(J) <= 0).all()
+    assert sol.converged
+
+
+def test_unsolvable_start_raises(small_ops, monkeypatch):
+    def fail(ops, u):
+        raise dc.SolverError("no equilibrium")
+
+    monkeypatch.setattr(ocp_static, "solve_equilibrium", fail)
+    with pytest.raises(dc.SolverError, match="no equilibrium"):
+        solve_static_ocp(small_ops, dc.uniform_density(small_ops), OcpConfig())
+
+
 # A convex quadratic J(u) = 1/2 u^T A u - b^T u with a Jacobi h_inv, for descend
 # with the dynamic OCP's L-BFGS directions.
 QUAD_A = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.8], [0.5, -0.8, 2.0]])

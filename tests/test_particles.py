@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,87 @@ def _locate_reference(mesh, points, tol=1e-12):
     lam = np.clip(bary[found], 0.0, None)
     bary[found] = lam / lam.sum(axis=1, keepdims=True)
     return tri, bary
+
+
+def _velocity_reference(mesh, nodal, points, tri, bary, drift=None):
+    """Per-vertex sums: for each velocity component, the nodal value at each
+    vertex k = 0, 1, 2 of the point's triangle times its barycentric, added in
+    that order; 0 outside the mesh, then the drift."""
+    vtx = mesh.triangles[np.maximum(tri, 0)]
+    out = np.zeros((len(tri), 2))
+    for c, u in enumerate(nodal):
+        for k in range(3):
+            out[:, c] += u[vtx[:, k]] * bary[:, k]
+    out[tri < 0] = 0.0
+    if drift is not None:
+        out += np.stack(drift(points[:, 0], points[:, 1]), axis=1)
+    return out
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
+    seed=st.integers(0, 2**32 - 1),
+    drift=st.booleans(),
+)
+def test_velocity_matches_the_per_vertex_reference_on_random_meshes(mesh, seed, drift):
+    rng = np.random.default_rng(seed)
+    loc = TriangleLocator(mesh)
+    nodal = rng.standard_normal((2, mesh.n_vertices))
+    pts = rng.uniform(-1.3, 1.3, size=(500, 2))  # holes and beyond the mesh too
+    tri, bary = loc.locate(pts)
+    assert (tri < 0).any() and (tri >= 0).any()
+    field = dc.DRIFT_PRESETS["swirl"] if drift else None
+    got = NodalVelocity(loc, *nodal, field).at(pts, tri, bary)
+    assert np.array_equal(got, _velocity_reference(mesh, nodal, pts, tri, bary, field))
+
+
+def test_step_is_the_reference_step_bit_for_bit(domain, holed_mesh, holed_ops):
+    # the reference velocity, the reference locate and the same noise draws;
+    # proposals that leave the domain fold back through reflect
+    nodal = 3.0 * np.random.default_rng(7).standard_normal((2, holed_mesh.n_vertices))
+    drift = dc.DRIFT_PRESETS["swirl"]
+    velocity = NodalVelocity(domain.locator, *nodal, drift)
+    ens = sample_initial(dc.uniform_density(holed_ops), domain.locator, 2000, seed=3)
+    mu, dt = 1.0, 0.02
+    out = step_particles(ens, domain, velocity, mu, dt, np.random.default_rng(11))
+
+    X = ens.positions
+    tri0, bary0 = _locate_reference(holed_mesh, X)
+    vel = _velocity_reference(holed_mesh, nodal, X, tri0, bary0, drift)
+    noise = np.random.default_rng(11).standard_normal(X.shape) * np.sqrt(2.0 * mu * dt)
+    want = X + vel * dt + noise
+    tri, bary = _locate_reference(holed_mesh, want)
+    out_of_domain = tri < 0
+    assert out_of_domain.sum() >= 10
+    want[out_of_domain] = domain.reflect(
+        X[out_of_domain], want[out_of_domain], (tri[out_of_domain], bary[out_of_domain])
+    )[0]
+    want_tri, want_bary = _locate_reference(holed_mesh, want)
+    assert np.array_equal(out.positions, want)
+    assert np.array_equal(out.tri, want_tri) and np.array_equal(out.bary, want_bary)
+
+
+def test_locate_misses_are_zero_and_quiet(holed_mesh):
+    # empty fine cells test the NaN sentinel row; every miss is tri -1, bary 0
+    loc = TriangleLocator(holed_mesh)
+    empty = np.flatnonzero(np.diff(loc.ptr) == 0)
+    assert len(empty) > 0
+    nfx = loc.fine_shape[0]
+    centers = np.stack([
+        loc.xmin + (empty % nfx + 0.5) * loc.fine,
+        loc.ymin + (empty // nfx + 0.5) * loc.fine,
+    ], axis=1)
+    pts = np.vstack([
+        [[0.0, 0.0], [0.1, -0.05]],  # inside the hole
+        centers,
+        [[5.0, 5.0], [-1e6, 0.3], [0.2, 1e6], [1.5, -1.5]],  # beyond the grid
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tri, bary = loc.locate(pts)
+    assert (tri == -1).all()
+    assert np.array_equal(bary, np.zeros((len(pts), 3)))
 
 
 def _first_crossing_reference(domain, p, q):
