@@ -18,8 +18,8 @@ slice is gauge-fixed to zero mean (shifts along the constant vector are in
 the kernel of the transposed operator and do not change the gradient).
 The scheme (dt, theta, mass matrix) and the control stack are read from the
 forward :class:`state.Trajectory`, so the adjoint transposes the very steps
-that were taken.  The optimizer's adjoint sweeps run GMRES against its
-forward sweeps' LU.
+that were taken.  Every transposed step is solved by GMRES against one LU,
+which the optimizer's adjoint sweeps share with its forward sweeps.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class AdjointTrajectory:
     """
 
     values: np.ndarray  # (n_steps + 1, n_nodes)
-    fallbacks: int = 0  # steps that GMRES missed, solved directly
+    fallbacks: int = 0  # steps that GMRES missed, solved by a refined LU
 
 
 def solve_adjoint_static(ops: FemOperators, equilibrium, z, alpha: float) -> AdjointField:
@@ -109,11 +109,12 @@ def solve_adjoint_dynamic(
     The scheme (dt, theta, lumped) and the (n_t, 2n) control stack are the
     forward ``trajectory``'s own.  The source at node i is
     w_i * dt * alpha * M (q_i - q_ref) with trapezoidal weights w_i.  Each
-    transposed step is factorized, or, given ``precond`` (the LU of a nearby
-    step matrix), solved by :func:`linalg.gmres_solve` from the next step's
-    multiplier, with its misses counted in ``fallbacks``.  The transposed
-    explicit and implicit step matrices are built once per sweep; each step
-    overwrites their data.
+    transposed step is solved by :func:`linalg.gmres_solve` from the next
+    step's multiplier, preconditioned by the transposed solves of one LU:
+    ``precond`` (the LU of a nearby step matrix) or else the LU of the first
+    (node n) step matrix; its misses are counted in ``fallbacks``.  The
+    transposed explicit and implicit step matrices are built once per sweep;
+    each step overwrites their data.
     """
     n_steps, dt, theta = trajectory.n_steps, trajectory.dt, trajectory.theta
     controls = trajectory.controls
@@ -124,7 +125,7 @@ def solve_adjoint_dynamic(
 
     values = np.zeros((n_steps + 1, ops.n))
     lam_next = np.zeros(ops.n)
-    fallbacks = 0
+    fallbacks, lu = 0, precond
     explicit_T = ops.tensor.csr(np.empty_like(mass)).T
     implicit_T = ops.tensor.csc(np.empty_like(mass)).T  # A^T as CSR: A's CSC arrays
     for i in range(n_steps, 0, -1):
@@ -132,12 +133,11 @@ def solve_adjoint_dynamic(
         source = w[i] * dt * alpha * (ops.M @ (trajectory.states[i] - qref))
         explicit_T.data[:] = mass - (1.0 - theta) * L_i
         rhs = explicit_T @ lam_next + source
-        if precond is not None:
-            implicit_T.data[:] = (mass + theta * L_i)[ops.tensor.transpose]
-            lam, missed = gmres_solve(implicit_T, rhs, precond, lam_next, trans="T")
-            fallbacks += missed
-        else:
-            lam = lu_factor(ops.tensor.csr(mass + theta * L_i).T).solve(rhs)
+        implicit_T.data[:] = (mass + theta * L_i)[ops.tensor.transpose]
+        if lu is None:
+            lu = lu_factor(implicit_T.T)
+        lam, missed = gmres_solve(implicit_T, rhs, lu, lam_next, trans="T")
+        fallbacks += missed
         if not np.isfinite(lam).all():
             raise SolverError(f"dynamic adjoint solve failed at step {i}")
         values[i - 1] = lam_next = lam - float(ops.F @ lam) / f_total

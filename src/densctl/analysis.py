@@ -1,7 +1,7 @@
 """Numerical certificates for the structural properties of the dynamics.
 
-Checks, with explicit margins: the 1-D kernel of the state matrix and the
-constant left kernel of its transpose, positivity of the kernel vector,
+Checks, with explicit margins: the 1-D kernel of the state matrix and its
+constant left kernel, positivity of the kernel vector,
 spectral positivity of the symmetric part on the zero-mean subspace, and
 whether the quadratic Lyapunov function, the states' row-block
 :func:`fem.sq_norms`, decays monotonically along a trajectory.  One sparse
@@ -38,7 +38,6 @@ class KernelCertificate:
     dim: int | None  # numerical kernel dimension; None when the gap is ambiguous
     kernel_vector: np.ndarray  # unit 2-norm, sign-normalized
     left_kernel_residual: float  # ||1^T L||_inf / ||L||_inf
-    adjoint_kernel_residual: float  # ||L^T 1||_inf / ||L||_inf
     gap_ratio: float  # sigma_{n-2} / ||L v||_2 <= sigma_{n-2} / sigma_{n-1}
     kernel_min_entry: float  # after sign normalization
 
@@ -54,25 +53,25 @@ def _extreme_eigenvalue(apply, n, project, which, tol=0.0) -> float:
     return float(eigsh(op, k=1, which=which, tol=tol, v0=v0, return_eigenvectors=False)[0])
 
 
-def certify_kernel(ops: FemOperators, u: ControlField) -> KernelCertificate:
-    """Kernel structure of the state matrix for one control.
+def certify_kernel(ops: FemOperators, equilibrium) -> KernelCertificate:
+    """Kernel structure of the state matrix at an equilibrium.
 
-    Verifies the algebraic left/right kernel residuals of L(u) and L(u)^T
-    against the constant vector.  The kernel vector v is the bordered
-    equilibrium solve, unit-normalized and sign-fixed.  The smallest nonzero
-    singular value sigma_{n-2} = 1/||L^+|| comes from the top eigenvalue of
-    L^+^T L^+, where L^+ b solves L x = P_1 b through the same bordered LU
-    and is then projected off v (and L^T^+ y solves L^T z = P_v y, projected
-    off 1).  The rank is n-1 when sigma_{n-2} / ||L v|| exceeds 1e3, which
-    in exact arithmetic bounds sigma_{n-2} / sigma_{n-1} from below.
+    ``equilibrium`` is the (q, factor) pair of :func:`state.solve_equilibrium`;
+    L(u) is the leading block of the factor's bordered matrix K.  Verifies
+    the algebraic left kernel residual of L(u) against the constant vector.
+    The kernel vector v is the bordered equilibrium solve, unit-normalized
+    and sign-fixed.  The smallest nonzero singular value
+    sigma_{n-2} = 1/||L^+|| comes from the top eigenvalue of L^+^T L^+,
+    where L^+ b solves L x = P_1 b through the same bordered LU and is then
+    projected off v (and L^T^+ y solves L^T z = P_v y, projected off 1).
+    The rank is n-1 when sigma_{n-2} / ||L v|| exceeds 1e3, which in exact
+    arithmetic bounds sigma_{n-2} / sigma_{n-1} from below.
     """
-    L = state_matrix(ops, u)
+    _, factor = equilibrium
+    L = factor[0][: ops.n, : ops.n]
     norm = np.abs(L.data).max() if L.nnz else 1.0
-    ones = np.ones(ops.n)
-    left_res = float(np.abs(ones @ L).max() / norm)
-    adj_res = float(np.abs(L.T @ ones).max() / norm)
+    left_res = float(np.abs(np.ones(ops.n) @ L).max() / norm)
 
-    factor = bordered_lu(L, ops.F)
     v = bordered_solve(factor, np.zeros(ops.n), 1.0)[0]
     v = v / np.linalg.norm(v)
     v = v * np.sign(v[np.argmax(np.abs(v))])
@@ -95,7 +94,6 @@ def certify_kernel(ops: FemOperators, u: ControlField) -> KernelCertificate:
         dim=1 if gap > 1e3 else None,
         kernel_vector=v,
         left_kernel_residual=left_res,
-        adjoint_kernel_residual=adj_res,
         gap_ratio=gap,
         kernel_min_entry=float(v.min()),
     )

@@ -71,7 +71,8 @@ def write_density_csv(path, mesh: Mesh, values) -> None:
 
 def read_vector_csv(path, n: int) -> np.ndarray:
     """Read the last column of a nodal CSV, one row per node indexed by its
-    first column, back into an array of length n; every node needs a row."""
+    first column, back into an array of length n; every node needs exactly
+    one row."""
     out = np.zeros(n)
     seen = np.zeros(n, dtype=bool)
     with open(path, "r", encoding="ascii") as fh:
@@ -82,6 +83,8 @@ def read_vector_csv(path, n: int) -> np.ndarray:
                 node = int(parts[0])
                 if not 0 <= node < n:
                     raise ValueError(f"{path}: node {node} is out of range for {n} nodes")
+                if seen[node]:
+                    raise ValueError(f"{path}: node {node} has more than one row")
                 out[node] = float(parts[-1])
                 seen[node] = True
     if not seen.all():

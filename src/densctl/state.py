@@ -9,7 +9,7 @@ with the lumped mass matrix preserves nonnegativity on strict-Delaunay
 meshes, while theta = 1/2 (Crank-Nicolson) with the consistent mass is
 second order.
 Single steps, simulations and optimizer sweeps all run :func:`theta_sweep`,
-the optimizer's by GMRES against one frozen LU, keeping no step factors.
+which solves every step by GMRES against the sweep's one LU.
 A sweep's :class:`Trajectory` keeps its scheme and the control stack it
 swept, the inputs the discrete dynamic adjoint transposes.
 """
@@ -81,7 +81,7 @@ class Trajectory:
     theta: float
     lumped: bool
     controls: np.ndarray  # (n_steps + 1, 2n) stack of [ux, uy] rows
-    fallbacks: int = 0  # time-varying steps that GMRES missed, solved directly
+    fallbacks: int = 0  # steps that GMRES missed, solved by a refined LU
 
     @property
     def n_steps(self) -> int:
@@ -149,15 +149,15 @@ def theta_sweep(
 
     ``controls`` is an (n_t, 2n) stack of [ux, uy] rows, one per time node.
     Step i solves
-    (M/dt + theta L_{i+1}) q_{i+1} = (M/dt - (1-theta) L_i) q_i by LU with one
-    step of iterative refinement, or, for a time-varying control given a
-    ``precond`` (a nearby step matrix's LU), by :func:`linalg.gmres_solve`.
+    (M/dt + theta L_{i+1}) q_{i+1} = (M/dt - (1-theta) L_i) q_i by
+    :func:`linalg.gmres_solve` from q_i, preconditioned by one LU: ``precond``
+    (a nearby step matrix's LU) or else the LU of the first step matrix.
     The operators are data arrays on the tensor's sparsity pattern, and each
     node's L data is the implicit part of the step into it and the explicit
     part of the step out of it.  The two step matrices are built once per
-    sweep, and each step overwrites their data.  A stack whose rows all equal
-    row 0 is factorized once.  The trajectory holds ``controls`` by reference
-    with dt, theta and lumped.  Returns (trajectory, that LU or else None).
+    sweep, and each step overwrites their data; a stack whose rows all equal
+    row 0 builds them once.  The trajectory holds ``controls`` by reference
+    with dt, theta and lumped.  Returns (trajectory, the LU).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -165,14 +165,13 @@ def theta_sweep(
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     n_steps = len(controls) - 1
     constant = bool((controls == controls[0]).all())
-    krylov = precond is not None and not constant
     tensor = ops.tensor
     mass = ops.mass_data(lumped) / dt
     explicit, implicit = tensor.csr(np.empty_like(mass)), tensor.csc(np.empty_like(mass))
 
     states = np.empty((n_steps + 1, ops.n))
     states[0] = _vals(q0)
-    fallbacks, lu = 0, None
+    fallbacks, lu = 0, precond
     L = ops.state_data(controls[0])
     for i in range(n_steps):
         if i == 0 or not constant:
@@ -180,14 +179,10 @@ def theta_sweep(
             if not constant:
                 L = ops.state_data(controls[i + 1])
             implicit.data[:] = (mass + theta * L)[tensor.transpose]
-            lu = None if krylov else lu_factor(implicit)
-        rhs = explicit @ states[i]
-        if krylov:
-            states[i + 1], missed = gmres_solve(implicit, rhs, precond, states[i])
-            fallbacks += missed
-        else:
-            qn = lu.solve(rhs)
-            states[i + 1] = qn + lu.solve(rhs - implicit @ qn)
+            if lu is None:
+                lu = lu_factor(implicit)
+        states[i + 1], missed = gmres_solve(implicit, explicit @ states[i], lu, states[i])
+        fallbacks += missed
     if not np.isfinite(states).all():
         raise SolverError(
             "theta sweep produced non-finite states; the implicit matrix is "
@@ -204,7 +199,7 @@ def theta_sweep(
         controls=controls,
         fallbacks=fallbacks,
     )
-    return traj, lu if constant else None
+    return traj, lu
 
 
 def step_theta(
@@ -261,8 +256,8 @@ def simulate(
 ) -> Trajectory:
     """Integrate the density dynamics over [0, T] with uniform steps.
 
-    ``control`` is either a single ControlField (held constant, so factorized
-    once) or an (n_t, 2n) stack of [ux, uy] rows, one per time node.
+    ``control`` is either a single ControlField, held constant, or an
+    (n_t, 2n) stack of [ux, uy] rows, one per time node.
     """
     controls = _controls_for_grid(control, _n_steps(T, dt))
     return theta_sweep(ops, q0, controls, dt, theta, lumped)[0]

@@ -97,7 +97,7 @@ def test_criterion_01_kernel_structure():
             u = dc.ControlField(
                 rng.standard_normal(ops.n), rng.standard_normal(ops.n)
             )
-            cert = certify_kernel(ops, u)
+            cert = certify_kernel(ops, dc.solve_equilibrium(ops, u))
             worst_res = max(worst_res, cert.left_kernel_residual)
             worst_gap = min(worst_gap, cert.gap_ratio)
             if not (cert.left_kernel_residual < 1e-12 and cert.dim == 1 and cert.gap_ratio > 1e6):

@@ -97,7 +97,7 @@ def test_certify_fills_every_row_above_two_thousand_nodes(run_cfg, tmp_path, cap
     assert main(["certify", "--config", str(path), "--out", str(out)]) == 0
     assert "certificate: kernel dim 1," in capsys.readouterr().out
     rows = (out / "certificate.csv").read_text().splitlines()[1:]
-    assert len(rows) == 8
+    assert len(rows) == 7
     assert all(row.split(",")[1] for row in rows), rows
 
 
@@ -443,11 +443,16 @@ def test_unreadable_or_misfit_controls_are_config_problems(run_cfg, tmp_path, ca
     shutil.copytree(half, short)
     rows = (short / "u_x.csv").read_text().splitlines(keepends=True)
     (short / "u_y.csv").write_text("".join(rows[:-1]))
+    twice = tmp_path / "twice"  # a static control whose u_x.csv lists node 0 twice
+    shutil.copytree(half, twice)
+    shutil.copy(half / "u_x.csv", twice / "u_y.csv")
+    (twice / "u_x.csv").write_text("".join(rows) + rows[1])
     empty = tmp_path / "empty"
     (empty / "controls").mkdir(parents=True)
     cases = [
         (half, [], "No such file or directory"),
         (short, [], "no value for 1 of"),
+        (twice, [], f"{twice / 'u_x.csv'}: node 0 has more than one row"),
         (gap / "dynamic_solution", [], "u_y_00003.csv"),
         (os.path.join(dyn, "dynamic_solution"), ["--t-final", "0.5"], "has 6 nodes, grid needs 11"),
         (empty, [], "has 0 nodes, grid needs 6"),
@@ -463,6 +468,7 @@ def test_unreadable_or_misfit_controls_are_config_problems(run_cfg, tmp_path, ca
 @pytest.mark.parametrize("case, problem", [
     ("header", "expected a density CSV header"),
     ("missing", "no value for 1 of"),
+    ("repeated", "density.csv: node 0 has more than one row"),
     ("indicator", "indicator regions contain no mesh vertices"),
 ])
 def test_unbuildable_density_is_a_config_problem(run_cfg, tmp_path, capsys, name, case, problem):
@@ -474,6 +480,9 @@ def test_unbuildable_density_is_a_config_problem(run_cfg, tmp_path, capsys, name
     elif case == "missing":
         export.write_density_csv(density, mesh, np.ones(ops.n))
         density.write_text("".join(density.read_text().splitlines(keepends=True)[:-1]))
+    elif case == "repeated":  # every node's row, then a second one for node 0
+        export.write_density_csv(density, mesh, np.ones(ops.n))
+        density.write_text(density.read_text() + "0,0.0,0.0,9.0\n")
     cfg[name] = (
         {"type": "indicator", "regions": [{"type": "circle", "center": [5, 5], "radius": 0.1}]}
         if case == "indicator" else {"type": "nodal", "file": str(density)}

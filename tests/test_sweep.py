@@ -27,16 +27,22 @@ def test_simulate_constant_control_factorizes_once(small_ops, rng, counts):
     u = random_control(small_ops, rng, scale=0.5)
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
     traj = dc.simulate(small_ops, q0, u, T=0.5, dt=0.05, theta=0.5, lumped=False)
-    assert traj.n_steps == 10
+    assert traj.n_steps == 10 and traj.fallbacks == 0
     assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 1}
 
 
-def test_simulate_time_varying_control_factorizes_every_step(small_ops, rng, counts):
+def test_time_varying_sweep_and_adjoint_factorize_once_each(small_ops, rng, counts):
     controls = np.stack([random_control(small_ops, rng, scale=0.5).stacked() for _ in range(11)])
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
-    dc.simulate(small_ops, q0, controls, T=0.5, dt=0.05, theta=0.5, lumped=False)
-    # one contraction per time node serves both steps that touch it
-    assert counts == {"lu_factor": 10, "bordered_solve": 0, "contract": 11}
+    traj = dc.simulate(small_ops, q0, controls, T=0.5, dt=0.05, theta=0.5, lumped=False)
+    # one contraction per time node serves both steps that touch it; every
+    # step is GMRES against the first step matrix's LU
+    assert traj.fallbacks == 0
+    assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 11}
+    lams = solve_adjoint_dynamic(small_ops, traj, dc.uniform_density(small_ops), 1.0)
+    # the adjoint's own LU is its first (node n) step matrix's
+    assert lams.fallbacks == 0
+    assert counts == {"lu_factor": 2, "bordered_solve": 0, "contract": 21}
 
 
 def test_equal_rows_factorize_once(small_ops, rng, counts):
@@ -164,14 +170,18 @@ def test_pattern_operators_on_random_meshes(mesh, drift, seed, scale, theta, lum
     q0 = dc.normalized_density(ops, rng.random(ops.n) + 0.1)
     U = np.stack([u_old.stacked(), u_new.stacked()])
     traj, lu = theta_sweep(ops, q0, U, 0.01, theta, lumped)
-    # only a constant control's LU is returned: rows equal in value (scale 0)
-    assert (lu is None) == (not np.array_equal(U[0], U[1]))
+    # the returned LU is the step matrix's, which preconditions the step
+    states, _ = _fresh_sweeps(ops, q0.values, q0.values, U, 0.01, theta, lumped)
+    assert _same_bits(traj.states, states)
+    b = rng.standard_normal(ops.n)
+    A = tensor.csc(ops.mass_data(lumped) / 0.01 + theta * data)
+    assert _same_bits(lu.solve(b), lu_factor(A).solve(b))
     assert abs(ops.F @ traj.states[1] - 1.0) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    mesh=_meshes(),
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
     drift=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     theta=st.sampled_from([0.5, 1.0]),
@@ -216,7 +226,7 @@ def test_dynamic_gradient_on_random_meshes(mesh, drift, seed, theta, lumped):
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    mesh=_meshes(),
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
     drift=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     theta=st.sampled_from([0.5, 1.0]),
@@ -248,10 +258,12 @@ def test_krylov_sweeps_on_random_meshes(mesh, drift, seed, theta, lumped):
         traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
         return evaluate_dynamic_cost(ops, traj, static, cfg)
 
-    direct, _ = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
+    # a refined direct solve per step
+    direct, _ = _fresh_sweeps(ops, q0.values, static.q_star.values, U, cfg.dt, theta, lumped,
+                              refined=True)
     traj, lu = theta_sweep(ops, q0, U, cfg.dt, theta, lumped, precond)
-    assert lu is None and traj.fallbacks == 0
-    assert np.abs(traj.states - direct.states).max() <= 1e-12 * np.abs(direct.states).max()
+    assert lu is precond and traj.fallbacks == 0
+    assert np.abs(traj.states - direct).max() <= 1e-12 * np.abs(direct).max()
     lams = solve_adjoint_dynamic(ops, traj, static.q_star, cfg.alpha, precond=precond)
     assert lams.fallbacks == 0
     G = _dynamic_gradient(ops, traj, lams, static, cfg)
@@ -270,56 +282,68 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _fresh_sweeps(ops, q0, qref, U, dt, theta, lumped, precond=None, refined=False):
+    """Forward states and adjoint multipliers (alpha = 1) of the sweeps of U,
+    by loops that build every step matrix afresh.  Each step is solved by
+    GMRES against ``precond`` or else against the loop's own first step
+    matrix's LU, or, ``refined``, by its own LU with one step of refinement,
+    the solve of GMRES's direct fallback."""
+    tensor, mass, n_steps = ops.tensor, ops.mass_data(lumped) / dt, len(U) - 1
+    L = [ops.state_data(u) for u in U]
+    forward_lu = adjoint_lu = precond
+    if precond is None and not refined:
+        forward_lu, adjoint_lu = (lu_factor(tensor.csc(mass + theta * L[k])) for k in (1, -1))
+
+    def solve(A, b, x0, lu, trans="N"):
+        if refined:
+            lu = lu_factor(A)
+            x = lu.solve(b)
+            return x + lu.solve(b - A @ x)
+        return gmres_solve(A, b, lu, x0, trans)[0]
+
+    states = [q0]
+    for i in range(n_steps):
+        rhs = tensor.csr(mass - (1.0 - theta) * L[i]) @ states[i]
+        states.append(solve(tensor.csc(mass + theta * L[i + 1]), rhs, states[i], forward_lu))
+
+    w, lams = trapezoid_weights(n_steps), [np.zeros(ops.n)]
+    for i in range(n_steps, 0, -1):
+        source = w[i] * dt * (ops.M @ (states[i] - qref))
+        rhs = tensor.csr(mass - (1.0 - theta) * L[i]).T @ lams[-1] + source
+        A_T = tensor.csc(mass + theta * L[i]).T
+        lam = solve(A_T, rhs, lams[-1], adjoint_lu, trans="T")
+        lams.append(lam - float(ops.F @ lam) / float(ops.F.sum()))
+    return np.array(states), np.array(lams[::-1])
+
+
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    mesh=_meshes(),
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
     drift=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     theta=st.sampled_from([0.5, 1.0]),
     lumped=st.booleans(),
-    krylov=st.booleans(),
+    given_precond=st.booleans(),
 )
-def test_sweeps_match_fresh_step_matrices_bitwise(mesh, drift, seed, theta, lumped, krylov):
+def test_sweeps_match_fresh_step_matrices_bitwise(mesh, drift, seed, theta, lumped, given_precond):
     """The sweeps overwrite step matrices built once per sweep; a loop that
     builds them afresh at every step gives the same bits."""
     ops = dc.assemble_operators(
         mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None
     )
     rng = np.random.default_rng(seed)
-    n, n_steps, dt, alpha = ops.n, 3, 0.05, 1.0
+    n, n_steps, dt = ops.n, 3, 0.05
     q0, qref = (dc.normalized_density(ops, rng.random(n) + 0.1).values for _ in range(2))
     U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
     u_ref = random_control(ops, rng, 0.5)
     pair = np.tile(u_ref.stacked(), (2, 1))
-    precond = theta_sweep(ops, q0, pair, dt, theta, lumped)[1] if krylov else None
-    tensor, mass = ops.tensor, ops.mass_data(lumped) / dt
-    L = [ops.state_data(u) for u in U]
+    precond = theta_sweep(ops, q0, pair, dt, theta, lumped)[1] if given_precond else None
 
-    states = [q0]
-    for i in range(n_steps):
-        rhs = tensor.csr(mass - (1.0 - theta) * L[i]) @ states[i]
-        A = tensor.csc(mass + theta * L[i + 1])
-        if krylov:
-            states.append(gmres_solve(A, rhs, precond, states[i])[0])
-        else:
-            lu = lu_factor(A)
-            q = lu.solve(rhs)
-            states.append(q + lu.solve(rhs - A @ q))
+    states, lams = _fresh_sweeps(ops, q0, qref, U, dt, theta, lumped, precond)
     traj, _ = theta_sweep(ops, q0, U, dt, theta, lumped, precond)
     assert _same_bits(traj.states, states)
-
-    w, lams = trapezoid_weights(n_steps), [np.zeros(n)]
-    for i in range(n_steps, 0, -1):
-        source = w[i] * dt * alpha * (ops.M @ (traj.states[i] - qref))
-        rhs = tensor.csr(mass - (1.0 - theta) * L[i]).T @ lams[-1] + source
-        if krylov:
-            A_T = tensor.csc(mass + theta * L[i]).T
-            lam = gmres_solve(A_T, rhs, precond, lams[-1], trans="T")[0]
-        else:
-            lam = lu_factor(tensor.csr(mass + theta * L[i]).T).solve(rhs)
-        lams.append(lam - float(ops.F @ lam) / float(ops.F.sum()))
-    adj = solve_adjoint_dynamic(ops, traj, qref, alpha, precond=precond)
-    assert _same_bits(adj.values, lams[::-1])
+    adj = solve_adjoint_dynamic(ops, traj, qref, 1.0, precond=precond)
+    assert _same_bits(adj.values, lams)
     assert traj.fallbacks == adj.fallbacks == 0
 
 
@@ -344,19 +368,17 @@ def test_krylov_miss_falls_back_to_the_direct_step(holed_ops, rng):
     qref = dc.uniform_density(ops)
     # a random diagonal is no preconditioner: GMRES misses every step
     poor = lu_factor(sp.diags(rng.uniform(1e-3, 1e3, ops.n), format="csc"))
-    direct, _ = theta_sweep(ops, q0, U, dt, 0.5, False)
+    states, ref = _fresh_sweeps(ops, q0.values, qref.values, U, dt, 0.5, False, refined=True)
     traj, _ = theta_sweep(ops, q0, U, dt, 0.5, False, precond=poor)
     assert traj.fallbacks == n_steps
-    assert np.array_equal(traj.states, direct.states)
-    ref = solve_adjoint_dynamic(ops, direct, qref, 1.0)
+    assert _same_bits(traj.states, states)
     lams = solve_adjoint_dynamic(ops, traj, qref, 1.0, precond=poor)
-    assert lams.fallbacks == n_steps and ref.fallbacks == 0
-    # the fallback refines its direct solve once; the reference does not
-    assert np.abs(lams.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+    assert lams.fallbacks == n_steps
+    assert _same_bits(lams.values, ref)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(mesh=_meshes())
+@given(mesh=st.one_of(_meshes(), _delaunay_meshes()))
 def test_mesh_file_round_trip_on_random_meshes(mesh):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.txt"), os.path.join(tmp, "b.txt")
