@@ -18,8 +18,8 @@ slice is gauge-fixed to zero mean (shifts along the constant vector are in
 the kernel of the transposed operator and do not change the gradient).
 The scheme (dt, theta, mass matrix) and the control stack are read from the
 forward :class:`state.Trajectory`, so the adjoint transposes the very steps
-that were taken.  Every transposed step is solved by GMRES against one LU,
-which the optimizer's adjoint sweeps share with its forward sweeps.
+that were taken.  Every transposed step is solved by GMRES against the
+trajectory's own LU, transposed: the adjoint factorizes nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import FemOperators
-from .linalg import SolverError, bordered_solve, gmres_solve, lu_factor
+from .linalg import SolverError, bordered_solve, gmres_solve
 from .state import Trajectory, _vals
 
 __all__ = [
@@ -102,7 +102,7 @@ def trapezoid_weights(n_steps: int) -> np.ndarray:
 
 
 def solve_adjoint_dynamic(
-    ops: FemOperators, trajectory: Trajectory, q_ref, alpha: float, precond=None
+    ops: FemOperators, trajectory: Trajectory, q_ref, alpha: float
 ) -> AdjointTrajectory:
     """Discrete adjoint of the theta scheme for the tracking cost.
 
@@ -110,11 +110,11 @@ def solve_adjoint_dynamic(
     forward ``trajectory``'s own.  The source at node i is
     w_i * dt * alpha * M (q_i - q_ref) with trapezoidal weights w_i.  Each
     transposed step is solved by :func:`linalg.gmres_solve` from the next
-    step's multiplier, preconditioned by the transposed solves of one LU:
-    ``precond`` (the LU of a nearby step matrix) or else the LU of the first
-    (node n) step matrix; its misses are counted in ``fallbacks``.  The
-    transposed explicit and implicit step matrices are built once per sweep;
-    each step overwrites their data.
+    step's multiplier, preconditioned by the transposed solves of
+    ``trajectory.lu``, the LU that the forward steps were solved against;
+    its misses are counted in ``fallbacks``.  The transposed explicit and
+    implicit step matrices are built once per sweep; each step overwrites
+    their data.
     """
     n_steps, dt, theta = trajectory.n_steps, trajectory.dt, trajectory.theta
     controls = trajectory.controls
@@ -125,7 +125,7 @@ def solve_adjoint_dynamic(
 
     values = np.zeros((n_steps + 1, ops.n))
     lam_next = np.zeros(ops.n)
-    fallbacks, lu = 0, precond
+    fallbacks = 0
     explicit_T = ops.tensor.csr(np.empty_like(mass)).T
     implicit_T = ops.tensor.csc(np.empty_like(mass)).T  # A^T as CSR: A's CSC arrays
     for i in range(n_steps, 0, -1):
@@ -134,9 +134,7 @@ def solve_adjoint_dynamic(
         explicit_T.data[:] = mass - (1.0 - theta) * L_i
         rhs = explicit_T @ lam_next + source
         implicit_T.data[:] = (mass + theta * L_i)[ops.tensor.transpose]
-        if lu is None:
-            lu = lu_factor(implicit_T.T)
-        lam, missed = gmres_solve(implicit_T, rhs, lu, lam_next, trans="T")
+        lam, missed = gmres_solve(implicit_T, rhs, trajectory.lu, lam_next, trans="T")
         fallbacks += missed
         if not np.isfinite(lam).all():
             raise SolverError(f"dynamic adjoint solve failed at step {i}")

@@ -15,8 +15,8 @@ control before it is evaluated.  Its directions are projected L-BFGS ones
 (Bertsekas 1982; Byrd, Lu, Nocedal & Zhu 1995) in the metric H: the speeds
 on the ball whose gradient points outward are held, and the two-loop
 recursion over the last ``DYNAMIC_LBFGS_MEMORY`` curvature pairs runs on
-the free entries.  Sweeps run GMRES against the warm start's one LU and
-keep no per-step factors.
+the free entries.  Every sweep, forward or adjoint, runs GMRES against the
+warm start's one LU, which each trajectory carries.
 """
 
 from __future__ import annotations
@@ -191,33 +191,31 @@ def solve_dynamic_ocp(
     -H^-1 G, steepest descent in the control metric, with the pairs
     dropped; a failed restart stops the run with "line_search".  Each
     Armijo trial is one forward sweep of a projected control; a gradient is
-    one adjoint sweep.  Both run GMRES against the warm start's LU
-    (``fallbacks`` counts their missed steps).  ``reason`` says why the
-    iteration stopped.
+    one adjoint sweep.  Every sweep runs GMRES against the LU of the first,
+    the warm start's (``fallbacks`` counts their missed steps).  ``reason``
+    says why the iteration stopped; the tol test reads |G|_2, held speeds
+    included, which stays positive at an optimum on the ball.
     """
     n = ops.n
     dt, theta, lumped = config.dt, config.theta, config.lumped
     n_nodes = _n_steps(config.T, dt) + 1
     q0v = _vals(q0)
     radius = static_solution.control_magnitude_bound()
-    # the warm start's one LU (a constant control) preconditions every sweep
     us = static_solution.u_star.stacked()
-    warm = np.broadcast_to(us, (n_nodes, 2 * n))
-    traj, precond = theta_sweep(ops, q0v, warm, dt, theta, lumped)
-    fallbacks = []
+    fallbacks, lu = [], None
 
-    def evaluated(traj):
+    def sweep(U):
+        nonlocal lu
+        traj = theta_sweep(ops, q0v, U, dt, theta, lumped, lu)
+        lu = traj.lu
         J = evaluate_dynamic_cost(ops, traj, static_solution, config)
         return traj.controls.ravel(), J, traj
 
     def evaluate(u):
-        U = project_to_magnitude_ball(u.reshape(n_nodes, 2 * n), n, radius)
-        return evaluated(theta_sweep(ops, q0v, U, dt, theta, lumped, precond)[0])
+        return sweep(project_to_magnitude_ball(u.reshape(n_nodes, 2 * n), n, radius))
 
     def gradient(u, traj):
-        lams = solve_adjoint_dynamic(
-            ops, traj, static_solution.q_star, config.alpha, precond=precond
-        )
+        lams = solve_adjoint_dynamic(ops, traj, static_solution.q_star, config.alpha)
         fallbacks.append(traj.fallbacks + lams.fallbacks)
         G = _dynamic_gradient(ops, traj, lams, static_solution, config)
         return G.ravel(), (traj, lams)
@@ -232,7 +230,8 @@ def solve_dynamic_ocp(
 
     directions = lbfgs_directions(h_inv_of(ops, config), DYNAMIC_LBFGS_MEMORY, binding)
     u, (traj, lams), history, reason, restarts = descend(
-        evaluate, gradient, evaluated(traj), directions, config, armijo_backtracking
+        evaluate, gradient, sweep(np.broadcast_to(us, (n_nodes, 2 * n))), directions, config,
+        armijo_backtracking,
     )
     U = u.reshape(n_nodes, 2 * n)
     return DynamicSolution(

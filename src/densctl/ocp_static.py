@@ -219,11 +219,11 @@ def descend(evaluate, gradient, start, direction, config, line_search):
     direction to search once more along when that search fails (a
     restart).  The last trial that ``line_search`` evaluates is the one it
     accepts: it is the next iterate, with its J and state.  An iterate's
-    state is dropped once its direction is taken, and no trial is held while
-    the next is evaluated.  Stops with ``reason`` "tol" once |grad| <
-    config.tol, "max_iter" after config.max_iter iterations or
-    "line_search", and returns (u, result, history, reason, restarts) at the
-    last iterate.
+    state is dropped once its direction is taken, a direction once its
+    search ends, and no trial is held while the next is evaluated.  Stops
+    with ``reason`` "tol" once |grad| < config.tol, "max_iter" after
+    config.max_iter iterations or "line_search", and returns (u, result,
+    history, reason, restarts) at the last iterate.
     """
     u, J, state = start
     del start
@@ -254,6 +254,7 @@ def descend(evaluate, gradient, start, direction, config, line_search):
         if tau is None and restart is not None:
             restarts += 1
             tau = search(restart())
+        d = restart = None
         if tau is None:
             reason = "line_search"
             break

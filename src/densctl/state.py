@@ -9,9 +9,9 @@ with the lumped mass matrix preserves nonnegativity on strict-Delaunay
 meshes, while theta = 1/2 (Crank-Nicolson) with the consistent mass is
 second order.
 Single steps, simulations and optimizer sweeps all run :func:`theta_sweep`,
-which solves every step by GMRES against the sweep's one LU.
-A sweep's :class:`Trajectory` keeps its scheme and the control stack it
-swept, the inputs the discrete dynamic adjoint transposes.
+which solves every step by GMRES against the sweep's one LU.  A sweep's
+:class:`Trajectory` keeps its scheme, the control stack it swept and that
+LU, all that the discrete dynamic adjoint transposes and solves against.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def normalized_density(ops: FemOperators, values) -> DensityField:
 @dataclass(frozen=True)
 class Trajectory:
     """States of a theta-method run on a uniform time grid, with the scheme
-    (dt, theta, lumped) and the (n_steps + 1, 2n) control stack that made
-    them.  ``controls`` is the swept stack itself, not a copy: a constant
-    control's stays a read-only broadcast view."""
+    (dt, theta, lumped), the (n_steps + 1, 2n) control stack that made them
+    and the LU every step was solved against.  ``controls`` is the swept
+    stack itself: a constant control's stays a read-only broadcast view."""
 
     times: np.ndarray
     states: np.ndarray  # (n_steps + 1, n_nodes)
@@ -81,6 +81,7 @@ class Trajectory:
     theta: float
     lumped: bool
     controls: np.ndarray  # (n_steps + 1, 2n) stack of [ux, uy] rows
+    lu: object
     fallbacks: int = 0  # steps that GMRES missed, solved by a refined LU
 
     @property
@@ -144,20 +145,20 @@ def theta_sweep(
     theta: float = 1.0,
     lumped: bool = True,
     precond=None,
-):
+) -> Trajectory:
     """Theta-method sweep of M dq/dt + L(u) q = 0 on a uniform time grid.
 
     ``controls`` is an (n_t, 2n) stack of [ux, uy] rows, one per time node.
     Step i solves
     (M/dt + theta L_{i+1}) q_{i+1} = (M/dt - (1-theta) L_i) q_i by
     :func:`linalg.gmres_solve` from q_i, preconditioned by one LU: ``precond``
-    (a nearby step matrix's LU) or else the LU of the first step matrix.
+    (a nearby step matrix's LU) or else the LU of the last step matrix.
     The operators are data arrays on the tensor's sparsity pattern, and each
     node's L data is the implicit part of the step into it and the explicit
-    part of the step out of it.  The two step matrices are built once per
-    sweep, and each step overwrites their data; a stack whose rows all equal
-    row 0 builds them once.  The trajectory holds ``controls`` by reference
-    with dt, theta and lumped.  Returns (trajectory, the LU).
+    part of the step out of it (the last node's makes the LU too).  The two
+    step matrices are built once per sweep, and each step overwrites their
+    data; a stack whose rows all equal row 0 builds them once.  Returns the
+    trajectory, which holds ``controls`` by reference and the LU.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -171,16 +172,16 @@ def theta_sweep(
 
     states = np.empty((n_steps + 1, ops.n))
     states[0] = _vals(q0)
-    fallbacks, lu = 0, precond
-    L = ops.state_data(controls[0])
+    lu, L_last = precond, ops.state_data(controls[-1])
+    if lu is None:
+        implicit.data[:] = (mass + theta * L_last)[tensor.transpose]
+        lu = lu_factor(implicit)
+    fallbacks, L = 0, L_last if constant else ops.state_data(controls[0])
     for i in range(n_steps):
         if i == 0 or not constant:
             explicit.data[:] = mass - (1.0 - theta) * L
-            if not constant:
-                L = ops.state_data(controls[i + 1])
+            L = L_last if constant or i + 1 == n_steps else ops.state_data(controls[i + 1])
             implicit.data[:] = (mass + theta * L)[tensor.transpose]
-            if lu is None:
-                lu = lu_factor(implicit)
         states[i + 1], missed = gmres_solve(implicit, explicit @ states[i], lu, states[i])
         fallbacks += missed
     if not np.isfinite(states).all():
@@ -188,7 +189,7 @@ def theta_sweep(
             "theta sweep produced non-finite states; the implicit matrix is "
             "numerically singular (dt may be too large)"
         )
-    traj = Trajectory(
+    return Trajectory(
         times=np.arange(n_steps + 1) * dt,
         states=states,
         masses=states @ ops.F,
@@ -197,9 +198,9 @@ def theta_sweep(
         theta=float(theta),
         lumped=lumped,
         controls=controls,
+        lu=lu,
         fallbacks=fallbacks,
     )
-    return traj, lu
 
 
 def step_theta(
@@ -216,8 +217,7 @@ def step_theta(
     Solves (M/dt + theta L(u_new)) q1 = (M/dt - (1-theta) L(u_old)) q0.
     """
     controls = np.stack([u_old.stacked(), u_new.stacked()])
-    traj, _ = theta_sweep(ops, q, controls, dt, theta, lumped)
-    return DensityField(values=traj.states[1])
+    return DensityField(values=theta_sweep(ops, q, controls, dt, theta, lumped).states[1])
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -260,4 +260,4 @@ def simulate(
     (n_t, 2n) stack of [ux, uy] rows, one per time node.
     """
     controls = _controls_for_grid(control, _n_steps(T, dt))
-    return theta_sweep(ops, q0, controls, dt, theta, lumped)[0]
+    return theta_sweep(ops, q0, controls, dt, theta, lumped)

@@ -200,10 +200,10 @@ def test_criterion_04_gradient_exactness():
 
     def jt(u_flat):
         Um = u_flat.reshape(6, 2 * n)
-        traj, _ = theta_sweep(opst, q0.values, Um, dcfg.dt, dcfg.theta, dcfg.lumped)
+        traj = theta_sweep(opst, q0.values, Um, dcfg.dt, dcfg.theta, dcfg.lumped)
         return evaluate_dynamic_cost(opst, traj, static, dcfg)
 
-    traj, _ = theta_sweep(opst, q0.values, U, dcfg.dt, dcfg.theta, dcfg.lumped)
+    traj = theta_sweep(opst, q0.values, U, dcfg.dt, dcfg.theta, dcfg.lumped)
     lams = solve_adjoint_dynamic(opst, traj, static.q_star, dcfg.alpha)
     G = _dynamic_gradient(opst, traj, lams, static, dcfg)
     worst_dyn = 0.0

@@ -167,9 +167,9 @@ def test_dynamic_adjoint_dense_spacetime_oracle(tiny_ops, rng, theta, lumped, kr
     # so GMRES needs several iterations per step
     other = random_control(tiny_ops, rng, 0.4)
     pair = np.tile(other.stacked(), (2, 1))
-    precond = theta_sweep(tiny_ops, q0, pair, dt, theta, lumped)[1] if krylov else None
-    traj, _ = theta_sweep(tiny_ops, q0.values, U, dt, theta, lumped, precond)
-    lams = solve_adjoint_dynamic(tiny_ops, traj, qref, alpha=1.7, precond=precond)
+    precond = theta_sweep(tiny_ops, q0, pair, dt, theta, lumped).lu if krylov else None
+    traj = theta_sweep(tiny_ops, q0.values, U, dt, theta, lumped, precond)
+    lams = solve_adjoint_dynamic(tiny_ops, traj, qref, alpha=1.7)
     assert traj.fallbacks == lams.fallbacks == 0
 
     Ms = tiny_ops.tensor.csr(tiny_ops.mass_data(lumped)).toarray()

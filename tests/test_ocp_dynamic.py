@@ -92,10 +92,10 @@ def test_dynamic_gradient_matches_finite_differences(
 
     def jt(u_flat):
         Um = u_flat.reshape(n_steps + 1, 2 * n)
-        traj, _ = theta_sweep(tiny_ops, q0.values, Um, cfg.dt, theta, lumped)
+        traj = theta_sweep(tiny_ops, q0.values, Um, cfg.dt, theta, lumped)
         return evaluate_dynamic_cost(tiny_ops, traj, static, cfg)
 
-    traj, _ = theta_sweep(tiny_ops, q0.values, U, cfg.dt, theta, lumped)
+    traj = theta_sweep(tiny_ops, q0.values, U, cfg.dt, theta, lumped)
     lams = solve_adjoint_dynamic(tiny_ops, traj, static.q_star, cfg.alpha)
     G = _dynamic_gradient(tiny_ops, traj, lams, static, cfg)
     for _ in range(10):

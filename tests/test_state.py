@@ -168,7 +168,7 @@ def test_trajectory_holds_its_scheme_and_swept_controls(small_ops, rng):
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
     U = np.stack([random_control(small_ops, rng, scale=0.3).stacked() for _ in range(4)])
     for theta, lumped in ((1.0, True), (0.5, False)):
-        traj, _ = theta_sweep(small_ops, q0, U, 0.1, theta, lumped)
+        traj = theta_sweep(small_ops, q0, U, 0.1, theta, lumped)
         assert traj.controls is U
         assert (traj.dt, traj.theta, traj.lumped) == (0.1, theta, lumped)
         traj = dc.simulate(small_ops, q0, U, T=0.3, dt=0.1, theta=theta, lumped=lumped)

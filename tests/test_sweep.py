@@ -31,18 +31,25 @@ def test_simulate_constant_control_factorizes_once(small_ops, rng, counts):
     assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 1}
 
 
-def test_time_varying_sweep_and_adjoint_factorize_once_each(small_ops, rng, counts):
+def test_time_varying_sweep_and_adjoint_factorize_once(small_ops, rng, counts):
     controls = np.stack([random_control(small_ops, rng, scale=0.5).stacked() for _ in range(11)])
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
+    qref = dc.uniform_density(small_ops)
     traj = dc.simulate(small_ops, q0, controls, T=0.5, dt=0.05, theta=0.5, lumped=False)
-    # one contraction per time node serves both steps that touch it; every
-    # step is GMRES against the first step matrix's LU
+    # one contraction per time node serves both steps that touch it, the
+    # last node's the LU too; every step is GMRES against that LU
     assert traj.fallbacks == 0
     assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 11}
-    lams = solve_adjoint_dynamic(small_ops, traj, dc.uniform_density(small_ops), 1.0)
-    # the adjoint's own LU is its first (node n) step matrix's
+    lams = solve_adjoint_dynamic(small_ops, traj, qref, 1.0)
+    # the adjoint solves against the trajectory's LU, transposed
     assert lams.fallbacks == 0
-    assert counts == {"lu_factor": 2, "bordered_solve": 0, "contract": 21}
+    assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 21}
+    # a sweep given a preconditioner, and its adjoint, factorize nothing
+    again = theta_sweep(small_ops, q0, controls[::-1], 0.05, 0.5, False, precond=traj.lu)
+    assert again.lu is traj.lu
+    lams = solve_adjoint_dynamic(small_ops, again, qref, 1.0)
+    assert again.fallbacks == lams.fallbacks == 0
+    assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 42}
 
 
 def test_equal_rows_factorize_once(small_ops, rng, counts):
@@ -50,8 +57,8 @@ def test_equal_rows_factorize_once(small_ops, rng, counts):
     u = random_control(small_ops, rng, scale=0.5).stacked()
     U = np.stack([u.copy() for _ in range(11)])
     q0 = dc.gaussian_density(small_ops, (0.4, 0.6), 0.2)
-    traj, lu = theta_sweep(small_ops, q0, U, 0.05, 0.5, False)
-    assert lu is not None and traj.n_steps == 10
+    traj = theta_sweep(small_ops, q0, U, 0.05, 0.5, False)
+    assert traj.lu is not None and traj.n_steps == 10
     assert counts == {"lu_factor": 1, "bordered_solve": 0, "contract": 1}
 
 
@@ -169,13 +176,13 @@ def test_pattern_operators_on_random_meshes(mesh, drift, seed, scale, theta, lum
 
     q0 = dc.normalized_density(ops, rng.random(ops.n) + 0.1)
     U = np.stack([u_old.stacked(), u_new.stacked()])
-    traj, lu = theta_sweep(ops, q0, U, 0.01, theta, lumped)
-    # the returned LU is the step matrix's, which preconditions the step
+    traj = theta_sweep(ops, q0, U, 0.01, theta, lumped)
+    # the trajectory's LU is the step matrix's, which preconditions the step
     states, _ = _fresh_sweeps(ops, q0.values, q0.values, U, 0.01, theta, lumped)
     assert _same_bits(traj.states, states)
     b = rng.standard_normal(ops.n)
     A = tensor.csc(ops.mass_data(lumped) / 0.01 + theta * data)
-    assert _same_bits(lu.solve(b), lu_factor(A).solve(b))
+    assert _same_bits(traj.lu.solve(b), lu_factor(A).solve(b))
     assert abs(ops.F @ traj.states[1] - 1.0) <= 1e-12
 
 
@@ -208,10 +215,10 @@ def test_dynamic_gradient_on_random_meshes(mesh, drift, seed, theta, lumped):
     U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
 
     def cost(Um):
-        traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
+        traj = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
         return evaluate_dynamic_cost(ops, traj, static, cfg)
 
-    traj, _ = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
+    traj = theta_sweep(ops, q0, U, cfg.dt, theta, lumped)
     lams = solve_adjoint_dynamic(ops, traj, static.q_star, cfg.alpha)
     G = _dynamic_gradient(ops, traj, lams, static, cfg)
     D = rng.standard_normal(U.shape)
@@ -252,19 +259,19 @@ def test_krylov_sweeps_on_random_meshes(mesh, drift, seed, theta, lumped):
     U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
     # preconditioned by the reference control's step LU, as in the OCP
     pair = np.tile(static.u_star.stacked(), (2, 1))
-    precond = theta_sweep(ops, q0, pair, cfg.dt, theta, lumped)[1]
+    precond = theta_sweep(ops, q0, pair, cfg.dt, theta, lumped).lu
 
     def cost(Um):
-        traj, _ = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
+        traj = theta_sweep(ops, q0, Um, cfg.dt, theta, lumped)
         return evaluate_dynamic_cost(ops, traj, static, cfg)
 
     # a refined direct solve per step
     direct, _ = _fresh_sweeps(ops, q0.values, static.q_star.values, U, cfg.dt, theta, lumped,
                               refined=True)
-    traj, lu = theta_sweep(ops, q0, U, cfg.dt, theta, lumped, precond)
-    assert lu is precond and traj.fallbacks == 0
+    traj = theta_sweep(ops, q0, U, cfg.dt, theta, lumped, precond)
+    assert traj.lu is precond and traj.fallbacks == 0
     assert np.abs(traj.states - direct).max() <= 1e-12 * np.abs(direct).max()
-    lams = solve_adjoint_dynamic(ops, traj, static.q_star, cfg.alpha, precond=precond)
+    lams = solve_adjoint_dynamic(ops, traj, static.q_star, cfg.alpha)
     assert lams.fallbacks == 0
     G = _dynamic_gradient(ops, traj, lams, static, cfg)
     D = rng.standard_normal(U.shape)
@@ -285,14 +292,14 @@ def _same_bits(a, b):
 def _fresh_sweeps(ops, q0, qref, U, dt, theta, lumped, precond=None, refined=False):
     """Forward states and adjoint multipliers (alpha = 1) of the sweeps of U,
     by loops that build every step matrix afresh.  Each step is solved by
-    GMRES against ``precond`` or else against the loop's own first step
+    GMRES against ``precond`` or else, in both loops, against the last step
     matrix's LU, or, ``refined``, by its own LU with one step of refinement,
     the solve of GMRES's direct fallback."""
     tensor, mass, n_steps = ops.tensor, ops.mass_data(lumped) / dt, len(U) - 1
     L = [ops.state_data(u) for u in U]
-    forward_lu = adjoint_lu = precond
+    lu = precond
     if precond is None and not refined:
-        forward_lu, adjoint_lu = (lu_factor(tensor.csc(mass + theta * L[k])) for k in (1, -1))
+        lu = lu_factor(tensor.csc(mass + theta * L[-1]))
 
     def solve(A, b, x0, lu, trans="N"):
         if refined:
@@ -304,14 +311,14 @@ def _fresh_sweeps(ops, q0, qref, U, dt, theta, lumped, precond=None, refined=Fal
     states = [q0]
     for i in range(n_steps):
         rhs = tensor.csr(mass - (1.0 - theta) * L[i]) @ states[i]
-        states.append(solve(tensor.csc(mass + theta * L[i + 1]), rhs, states[i], forward_lu))
+        states.append(solve(tensor.csc(mass + theta * L[i + 1]), rhs, states[i], lu))
 
     w, lams = trapezoid_weights(n_steps), [np.zeros(ops.n)]
     for i in range(n_steps, 0, -1):
         source = w[i] * dt * (ops.M @ (states[i] - qref))
         rhs = tensor.csr(mass - (1.0 - theta) * L[i]).T @ lams[-1] + source
         A_T = tensor.csc(mass + theta * L[i]).T
-        lam = solve(A_T, rhs, lams[-1], adjoint_lu, trans="T")
+        lam = solve(A_T, rhs, lams[-1], lu, trans="T")
         lams.append(lam - float(ops.F @ lam) / float(ops.F.sum()))
     return np.array(states), np.array(lams[::-1])
 
@@ -337,12 +344,12 @@ def test_sweeps_match_fresh_step_matrices_bitwise(mesh, drift, seed, theta, lump
     U = 0.5 * rng.standard_normal((n_steps + 1, 2 * n))
     u_ref = random_control(ops, rng, 0.5)
     pair = np.tile(u_ref.stacked(), (2, 1))
-    precond = theta_sweep(ops, q0, pair, dt, theta, lumped)[1] if given_precond else None
+    precond = theta_sweep(ops, q0, pair, dt, theta, lumped).lu if given_precond else None
 
     states, lams = _fresh_sweeps(ops, q0, qref, U, dt, theta, lumped, precond)
-    traj, _ = theta_sweep(ops, q0, U, dt, theta, lumped, precond)
+    traj = theta_sweep(ops, q0, U, dt, theta, lumped, precond)
     assert _same_bits(traj.states, states)
-    adj = solve_adjoint_dynamic(ops, traj, qref, 1.0, precond=precond)
+    adj = solve_adjoint_dynamic(ops, traj, qref, 1.0)
     assert _same_bits(adj.values, lams)
     assert traj.fallbacks == adj.fallbacks == 0
 
@@ -369,10 +376,10 @@ def test_krylov_miss_falls_back_to_the_direct_step(holed_ops, rng):
     # a random diagonal is no preconditioner: GMRES misses every step
     poor = lu_factor(sp.diags(rng.uniform(1e-3, 1e3, ops.n), format="csc"))
     states, ref = _fresh_sweeps(ops, q0.values, qref.values, U, dt, 0.5, False, refined=True)
-    traj, _ = theta_sweep(ops, q0, U, dt, 0.5, False, precond=poor)
+    traj = theta_sweep(ops, q0, U, dt, 0.5, False, precond=poor)
     assert traj.fallbacks == n_steps
     assert _same_bits(traj.states, states)
-    lams = solve_adjoint_dynamic(ops, traj, qref, 1.0, precond=poor)
+    lams = solve_adjoint_dynamic(ops, traj, qref, 1.0)
     assert lams.fallbacks == n_steps
     assert _same_bits(lams.values, ref)
 
