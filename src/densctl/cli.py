@@ -474,12 +474,11 @@ def cmd_particles(args) -> int:
         dist = analysis.l2_distance(rho, traj.states[step], ops.M)
         floor = float(np.sqrt(np.clip(traj.states[step], 0.0, None).sum() / ens.n))
         rows.append((step * dt, dist, floor, dist / floor))
-        export.write_indexed_csv(
-            os.path.join(pdir, f"ensemble_{step:05d}.csv"), ["id", "x", "y"], ens.positions
-        )
-        export.write_density_csv(
-            os.path.join(pdir, f"empirical_{step:05d}.csv"), mesh, rho.values
-        )
+        ensemble, empirical = f"ensemble_{step:05d}.csv", f"empirical_{step:05d}.csv"
+        export.write_indexed_csv(os.path.join(pdir, ensemble), ["id", "x", "y"], ens.positions)
+        export.write_density_csv(os.path.join(pdir, empirical), mesh, rho.values)
+        manifest.add(f"particles/{ensemble}", "particle ensemble")
+        manifest.add(f"particles/{empirical}", "empirical density")
     export.write_csv(
         os.path.join(pdir, "comparison.csv"),
         ["time", "l2_dist_to_pde", "noise_floor", "ratio"],

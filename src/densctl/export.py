@@ -3,12 +3,14 @@
 Floats are written with Python's shortest round-trip repr so that identical
 runs produce bitwise-identical files.  A nodal CSV's ``node_index,x,y,`` row
 prefixes are formatted once per mesh and cached on it, so each file formats
-only its value column.
+only its value column.  Rows are joined from ``repr`` strings and written a
+block at a time, with no per-row ``str.format`` or ``write``.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import repeat
 
 import numpy as np
 
@@ -42,18 +44,24 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
+def _write_rows(fh, columns, sep=","):
+    """Write, as one string, the rows that joining the string iterables
+    ``columns`` item by item with ``sep`` gives, each ended by a newline;
+    there must be at least one row."""
+    fh.write("\n".join(map(sep.join, zip(*columns))) + "\n")
+
+
 def write_indexed_csv(path, header, table) -> None:
     """Rows (row index, *row of the 2-D float ``table``), byte for byte what
     ``write_csv`` and ``fmt`` give, formatted from Python floats block by
     block, so no Python copy of the whole table is held."""
     table = np.asarray(table, dtype=float)
-    line = "{}" + ",{!r}" * table.shape[1] + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), 4096):
             block = table[start : start + 4096]
-            rows = range(start, start + len(block))
-            fh.writelines(map(line.format, rows, *block.T.tolist()))
+            rows = map(str, range(start, start + len(block)))
+            _write_rows(fh, [rows, *(map(repr, col) for col in block.T.tolist())])
 
 
 def _write_nodal_csv(path, mesh: Mesh, name: str, values) -> None:
@@ -62,7 +70,7 @@ def _write_nodal_csv(path, mesh: Mesh, name: str, values) -> None:
         raise ValueError(f"{path}: {values.shape} values for {mesh.n_vertices} nodes")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"node_index,x,y,{name}\n")
-        fh.writelines(map("{}{!r}\n".format, mesh._csv_prefixes, values.tolist()))
+        _write_rows(fh, [mesh._csv_prefixes, map(repr, values.tolist())], sep="")
 
 
 def write_density_csv(path, mesh: Mesh, values) -> None:
@@ -138,11 +146,10 @@ def write_vtk(path, mesh: Mesh, point_scalars=None) -> None:
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {nv} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r} 0.0\n")
+        x, y = np.asarray(mesh.vertices, dtype=float).T.tolist()
+        _write_rows(fh, [map(repr, x), map(repr, y), repeat("0.0")], sep=" ")
         fh.write(f"CELLS {nt} {4 * nt}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"3 {i} {j} {k}\n")
+        _write_rows(fh, [repeat("3"), *(map(str, c) for c in mesh.triangles.T.tolist())], sep=" ")
         fh.write(f"CELL_TYPES {nt}\n")
         fh.write("5\n" * nt)
         if point_scalars:
@@ -150,8 +157,7 @@ def write_vtk(path, mesh: Mesh, point_scalars=None) -> None:
         for name, values in (point_scalars or {}).items():
             fh.write(f"SCALARS {name} double\n")
             fh.write("LOOKUP_TABLE default\n")
-            for v in values:
-                fh.write(f"{float(v)!r}\n")
+            _write_rows(fh, [map(repr, np.asarray(values, dtype=float).tolist())])
 
 
 class Manifest:

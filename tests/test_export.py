@@ -24,9 +24,13 @@ def test_density_csv_roundtrip(tmp_path, small_mesh, small_ops, rng):
     assert np.array_equal(back, values)
 
 
+# floats whose repr is not plain digits
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1]
+
+
 def test_nodal_csvs_match_per_cell_fmt(tmp_path, small_mesh, small_ops, rng):
     values = rng.standard_normal(small_ops.n)
-    values[:5] = [0.0, -0.0, 1e300, -1e-300, 1.0 / 3.0]
+    values[:13] = [0.0, -0.0, 1e300, -1e-300, 1.0 / 3.0, *SPECIAL]
     cf = dc.ControlField(values, -values)
     export.write_density_csv(tmp_path / "q.csv", small_mesh, values)
     export.write_control_csvs(tmp_path, small_mesh, cf, suffix="_t")
@@ -41,6 +45,22 @@ def test_nodal_csvs_match_per_cell_fmt(tmp_path, small_mesh, small_ops, rng):
     rows = ((i, p[0], p[1]) for i, p in enumerate(positions))
     export.write_csv(tmp_path / "expected.csv", ["id", "x", "y"], rows)
     assert (tmp_path / "ensemble.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_indexed_csv_blocks_and_special_floats(tmp_path, rng):
+    """Rows on both sides of each 4096-row block seam, special floats among
+    them, give what write_csv gives."""
+    table = rng.standard_normal((2 * 4096 + 3, 3))
+    seams = [4095, 4096, 8191, 8192, 8194]
+    table[seams] = np.resize(SPECIAL, (len(seams), 3))
+    table[:len(SPECIAL), 1] = SPECIAL
+    export.write_indexed_csv(tmp_path / "t.csv", ["id", "a", "b", "c"], table)
+    export.write_csv(tmp_path / "expected.csv", ["id", "a", "b", "c"],
+                     ((i, *r) for i, r in enumerate(table)))
+    text = (tmp_path / "t.csv").read_bytes()
+    assert text == (tmp_path / "expected.csv").read_bytes()
+    assert text.count(b"\n") == len(table) + 1
+    assert b"\n4096,-0.0,5e-324,1e+16\n" in text and b"\n8191,1e-05,0.1,nan\n" in text
 
 
 def test_nodal_csv_prefixes_follow_their_mesh(tmp_path, rng):
@@ -121,10 +141,38 @@ def test_trajectory_export(tmp_path, small_ops, small_mesh):
     assert not (tmp_path / "t" / "q_00001.csv").exists()
 
 
+def _write_vtk_per_row(path, mesh, point_scalars):
+    """The per-row writer that write_vtk's joined blocks must match."""
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write("densctl output\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {nv} double\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{float(x)!r} {float(y)!r} 0.0\n")
+        fh.write(f"CELLS {nt} {4 * nt}\n")
+        for i, j, k in mesh.triangles:
+            fh.write(f"3 {i} {j} {k}\n")
+        fh.write(f"CELL_TYPES {nt}\n")
+        fh.write("5\n" * nt)
+        fh.write(f"POINT_DATA {nv}\n")
+        for name, values in point_scalars.items():
+            fh.write(f"SCALARS {name} double\n")
+            fh.write("LOOKUP_TABLE default\n")
+            for v in values:
+                fh.write(f"{float(v)!r}\n")
+
+
 def test_vtk_writer(tmp_path, small_mesh, small_ops, rng):
     values = rng.random(small_ops.n)
+    values[: len(SPECIAL)] = SPECIAL
+    scalars = {"q": values, "p": -values}
     path = tmp_path / "o.vtk"
-    export.write_vtk(path, small_mesh, point_scalars={"q": values})
+    export.write_vtk(path, small_mesh, point_scalars=scalars)
+    _write_vtk_per_row(tmp_path / "expected.vtk", small_mesh, scalars)
+    assert path.read_bytes() == (tmp_path / "expected.vtk").read_bytes()
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert "DATASET UNSTRUCTURED_GRID" in text

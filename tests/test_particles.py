@@ -497,6 +497,57 @@ def test_first_crossing_matches_all_edges_on_random_meshes(mesh, seed):
     assert np.isfinite(t_hit[300:600]).sum() > 100  # the long segments do cross
 
 
+def _square_ring():
+    """The ring between the squares [0, 4]^2 and [1, 3]^2, in 8 triangles, on
+    a 2 x 2 grid of side 2; its boundary edges are listed out of order."""
+    verts = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0],
+                      [1.0, 1.0], [3.0, 1.0], [3.0, 3.0], [1.0, 3.0]])
+    tris = np.array([[0, 1, 5], [0, 5, 4], [1, 2, 6], [1, 6, 5],
+                     [2, 3, 7], [2, 7, 6], [3, 0, 4], [3, 4, 7]])
+    # 1: inner right, 3: inner top, 4: outer top, 5: inner left
+    edges = np.array([[0, 1], [5, 6], [1, 2], [6, 7], [2, 3], [7, 4], [3, 0], [4, 5]])
+    return Mesh(vertices=verts, triangles=tris, boundary_edges=edges,
+                boundary_markers=np.ones(8, dtype=np.int64), domain_area=12.0)
+
+
+def test_box_cells_come_grouped_by_box():
+    # the segmented minimum of _first_crossing rests on this order
+    loc = TriangleLocator(_square_ring())
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-1.0, 5.0, size=(500, 2))
+    hi = lo + rng.uniform(0.0, 3.0, size=(500, 2))
+    box, cell = loc.box_cells(lo, hi)
+    assert (np.diff(box) >= 0).all()
+    a = np.clip(np.floor(lo / loc.cell), 0, 1).astype(int)
+    b = np.clip(np.floor(hi / loc.cell), 0, 1).astype(int)
+    assert np.array_equal(np.bincount(box, minlength=500), np.prod(b - a + 1, axis=1))
+    for i in range(500):
+        cols, rows = np.meshgrid(np.arange(a[i, 0], b[i, 0] + 1), np.arange(a[i, 1], b[i, 1] + 1))
+        assert sorted(cell[box == i]) == sorted((rows * loc.nx + cols).ravel())
+
+
+def test_first_crossing_takes_the_earliest_hit_and_the_lowest_tied_edge():
+    domain = MeshDomain(_square_ring())
+    p = np.array([[1.0, 3.5], [0.5, 2.0], [3.5, 3.25], [2.0, 2.0]])
+    q = np.array([[3.0, 4.5], [3.5, 2.0], [1.5, 2.25], [2.5, 2.5]])
+    # 0: its box covers both upper cells, and both list the outer top edge 4;
+    # 1: crosses edge 5 at t = 1/6, then edge 1 at t = 5/6;
+    # 2: through the vertex (3, 3) at t = 1/4, where edges 3 (listed in the
+    #    first cell of its box, and again in the second) and 1 (only in the
+    #    second) tie;
+    # 3: inside the hole, crosses nothing
+    box, cell = domain.locator.box_cells(np.minimum(p, q), np.maximum(p, q))
+    assert cell[box == 0].tolist() == [2, 3] and cell[box == 2].tolist() == [2, 3]
+    for c in (2, 3):
+        assert 4 in domain.edges[domain.edge_ptr[c] : domain.edge_ptr[c + 1]]
+    assert 1 not in domain.edges[domain.edge_ptr[2] : domain.edge_ptr[3]]
+    t_hit, e_hit = domain._first_crossing(p, q)
+    assert t_hit.tolist() == [0.5, 1.0 / 6.0, 0.25, np.inf]
+    assert e_hit.tolist() == [4, 5, 1, 0]
+    ref_t, ref_e = _first_crossing_reference(domain, p, q)
+    assert np.array_equal(t_hit, ref_t) and np.array_equal(e_hit, ref_e)
+
+
 def test_first_crossing_memory_is_bounded():
     # the all-edges test would hold (m, n_edges) float arrays: m * ne * 8 bytes each
     mesh = dc.generate_rect_mesh((-1.0, -1.0, 1.0, 1.0), 0.02)
