@@ -7,18 +7,12 @@ level (mass conservation, positivity, Lyapunov decay) and with particle
 simulations of the underlying stochastic agents.
 """
 
-from .adjoint import (
-    AdjointField,
-    AdjointTrajectory,
-    solve_adjoint_dynamic,
-    solve_adjoint_static,
-)
+from .adjoint import solve_adjoint_dynamic, solve_adjoint_static
 from .analysis import (
     certify_kernel,
     certify_spectral_positivity,
     convergence_report,
     l2_distance,
-    lyapunov_values,
 )
 from .fem import (
     AdvectionTensor,
@@ -34,7 +28,6 @@ from .mesh import (
     GeometryError,
     Mesh,
     MeshFormatError,
-    MeshQualityReport,
     MeshTopologyError,
     Rect,
     check_mesh_quality,
@@ -55,7 +48,6 @@ from .ocp_static import (
 )
 from .particles import (
     MeshDomain,
-    ParticleEnsemble,
     TriangleLocator,
     empirical_density,
     sample_initial,

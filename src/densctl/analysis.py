@@ -28,7 +28,6 @@ __all__ = [
     "certify_kernel",
     "certify_spectral_positivity",
     "l2_distance",
-    "lyapunov_values",
     "convergence_report",
 ]
 
@@ -136,18 +135,14 @@ def l2_distance(a, b, M) -> float:
     return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
 
-def lyapunov_values(trajectory: Trajectory, reference, M) -> np.ndarray:
-    """l(q_i) = 1/2 (q_i - ref)^T M (q_i - ref) along a trajectory, in row blocks."""
-    return 0.5 * sq_norms(M, trajectory.states, _vals(reference))
-
-
 def convergence_report(trajectory: Trajectory, reference, ops: FemOperators):
     """Per-step distances to a reference density.
 
     Returns (rows, monotone, final) where rows is the (n_steps + 1, 4) float
-    array of (step, time, l2_distance, lyapunov) rows.
+    array of (step, time, l2_distance, lyapunov) rows, the Lyapunov value
+    being l(q_i) = 1/2 (q_i - ref)^T M (q_i - ref).
     """
-    lyap = lyapunov_values(trajectory, reference, ops.M)
+    lyap = 0.5 * sq_norms(ops.M, trajectory.states, _vals(reference))
     rows = np.column_stack((np.arange(len(lyap)), trajectory.times, np.sqrt(2.0 * lyap), lyap))
     monotone = bool(np.all(np.diff(lyap) <= 1e-12 * max(lyap[0], 1.0)))
     return rows, monotone, float(rows[-1, 2])

@@ -7,7 +7,9 @@ with the overrides --out, --seed and --t-final (ocp.T), all applied in
 `load_config`.  Every verb but mesh starts in `_start`: the configuration is
 parsed once into a `Run` (`parse_config`), the problem built and the --control
 loaded; then the configuration is echoed to <out>/config.echo and listed
-first in <out>/manifest.csv, the index of the run's outputs.  A problem in
+first in <out>/manifest.csv, the index of the run's outputs.  A verb takes
+each output's path from ``Manifest.path``, which lists it, so no output is
+written unlisted.  A problem in
 the configuration (an unknown ocp or armijo key included) or in --control
 exits 2 before any output is written.  A run is reproducible byte-for-byte
 from its own output directory: config.echo replays it as a new --config.
@@ -276,9 +278,8 @@ def build_problem(cfg):
     return parse_config(cfg).problem()
 
 
-def _echo_config(run):
-    os.makedirs(run.out_dir, exist_ok=True)
-    with open(os.path.join(run.out_dir, "config.echo"), "w", encoding="utf-8") as fh:
+def _echo_config(run, path):
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(run.echo, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -298,9 +299,8 @@ def _start(args, base=DEFAULT_CONFIG, static_control=False):
             _controls_for_grid(control, _n_steps(run.ocp.T, run.ocp.dt))
         except ValueError as exc:
             raise ConfigError([f"control {args.control!r}: {exc}"]) from None
-    _echo_config(run)
     manifest = export.Manifest(run.out_dir)
-    manifest.add("config.echo", "configuration")
+    _echo_config(run, manifest.path("config.echo", "configuration"))
     return run, manifest, mesh, ops, z, q0, control
 
 
@@ -335,7 +335,8 @@ def cmd_mesh(args) -> int:
     if args.action == "gen":
         run = load_config(args)
         mesh = run.mesh()
-        _echo_config(run)
+        os.makedirs(run.out_dir, exist_ok=True)
+        _echo_config(run, os.path.join(run.out_dir, "config.echo"))
         out = args.mesh_out or os.path.join(run.out_dir, "mesh.txt")
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         write_mesh(mesh, out)
@@ -359,15 +360,14 @@ def cmd_mesh(args) -> int:
 
 
 def _write_static_solution(manifest, mesh, z, sol):
-    sdir = os.path.join(manifest.out_dir, "static_solution")
-    os.makedirs(sdir, exist_ok=True)
-    export.write_control_csvs(sdir, mesh, sol.u_star)
-    export.write_density_csv(os.path.join(sdir, "q_star.csv"), mesh, sol.q_star.values)
-    export.write_density_csv(os.path.join(sdir, "lambda.csv"), mesh, sol.adjoint.values)
-    export.write_density_csv(os.path.join(sdir, "target.csv"), mesh, z.values)
-    export.write_history_csv(os.path.join(sdir, "history.csv"), sol.history)
-    for name in ("u_x.csv", "u_y.csv", "q_star.csv", "lambda.csv", "target.csv", "history.csv"):
-        manifest.add(f"static_solution/{name}", "static solution")
+    def path(name):
+        return manifest.path(f"static_solution/{name}", "static solution")
+
+    export.write_control_csvs(path("u_x.csv"), path("u_y.csv"), mesh, sol.u_star)
+    export.write_density_csv(path("q_star.csv"), mesh, sol.q_star.values)
+    export.write_density_csv(path("lambda.csv"), mesh, sol.adjoint.values)
+    export.write_density_csv(path("target.csv"), mesh, z.values)
+    export.write_history_csv(path("history.csv"), sol.history)
 
 
 def cmd_static(args) -> int:
@@ -395,11 +395,11 @@ def cmd_simulate(args) -> int:
     reference = (
         solve_equilibrium(ops, control)[0] if isinstance(control, ControlField) else z
     )
+    index = manifest.path("trajectory/manifest.csv", "trajectory index")
     export.write_trajectory(
-        os.path.join(run.out_dir, "trajectory"), mesh, traj,
+        os.path.dirname(index), mesh, traj,
         reference=reference, M=ops.M, every=args.every, vtk=run.vtk,
     )
-    manifest.add("trajectory/manifest.csv", "trajectory index")
     manifest.write()
     print(
         f"simulated {traj.n_steps} steps; final mass error "
@@ -409,20 +409,18 @@ def cmd_simulate(args) -> int:
 
 
 def _write_dynamic_solution(manifest, mesh, dyn):
-    ddir = os.path.join(manifest.out_dir, "dynamic_solution")
-    cdir = os.path.join(ddir, "controls")
-    os.makedirs(cdir, exist_ok=True)
-    for i, row in enumerate(dyn.control):
-        export.write_control_csvs(cdir, mesh, ControlField.from_stacked(row), suffix=f"_{i:05d}")
-    export.write_history_csv(os.path.join(ddir, "history.csv"), dyn.history)
+    export.write_history_csv(
+        manifest.path("dynamic_solution/history.csv", "dynamic iteration history"), dyn.history
+    )
     export.write_csv(
-        os.path.join(ddir, "turnpike.csv"),
+        manifest.path("dynamic_solution/turnpike.csv", "turnpike metrics"),
         ["time", "u_dist_to_static", "q_dist_to_static"],
         zip(dyn.trajectory.times, dyn.control_distances, dyn.state_distances),
     )
-    manifest.add("dynamic_solution/history.csv", "dynamic iteration history")
-    manifest.add("dynamic_solution/turnpike.csv", "turnpike metrics")
-    manifest.add("dynamic_solution/controls/", "per-time-node controls")
+    cdir = manifest.path("dynamic_solution/controls/", "per-time-node controls")
+    for i, row in enumerate(dyn.control):
+        paths = (os.path.join(cdir, f"{name}_{i:05d}.csv") for name in ("u_x", "u_y"))
+        export.write_control_csvs(*paths, mesh, ControlField.from_stacked(row))
 
 
 def cmd_dynamic(args) -> int:
@@ -431,11 +429,11 @@ def cmd_dynamic(args) -> int:
     dyn = solve_dynamic_ocp(ops, q0, static, run.dynamic)
     _write_static_solution(manifest, mesh, z, static)
     _write_dynamic_solution(manifest, mesh, dyn)
+    index = manifest.path("dynamic_solution/trajectory/manifest.csv", "optimized trajectory")
     export.write_trajectory(
-        os.path.join(run.out_dir, "dynamic_solution", "trajectory"), mesh, dyn.trajectory,
+        os.path.dirname(index), mesh, dyn.trajectory,
         reference=static.q_star, M=ops.M, every=args.every, vtk=run.vtk,
     )
-    manifest.add("dynamic_solution/trajectory/manifest.csv", "optimized trajectory")
     manifest.write()
     last = dyn.history[-1]
     print(
@@ -459,8 +457,6 @@ def cmd_particles(args) -> int:
     # the noise draws from a child stream of the seed, independent of the sampling's
     rng = np.random.default_rng(np.random.SeedSequence(run.seed).spawn(1)[0])
     ens = sample_initial(q0, domain.locator, args.n, seed=run.seed)
-    pdir = os.path.join(run.out_dir, "particles")
-    os.makedirs(pdir, exist_ok=True)
 
     checkpoints = sorted({min(max(1, n_steps // 5) * k, n_steps) for k in range(1, 6)})
     rows = []
@@ -474,17 +470,19 @@ def cmd_particles(args) -> int:
         dist = analysis.l2_distance(rho, traj.states[step], ops.M)
         floor = float(np.sqrt(np.clip(traj.states[step], 0.0, None).sum() / ens.n))
         rows.append((step * dt, dist, floor, dist / floor))
-        ensemble, empirical = f"ensemble_{step:05d}.csv", f"empirical_{step:05d}.csv"
-        export.write_indexed_csv(os.path.join(pdir, ensemble), ["id", "x", "y"], ens.positions)
-        export.write_density_csv(os.path.join(pdir, empirical), mesh, rho.values)
-        manifest.add(f"particles/{ensemble}", "particle ensemble")
-        manifest.add(f"particles/{empirical}", "empirical density")
+        export.write_indexed_csv(
+            manifest.path(f"particles/ensemble_{step:05d}.csv", "particle ensemble"),
+            ["id", "x", "y"], ens.positions,
+        )
+        export.write_density_csv(
+            manifest.path(f"particles/empirical_{step:05d}.csv", "empirical density"),
+            mesh, rho.values,
+        )
     export.write_csv(
-        os.path.join(pdir, "comparison.csv"),
+        manifest.path("particles/comparison.csv", "particle vs PDE distances"),
         ["time", "l2_dist_to_pde", "noise_floor", "ratio"],
         rows,
     )
-    manifest.add("particles/comparison.csv", "particle vs PDE distances")
     manifest.write()
     worst = max(r[3] for r in rows)
     print(f"particles: worst distance/floor ratio {float(worst)!r} over {len(rows)} checkpoints")
@@ -507,17 +505,15 @@ def cmd_certify(args) -> int:
         ("final_l2_distance", final, "", ""),
     ]
     export.write_csv(
-        os.path.join(run.out_dir, "certificate.csv"),
+        manifest.path("certificate.csv", "certificate table"),
         ["check", "value", "expectation", "note"],
         [(a, "" if b is None else b, c, d) for a, b, c, d in rows],
     )
-    with open(os.path.join(run.out_dir, "certificate.txt"), "w", encoding="ascii") as fh:
+    with open(manifest.path("certificate.txt", "certificate summary"), "w", encoding="ascii") as fh:
         fh.write("structural certificates\n")
         fh.write("=======================\n")
         for name, value, expect, _ in rows:
             fh.write(f"{name:28s} {value!s:>24}   (expected {expect})\n")
-    manifest.add("certificate.csv", "certificate table")
-    manifest.add("certificate.txt", "certificate summary")
     manifest.write()
     print(
         f"certificate: kernel dim {kc.dim}, "
@@ -532,9 +528,8 @@ def cmd_testcase(args) -> int:
     base = presets.testcase_config(number, paper_scale=args.paper_scale)
     base.setdefault("out_dir", f"testcase{number}")
     run, manifest, mesh, ops, z, q0, _ = _start(args, base)
-    out_dir, ocp = run.out_dir, run.ocp
-    write_mesh(mesh, os.path.join(out_dir, "mesh.txt"))
-    manifest.add("mesh.txt", "mesh")
+    ocp = run.ocp
+    write_mesh(mesh, manifest.path("mesh.txt", "mesh"))
 
     static = solve_static_ocp(ops, z, ocp)
     _write_static_solution(manifest, mesh, z, static)
@@ -550,14 +545,12 @@ def cmd_testcase(args) -> int:
         )
         stride = max(1, len(rows) // 2000) if thin else 1
         export.write_csv(
-            os.path.join(out_dir, rel), ["step", "time", "l2_dist", "lyapunov"],
+            manifest.path(rel, kind), ["step", "time", "l2_dist", "lyapunov"],
             ((int(step), *row) for step, *row in rows[::stride]),
         )
-        manifest.add(rel, kind)
         return rows, monotone, final
 
     # stabilization from the preset initial conditions under the static field
-    os.makedirs(os.path.join(out_dir, "stabilization"), exist_ok=True)
     for k, q_start in enumerate([q0] + [build(ops) for build in run.extra_initials], start=1):
         rows, monotone, final = series(
             f"stabilization/ic_{k}.csv", "convergence series", q_start, static.u_star, run.series_T
@@ -589,11 +582,10 @@ def cmd_testcase(args) -> int:
     traj_static = _simulate(ops, q0, static.u_star, run.dynamic)
     d_static = np.sqrt(sq_norms(ops.M, traj_static.states, static.q_star.values))
     export.write_csv(
-        os.path.join(out_dir, "comparison.csv"),
+        manifest.path("comparison.csv", "static vs dynamic convergence"),
         ["time", "static_control_dist", "dynamic_control_dist"],
         zip(traj_static.times, d_static, dyn.state_distances),
     )
-    manifest.add("comparison.csv", "static vs dynamic convergence")
     manifest.write()
     print(
         f"[testcase {number}] endpoint distance: static {float(d_static[-1])!r}, "

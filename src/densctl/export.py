@@ -103,9 +103,10 @@ def read_vector_csv(path, n: int) -> np.ndarray:
     return out
 
 
-def write_control_csvs(out_dir, mesh: Mesh, control: ControlField, suffix="") -> None:
-    for name, comp in (("u_x", control.ux), ("u_y", control.uy)):
-        _write_nodal_csv(os.path.join(out_dir, f"{name}{suffix}.csv"), mesh, "u", comp)
+def write_control_csvs(x_path, y_path, mesh: Mesh, control: ControlField) -> None:
+    """The u_x and u_y nodal CSVs of a control, at the two paths given."""
+    for path, comp in ((x_path, control.ux), (y_path, control.uy)):
+        _write_nodal_csv(path, mesh, "u", comp)
 
 
 def write_history_csv(path, history) -> None:
@@ -161,14 +162,21 @@ def write_vtk(path, mesh: Mesh, point_scalars=None) -> None:
 
 
 class Manifest:
-    """Collects (path, kind) rows for the run-level manifest.csv."""
+    """The (path, kind) rows of a run's manifest.csv, one per output, listed
+    by :meth:`path` as the output's path is taken."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.rows: list[tuple[str, str]] = []
 
-    def add(self, rel_path: str, kind: str) -> None:
-        self.rows.append((rel_path, kind))
+    def path(self, rel: str, kind: str) -> str:
+        """Lists ``rel`` as a ``kind`` row and returns its path under the run
+        directory, whose directory (or itself, for a ``rel`` ending in /) it
+        makes."""
+        self.rows.append((rel, kind))
+        path = os.path.join(self.out_dir, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
 
     def write(self) -> None:
         write_csv(

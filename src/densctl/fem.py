@@ -97,11 +97,13 @@ class AdvectionTensor:
         rows, cols = self.pattern_rows, self.pattern_cols
         self.transpose = np.searchsorted(rows * n_state + cols, cols * n_state + rows)
 
-    def contract_data(self, u: ControlField) -> np.ndarray:
-        """Pattern data of C(u) with C_ij = sum_k (Tx_ijk ux_k + Ty_ijk uy_k)."""
-        if u.n != self.n_state:
-            raise ValueError(f"control has {u.n} nodes, tensor expects {self.n_state}")
-        return self.kx @ u.ux + self.ky @ u.uy
+    def contract_data(self, u: np.ndarray) -> np.ndarray:
+        """Pattern data of C(u) with C_ij = sum_k (Tx_ijk ux_k + Ty_ijk uy_k),
+        for a stacked [ux, uy] vector u."""
+        n = self.n_state
+        if u.shape != (2 * n,):
+            raise ValueError(f"control has shape {u.shape}, tensor expects ({2 * n},)")
+        return self.kx @ u[:n] + self.ky @ u[n:]
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with the given pattern data, in CSR form."""
@@ -115,14 +117,14 @@ class AdvectionTensor:
             (data[self.transpose], self._indices, self._indptr), shape=(n, n)
         )
 
-    def gradient_contraction(self, lam: np.ndarray, q: np.ndarray):
-        """Vectors g_c with g_ck = sum_ij lam_i T_c,ijk q_j, for c in {x, y}."""
+    def gradient_contraction(self, lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The stacked [gx, gy] vector, g_ck = sum_ij lam_i T_c,ijk q_j."""
         lam = np.asarray(lam, dtype=float)
         q = np.asarray(q, dtype=float)
         if lam.shape != (self.n_state,) or q.shape != (self.n_state,):
             raise ValueError("lambda and q must be state-space vectors")
         w = lam[self.pattern_rows] * q[self.pattern_cols]
-        return self._kx_T @ w, self._ky_T @ w
+        return np.concatenate([self._kx_T @ w, self._ky_T @ w])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,11 +156,9 @@ class FemOperators:
     def mass_data(self, lumped: bool) -> np.ndarray:
         return self.M_lumped_data if lumped else self.M.data
 
-    def state_data(self, u) -> np.ndarray:
+    def state_data(self, u: np.ndarray) -> np.ndarray:
         """Pattern data of the state matrix L(u) = mu A_u - C(u) - B, for a
-        ControlField or a stacked [ux, uy] vector."""
-        if not isinstance(u, ControlField):
-            u = ControlField.from_stacked(u)
+        stacked [ux, uy] vector u."""
         return self.L0_data - self.tensor.contract_data(u)
 
 
@@ -301,4 +301,4 @@ def state_matrix(ops: FemOperators, u: ControlField) -> sp.csc_matrix:
     Columns of L(u) sum to zero (1^T L = 0), so F.q is invariant under the
     dynamics M dq/dt = -L(u) q, and the equilibrium spans its 1-D kernel.
     """
-    return ops.tensor.csc(ops.state_data(u))
+    return ops.tensor.csc(ops.state_data(u.stacked()))

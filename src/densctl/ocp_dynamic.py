@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, solve_adjoint_dynamic, trapezoid_weights
+from .adjoint import solve_adjoint_dynamic, trapezoid_weights
 from .fem import FemOperators, per_component, sq_norms
 from .ocp_static import (
     IterationRecord,
@@ -56,7 +56,6 @@ DYNAMIC_LBFGS_MEMORY = 3
 class DynamicSolution:
     control: np.ndarray  # (n_t, 2n) stack of [ux, uy] rows
     trajectory: Trajectory
-    adjoint: AdjointTrajectory
     history: list[IterationRecord]
     control_distances: np.ndarray  # per-node M-norm of u(t) - u_static, both components
     state_distances: np.ndarray  # per-node ||q(t) - q_static||_M
@@ -168,7 +167,7 @@ def _dynamic_gradient(ops, traj, lams, static_solution, config):
     combo = (1.0 - theta) * lam
     combo[1:] += theta * lam[:-1]
     for g, c, q in zip(G, combo, traj.states):
-        g += np.concatenate(ops.tensor.gradient_contraction(c, q))
+        g += ops.tensor.gradient_contraction(c, q)
     return G
 
 
@@ -218,7 +217,7 @@ def solve_dynamic_ocp(
         lams = solve_adjoint_dynamic(ops, traj, static_solution.q_star, config.alpha)
         fallbacks.append(traj.fallbacks + lams.fallbacks)
         G = _dynamic_gradient(ops, traj, lams, static_solution, config)
-        return G.ravel(), (traj, lams)
+        return G.ravel(), traj
 
     def binding(u, grad):
         """Flat indices of both components of the speeds on the magnitude
@@ -229,7 +228,7 @@ def solve_dynamic_ocp(
         return np.concatenate([i * 2 * n + j, i * 2 * n + n + j])
 
     directions = lbfgs_directions(h_inv_of(ops, config), DYNAMIC_LBFGS_MEMORY, binding)
-    u, (traj, lams), history, reason, restarts = descend(
+    u, traj, history, reason, restarts = descend(
         evaluate, gradient, sweep(np.broadcast_to(us, (n_nodes, 2 * n))), directions, config,
         armijo_backtracking,
     )
@@ -237,7 +236,6 @@ def solve_dynamic_ocp(
     return DynamicSolution(
         control=U,
         trajectory=traj,
-        adjoint=lams,
         history=history,
         control_distances=np.sqrt(sq_norms(ops.M, U, us)),
         state_distances=np.sqrt(sq_norms(ops.M, traj.states, static_solution.q_star.values)),

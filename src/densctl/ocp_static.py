@@ -174,7 +174,7 @@ def reduced_gradient(ops: FemOperators, u: ControlField, z, config: OcpConfig, e
     """
     adj = solve_adjoint_static(ops, equilibrium, z, config.alpha)
     grad = per_component(control_metric(ops, config), u.stacked())
-    grad += np.concatenate(ops.tensor.gradient_contraction(adj.values, equilibrium[0].values))
+    grad += ops.tensor.gradient_contraction(adj.values, equilibrium[0].values)
     return grad, adj
 
 
@@ -275,12 +275,12 @@ def hessian_product(ops: FemOperators, config: OcpConfig, equilibrium, adj: Adjo
     tensor's gradient contraction: no factorization, and no state matrix.
     """
     (q, factor), lam = equilibrium, adj.values
-    C = ops.tensor.csr(ops.tensor.contract_data(ControlField.from_stacked(v)))
+    C = ops.tensor.csr(ops.tensor.contract_data(v))
     dq, _ = bordered_solve(factor, C @ q.values, 0.0)
     dlam, _ = bordered_solve(factor, config.alpha * (ops.M @ dq) + C.T @ lam, 0.0, trans="T")
     g = ops.tensor.gradient_contraction
     Hv = per_component(control_metric(ops, config), v)
-    return Hv + np.concatenate(g(dlam, q.values)) + np.concatenate(g(lam, dq))
+    return Hv + g(dlam, q.values) + g(lam, dq)
 
 
 def _truncated_cg(hess, grad, h_inv, forcing):

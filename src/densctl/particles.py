@@ -140,15 +140,16 @@ class TriangleLocator:
         box, col, row = self._box_cells(lo, hi, self.cell, (self.nx, self.ny))
         return box, row * self.nx + col
 
-    def _cells(self, points, side, shape):
-        """(column, row) of each point's cell on the grid with our origin, cell
-        side ``side`` and ``shape`` (columns, rows), clamped to the grid."""
-        f = np.floor((points - [self.xmin, self.ymin]) / side)
-        return np.fmin(np.fmax(f, 0), np.subtract(shape, 1)).astype(np.int64)
+    def _cells(self, x, y, side, shape):
+        """(column, row) of each point (x, y)'s cell on the grid with our
+        origin, cell side ``side`` and ``shape`` (columns, rows), clamped to
+        the grid, each from its own 1-D coordinate column."""
+        return [np.fmin(np.fmax(np.floor((v - origin) / side), 0), k - 1).astype(np.int64)
+                for v, origin, k in ((x, self.xmin, shape[0]), (y, self.ymin, shape[1]))]
 
     def _box_cells(self, lo, hi, side, shape):
         """``box_cells`` on that grid, as (box, column, row)."""
-        (ax, ay), (bx, by) = self._cells(lo, side, shape).T, self._cells(hi, side, shape).T
+        (ax, ay), (bx, by) = self._cells(*lo.T, side, shape), self._cells(*hi.T, side, shape)
         wx = bx - ax + 1
         box, k = _ranges(np.zeros(len(ax), dtype=np.int64), wx * (by - ay + 1))
         wx = wx[box]
@@ -173,8 +174,8 @@ class TriangleLocator:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         x, y = points[:, 0], points[:, 1]
         # clamped: a point just off the grid can still pass an edge cell's test
-        c = self._cells(points, self.fine, self.fine_shape)
-        cell = c[:, 1] * self.fine_shape[0] + c[:, 0]
+        col, row = self._cells(x, y, self.fine, self.fine_shape)
+        cell = row * self.fine_shape[0] + col
         tri = self._first[cell]
         lam = np.array(self._bary(x, y, tri))
         ok = np.minimum(np.minimum(lam[0], lam[1]), lam[2]) >= -1e-12

@@ -12,7 +12,8 @@ import pytest
 
 import densctl as dc
 from densctl.adjoint import solve_adjoint_dynamic
-from densctl.analysis import certify_kernel, l2_distance, lyapunov_values
+from densctl.analysis import certify_kernel, l2_distance
+from densctl.fem import sq_norms
 from densctl.ocp_dynamic import (
     _dynamic_gradient,
     evaluate_dynamic_cost,
@@ -261,7 +262,7 @@ def test_criterion_06_global_stabilization(tc1):
         traj = dc.simulate(
             ops, q0, sol.u_star, T=3.0, dt=0.03, theta=cfg.theta, lumped=cfg.lumped
         )
-        lyap = lyapunov_values(traj, sol.q_star, ops.M)
+        lyap = 0.5 * sq_norms(ops.M, traj.states, sol.q_star.values)
         dists = np.sqrt(2.0 * lyap)
         strictly = bool(np.all(np.diff(lyap) < 1e-12 * max(lyap[0], 1.0)))
         ratio = float(dists[-1] / dists[0])
@@ -318,7 +319,7 @@ def test_criterion_08_two_chamber_contrast(monkeypatch):
     long_traj = dc.simulate(
         ops, q0, sol.u_star, T=99.99, dt=0.03, theta=0.5, lumped=False
     )
-    d_static = np.sqrt(2 * lyapunov_values(long_traj, sol.q_star, ops.M))
+    d_static = np.sqrt(sq_norms(ops.M, long_traj.states, sol.q_star.values))
     threshold = 0.25 * d_static[0]
     hit_static = d_static <= threshold
     t_static = float(long_traj.times[np.argmax(hit_static)]) if hit_static.any() else np.inf
@@ -363,11 +364,11 @@ def test_criterion_09_drift_robustness(monkeypatch):
     series_T = 6.0
 
     traj_un = dc.simulate(ops, q0, zero, T=series_T, dt=0.03, theta=0.5, lumped=False)
-    d_un_qstar = np.sqrt(2 * lyapunov_values(traj_un, sol.q_star, ops.M))
-    d_un_drift = np.sqrt(2 * lyapunov_values(traj_un, q_drift, ops.M))
+    d_un_qstar = np.sqrt(sq_norms(ops.M, traj_un.states, sol.q_star.values))
+    d_un_drift = np.sqrt(sq_norms(ops.M, traj_un.states, q_drift.values))
 
     traj_c = dc.simulate(ops, q0, sol.u_star, T=series_T, dt=0.03, theta=0.5, lumped=False)
-    d_c = np.sqrt(2 * lyapunov_values(traj_c, sol.q_star, ops.M))
+    d_c = np.sqrt(sq_norms(ops.M, traj_c.states, sol.q_star.values))
 
     dcfg = OcpConfig(
         alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-6, max_iter=25,

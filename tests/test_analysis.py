@@ -11,9 +11,8 @@ from densctl.analysis import (
     certify_spectral_positivity,
     convergence_report,
     l2_distance,
-    lyapunov_values,
 )
-from densctl.fem import state_matrix
+from densctl.fem import sq_norms, state_matrix
 from densctl.mesh import boundary_edge_normals
 
 from conftest import _delaunay_meshes, random_control
@@ -118,7 +117,7 @@ def test_convergence_report(small_ops, rng):
     assert len(rows) == 21
     assert monotone
     assert final < rows[0][2]
-    lyap = lyapunov_values(traj, qeq, small_ops.M)
+    lyap = 0.5 * sq_norms(small_ops.M, traj.states, qeq.values)
     assert rows[5][3] == pytest.approx(lyap[5], rel=1e-12)
 
 

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from densctl import cli, export
+from densctl import cli, export, presets
 from densctl.cli import main
 
 
@@ -136,6 +136,27 @@ def test_particles_command(run_cfg, tmp_path):
     assert len(comparison) >= 5
 
 
+def _assert_manifest_lists_every_output(out):
+    """Every row of out/manifest.csv exists, and every file written under out
+    is a row, lies under a listed directory row (ending in /) or beside a
+    listed trajectory index (a .../manifest.csv row); returns the rows."""
+    with open(out / "manifest.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    listed = [r["path"] for r in rows]
+    assert len(set(listed)) == len(listed)
+    for rel in listed:
+        assert (out / rel).exists(), rel
+    under = tuple(rel for rel in listed if rel.endswith("/"))
+    beside = {os.path.dirname(rel) for rel in listed if rel.endswith("/manifest.csv")}
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    unlisted = sorted(
+        rel for rel in written - set(listed) - {"manifest.csv"}
+        if not rel.startswith(under) and os.path.dirname(rel) not in beside
+    )
+    assert unlisted == []
+    return rows
+
+
 def test_particles_manifest_lists_every_output(run_cfg, tmp_path):
     path, _ = run_cfg
     out = tmp_path / "part"
@@ -143,12 +164,42 @@ def test_particles_manifest_lists_every_output(run_cfg, tmp_path):
         "particles", "--config", str(path), "--out", str(out), "--control", "zero",
         "--n", "300", "--substeps", "1",
     ]) == 0
-    with open(out / "manifest.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
-    assert {r["path"] for r in rows} == written - {"manifest.csv"}
-    kinds = [r["kind"] for r in rows]
+    kinds = [r["kind"] for r in _assert_manifest_lists_every_output(out)]
     assert kinds.count("particle ensemble") == kinds.count("empirical density") == 5
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("static", []),
+    ("simulate", ["--control", "zero"]),
+    ("dynamic", []),
+    ("certify", ["--control", "zero"]),
+])
+def test_every_verb_lists_its_outputs(run_cfg, tmp_path, verb, flags):
+    # particles: test_particles_manifest_lists_every_output
+    path, cfg = run_cfg
+    path.write_text(json.dumps(dict(cfg, vtk=True)))
+    out = tmp_path / verb
+    assert main([verb, "--config", str(path), "--out", str(out), *flags]) == 0
+    rows = _assert_manifest_lists_every_output(out)
+    assert rows[0] == {"path": "config.echo", "kind": "configuration"}
+    if verb in ("simulate", "dynamic"):  # the VTK snapshots lie beside the index
+        assert list(out.rglob("q_00000.vtk"))
+
+
+def test_testcase_lists_its_outputs(tmp_path, monkeypatch):
+    # testcase 1 shrunk to seconds, with every optional series switched on
+    small = presets.testcase_config(1)
+    small["mesh"]["generate"]["target_h"] = 0.12
+    small["ocp"].update(tol=1e-4, max_iter=20, T=0.25, dt=0.05)
+    small.update(dynamic={"max_iter": 2, "tol": 1e-6}, series_T=0.25, long_T=0.5,
+                 drift="swirl", extra_initials=[{"type": "uniform"}])
+    monkeypatch.setattr(presets, "testcase_config", lambda n, paper_scale=False: dict(small))
+    out = tmp_path / "tc"
+    assert main(["testcase", "1", "--out", str(out)]) == 0
+    listed = [r["path"] for r in _assert_manifest_lists_every_output(out)]
+    for rel in ("mesh.txt", "stabilization/ic_2.csv", "static_long_run.csv", "uncontrolled.csv",
+                "dynamic_solution/controls/", "comparison.csv"):
+        assert rel in listed
 
 
 @pytest.mark.parametrize("t_final,steps", [("0.15", [1, 2, 3]), ("0.5", [2, 4, 6, 8, 10])])

@@ -1,4 +1,5 @@
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def test_nodal_csvs_match_per_cell_fmt(tmp_path, small_mesh, small_ops, rng):
     values[:13] = [0.0, -0.0, 1e300, -1e-300, 1.0 / 3.0, *SPECIAL]
     cf = dc.ControlField(values, -values)
     export.write_density_csv(tmp_path / "q.csv", small_mesh, values)
-    export.write_control_csvs(tmp_path, small_mesh, cf, suffix="_t")
+    export.write_control_csvs(tmp_path / "u_x_t.csv", tmp_path / "u_y_t.csv", small_mesh, cf)
     expected = (("q.csv", "q", values), ("u_x_t.csv", "u", cf.ux), ("u_y_t.csv", "u", cf.uy))
     for name, column, vec in expected:
         rows = ((i, *small_mesh.vertices[i], vec[i]) for i in range(small_ops.n))
@@ -111,11 +112,40 @@ def test_read_vector_csv_rejects_incomplete_files(tmp_path, small_mesh, small_op
 
 def test_control_csvs(tmp_path, small_mesh, small_ops, rng):
     cf = dc.ControlField(rng.random(small_ops.n), rng.random(small_ops.n))
-    export.write_control_csvs(tmp_path, small_mesh, cf)
+    export.write_control_csvs(tmp_path / "u_x.csv", tmp_path / "u_y.csv", small_mesh, cf)
     ux = export.read_vector_csv(tmp_path / "u_x.csv", small_ops.n)
     uy = export.read_vector_csv(tmp_path / "u_y.csv", small_ops.n)
     assert np.array_equal(ux, cf.ux)
     assert np.array_equal(uy, cf.uy)
+
+
+def test_directory_style_control_call_raises(tmp_path, small_mesh, small_ops):
+    # the (directory, mesh, control[, suffix]) form the paths replaced
+    cf = dc.ControlField.zeros(small_ops.n)
+    for target in (tmp_path, tmp_path / "new"):
+        with pytest.raises((TypeError, AttributeError)):
+            export.write_control_csvs(target, small_mesh, cf)
+        with pytest.raises((TypeError, AttributeError)):
+            export.write_control_csvs(target, small_mesh, cf, suffix="_00001")
+        with pytest.raises((TypeError, AttributeError)):
+            export.write_control_csvs(target, small_mesh, cf, "_00001")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_path_lists_and_makes_directories(tmp_path):
+    manifest = export.Manifest(str(tmp_path / "run"))
+    echo = manifest.path("config.echo", "configuration")
+    series = manifest.path("a/b/series.csv", "series")
+    controls = manifest.path("a/controls/", "per-time-node controls")
+    assert echo == os.path.join(tmp_path, "run", "config.echo")
+    assert series == os.path.join(tmp_path, "run", "a", "b", "series.csv")
+    assert os.path.isdir(os.path.dirname(series)) and not os.path.exists(series)
+    assert os.path.isdir(controls)
+    manifest.write()
+    assert (tmp_path / "run" / "manifest.csv").read_text().splitlines() == [
+        "path,kind", "config.echo,configuration", "a/b/series.csv,series",
+        "a/controls/,per-time-node controls",
+    ]
 
 
 def test_history_csv(tmp_path):

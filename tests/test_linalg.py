@@ -36,7 +36,7 @@ def assert_solves_like_splu(A, rng):
 def _matrices(ops, rng, dt, theta):
     """A step matrix, H and the bordered K of a random control and metric."""
     u = random_control(ops, rng, 3.0)
-    step = ops.tensor.csc(ops.mass_data(False) / dt + theta * ops.state_data(u))
+    step = ops.tensor.csc(ops.mass_data(False) / dt + theta * ops.state_data(u.stacked()))
     H = control_metric(ops, OcpConfig(beta=rng.uniform(1e-3, 1.0), beta_g=rng.uniform(1e-5, 1e-2)))
     return step, H, bordered_lu(dc.state_matrix(ops, u), ops.F)[0]
 
@@ -87,7 +87,7 @@ def test_tied_pivots_solve_like_splu():
 def test_patterns_of_equal_shape_keep_their_own_order(small_ops, rng):
     H = control_metric(small_ops, OcpConfig(beta=1e-2, beta_g=1e-4))
     step = small_ops.tensor.csc(small_ops.mass_data(True) + small_ops.state_data(
-        random_control(small_ops, rng)))
+        random_control(small_ops, rng).stacked()))
     tridiag = sp.diags([np.ones(small_ops.n - 1), 4.0 * np.ones(small_ops.n),
                         np.ones(small_ops.n - 1)], [-1, 0, 1], format="csc")
     assert H.shape == step.shape == tridiag.shape

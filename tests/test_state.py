@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import densctl as dc
 
+from densctl.fem import sq_norms
 from densctl.ocp_static import OcpConfig
 from densctl.state import NegativeDensityWarning, _n_steps, step_theta, theta_sweep
 
@@ -147,7 +148,7 @@ def test_lyapunov_decay_under_constant_control(small_ops, rng):
     qeq, _ = dc.solve_equilibrium(small_ops, u)
     q0 = dc.gaussian_density(small_ops, (0.7, 0.3), 0.15)
     traj = dc.simulate(small_ops, q0, u, T=1.0, dt=0.02, theta=1.0, lumped=True)
-    lyap = dc.lyapunov_values(traj, qeq, small_ops.M)
+    lyap = 0.5 * sq_norms(small_ops.M, traj.states, qeq.values)
     assert np.all(np.diff(lyap) <= 1e-12 * max(1.0, lyap[0]))
 
 
