@@ -113,8 +113,8 @@ def solve_adjoint_dynamic(
     step's multiplier, preconditioned by the transposed solves of
     ``trajectory.lu``, the LU that the forward steps were solved against;
     its misses are counted in ``fallbacks``.  The transposed explicit and
-    implicit step matrices are built once per sweep; each step overwrites
-    their data.
+    implicit step matrices are the ``.T`` views of two CSR matrices on the
+    pattern, built once per sweep; each step overwrites their data.
     """
     n_steps, dt, theta = trajectory.n_steps, trajectory.dt, trajectory.theta
     controls = trajectory.controls
@@ -126,14 +126,13 @@ def solve_adjoint_dynamic(
     values = np.zeros((n_steps + 1, ops.n))
     lam_next = np.zeros(ops.n)
     fallbacks = 0
-    explicit_T = ops.tensor.csr(np.empty_like(mass)).T
-    implicit_T = ops.tensor.csc(np.empty_like(mass)).T  # A^T as CSR: A's CSC arrays
+    explicit_T, implicit_T = (ops.tensor.csr(np.empty_like(mass)).T for _ in range(2))
     for i in range(n_steps, 0, -1):
         L_i = ops.state_data(controls[i])
         source = w[i] * dt * alpha * (ops.M @ (trajectory.states[i] - qref))
         explicit_T.data[:] = mass - (1.0 - theta) * L_i
         rhs = explicit_T @ lam_next + source
-        implicit_T.data[:] = (mass + theta * L_i)[ops.tensor.transpose]
+        implicit_T.data[:] = mass + theta * L_i
         lam, missed = gmres_solve(implicit_T, rhs, trajectory.lu, lam_next, trans="T")
         fallbacks += missed
         if not np.isfinite(lam).all():

@@ -156,9 +156,10 @@ def theta_sweep(
     The operators are data arrays on the tensor's sparsity pattern, and each
     node's L data is the implicit part of the step into it and the explicit
     part of the step out of it (the last node's makes the LU too).  The two
-    step matrices are built once per sweep, and each step overwrites their
-    data; a stack whose rows all equal row 0 builds them once.  Returns the
-    trajectory, which holds ``controls`` by reference and the LU.
+    step matrices are CSR matrices on the pattern, built once per sweep, and
+    each step overwrites their data; a stack whose rows all equal row 0
+    builds them once.  Only the LU's matrix is laid out in CSC order.
+    Returns the trajectory, which holds ``controls`` by reference and the LU.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -168,20 +169,19 @@ def theta_sweep(
     constant = bool((controls == controls[0]).all())
     tensor = ops.tensor
     mass = ops.mass_data(lumped) / dt
-    explicit, implicit = tensor.csr(np.empty_like(mass)), tensor.csc(np.empty_like(mass))
+    explicit, implicit = (tensor.csr(np.empty_like(mass)) for _ in range(2))
 
     states = np.empty((n_steps + 1, ops.n))
     states[0] = _vals(q0)
     lu, L_last = precond, ops.state_data(controls[-1])
     if lu is None:
-        implicit.data[:] = (mass + theta * L_last)[tensor.transpose]
-        lu = lu_factor(implicit)
+        lu = lu_factor(tensor.csc(mass + theta * L_last))
     fallbacks, L = 0, L_last if constant else ops.state_data(controls[0])
     for i in range(n_steps):
         if i == 0 or not constant:
             explicit.data[:] = mass - (1.0 - theta) * L
             L = L_last if constant or i + 1 == n_steps else ops.state_data(controls[i + 1])
-            implicit.data[:] = (mass + theta * L)[tensor.transpose]
+            implicit.data[:] = mass + theta * L
         states[i + 1], missed = gmres_solve(implicit, explicit @ states[i], lu, states[i])
         fallbacks += missed
     if not np.isfinite(states).all():
