@@ -6,8 +6,9 @@ diagonal, the nodal integral vector F (row sums of M), the unscaled stiffness
 A_u of the control's H1 cost (the control shares the state space, so M also
 serves it), the drift-free state operator mu A_u - B of an optional analytic
 drift field's transport matrix B, and the sparse rank-3 advection coupling
-tensors; and :func:`sq_norms`, the row-block metric-norm kernel of every
-state and control stack.
+tensor as one [T_x | T_y] matrix, all as CSR pattern data (CSC only for
+the sparse LU); and :func:`sq_norms`, the row-block metric-norm kernel of
+every state and control stack.
 
 Sign and index conventions are pinned by two properties that the assembled
 system must satisfy for every control u (both are enforced by tests):
@@ -78,32 +79,28 @@ class AdvectionTensor:
     """Sparse rank-3 tensors T_c with entries ∫ (∂phi_i/∂c) phi_j phi_k, c in {x, y}.
 
     The (i, j) sparsity pattern (nodes sharing a triangle) is stored once as
-    the CSR arrays (indptr, indices); per-component matrices map a control
-    vector to the pattern data, so both the contraction to an (n, n)
-    advection matrix and the control-space gradient contraction run in
-    O(nnz).  Every state-space operator is a data array on this pattern.
+    the CSR arrays (indptr, indices).  K = [T_x | T_y], one (n_pattern, 2n)
+    CSR matrix, maps stacked [ux, uy] controls to pattern data and K^T maps
+    it back, so each contraction is one sparse product, O(nnz).  Operators
+    are pattern data in CSR order; :meth:`csc` lays one out as CSC for the LU.
     """
 
-    def __init__(self, n_state, indptr, indices, kx, ky):
+    def __init__(self, n_state, indptr, indices, K):
         self.n_state = int(n_state)
         self._indptr = indptr
         self._indices = indices
         self.pattern_rows = np.repeat(np.arange(self.n_state), np.diff(indptr))
         self.pattern_cols = indices.astype(np.int64)
-        self.kx = kx  # (n_pattern, n_state) CSR
-        self.ky = ky
-        self._kx_T, self._ky_T = kx.T.tocsr(), ky.T.tocsr()  # for the gradient
+        self.K = K
+        self._K_T = K.T.tocsr()  # for the gradient
         # the pattern is symmetric: position of (j, i) for each (i, j)
         rows, cols = self.pattern_rows, self.pattern_cols
         self.transpose = np.searchsorted(rows * n_state + cols, cols * n_state + rows)
 
     def contract_data(self, u: np.ndarray) -> np.ndarray:
         """Pattern data of C(u) with C_ij = sum_k (Tx_ijk ux_k + Ty_ijk uy_k),
-        for a stacked [ux, uy] vector u."""
-        n = self.n_state
-        if u.shape != (2 * n,):
-            raise ValueError(f"control has shape {u.shape}, tensor expects ({2 * n},)")
-        return self.kx @ u[:n] + self.ky @ u[n:]
+        for a stacked [ux, uy] vector u (K's shape rejects any other)."""
+        return self.K @ u
 
     def csr(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with the given pattern data, in CSR form."""
@@ -123,8 +120,7 @@ class AdvectionTensor:
         q = np.asarray(q, dtype=float)
         if lam.shape != (self.n_state,) or q.shape != (self.n_state,):
             raise ValueError("lambda and q must be state-space vectors")
-        w = lam[self.pattern_rows] * q[self.pattern_cols]
-        return np.concatenate([self._kx_T @ w, self._ky_T @ w])
+        return self._K_T @ (lam[self.pattern_rows] * q[self.pattern_cols])
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,12 +247,13 @@ def _assemble_tensor(mesh: Mesh, areas, gx, gy, indptr, indices) -> AdvectionTen
     pos = np.repeat(np.searchsorted(keys, (tris[:, _A] * n + tris[:, _B]).T), 3, axis=0)
     a, b, c = np.repeat(_A, 3), np.repeat(_B, 3), np.tile(np.arange(3), 9)
     w = areas / 12.0 * np.where(b == c, 2.0, 1.0)[:, None]
-    index = (pos.ravel(), tris[:, c].T.ravel())
-    kx, ky = (
-        sp.coo_matrix(((g[:, a].T * w).ravel(), index), shape=(keys.size, n)).tocsr()
-        for g in (gx, gy)
-    )
-    return AdvectionTensor(n, indptr, indices, kx, ky)
+    data = np.concatenate([gx[:, a].T * w, gy[:, a].T * w]).ravel()
+    # K = [T_x | T_y], the y columns offset by n; int32 coordinates, scipy's
+    # index type here, spare tocsr a converted copy (0.8 MB at n 1014)
+    rows, k = pos.ravel().astype(np.int32), tris[:, c].T.ravel().astype(np.int32)
+    index = (np.tile(rows, 2), np.concatenate([k, k + n]))
+    K = sp.coo_matrix((data, index), shape=(keys.size, 2 * n)).tocsr()
+    return AdvectionTensor(n, indptr, indices, K)
 
 
 def _drift_entries(mesh: Mesh, areas, gx, gy, drift) -> np.ndarray:

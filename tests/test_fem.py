@@ -14,7 +14,8 @@ def dense_tensor(tensor):
     oracle meshes."""
     tx = np.zeros((tensor.n_state,) * 3)
     ty = np.zeros_like(tx)
-    for mat, out in ((tensor.kx.tocoo(), tx), (tensor.ky.tocoo(), ty)):
+    n = tensor.n_state
+    for mat, out in ((tensor.K[:, :n].tocoo(), tx), (tensor.K[:, n:].tocoo(), ty)):
         out[tensor.pattern_rows[mat.row], tensor.pattern_cols[mat.row], mat.col] += mat.data
     return tx, ty
 
