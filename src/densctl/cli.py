@@ -660,7 +660,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"error: config: {problem}", file=sys.stderr)
         return 2
-    except (MeshError, GeometryError, SolverError, ValueError) as exc:
+    except (MeshError, GeometryError, SolverError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -80,14 +80,16 @@ def write_density_csv(path, mesh: Mesh, values) -> None:
 def read_vector_csv(path, n: int) -> np.ndarray:
     """Read the last column of a nodal CSV, one row per node indexed by its
     first column, back into an array of length n; every node needs exactly
-    one row."""
+    one row, with as many fields as the header."""
     out = np.zeros(n)
     seen = np.zeros(n, dtype=bool)
     with open(path, "r", encoding="ascii") as fh:
-        fh.readline()
-        for line in fh:
+        width = len(fh.readline().split(","))
+        for line_no, line in enumerate(fh, 2):
             parts = line.strip().split(",")
             if parts != [""]:
+                if len(parts) != width:
+                    raise ValueError(f"{path}: line {line_no} has {len(parts)} of {width} fields")
                 node = int(parts[0])
                 if not 0 <= node < n:
                     raise ValueError(f"{path}: node {node} is out of range for {n} nodes")

@@ -104,8 +104,9 @@ def _lbfgs_direction(grad, memory, h_inv, bound):
     The recursion runs on the free entries only: the entries ``bound`` (an
     index array) of grad, of every curvature product and of the result are
     zero, and a pair whose free curvature s_F^T y_F is not positive is
-    skipped.  Pairs are stored whole; each product drops the bound entries'
-    share, so no masked copy of a pair is made.
+    skipped.  Pairs are stored whole: products with r, which is zero at the
+    bound entries, drop their share, and s_F^T y_F subtracts it; only the
+    gamma scaling copies one, the newest y with its bound entries zeroed.
     """
     used = [(s, y, sy) for s, y in memory if (sy := s @ y - s[bound] @ y[bound]) > 0]
     r = grad.copy()

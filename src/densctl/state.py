@@ -153,13 +153,12 @@ def theta_sweep(
     (M/dt + theta L_{i+1}) q_{i+1} = (M/dt - (1-theta) L_i) q_i by
     :func:`linalg.gmres_solve` from q_i, preconditioned by one LU: ``precond``
     (a nearby step matrix's LU) or else the LU of the last step matrix.
-    The operators are data arrays on the tensor's sparsity pattern, and each
-    node's L data is the implicit part of the step into it and the explicit
-    part of the step out of it (the last node's makes the LU too).  The two
-    step matrices are CSR matrices on the pattern, built once per sweep, and
-    each step overwrites their data; a stack whose rows all equal row 0
-    builds them once.  Only the LU's matrix is laid out in CSC order.
-    Returns the trajectory, which holds ``controls`` by reference and the LU.
+    The operators are CSR data on the tensor's pattern (only the LU's matrix
+    is laid out as CSC); each node's L data is the implicit part of the step
+    into it and the explicit part of the step out of it (the last node's
+    makes the LU too).  The two step matrices are built once per sweep and
+    each step overwrites their data, unless all rows equal row 0.  Returns
+    the trajectory, which holds ``controls`` by reference and the LU.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")

@@ -419,6 +419,27 @@ def test_infeasible_geometry_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, error", [
+    ("missing mesh", "FileNotFoundError"),
+    ("mesh is a directory", "IsADirectoryError"),
+    ("out under a file", "NotADirectoryError"),
+])
+def test_os_errors_are_runtime_errors(run_cfg, tmp_path, capsys, case, error):
+    path, _ = run_cfg
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {
+        "missing mesh": ["mesh", "check", str(tmp_path / "none.txt")],
+        "mesh is a directory": ["mesh", "check", str(tmp_path)],
+        "out under a file": ["static", "--config", str(path), "--out", str(blocker / "sub")],
+    }[case]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(f"error: {error}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("verb", ["simulate", "particles"])
 def test_bad_t_final_is_a_config_problem(run_cfg, capsys, verb):
     path, cfg = run_cfg

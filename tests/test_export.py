@@ -96,6 +96,7 @@ def test_nodal_csv_prefixes_follow_their_mesh(tmp_path, rng):
 @pytest.mark.parametrize("keep, problem", [
     (slice(0, 2), "no value for"),
     (slice(None), "out of range"),
+    (slice(None), "line 3 has 3 of 4 fields"),
 ])
 def test_read_vector_csv_rejects_incomplete_files(tmp_path, small_mesh, small_ops, keep, problem):
     path = tmp_path / "u_x.csv"
@@ -104,6 +105,8 @@ def test_read_vector_csv_rejects_incomplete_files(tmp_path, small_mesh, small_op
     rows = lines[1:][keep]
     if problem == "out of range":
         rows.append(f"{small_ops.n},0.0,0.0,1.0\n")
+    elif problem.endswith("fields"):  # node 1's row without its value
+        rows[1] = "1,1.0,0.0\n"
     path.write_text(lines[0] + "".join(rows))
     with pytest.raises(ValueError, match=problem) as exc:
         export.read_vector_csv(path, small_ops.n)

@@ -186,6 +186,27 @@ def test_pattern_operators_on_random_meshes(mesh, drift, seed, scale, theta, lum
     assert abs(ops.F @ traj.states[1] - 1.0) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 5.0),
+    theta=st.sampled_from([0.5, 1.0]),
+    lumped=st.booleans(),
+)
+def test_time_varying_sweeps_conserve_mass_on_random_meshes(mesh, drift, seed, scale, theta, lumped):
+    # criterion 2's bound, on sweeps whose step matrices change at every node
+    ops = dc.assemble_operators(
+        mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None
+    )
+    rng = np.random.default_rng(seed)
+    U = scale * rng.standard_normal((21, 2 * ops.n))
+    q0 = dc.normalized_density(ops, rng.random(ops.n) + 0.1)
+    traj = theta_sweep(ops, q0, U, 0.01, theta, lumped)
+    assert np.abs(traj.states @ ops.F - ops.F @ traj.states[0]).max() <= 1e-11
+
+
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     mesh=st.one_of(_meshes(), _delaunay_meshes()),
