@@ -15,8 +15,9 @@ control before it is evaluated.  Its directions are projected L-BFGS ones
 (Bertsekas 1982; Byrd, Lu, Nocedal & Zhu 1995) in the metric H: the speeds
 on the ball whose gradient points outward are held, and the two-loop
 recursion over the last ``DYNAMIC_LBFGS_MEMORY`` curvature pairs runs on
-the free entries.  Every sweep, forward or adjoint, runs GMRES against the
-warm start's one LU, which each trajectory carries.
+vectors times the 0/1 mask of the free entries.  Every sweep, forward or
+adjoint, runs GMRES against the warm start's one LU, which each trajectory
+carries.
 """
 
 from __future__ import annotations
@@ -95,37 +96,33 @@ def project_to_magnitude_ball(U: np.ndarray, n: int, radius: float) -> np.ndarra
     return out
 
 
-def _lbfgs_direction(grad, memory, h_inv, bound):
+def _lbfgs_direction(grad, memory, h_inv, free):
     """Inverse-Hessian estimate times grad by the two-loop recursion
     (Nocedal & Wright, Algorithm 7.4) over the (s, y) pairs in ``memory``,
     oldest first, with the initial operator gamma h_inv and gamma =
     s^T y / (y^T h_inv y) from the newest pair.
 
-    The recursion runs on the free entries only: the entries ``bound`` (an
-    index array) of grad, of every curvature product and of the result are
-    zero, and a pair whose free curvature s_F^T y_F is not positive is
-    skipped.  Pairs are stored whole: products with r, which is zero at the
-    bound entries, drop their share, and s_F^T y_F subtracts it; only the
-    gamma scaling copies one, the newest y with its bound entries zeroed.
+    The recursion runs on vectors projected by P = diag(free), ``free`` the
+    0/1 mask of the free entries: r is multiplied by it after each update,
+    a pair is skipped unless its curvature s^T P y is positive, and gamma's
+    solve takes P y.
     """
-    used = [(s, y, sy) for s, y in memory if (sy := s @ y - s[bound] @ y[bound]) > 0]
-    r = grad.copy()
-    r[bound] = 0.0
+    used = [(s, y, sy) for s, y in memory if (sy := s @ (free * y)) > 0]
+    r = free * grad
     alphas = []
     for s, y, sy in reversed(used):
         alphas.append((s @ r) / sy)
         r -= alphas[-1] * y
-        r[bound] = 0.0
+        r *= free
     r = h_inv(r)
-    r[bound] = 0.0
+    r *= free
     if used:
         s, y, sy = used[-1]
-        y_free = y.copy()
-        y_free[bound] = 0.0
-        r *= sy / (y_free @ h_inv(y_free))
+        y = free * y
+        r *= sy / (y @ h_inv(y))
     for (s, y, sy), a in zip(used, reversed(alphas)):
         r += (a - (y @ r) / sy) * s
-        r[bound] = 0.0
+        r *= free
     return r
 
 
@@ -134,10 +131,10 @@ def lbfgs_directions(h_inv, memory, binding):
 
     The step and gradient change between successive iterates are kept as a
     pair when their curvature is positive, at most ``memory`` pairs.  A
-    direction is :func:`_lbfgs_direction` on the entries that
-    ``binding(u, grad)`` does not return, with a restart along -h_inv(grad)
-    that drops the pairs; it is -h_inv(grad), with the pairs dropped and no
-    restart, when the recursion has nothing to add or does not descend.
+    direction is :func:`_lbfgs_direction` on the free set, the boolean mask
+    ``binding(u, grad)``, with a restart along -h_inv(grad) that drops the
+    pairs; it is -h_inv(grad), with the pairs dropped and no restart, when
+    the recursion has nothing to add or does not descend.
     """
     pairs, last = deque(maxlen=memory), []
 
@@ -145,9 +142,9 @@ def lbfgs_directions(h_inv, memory, binding):
         if last and (s := u - last[0]) @ (y := grad - last[1]) > 0:
             pairs.append((s, y))
         last[:] = u, grad
-        bound = binding(u, grad)
-        d = -_lbfgs_direction(grad, pairs, h_inv, bound)
-        if grad @ d < 0 and (pairs or bound.size):
+        free = binding(u, grad)
+        d = -_lbfgs_direction(grad, pairs, h_inv, free)
+        if grad @ d < 0 and (pairs or not free.all()):
             return d, lambda: pairs.clear() or -h_inv(grad)
         pairs.clear()
         return -h_inv(grad), None
@@ -180,11 +177,11 @@ def solve_dynamic_ocp(
 ) -> DynamicSolution:
     """Optimize a time-varying control, warm-started from the static optimum.
 
-    :func:`ocp_static.descend` with projected L-BFGS directions: the bound
-    set is the (time node, node) speeds with |u| >= radius (1 - 1e-9), on
-    the ball, and u . g < 0, a gradient pointing outward; the direction is
-    zero there and the two-loop recursion runs over at most
-    ``DYNAMIC_LBFGS_MEMORY`` (3) pairs on the other entries.  Three pairs
+    :func:`ocp_static.descend` with projected L-BFGS directions: a speed
+    is held when |u| >= radius (1 - 1e-9), on the ball, and u . g < 0, a
+    gradient pointing outward; the free set masks out both components of
+    the held speeds, and the two-loop recursion runs over at most
+    ``DYNAMIC_LBFGS_MEMORY`` (3) pairs on vectors times the mask.  Three pairs
     already bring the line searches to about one trial per iteration, and
     each pair holds two (n_t, 2n) stacks.  ``restarts`` counts the line
     searches along such a direction that failed and were run again along
@@ -221,12 +218,12 @@ def solve_dynamic_ocp(
         return G.ravel(), traj
 
     def binding(u, grad):
-        """Flat indices of both components of the speeds on the magnitude
-        ball whose gradient points outward, u . g < 0."""
+        """The free set: False at both components of the speeds on the
+        magnitude ball whose gradient points outward, u . g < 0."""
         U, G = u.reshape(n_nodes, 2, n), grad.reshape(n_nodes, 2, n)
         on_ball = np.hypot(U[:, 0], U[:, 1]) >= radius * (1.0 - 1e-9)
-        i, j = np.nonzero(on_ball & (np.einsum("icj,icj->ij", U, G) < 0))
-        return np.concatenate([i * 2 * n + j, i * 2 * n + n + j])
+        held = on_ball & (np.einsum("icj,icj->ij", U, G) < 0)
+        return np.repeat(~held[:, None], 2, axis=1).ravel()
 
     directions = lbfgs_directions(h_inv_of(ops, config), DYNAMIC_LBFGS_MEMORY, binding)
     u, traj, history, reason, restarts = descend(

@@ -220,7 +220,9 @@ def descend(evaluate, gradient, start, direction, config, line_search):
     restart).  The last trial that ``line_search`` evaluates is the one it
     accepts: it is the next iterate, with its J and state.  An iterate's
     state is dropped once its direction is taken, a direction once its
-    search ends, and no trial is held while the next is evaluated.  Stops
+    search ends, and no trial is held while the next is evaluated; the
+    gradient's ``result`` is held until the next gradient, so a state it
+    holds (the dynamic OCP's result is its trajectory) lives on.  Stops
     with ``reason`` "tol" once |grad| < config.tol, "max_iter" after
     config.max_iter iterations or "line_search", and returns (u, result,
     history, reason, restarts) at the last iterate.

@@ -72,6 +72,42 @@ def test_data_after_the_last_boundary_edge_is_rejected(tmp_path, capsys):
     assert "line 14" in capsys.readouterr().err
 
 
+_SQUARE_EDGES = "0 1 1\n1 2 1\n2 3 1\n3 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, fragment",
+    [
+        # validation: the file parses, the mesh is not valid
+        ("3 1 3\n0 0\n1 0\n2 0\n0 1 2\n0 1 1\n1 2 1\n2 0 1\n",
+         MeshTopologyError, "nonpositive area"),
+        ("5 2 4\n0 0\n1 0\n1 1\n0 1\n5 5\n0 1 2\n0 2 3\n" + _SQUARE_EDGES,
+         MeshTopologyError, "not used by any triangle"),
+        # two triangles that share only vertex 2
+        ("5 2 6\n0 0\n1 0\n1 1\n2 1\n2 2\n0 1 2\n2 3 4\n"
+         "0 1 1\n1 2 1\n2 0 1\n2 3 1\n3 4 1\n4 2 1\n",
+         MeshTopologyError, "not a union of closed loops"),
+        # two disjoint triangles: two boundary loops ask for one hole, V-E+T is 2
+        ("6 2 6\n0 0\n1 0\n0 1\n2 0\n3 0\n2 1\n0 1 2\n3 4 5\n"
+         "0 1 1\n1 2 1\n2 0 1\n3 4 1\n4 5 1\n5 3 1\n",
+         MeshTopologyError, "Euler check failed"),
+        # format
+        ("3 1\n0 0\n1 0\n0 1\n0 1 2\n", MeshFormatError, "header must contain"),
+        ("3 1 x\n0 0\n1 0\n0 1\n0 1 2\n", MeshFormatError, "bad header"),
+        ("2 1 0\n0 0\n1 0\n0 1 1\n", MeshFormatError, "implausible sizes"),
+        ("3 1 3\n0 0\n1 0\n0 1\n0 1 2\n0 1 1\n", MeshFormatError,
+         "unexpected end of file while reading boundary edge 1"),
+        ("3 1 3\n0 0 0\n1 0\n0 1\n0 1 2\n0 1 1\n1 2 1\n2 0 1\n", MeshFormatError,
+         "vertex line must contain"),
+    ],
+)
+def test_invalid_mesh_files_are_rejected(tmp_path, text, error, fragment):
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    with pytest.raises(error, match=fragment):
+        dc.load_mesh(path)
+
+
 def test_roundtrip_bit_exact(tmp_path, holed_mesh):
     path = tmp_path / "rt.txt"
     dc.write_mesh(holed_mesh, path)

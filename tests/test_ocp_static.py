@@ -378,27 +378,35 @@ def test_negative_returned_density_warns_once(tiny_ops, rng):
     assert [w.category for w in caught] == [dc.state.NegativeDensityWarning]
 
 
-def test_unsolvable_trial_is_rejected(monkeypatch):
-    # the unit Newton step from u = 0 reaches speeds of about 4e3, where the
-    # bordered equilibrium solve loses accuracy: the trial costs inf, the
-    # line search shrinks the step, and the solve goes on
-    ops = dc.assemble_operators(dc.generate_rect_mesh((0, 0, 1, 1), 0.18), mu=1.0)
-    z = dc.gaussian_density(ops, (0.8, 0.8), 0.2)
-    failures = []
+def test_unsolvable_trial_is_rejected(small_ops, monkeypatch):
+    # the first trial's equilibrium cannot be solved: the trial costs inf,
+    # the line search shrinks the step, and the solve goes on
+    z = dc.gaussian_density(small_ops, (0.5, 0.5), 0.3)
+    cfg = OcpConfig(alpha=1.0, beta=1e-3, beta_g=1e-5, tol=1e-7, max_iter=150)
+    assert solve_static_ocp(small_ops, z, cfg).history[0].step_size == 1.0  # unspied
+    calls = []
 
     def spy(ops, u):
-        try:
-            return dc.solve_equilibrium(ops, u)
-        except dc.SolverError as exc:
-            failures.append(exc)
-            raise
+        calls.append(u)
+        if len(calls) == 2:  # the first call is the start, the second the first trial
+            raise dc.SolverError("injected")
+        return dc.solve_equilibrium(ops, u)
 
     monkeypatch.setattr(ocp_static, "solve_equilibrium", spy)
-    sol = solve_static_ocp(ops, z, OcpConfig(beta=1e-4, beta_g=1e-5, tol=1e-6, max_iter=100))
-    assert failures and "lost accuracy" in str(failures[0])
+    sol = solve_static_ocp(small_ops, z, cfg)
+    assert sol.history[0].step_size < 1.0
     J = np.array([r.J for r in sol.history])
     assert np.isfinite(J).all() and (np.diff(J) <= 0).all()
     assert sol.converged
+
+
+def test_inaccurate_equilibrium_solve_raises(small_ops, monkeypatch):
+    bordered_solve = dc.state.bordered_solve
+    monkeypatch.setattr(
+        dc.state, "bordered_solve", lambda *args: (bordered_solve(*args)[0], 1e-6)
+    )
+    with pytest.raises(dc.SolverError, match="lost accuracy"):
+        dc.solve_equilibrium(small_ops, dc.ControlField.zeros(small_ops.n))
 
 
 def test_unsolvable_start_raises(small_ops, monkeypatch):
@@ -428,12 +436,13 @@ def _jacobi(scale=1.0):
     return lambda v: scale * v / np.diag(QUAD_A)
 
 
-NO_BOUND = np.zeros(0, dtype=np.intp)
+def _all_free(u, grad):
+    return np.ones(u.size, dtype=bool)
 
 
 def _lbfgs(h_inv, memory):
     """Unprojected L-BFGS directions for descend."""
-    return lbfgs_directions(h_inv, memory, lambda u, grad: NO_BOUND)
+    return lbfgs_directions(h_inv, memory, _all_free)
 
 
 def test_descend_without_memory_is_preconditioned_steepest_descent():
@@ -519,12 +528,11 @@ def test_descend_holds_no_state_while_it_evaluates(memory):
     assert alive_at_evaluation == [0] * len(made)
 
 
-def _masked_bfgs_reference(grad, pairs, h_inv_matrix, bound):
+def _masked_bfgs_reference(grad, pairs, h_inv_matrix, free):
     """The free-set direction from explicit masked copies: the BFGS inverse
     update (Nocedal & Wright, eq. 6.17) applied pair by pair, oldest first,
     to gamma P H^-1 P, with P the projection onto the free entries."""
-    free = np.ones(grad.size)
-    free[bound] = 0.0
+    free = free.astype(float)
     P = np.diag(free)
     masked = [(free * s, free * y) for s, y in pairs]
     masked = [(s, y) for s, y in masked if s @ y > 0]
@@ -551,13 +559,11 @@ def test_free_set_two_loop_matches_a_dense_reference():
                  for _ in range(int(rng.integers(0, 5)))]
         # most pairs get positive curvature, as descend keeps them
         pairs = [(s, y + 3.0 * s) if rng.random() < 0.8 else (s, y) for s, y in pairs]
-        bound = np.flatnonzero(rng.random(n) < rng.uniform(0.0, 0.5))
-        free = np.ones(n)
-        free[bound] = 0.0
+        free = rng.random(n) >= rng.uniform(0.0, 0.5)
         skipped += sum((free * s) @ (free * y) <= 0 for s, y in pairs)
         grad = rng.standard_normal(n)
-        got = _lbfgs_direction(grad, pairs, lambda v: h_inv_matrix @ v, bound)
-        want = _masked_bfgs_reference(grad, pairs, h_inv_matrix, bound)
+        got = _lbfgs_direction(grad, pairs, lambda v: h_inv_matrix @ v, free)
+        want = _masked_bfgs_reference(grad, pairs, h_inv_matrix, free)
         assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     assert skipped > 0  # the skip rule was exercised
 
@@ -567,7 +573,9 @@ def test_free_set_direction_is_zero_on_bound_entries():
     n = 50
     pairs = [(s, rng.standard_normal(n) + 2.0 * s) for s in rng.standard_normal((3, n))]
     bound = np.array([3, 17, 18, 42])
-    d = _lbfgs_direction(rng.standard_normal(n), pairs, lambda v: 0.5 * v, bound)
+    free = np.ones(n, dtype=bool)
+    free[bound] = False
+    d = _lbfgs_direction(rng.standard_normal(n), pairs, lambda v: 0.5 * v, free)
     assert np.all(d[bound] == 0.0)
     assert np.count_nonzero(d) == n - bound.size
 
@@ -604,4 +612,5 @@ def test_failed_quasi_newton_search_restarts_along_steepest_descent():
     # of the restart step
     (u2, u3), (g2, g3) = iterates[2:4], (directions[3][1], directions[4][1])
     pair = [(u3 - u2, g3 - g2)]
-    assert np.array_equal(directions[4][0], -_lbfgs_direction(g3, pair, _jacobi(), NO_BOUND))
+    all_free = np.ones(g3.size, dtype=bool)
+    assert np.array_equal(directions[4][0], -_lbfgs_direction(g3, pair, _jacobi(), all_free))

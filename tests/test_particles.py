@@ -190,6 +190,27 @@ def test_reflection_simple_wall():
     assert_allclose(bary, want_bary, rtol=0, atol=0)
 
 
+def test_reflection_gives_up_after_max_bounces(caplog):
+    # the first segment crosses the unit square about 50 times, more than
+    # _MAX_REFLECTIONS bounces: it returns to its start, logged once; the
+    # second stays inside and is left as it is
+    mesh = dc.generate_rect_mesh((0, 0, 1, 1), 0.25)
+    dom = MeshDomain(mesh)
+    start = np.array([[0.5, 0.5], [0.25, 0.3]])
+    end = np.array([[50.3, 0.5], [0.3, 0.35]])
+    located = dom.locator.locate(end)
+    assert located[0][0] < 0 <= located[0][1]
+    with caplog.at_level("WARNING", logger="densctl.particles"):
+        out, tri, bary = dom.reflect(start, end, located)
+    assert [r.getMessage() for r in caplog.records] == [
+        "projected 1 particle(s) back to their last interior point"
+    ]
+    assert np.array_equal(out, [start[0], end[1]])
+    start_tri, start_bary = dom.locator.locate(start[:1])
+    assert tri[0] == start_tri[0] and np.array_equal(bary[0], start_bary[0])
+    assert tri[1] == located[0][1] and np.array_equal(bary[1], located[1][1])
+
+
 def test_empirical_density_unit_mass(domain, holed_ops, holed_mesh):
     q0 = dc.gaussian_density(holed_ops, (-0.5, 0.5), 0.2)
     ens = sample_initial(q0, domain.locator, 20000, seed=3)
