@@ -135,14 +135,22 @@ def l2_distance(a, b, M) -> float:
     return float(np.sqrt(max(d @ (M @ d), 0.0)))
 
 
-def convergence_report(trajectory: Trajectory, reference, ops: FemOperators):
+def convergence_report(trajectory, reference, ops: FemOperators):
     """Per-step distances to a reference density.
 
-    Returns (rows, monotone, final) where rows is the (n_steps + 1, 4) float
-    array of (step, time, l2_distance, lyapunov) rows, the Lyapunov value
-    being l(q_i) = 1/2 (q_i - ref)^T M (q_i - ref).
+    ``trajectory`` is a Trajectory or an iterable of the consecutive windows
+    of one run, each starting at the state where the one before ends; each
+    window is reduced to its rows before the next is read, and the rows are
+    those of the whole run.  Returns (rows, monotone, final) where rows is
+    the (n_steps + 1, 4) float array of (step, time, l2_distance, lyapunov)
+    rows, the Lyapunov value being l(q_i) = 1/2 (q_i - ref)^T M (q_i - ref).
     """
-    lyap = 0.5 * sq_norms(ops.M, trajectory.states, _vals(reference))
-    rows = np.column_stack((np.arange(len(lyap)), trajectory.times, np.sqrt(2.0 * lyap), lyap))
+    windows = [trajectory] if isinstance(trajectory, Trajectory) else trajectory
+    ref, lyap = _vals(reference), []
+    for k, window in enumerate(windows):  # whole windows, so no row is reduced alone
+        lyap.append(0.5 * sq_norms(ops.M, window.states, ref)[k > 0 :])
+    lyap = np.concatenate(lyap)
+    step = np.arange(len(lyap))
+    rows = np.column_stack((step, step * window.dt, np.sqrt(2.0 * lyap), lyap))
     monotone = bool(np.all(np.diff(lyap) <= 1e-12 * max(lyap[0], 1.0)))
     return rows, monotone, float(rows[-1, 2])

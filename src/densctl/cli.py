@@ -49,7 +49,7 @@ from .particles import (
     sample_initial,
     step_particles,
 )
-from .state import _controls_for_grid, _n_steps, simulate, solve_equilibrium
+from .state import _controls_for_grid, _n_steps, _vals, simulate, solve_equilibrium, theta_sweep
 
 DEFAULT_CONFIG = {
     "mesh": {
@@ -389,6 +389,25 @@ def _simulate(ops, q0, control, ocp: OcpConfig, T=None):
     return simulate(ops, q0, control, T=T, dt=ocp.dt, theta=ocp.theta, lumped=ocp.lumped)
 
 
+# Steps per window of a testcase series: a window's states are reduced to
+# their report rows before the next window is swept.
+_SERIES_WINDOW = 100
+
+
+def _windows(ops, q0, control: ControlField, ocp: OcpConfig, T):
+    """The run of the constant ``control`` from q0 over [0, T] on the config's
+    time grid and scheme, as trajectories of ``_SERIES_WINDOW`` steps: each
+    starts from the last state of the one before and solves against the
+    first one's LU, so their states have the bits of one sweep's."""
+    row, n_steps = control.stacked(), _n_steps(T, ocp.dt)
+    q, lu = _vals(q0), None
+    for start in range(0, n_steps, _SERIES_WINDOW):
+        controls = np.broadcast_to(row, (min(_SERIES_WINDOW, n_steps - start) + 1, row.size))
+        window = theta_sweep(ops, q, controls, ocp.dt, ocp.theta, ocp.lumped, lu)
+        q, lu = window.states[-1], window.lu
+        yield window
+
+
 def cmd_simulate(args) -> int:
     run, manifest, mesh, ops, z, q0, control = _start(args)
     traj = _simulate(ops, q0, control, run.ocp)
@@ -541,7 +560,7 @@ def cmd_testcase(args) -> int:
     def series(rel, kind, q_start, control, T, thin=False):
         """Convergence series to q* written to <out>/rel; (rows, monotone, final)."""
         rows, monotone, final = analysis.convergence_report(
-            _simulate(ops, q_start, control, ocp, T), static.q_star, ops
+            _windows(ops, q_start, control, ocp, T), static.q_star, ops
         )
         stride = max(1, len(rows) // 2000) if thin else 1
         export.write_csv(

@@ -272,8 +272,10 @@ def _drift_entries(mesh: Mesh, areas, gx, gy, drift) -> np.ndarray:
     return areas * (_Q7_WEIGHTS * flux[_A] * _Q7_POINTS.T[_B, None, :]).sum(axis=2)
 
 
-# Rows per block of sq_norms: about 2 MB per temporary at paper scale (n ~ 3800).
-_ROW_BLOCK = 64
+# Stack rows per block of sq_norms, the dynamic gradient and H^-1: at paper
+# scale (n ~ 3800) a temporary is 0.5 MB for a state block and 1 MB for a
+# control block of [ux, uy] rows.
+_ROW_BLOCK = 16
 
 
 def per_component(H, U: np.ndarray) -> np.ndarray:
@@ -285,8 +287,12 @@ def per_component(H, U: np.ndarray) -> np.ndarray:
 def sq_norms(H, X: np.ndarray, ref=0.0) -> np.ndarray:
     """Per row of X - ref, its squared H-norm summed over its length-n blocks,
     ``_ROW_BLOCK`` rows at a time: no copy of the whole stack is made, and
-    each row has the bits of one einsum over the whole stack."""
-    blocks = (X[i : i + _ROW_BLOCK] - ref for i in range(0, len(X), _ROW_BLOCK))
+    each row has the bits of one einsum over the whole stack.  A last row
+    left on its own joins the block before it: the einsum of a single row
+    reads its H image contiguously, and of more rows strided, which sums in
+    another order."""
+    edges = [*range(0, max(len(X) - 1, 1), _ROW_BLOCK), len(X)]
+    blocks = (X[i:j] - ref for i, j in zip(edges, edges[1:]))
     return np.concatenate([np.einsum("ij,ij->i", D, per_component(H, D)) for D in blocks])
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import solve_adjoint_dynamic, trapezoid_weights
-from .fem import FemOperators, per_component, sq_norms
+from .fem import _ROW_BLOCK, FemOperators, per_component, sq_norms
 from .ocp_static import (
     IterationRecord,
     OcpConfig,
@@ -84,16 +84,15 @@ def evaluate_dynamic_cost(
 
 
 def project_to_magnitude_ball(U: np.ndarray, n: int, radius: float) -> np.ndarray:
-    """Scale per-node (ux, uy) pairs radially so magnitudes stay <= radius."""
-    out = U.copy()
-    flat = out.reshape(-1, 2 * n)
-    mag = np.hypot(flat[:, :n], flat[:, n:])
+    """Scale the per-node (ux, uy) pairs of the (n_t, 2n) stack U radially,
+    in place, so magnitudes stay <= radius; returns U."""
+    mag = np.hypot(U[:, :n], U[:, n:])
     factor = np.ones_like(mag)
     over = mag > radius
     factor[over] = radius / mag[over]
-    flat[:, :n] *= factor
-    flat[:, n:] *= factor
-    return out
+    U[:, :n] *= factor
+    U[:, n:] *= factor
+    return U
 
 
 def _lbfgs_direction(grad, memory, h_inv, free):
@@ -105,9 +104,15 @@ def _lbfgs_direction(grad, memory, h_inv, free):
     The recursion runs on vectors projected by P = diag(free), ``free`` the
     0/1 mask of the free entries: r is multiplied by it after each update,
     a pair is skipped unless its curvature s^T P y is positive, and gamma's
-    solve takes P y.
+    solve takes P y.  Gamma is found before r exists, so at most two
+    stack-sized temporaries are alive at once.
     """
     used = [(s, y, sy) for s, y in memory if (sy := s @ (free * y)) > 0]
+    gamma = 1.0
+    if used:
+        py = free * used[-1][1]
+        gamma = used[-1][2] / (py @ h_inv(py))
+        del py
     r = free * grad
     alphas = []
     for s, y, sy in reversed(used):
@@ -116,10 +121,7 @@ def _lbfgs_direction(grad, memory, h_inv, free):
         r *= free
     r = h_inv(r)
     r *= free
-    if used:
-        s, y, sy = used[-1]
-        y = free * y
-        r *= sy / (y @ h_inv(y))
+    r *= gamma
     for (s, y, sy), a in zip(used, reversed(alphas)):
         r += (a - (y @ r) / sy) * s
         r *= free
@@ -139,8 +141,11 @@ def lbfgs_directions(h_inv, memory, binding):
     pairs, last = deque(maxlen=memory), []
 
     def direction(u, grad, state, result):
-        if last and (s := u - last[0]) @ (y := grad - last[1]) > 0:
-            pairs.append((s, y))
+        if last:  # the last iterate and gradient go as each difference is made
+            s, y = u - last.pop(0), grad - last.pop()
+            if s @ y > 0:
+                pairs.append((s, y))
+            del s, y
         last[:] = u, grad
         free = binding(u, grad)
         d = -_lbfgs_direction(grad, pairs, h_inv, free)
@@ -154,17 +159,21 @@ def lbfgs_directions(h_inv, memory, binding):
 
 def _dynamic_gradient(ops, traj, lams, static_solution, config):
     """Stacked gradient (n_nodes_t, 2n) of the discrete cost w.r.t. the
-    control stack of ``traj``."""
+    control stack of ``traj``; its metric term is formed ``_ROW_BLOCK`` rows
+    at a time, so no whole-stack temporary is made."""
     w_dt = trapezoid_weights(traj.n_steps) * traj.dt
-    G = w_dt[:, None] * per_component(
-        control_metric(ops, config), traj.controls - static_solution.u_star.stacked()
-    )
+    H, us = control_metric(ops, config), static_solution.u_star.stacked()
+    G = np.empty(traj.controls.shape)
+    for i in range(0, len(G), _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        G[rows] = w_dt[rows, None] * per_component(H, traj.controls[rows] - us)
     # node j's control enters the steps into node j (implicitly, multiplier
     # lam_{j-1}) and out of it (explicitly, lam_j); the terminal lam is zero
     lam, theta = lams.values, traj.theta
-    combo = (1.0 - theta) * lam
-    combo[1:] += theta * lam[:-1]
-    for g, c, q in zip(G, combo, traj.states):
+    for j, (g, q) in enumerate(zip(G, traj.states)):
+        c = (1.0 - theta) * lam[j]
+        if j:
+            c += theta * lam[j - 1]
         g += ops.tensor.gradient_contraction(c, q)
     return G
 
@@ -189,9 +198,12 @@ def solve_dynamic_ocp(
     dropped; a failed restart stops the run with "line_search".  Each
     Armijo trial is one forward sweep of a projected control; a gradient is
     one adjoint sweep.  Every sweep runs GMRES against the LU of the first,
-    the warm start's (``fallbacks`` counts their missed steps).  ``reason``
-    says why the iteration stopped; the tol test reads |G|_2, held speeds
-    included, which stays positive at an optimum on the ball.
+    the warm start's (``fallbacks`` counts their missed steps); a trial is
+    projected in place.  No trajectory but the trial's is alive during a
+    sweep, so a run that stops on "line_search" sweeps its last iterate
+    once more for its trajectory, with the same bits.  ``reason`` says why
+    the iteration stopped; the tol test reads |G|_2, held speeds included,
+    which stays positive at an optimum on the ball.
     """
     n = ops.n
     dt, theta, lumped = config.dt, config.theta, config.lumped
@@ -208,7 +220,7 @@ def solve_dynamic_ocp(
         J = evaluate_dynamic_cost(ops, traj, static_solution, config)
         return traj.controls.ravel(), J, traj
 
-    def evaluate(u):
+    def evaluate(u):  # u is a fresh trial, projected in place
         return sweep(project_to_magnitude_ball(u.reshape(n_nodes, 2 * n), n, radius))
 
     def gradient(u, traj):
@@ -231,6 +243,7 @@ def solve_dynamic_ocp(
         armijo_backtracking,
     )
     U = u.reshape(n_nodes, 2 * n)
+    traj = traj or sweep(U)[2]  # a "line_search" stop let go of the iterate's trajectory
     return DynamicSolution(
         control=U,
         trajectory=traj,

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .adjoint import AdjointField, solve_adjoint_static
-from .fem import ControlField, FemOperators, per_component
+from .fem import _ROW_BLOCK, ControlField, FemOperators, per_component
 from .linalg import SolverError, bordered_solve, lu_factor
 from .state import (
     DensityField,
@@ -202,30 +202,47 @@ def armijo_backtracking(j_fun, u, d, grad, params: ArmijoParams, f0=None):
 
 
 def h_inv_of(ops: FemOperators, config: OcpConfig):
-    """H^-1 on every length-n block of a vector: H is factorized once, and
-    each call is one multi-RHS solve."""
+    """H^-1 on every length-n block of a vector, a stacked [ux, uy] control
+    or a flat (n_t, 2n) stack of them; returns a new flat vector.  H is
+    factorized once, and each SuperLU call solves ``_ROW_BLOCK`` stack rows
+    (2 ``_ROW_BLOCK`` right-hand sides) into the one output, so neither
+    SuperLU's copy of its input nor its work array spans the whole stack.
+    On the test and preset meshes this gives the bits of one solve of all
+    the blocks; SuperLU's dense kernels can round a column differently when
+    it is solved with only a few others, so the blocks are not smaller."""
     n, H_lu = ops.n, lu_factor(control_metric(ops, config))
-    return lambda v: H_lu.solve(v.reshape(-1, n).T).T.ravel()
+    step = 2 * _ROW_BLOCK
+
+    def h_inv(v):
+        V = v.reshape(-1, n)
+        out = np.empty_like(V)
+        for i in range(0, len(V), step):
+            out[i : i + step] = H_lu.solve(V[i : i + step].T).T
+        return out.ravel()
+
+    return h_inv
 
 
 def descend(evaluate, gradient, start, direction, config, line_search):
     """Armijo-safeguarded descent, the one loop of the static and dynamic OCPs.
 
     ``evaluate(u)`` returns (u', J, state) for the point u' it evaluated (u
-    or its projection), ``gradient(u, state)`` returns (grad, result), and
-    ``start`` is an evaluated triple, passed inline so that only this call
-    holds it.  ``direction(u, grad, state, result)`` returns (d, restart):
-    the direction to search along, and None or a callable that gives the
+    or its projection, which it may write into u: each trial is a new
+    array), ``gradient(u, state)`` returns (grad, result), and ``start`` is
+    an evaluated triple, passed inline so that only this call holds it.
+    ``direction(u, grad, state, result)`` returns (d, restart): the
+    direction to search along, and None or a callable that gives the
     direction to search once more along when that search fails (a
     restart).  The last trial that ``line_search`` evaluates is the one it
     accepts: it is the next iterate, with its J and state.  An iterate's
-    state is dropped once its direction is taken, a direction once its
-    search ends, and no trial is held while the next is evaluated; the
-    gradient's ``result`` is held until the next gradient, so a state it
-    holds (the dynamic OCP's result is its trajectory) lives on.  Stops
-    with ``reason`` "tol" once |grad| < config.tol, "max_iter" after
-    config.max_iter iterations or "line_search", and returns (u, result,
-    history, reason, restarts) at the last iterate.
+    state and its gradient's ``result`` are dropped once its direction is
+    taken, a direction once its search ends, and no trial is held while the
+    next is evaluated, so no line search runs beside the iterate's state or
+    result (the dynamic OCP's is its trajectory).  Stops with ``reason``
+    "tol" once |grad| < config.tol, "max_iter" after config.max_iter
+    iterations or "line_search", and returns (u, result, history, reason,
+    restarts) at the last iterate; after a "line_search" stop its result is
+    gone and ``result`` is None, for the caller to make again if it needs it.
     """
     u, J, state = start
     del start
@@ -251,7 +268,7 @@ def descend(evaluate, gradient, start, direction, config, line_search):
             reason = "tol" if gnorm < config.tol else "max_iter"
             break
         d, restart = direction(u, grad, state, result)
-        state = None
+        state = result = None
         tau = search(d)
         if tau is None and restart is not None:
             restarts += 1
@@ -356,9 +373,10 @@ def solve_static_ocp(
     u = u0.stacked() if u0 is not None else np.zeros(2 * ops.n)
     with warnings.catch_warnings():  # a rejected trial's density says nothing of q*
         warnings.simplefilter("ignore", NegativeDensityWarning)
-        u, (q, adj), history, reason, _ = descend(
+        u, result, history, reason, _ = descend(
             evaluate_trial, gradient, evaluate(u), direction, config, armijo_backtracking
         )
+        q, adj = result or gradient(u, evaluate(u)[2])[1]
     _warn_if_negative(q.values)
     return StaticSolution(
         q_star=q,

@@ -48,6 +48,8 @@ _CELL_SCALE = 0.5
 # their build, which bounds the build's transient memory
 _FINE_SPLIT = 8
 _BUILD_CHUNK = 256
+# points per pass of locate, which bounds its transient memory
+_LOCATE_CHUNK = 12500
 
 
 @dataclass(frozen=True)
@@ -167,11 +169,20 @@ class TriangleLocator:
         Returns (tri, bary): the first triangle of the point's fine cell, in
         ascending index, whose barycentrics are all >= -1e-12, and those
         barycentrics clipped at 0 and renormalized.  Points outside the mesh
-        get tri = -1 and bary = 0.  Round 0 tests every point in place
-        against its cell's first candidate (an empty cell's is the NaN row);
-        later rounds test only the misses, against their cell's next one.
+        get tri = -1 and bary = 0.  The points are located
+        ``_LOCATE_CHUNK`` at a time, each pass writing into the one output.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        tri, bary = np.empty(len(points), dtype=np.int64), np.empty((len(points), 3))
+        for i in range(0, len(points), _LOCATE_CHUNK):
+            chunk = slice(i, i + _LOCATE_CHUNK)
+            tri[chunk], bary[chunk] = self._locate(points[chunk])
+        return tri, bary
+
+    def _locate(self, points):
+        """``locate`` in one pass.  Round 0 tests every point in place
+        against its cell's first candidate (an empty cell's is the NaN row);
+        later rounds test only the misses, against their cell's next one."""
         x, y = points[:, 0], points[:, 1]
         # clamped: a point just off the grid can still pass an edge cell's test
         col, row = self._cells(x, y, self.fine, self.fine_shape)

@@ -163,6 +163,9 @@ def test_certificates_match_dense_oracle_on_presets(number, rng):
     assert_matches_dense_oracle(ops, random_control(ops, rng))
 
 
+# Whether a drawn control's equilibrium dips below zero (and warns) depends on
+# the draw; the certificates are compared with the dense oracle either way.
+@pytest.mark.filterwarnings("ignore::densctl.state.NegativeDensityWarning")
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     mesh=st.one_of(_meshes(), _delaunay_meshes()),

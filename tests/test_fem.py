@@ -233,11 +233,12 @@ def test_nonfinite_drift_rejected(small_mesh):
         dc.assemble_operators(small_mesh, mu=1.0, drift=bad)
 
 
-@pytest.mark.parametrize("rows", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("rows", [1, 2, 15, 16, 17, 33, 63, 64, 65, 300])
 def test_sq_norms_is_the_whole_stack_einsum(small_ops, rng, rows):
-    # row blocks of _ROW_BLOCK (64) rows give each row the bits of one einsum
+    # row blocks of _ROW_BLOCK (16) rows give each row the bits of one einsum
     # over the whole stack, for a state stack under M and a control stack
-    # under the control metric H
+    # under the control metric H; 17, 33 and 65 rows end in a row that joins
+    # the block before it
     n = small_ops.n
     H = 1e-3 * small_ops.M + 1e-5 * small_ops.A_u
     for metric, width in ((small_ops.M, n), (H, 2 * n)):

@@ -1,4 +1,5 @@
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -335,7 +336,9 @@ def test_static_stop_reasons(small_ops):
         "line_search": OcpConfig(tol=1e-12, armijo=ArmijoParams(c1=0.9, max_backtracks=2)),
     }
     for reason, cfg in runs.items():
-        sol = solve_static_ocp(small_ops, z, cfg)
+        # three iterations stop short of the optimum, at a q* that dips below zero
+        with pytest.warns(dc.state.NegativeDensityWarning) if reason == "max_iter" else nullcontext():
+            sol = solve_static_ocp(small_ops, z, cfg)
         assert sol.reason == reason
         assert sol.converged == (reason == "tol")
     assert len(sol.history) == 1 and sol.history[0].step_size == 0.0

@@ -587,3 +587,23 @@ def test_first_crossing_memory_is_bounded():
         tracemalloc.stop()
     assert np.isfinite(t_hit).any()
     assert peak < m * ne * 8 / 5
+
+
+def test_locate_in_chunks_is_the_one_pass_result(holed_mesh):
+    # 100000 points, 8 chunks: the bits of one pass over them all, with the
+    # transient memory of one chunk (one pass over all of them peaks at 4.0
+    # times its output)
+    from densctl.particles import _LOCATE_CHUNK
+
+    loc = TriangleLocator(holed_mesh)
+    pts = np.random.default_rng(3).uniform(-1.05, 1.05, size=(8 * _LOCATE_CHUNK, 2))
+    tracemalloc.start()
+    try:
+        tri, bary = loc.locate(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want_tri, want_bary = loc._locate(pts)
+    assert (tri < 0).any() and (tri >= 0).mean() > 0.8
+    assert np.array_equal(tri, want_tri) and np.array_equal(bary, want_bary)
+    assert peak < 2.0 * (tri.nbytes + bary.nbytes)
