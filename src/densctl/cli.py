@@ -168,15 +168,21 @@ def _file(where, path, problems):
 
 
 def _shape(where, spec, problems):
-    """Circle or Rect of a hole or indicator-region spec."""
+    """Circle (positive radius) or Rect (x0 < x1, y0 < y1) of a hole or
+    indicator-region spec."""
     kind = spec.get("type") if isinstance(spec, dict) else None
-    if kind == "circle" and _reals(spec.get("center"), 2) and _real(spec.get("radius")):
-        return Circle(*spec["center"], spec["radius"])
-    if kind == "rect" and _reals(spec.get("bounds"), 4):
-        return Rect(*spec["bounds"])
-    needs = {"circle": "center [x, y] and a radius", "rect": "bounds [x0, y0, x1, y1]"}
-    problems.append(f"{where}: a {kind} needs {needs[kind]}" if kind in ("circle", "rect")
-                    else f"{where}: type must be 'circle' or 'rect'")
+    if kind == "circle" and _reals(spec.get("center"), 2) and _real(r := spec.get("radius")):
+        if r > 0:
+            return Circle(*spec["center"], r)
+        problems.append(f"{where}: a circle's radius must be positive, got {r}")
+    elif kind == "rect" and (b := _reals(spec.get("bounds"), 4)):
+        if b[0] < b[2] and b[1] < b[3]:
+            return Rect(*b)
+        problems.append(f"{where}: a rect needs x0 < x1 and y0 < y1, got {list(b)}")
+    else:
+        needs = {"circle": "center [x, y] and a radius", "rect": "bounds [x0, y0, x1, y1]"}
+        problems.append(f"{where}: a {kind} needs {needs[kind]}" if kind in ("circle", "rect")
+                        else f"{where}: type must be 'circle' or 'rect'")
 
 
 def _typed(section, path, kind, problems):

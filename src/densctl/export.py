@@ -90,12 +90,15 @@ def read_vector_csv(path, n: int) -> np.ndarray:
             if parts != [""]:
                 if len(parts) != width:
                     raise ValueError(f"{path}: line {line_no} has {len(parts)} of {width} fields")
-                node = int(parts[0])
+                try:
+                    node, value = int(parts[0]), float(parts[-1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from None
                 if not 0 <= node < n:
                     raise ValueError(f"{path}: node {node} is out of range for {n} nodes")
                 if seen[node]:
                     raise ValueError(f"{path}: node {node} has more than one row")
-                out[node] = float(parts[-1])
+                out[node] = value
                 seen[node] = True
     if not seen.all():
         missing = np.flatnonzero(~seen)

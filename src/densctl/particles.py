@@ -360,45 +360,33 @@ class NodalVelocity:
 
 def sample_initial(density, locator: TriangleLocator, n: int, seed: int) -> ParticleEnsemble:
     """Draw n positions from a nodal P1 density on the locator's mesh
-    (rejection inside triangles), located by ``locator``.
+    (an exact mixture draw inside triangles), located by ``locator``.
 
     Triangles are chosen with probability proportional to their integrated
-    density; within a triangle, uniform barycentric proposals are accepted
-    against the linear density.  Fully reproducible for a fixed seed.
+    density.  Inside a triangle the density ``sum_k v_k lambda_k`` is a
+    mixture of three corner laws of equal mass: a point picks corner k with
+    probability ``v_k / sum(v)``, and its barycentrics are Dirichlet with
+    weight 2 on k and 1 on the other corners (normalized gamma draws).
+    Nothing is rejected.  Fully reproducible for a fixed seed.
     """
     q = _vals(density)
     rng = np.random.default_rng(seed)
     mesh = locator.mesh
-    tris = mesh.triangles
-    corners = mesh.vertices[tris]
-    nodal = np.clip(q[tris], 0.0, None)  # (nt, 3)
+    nodal = np.clip(q[mesh.triangles], 0.0, None)  # (nt, 3)
     tri_mass = mesh.triangle_areas() * nodal.mean(axis=1)
     total = tri_mass.sum()
     if not total > 0:
         raise ValueError("density has no positive mass to sample from")
-    counts = rng.multinomial(n, tri_mass / total)
-
-    chunks = []
-    for t in np.flatnonzero(counts):
-        need = int(counts[t])
-        vmax = nodal[t].max()
-        got = []
-        while need > 0:
-            m = max(16, int(1.5 * need))
-            r1 = rng.random(m)
-            r2 = rng.random(m)
-            flip = r1 + r2 > 1.0
-            r1[flip] = 1.0 - r1[flip]
-            r2[flip] = 1.0 - r2[flip]
-            lam = np.stack([1.0 - r1 - r2, r1, r2], axis=1)
-            accept = rng.random(m) * vmax <= lam @ nodal[t]
-            pts = lam[accept][:need] @ corners[t]
-            got.append(pts)
-            need -= len(pts)
-        chunks.append(np.concatenate(got, axis=0))
-    positions = (
-        np.concatenate(chunks, axis=0) if chunks else np.empty((0, 2))
-    )
+    tri = np.repeat(np.arange(len(tri_mass)), rng.multinomial(n, tri_mass / total))
+    # each (n, 3) temporary is freed once used: the peak stays below locate's
+    cum = np.cumsum(nodal[tri], axis=1)
+    corner = (rng.random((n, 1)) * cum[:, 2:] >= cum[:, :2]).sum(axis=1)
+    del cum
+    lam = rng.standard_gamma(1.0 + (corner[:, None] == np.arange(3)))
+    del corner
+    lam /= lam.sum(axis=1, keepdims=True)
+    positions = np.einsum("nk,nkd->nd", lam, mesh.vertices[mesh.triangles][tri])
+    del lam, tri
     return ParticleEnsemble(positions, *locator.locate(positions))
 
 

@@ -82,6 +82,12 @@ def random_control(ops, rng, scale=1.0):
     )
 
 
+def z_matrix(ops, data) -> bool:
+    """Whether pattern data ``data`` has no positive off-diagonal entry."""
+    tensor = ops.tensor
+    return not (data[tensor.pattern_rows != tensor.pattern_cols] > 0).any()
+
+
 @pytest.fixture()
 def counts(monkeypatch):
     """Calls of lu_factor and bordered_solve, through every binding, and of

@@ -15,7 +15,7 @@ from densctl.analysis import (
 from densctl.fem import sq_norms, state_matrix
 from densctl.mesh import boundary_edge_normals
 
-from conftest import _delaunay_meshes, random_control
+from conftest import _delaunay_meshes, random_control, z_matrix
 from test_sweep import _meshes
 
 
@@ -74,6 +74,24 @@ def test_kernel_random_controls(small_ops, rng):
         assert cert.gap_ratio > 1e6
         assert cert.left_kernel_residual < 1e-12
         assert cert.kernel_min_entry > 0  # equilibrium is one-signed
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 2.0),
+)
+def test_equilibrium_is_positive_and_simple_where_l_is_an_m_matrix(mesh, drift, seed, scale):
+    # L(u) with no positive off-diagonal and zero column sums is a singular
+    # M-matrix: by Perron-Frobenius its kernel is one positive vector
+    ops = dc.assemble_operators(mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None)
+    u = random_control(ops, np.random.default_rng(seed), scale)
+    if z_matrix(ops, ops.state_data(u.stacked())):
+        equilibrium = dc.solve_equilibrium(ops, u)
+        assert equilibrium[0].values.min() > 0.0
+        assert certify_kernel(ops, equilibrium).dim == 1
 
 
 def test_zero_mean_basis(small_ops):

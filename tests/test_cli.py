@@ -298,6 +298,27 @@ def test_config_validation_lists_all_problems(tmp_path, capsys):
     pytest.param(("target",), {"type": "indicator", "regions": [
                      {"type": "rect", "bounds": [0.2, 0.2, float("inf"), 0.8]}]},
                  "target.regions[0]: a rect needs bounds", id="region-bounds-infinite"),
+    pytest.param(("mesh", "generate", "holes"),
+                 [{"type": "circle", "center": [0.5, 0.5], "radius": -0.1}],
+                 "hole 0: a circle's radius must be positive, got -0.1", id="hole-radius-negative"),
+    pytest.param(("mesh", "generate", "holes"),
+                 [{"type": "rect", "bounds": [0.7, 0.7, 0.3, 0.3]}],
+                 "hole 0: a rect needs x0 < x1 and y0 < y1, got [0.7, 0.7, 0.3, 0.3]",
+                 id="hole-rect-inverted"),
+    pytest.param(("target",), {"type": "indicator", "regions": [
+                     {"type": "circle", "center": [0.5, 0.5], "radius": -0.3}]},
+                 "target.regions[0]: a circle's radius must be positive, got -0.3",
+                 id="region-radius-negative"),
+    pytest.param(("target",), {"type": "indicator", "regions": [
+                     {"type": "circle", "center": [0.5, 0.5], "radius": 0}]},
+                 "target.regions[0]: a circle's radius must be positive, got 0",
+                 id="region-radius-zero"),
+    pytest.param(("target",), {"type": "indicator", "regions": [
+                     {"type": "rect", "bounds": [0.7, 0.7, 0.3, 0.3]}]},
+                 "target.regions[0]: a rect needs x0 < x1 and y0 < y1", id="region-rect-inverted"),
+    pytest.param(("target",), {"type": "indicator", "regions": [
+                     {"type": "rect", "bounds": [0.2, 0.6, 0.8, 0.6]}]},
+                 "target.regions[0]: a rect needs x0 < x1 and y0 < y1", id="region-rect-flat"),
     pytest.param(("out_dir",), "", "out_dir must be a nonempty path string", id="out-dir-empty"),
     pytest.param(("vtk",), "no", "vtk must be true or false", id="vtk-string"),
     pytest.param(("extra_initials",), [{"type": "gaussian", "sigma": 0.1}],

@@ -113,6 +113,23 @@ def test_read_vector_csv_rejects_incomplete_files(tmp_path, small_mesh, small_op
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("row, problem", [
+    pytest.param("1,1.0,0.0,abc\n", "could not convert string to float: 'abc'", id="value"),
+    pytest.param("1.5,1.0,0.0,1.0\n", "invalid literal for int() with base 10: '1.5'",
+                 id="index"),
+])
+def test_read_vector_csv_names_the_line_it_cannot_parse(tmp_path, small_mesh, small_ops,
+                                                        row, problem):
+    path = tmp_path / "u_x.csv"
+    export.write_density_csv(path, small_mesh, np.ones(small_ops.n))
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = row  # node 1's row, line 3 of the file
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as exc:
+        export.read_vector_csv(path, small_ops.n)
+    assert str(exc.value) == f"{path}: line 3: {problem}"
+
+
 def test_control_csvs(tmp_path, small_mesh, small_ops, rng):
     cf = dc.ControlField(rng.random(small_ops.n), rng.random(small_ops.n))
     export.write_control_csvs(tmp_path / "u_x.csv", tmp_path / "u_y.csv", small_mesh, cf)

@@ -103,6 +103,26 @@ def test_sampling_chi2_uniform(holed_ops, holed_mesh):
     assert stat < chi2.ppf(0.99, dof)
 
 
+@pytest.mark.parametrize("v", [(3.0, 1.0, 0.5), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 2.0, 5.0)])
+def test_sampling_law_inside_a_triangle(v):
+    # density sum_k v_k lambda_k on one triangle: E[lambda_j] = (S + v_j) / (4 S)
+    # and E[lambda_j^2] = (S + 2 v_j) / (10 S), S = sum(v), each within 4 standard errors
+    mesh = Mesh(
+        vertices=np.array([[0.0, 0.0], [2.0, 0.3], [0.7, 1.5]]),
+        triangles=np.array([[0, 1, 2]]),
+        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]]),
+        boundary_markers=np.ones(3, dtype=np.int64),
+        domain_area=1.395,
+    )
+    n = 200_000
+    ens = sample_initial(dc.DensityField(values=np.array(v)), TriangleLocator(mesh), n, seed=7)
+    assert (ens.tri == 0).all()
+    v, S = np.array(v), sum(v)
+    for moment, exact in ((ens.bary, (S + v) / (4 * S)), (ens.bary**2, (S + 2 * v) / (10 * S))):
+        se = moment.std(axis=0) / np.sqrt(n)
+        assert (np.abs(moment.mean(axis=0) - exact) <= 4 * se).all(), (moment.mean(axis=0), exact)
+
+
 def test_sampling_rejects_zero_density(holed_ops, domain):
     with pytest.raises(ValueError):
         sample_initial(

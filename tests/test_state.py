@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import densctl as dc
@@ -8,7 +10,8 @@ from densctl.fem import sq_norms
 from densctl.ocp_static import OcpConfig
 from densctl.state import NegativeDensityWarning, _n_steps, step_theta, theta_sweep
 
-from conftest import random_control
+from conftest import _delaunay_meshes, random_control, z_matrix
+from test_sweep import _meshes
 
 
 def test_equilibrium_zero_control_uniform(holed_ops):
@@ -141,6 +144,28 @@ def test_positivity_lumped_implicit_euler(small_mesh):
     assert q0.values.min() >= 0.0
     traj = dc.simulate(ops, q0, u, T=2.0, dt=0.05, theta=1.0, lumped=True)
     assert traj.min_values.min() >= -1e-12
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mesh=st.one_of(_meshes(), _delaunay_meshes()),
+    drift=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 2.0),
+    dt=st.floats(1e-3, 1.0),
+)
+def test_lumped_implicit_step_keeps_nonnegativity_where_it_is_an_m_matrix(
+    mesh, drift, seed, scale, dt
+):
+    # A = M_l/dt + L(u) with no positive off-diagonal has column sums F/dt > 0:
+    # a nonsingular M-matrix, so A^-1 >= 0 and A q1 = M_l q0 / dt keeps q0 >= 0
+    ops = dc.assemble_operators(mesh, mu=1.0, drift=dc.DRIFT_PRESETS["swirl"] if drift else None)
+    rng = np.random.default_rng(seed)
+    u = random_control(ops, rng, scale).stacked()
+    if z_matrix(ops, ops.mass_data(True) / dt + ops.state_data(u)):
+        q0 = rng.random(ops.n) * (rng.random(ops.n) < 0.5)
+        q1 = theta_sweep(ops, q0, np.stack([u, u]), dt, 1.0, True).states[1]
+        assert q1.min() >= 0.0
 
 
 def test_lyapunov_decay_under_constant_control(small_ops, rng):
